@@ -15,12 +15,13 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use hypernel::audit::StaticAuditReport;
 use hypernel::Mode;
 use hypernel_campaign::engine::{boot_system, run_one_full, EngineError};
+use hypernel_campaign::load_corpus;
 use hypernel_campaign::scenario::Scenario;
 
 const USAGE: &str = "\
@@ -94,16 +95,10 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
             }
             "--mode" => {
                 let value = iter.next().ok_or("`--mode` needs a value")?;
-                options.mode = Some(match value.as_str() {
-                    "native" => Mode::Native,
-                    "kvm" => Mode::KvmGuest,
-                    "hypernel" => Mode::Hypernel,
-                    other => {
-                        return Err(format!(
-                            "`--mode`: unknown mode `{other}` (native | kvm | hypernel)"
-                        ))
-                    }
-                });
+                options.mode = Some(Mode::from_key(value).ok_or_else(|| {
+                    let keys: Vec<&str> = Mode::ALL.iter().map(|m| m.key()).collect();
+                    format!("`--mode`: unknown mode `{value}` ({})", keys.join(" | "))
+                })?);
             }
             "--json" => {
                 let value = iter.next().ok_or("`--json` needs a value")?;
@@ -157,27 +152,6 @@ fn gate_failure(mode: Mode, report: &StaticAuditReport) -> Option<String> {
     None
 }
 
-fn load_corpus(dir: &str) -> Result<Vec<Scenario>, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read corpus dir `{dir}`: {e}"))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        return Err(format!("no `*.toml` scenarios in `{dir}`"));
-    }
-    let mut scenarios = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-        let scenario =
-            Scenario::from_toml(&text).map_err(|e| format!("`{}`: {e}", path.display()))?;
-        scenarios.push(scenario);
-    }
-    Ok(scenarios)
-}
-
 fn summary_line(scenario: &Scenario, report: &StaticAuditReport) -> String {
     let differential = match &report.differential {
         Some(d) if d.agrees() => "  differential agrees",
@@ -203,7 +177,7 @@ fn cmd_corpus(rest: &[String]) -> Result<ExitCode, String> {
     if options.mode.is_some() || options.json.is_some() {
         return Err("`--mode` and `--json` only apply to `scenario`".to_string());
     }
-    let scenarios = load_corpus(dir)?;
+    let scenarios = load_corpus(Path::new(dir))?;
     let mut failures = 0usize;
     for scenario in &scenarios {
         let report = match audit_scenario(scenario, options.seed, options.sanitize) {

@@ -17,7 +17,7 @@
 //! `run` exits nonzero when any run fails an oracle the scenario did
 //! not declare — the CI campaign-smoke gate keys on that.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use hypernel_campaign::coverage::{atlas_json, CoverageMap};
@@ -25,7 +25,7 @@ use hypernel_campaign::explore::{explore, ExploreConfig, Steering};
 use hypernel_campaign::record::{summarize, summary_json};
 use hypernel_campaign::scenario::Scenario;
 use hypernel_campaign::sweep::{run_sweep, run_sweep_with, SweepConfig};
-use hypernel_campaign::{minimize, MinimizeError};
+use hypernel_campaign::{load_corpus, minimize, MinimizeError};
 
 const USAGE: &str = "\
 hypernel-campaign — adversarial attack/fault campaigns for Hypernel
@@ -67,9 +67,10 @@ USAGE:
       hypernel-staticheck analyzer); --targets k1,k2 steers at exactly
       those keys. Exits 1 when nothing novel is found.
   hypernel-campaign lint <dir>
-      Schema-lints every scenario file in <dir>: keys the loader would
-      silently ignore, Hypernel-only knobs on baseline modes, unhittable
-      latency bounds, undeclared masks, duplicate or drifting names.
+      Lints every scenario file in <dir>: each loader error (unknown
+      keys, wrong-typed or out-of-range values), Hypernel-only knobs on
+      baseline modes, unhittable latency bounds, undeclared masks,
+      duplicate or drifting names.
       Exits 1 when anything is flagged.
   hypernel-campaign selftest
       Runs a built-in scenario pair end to end; exits nonzero on any
@@ -147,29 +148,6 @@ fn opt_num<T: std::str::FromStr>(
     }
 }
 
-/// Loads every `*.toml` scenario under `dir`, sorted by file name so
-/// the sweep order (and thus the artifact) is stable.
-fn load_corpus(dir: &str) -> Result<Vec<Scenario>, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read corpus dir `{dir}`: {e}"))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        return Err(format!("no `*.toml` scenarios in `{dir}`"));
-    }
-    let mut scenarios = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-        let scenario =
-            Scenario::from_toml(&text).map_err(|e| format!("`{}`: {e}", path.display()))?;
-        scenarios.push(scenario);
-    }
-    Ok(scenarios)
-}
-
 fn write_or_stdout(path: Option<&str>, content: &str, what: &str) -> Result<(), String> {
     match path {
         Some(path) => {
@@ -206,7 +184,7 @@ fn cmd_run(rest: &[String]) -> Result<ExitCode, String> {
     let corpus = opt(&options, "corpus").ok_or("`run` needs --corpus <dir>")?;
     let seeds: u64 = opt_num(&options, "seeds", 16)?;
     let jobs: usize = opt_num(&options, "jobs", 1)?;
-    let mut scenarios = load_corpus(corpus)?;
+    let mut scenarios = load_corpus(Path::new(corpus))?;
     if let Some(only) = opt(&options, "scenario") {
         scenarios.retain(|s| s.name == only);
         if scenarios.is_empty() {
@@ -333,7 +311,7 @@ fn cmd_run(rest: &[String]) -> Result<ExitCode, String> {
 fn cmd_list(rest: &[String]) -> Result<ExitCode, String> {
     let options = split_args(rest, &["corpus"])?;
     let corpus = opt(&options, "corpus").ok_or("`list` needs --corpus <dir>")?;
-    for scenario in load_corpus(corpus)? {
+    for scenario in load_corpus(Path::new(corpus))? {
         println!(
             "{:<28} {:<10} steps {:>2}  faults {:>2}  {}",
             scenario.name,
@@ -351,7 +329,7 @@ fn cmd_minimize(rest: &[String]) -> Result<ExitCode, String> {
     let corpus = opt(&options, "corpus").ok_or("`minimize` needs --corpus <dir>")?;
     let name = opt(&options, "scenario").ok_or("`minimize` needs --scenario <name>")?;
     let seed: u64 = opt_num(&options, "seed", 0)?;
-    let scenarios = load_corpus(corpus)?;
+    let scenarios = load_corpus(Path::new(corpus))?;
     let scenario = scenarios
         .iter()
         .find(|s| s.name == name)
@@ -411,7 +389,7 @@ fn cmd_explore(rest: &[String]) -> Result<ExitCode, String> {
         max_emit: opt_num(&options, "max-emit", 4)?,
         steering,
     };
-    let scenarios = load_corpus(corpus)?;
+    let scenarios = load_corpus(Path::new(corpus))?;
     let outcome = explore(&scenarios, &config).map_err(|e| e.to_string())?;
     eprintln!(
         "explore: corpus covers {} tuple(s); probed {} candidate(s)",

@@ -42,7 +42,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use hypernel::{Mode, System};
 use hypernel_hypersec::codes;
-use hypernel_machine::FaultHit;
+use hypernel_kernel::AttackStep;
+use hypernel_machine::{FaultHit, FaultKind};
 use hypernel_mbm::Mbm;
 use hypernel_telemetry::json::Json;
 
@@ -55,54 +56,11 @@ pub const COVERAGE_SCHEMA: u64 = 1;
 /// `kind` tag of the coverage atlas artifact.
 pub const COVERAGE_KIND: &str = "hypernel-coverage-atlas";
 
-/// Every attack-step kind name, sorted (mirrors the scenario loader).
-pub const STEP_KINDS: &[&str] = &[
-    "atra-cred",
-    "atra-dentry",
-    "channel-spoof",
-    "code-injection",
-    "cred-escalation",
-    "cross-domain-cred-theft",
-    "dentry-hijack",
-    "double-map-cred",
-    "hypercall-probe",
-    "map-secure-region",
-    "pt-direct-write",
-    "pt-forge-probe",
-    "shared-region-toctou",
-    "sysreg-probe",
-    "text-patch",
-    "ttbr-redirect",
-];
-
 /// Per-step outcome classes a run can land in.
 pub const OUTCOMES: &[&str] = &["blocked", "detected", "undetected"];
 
-/// Every fault kind name, sorted (mirrors [`hypernel_machine::FaultKind`]).
-pub const FAULT_KINDS: &[&str] = &[
-    "delay-irq",
-    "desync-bitmap",
-    "drop-irq",
-    "flip-snoop-addr",
-    "lose-hypercall",
-    "stall-translator",
-];
-
 /// Every oracle name, sorted (mirrors `crate::oracle`).
 pub const ORACLES: &[&str] = &["audit", "detection", "latency", "outcomes", "wx"];
-
-/// Every mode key, sorted (the scenario-TOML `mode` values).
-pub const MODES: &[&str] = &["hypernel", "kvm", "native"];
-
-/// The lowercase scenario-TOML key for a mode (`Mode`'s `Display` is
-/// the human form — `KVM-guest` — which makes poor feature keys).
-pub fn mode_key(mode: Mode) -> &'static str {
-    match mode {
-        Mode::Native => "native",
-        Mode::KvmGuest => "kvm",
-        Mode::Hypernel => "hypernel",
-    }
-}
 
 /// The outcome class of one executed step.
 pub fn step_outcome(step: &StepRecord) -> &'static str {
@@ -207,7 +165,7 @@ pub fn tuple_keys(
     if oracles.is_empty() {
         oracles.insert("none");
     }
-    let mode = mode_key(scenario.mode);
+    let mode = scenario.mode.key();
     let mut out = Vec::new();
     for outcome in &outcomes {
         for fault in &faults {
@@ -346,8 +304,8 @@ pub fn known_features() -> Vec<String> {
     for k in ["hit", "miss", "eviction", "flush"] {
         out.insert(format!("machine/tlb/{k}"));
     }
-    for k in FAULT_KINDS {
-        out.insert(format!("machine/fault-site/{k}"));
+    for kind in FaultKind::ALL {
+        out.insert(format!("machine/fault-site/{}", kind.name()));
     }
     for k in ["snooped", "captured", "translated", "matched", "irq-raised"] {
         out.insert(format!("mbm/stage/{k}"));
@@ -403,9 +361,9 @@ pub fn known_features() -> Vec<String> {
     for k in ["derived-span", "merged-span", "batched-call"] {
         out.insert(format!("compose/watch/{k}"));
     }
-    for step in STEP_KINDS {
+    for step in AttackStep::defaults() {
         for outcome in OUTCOMES {
-            out.insert(format!("kernel/attack/{step}/{outcome}"));
+            out.insert(format!("kernel/attack/{}/{outcome}", step.name()));
         }
     }
     out.insert("oracle/none".to_string());
@@ -414,13 +372,17 @@ pub fn known_features() -> Vec<String> {
             out.insert(format!("oracle/{oracle}/{verdict}"));
         }
     }
-    let fault_dim: Vec<&str> = FAULT_KINDS.iter().copied().chain(["none"]).collect();
+    let fault_dim: Vec<&str> = FaultKind::ALL
+        .iter()
+        .map(|k| k.name())
+        .chain(["none"])
+        .collect();
     let oracle_dim: Vec<&str> = ORACLES.iter().copied().chain(["none"]).collect();
     for outcome in OUTCOMES {
         for fault in &fault_dim {
             for oracle in &oracle_dim {
-                for mode in MODES {
-                    out.insert(format!("tuple/{outcome}/{fault}/{oracle}/{mode}"));
+                for mode in Mode::ALL {
+                    out.insert(format!("tuple/{outcome}/{fault}/{oracle}/{}", mode.key()));
                 }
             }
         }
@@ -456,8 +418,7 @@ mod tests {
     use super::*;
     use crate::engine::run_one;
     use crate::scenario::StepExpect;
-    use hypernel_kernel::AttackStep;
-    use hypernel_machine::{FaultKind, FaultSpec};
+    use hypernel_machine::FaultSpec;
 
     #[test]
     fn merge_is_commutative_and_additive() {
@@ -480,22 +441,19 @@ mod tests {
 
     #[test]
     fn constant_tables_mirror_the_model() {
-        for kind in FAULT_KINDS {
-            assert!(FaultKind::parse(kind).is_some(), "unknown fault `{kind}`");
-        }
-        assert_eq!(FAULT_KINDS.len(), 6);
-        for step in STEP_KINDS {
-            // The loader is the source of truth for step kinds.
-            let toml = format!("name = \"t\"\n[[step]]\nkind = \"{step}\"");
-            assert!(
-                Scenario::from_toml(&toml).is_ok(),
-                "unknown step kind `{step}`"
-            );
-        }
-        let mut sorted = known_features();
-        let len = sorted.len();
-        sorted.dedup();
-        assert_eq!(sorted.len(), len, "universe must be duplicate-free");
+        // The kind dimensions derive from their enums; the universe
+        // must span every one of them.
+        let universe = known_features();
+        let count = |prefix: &str| universe.iter().filter(|k| k.starts_with(prefix)).count();
+        assert_eq!(count("machine/fault-site/"), FaultKind::ALL.len());
+        assert_eq!(
+            count("kernel/attack/"),
+            AttackStep::defaults().len() * OUTCOMES.len()
+        );
+        assert_eq!(
+            count("tuple/"),
+            OUTCOMES.len() * (FaultKind::ALL.len() + 1) * (ORACLES.len() + 1) * Mode::ALL.len()
+        );
     }
 
     fn run(scenario: &Scenario, seed: u64) -> crate::record::RunRecord {

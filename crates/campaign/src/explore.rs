@@ -320,7 +320,7 @@ fn named(mut mutant: Scenario, base: &str) -> Scenario {
 /// MBM pressure knobs.
 fn mutants_of(base: &Scenario) -> Vec<Scenario> {
     let mut out = Vec::new();
-    for mode in [Mode::Hypernel, Mode::KvmGuest, Mode::Native] {
+    for mode in Mode::ALL {
         if mode != base.mode {
             out.push(with_mode(base, mode));
         }
@@ -331,29 +331,21 @@ fn mutants_of(base: &Scenario) -> Vec<Scenario> {
         m.description = format!("explore: swap steps {} and {} of {}", i, i + 1, base.name);
         out.push(m);
     }
-    let kinds = [
-        FaultKind::DropIrq,
-        FaultKind::DelayIrq,
-        FaultKind::StallTranslator,
-        FaultKind::FlipSnoopAddr,
-        FaultKind::LoseHypercall,
-        FaultKind::DesyncBitmap,
-    ];
     if base.faults.specs.is_empty() {
-        for kind in kinds {
+        for kind in FaultKind::ALL {
             let mut m = base.clone();
-            m.faults = m.faults.with(fault_with_kind(kind, 1, u64::MAX));
+            m.faults = m.faults.with(FaultSpec::of_kind(kind, 1, u64::MAX));
             m.description = format!("explore: {} under a persistent {}", base.name, kind.name());
             out.push(m);
         }
     } else {
         for (i, spec) in base.faults.specs.iter().enumerate() {
-            for kind in kinds {
+            for kind in FaultKind::ALL {
                 if kind == spec.kind {
                     continue;
                 }
                 let mut m = base.clone();
-                m.faults.specs[i] = fault_with_kind(kind, spec.at, spec.count);
+                m.faults.specs[i] = FaultSpec::of_kind(kind, spec.at, spec.count);
                 m.description =
                     format!("explore: {} with fault {} as {}", base.name, i, kind.name());
                 out.push(m);
@@ -373,23 +365,6 @@ fn mutants_of(base: &Scenario) -> Vec<Scenario> {
     out
 }
 
-/// A fault spec of `kind` at the given schedule, with the kind's
-/// default parameter (mirrors the TOML loader's defaults).
-fn fault_with_kind(kind: FaultKind, at: u64, count: u64) -> FaultSpec {
-    let param = match kind {
-        FaultKind::DelayIrq => 1,
-        FaultKind::FlipSnoopAddr => 12,
-        FaultKind::LoseHypercall => u64::MAX,
-        _ => 0,
-    };
-    FaultSpec {
-        kind,
-        at,
-        count,
-        param,
-    }
-}
-
 /// Re-targets a scenario at another mode, rewriting everything that is
 /// mode-specific: baseline modes lose the hypernel-only knobs and any
 /// detection expectations; a hypernel re-target drops expectations to
@@ -399,12 +374,7 @@ fn fault_with_kind(kind: FaultKind, at: u64, count: u64) -> FaultSpec {
 pub fn with_mode(base: &Scenario, mode: Mode) -> Scenario {
     let mut m = base.clone();
     m.mode = mode;
-    let mode_name = match mode {
-        Mode::Native => "native",
-        Mode::KvmGuest => "kvm",
-        Mode::Hypernel => "hypernel",
-    };
-    m.description = format!("explore: {} under {}", base.name, mode_name);
+    m.description = format!("explore: {} under {}", base.name, mode.key());
     if mode == Mode::Hypernel {
         for step in &mut m.steps {
             step.expect = StepExpect::Any;

@@ -30,8 +30,8 @@
 //! - [`explore`] — the coverage-guided mutation loop: corpus mutants
 //!   that reach new `(outcome, fault, oracle, mode)` tuples are emitted
 //!   as ready-to-lint scenario TOMLs;
-//! - [`lint`] — the corpus schema linter (flags keys the lenient
-//!   loader would silently ignore, plus semantic smells);
+//! - [`lint`] — the corpus linter (the strict loader's findings, one
+//!   message each, plus semantic smells);
 //! - [`toml`] — the dependency-free parser for the scenario file
 //!   subset (re-exported from `hypernel-compose`, which shares the
 //!   same subset for system descriptions).
@@ -60,8 +60,7 @@ pub use hypernel_compose::toml;
 
 pub use blackbox::{BLACKBOX_KIND, BLACKBOX_SCHEMA, FLIGHT_RING_CAPACITY};
 pub use coverage::{
-    atlas_json, coverage_of_run, known_features, mode_key, CoverageMap, COVERAGE_KIND,
-    COVERAGE_SCHEMA,
+    atlas_json, coverage_of_run, known_features, CoverageMap, COVERAGE_KIND, COVERAGE_SCHEMA,
 };
 pub use engine::{boot_system, run_one, run_one_full, run_one_logged, EngineError};
 pub use explore::{explore, EmittedScenario, ExploreConfig, ExploreError, ExploreOutcome};
@@ -72,7 +71,7 @@ pub use record::{
     summarize, summary_json, RunRecord, ScenarioSummary, StepRecord, Violation, CAMPAIGN_SCHEMA,
     RECORD_KIND, SUMMARY_KIND,
 };
-pub use scenario::{MetricsSpec, Scenario, ScenarioError, StepExpect, StepSpec};
+pub use scenario::{load_corpus, MetricsSpec, Scenario, ScenarioError, StepExpect, StepSpec};
 pub use sweep::{
     run_sweep, run_sweep_with, SweepConfig, SweepFailure, SweepOutcome, SweepProgress,
 };

@@ -1,184 +1,41 @@
-//! Scenario-file linter: schema checks the TOML loader is too lenient
-//! to make.
+//! Scenario-file linter: the semantic checks a loader cannot make.
 //!
-//! [`Scenario::from_toml`] deliberately ignores keys it does not know —
-//! new loader versions must keep reading old corpora. The price is that
-//! a typo (`latency_bound` for `latency-bound`, `pids` for `pid`)
-//! silently produces a *different* scenario than the author wrote. The
-//! linter closes that gap: it re-parses the raw document and flags
-//! every key the loader would not consume, plus a handful of semantic
-//! smells — a `latency-bound` that can never be checked, Hypernel-only
-//! pressure knobs on baseline modes, a `masked` step with nothing
-//! declared that could mask it, and scenario names that drift from
-//! their file stems (the sweep artifact is keyed by name). Compose
-//! sections get the same treatment: unknown keys in `[compose]` /
-//! `[[domain]]` / `[[channel]]` / `[[region]]`, dangling channel
-//! endpoints, overlapping shared regions, and attack steps that target
-//! compose entities the description never declares.
+//! [`Scenario::from_toml`] is strict — an unknown key or section, a
+//! wrong-typed or an out-of-range value is a load error — so the
+//! linter reports each loader finding as its own message and, for a
+//! scenario that loads, adds the semantic smells: a `latency-bound`
+//! that can never be checked, Hypernel-only pressure knobs on baseline
+//! modes, a `masked` step with nothing declared that could mask it, an
+//! expectation the static analyzer proves impossible, scenario names
+//! that drift from their file stems (the sweep artifact is keyed by
+//! name), and compose problems: dangling channel endpoints, overlapping
+//! shared regions, and attack steps that target compose entities the
+//! description never declares.
 
 use std::path::Path;
 
-use crate::scenario::Scenario;
-use crate::toml::{self, TomlTable};
+use hypernel::Mode;
+use hypernel_kernel::kernel::MonitorMode;
+use hypernel_kernel::AttackStep;
 
-/// Top-level `key = value` pairs the loader consumes.
-const TOP_KEYS: &[&str] = &[
-    "name",
-    "description",
-    "mode",
-    "monitor",
-    "background-ops",
-    "latency-bound",
-    "fifo-capacity",
-    "drain-budget",
-];
-
-/// Hypernel-only knobs: on `native`/`kvm` the loader accepts them but
-/// nothing downstream reads them.
-const HYPERNEL_ONLY_KEYS: &[&str] = &["monitor", "latency-bound", "fifo-capacity", "drain-budget"];
-
-/// Keys the optional `[metrics]` section consumes.
-const METRICS_KEYS: &[&str] = &["window-cycles", "series"];
-
-/// Keys the optional `[compose]` section consumes.
-const COMPOSE_KEYS: &[&str] = &["watch"];
-
-/// Keys every `[[domain]]` may carry.
-const DOMAIN_KEYS: &[&str] = &["name", "role", "priority", "tasks"];
-
-/// Keys every `[[channel]]` may carry.
-const CHANNEL_KEYS: &[&str] = &["name", "from", "to", "capacity"];
-
-/// Keys every `[[region]]` may carry.
-const REGION_KEYS: &[&str] = &["name", "owner", "share", "pages", "protect", "va"];
-
-/// Keys every `[[step]]` may carry.
-const STEP_COMMON_KEYS: &[&str] = &["kind", "expect"];
-
-/// Keys every `[[fault]]` may carry.
-const FAULT_COMMON_KEYS: &[&str] = &["kind", "at", "count"];
-
-/// Extra keys a step of the given kind consumes.
-fn step_extra_keys(kind: &str) -> Option<&'static [&'static str]> {
-    Some(match kind {
-        "cred-escalation" | "map-secure-region" | "atra-cred" | "double-map-cred" => &["pid"],
-        "dentry-hijack" => &["path", "rogue-inode"],
-        "pt-direct-write" => &["pid", "value"],
-        "atra-dentry" => &["path"],
-        "cross-domain-cred-theft" => &["attacker", "victim"],
-        "shared-region-toctou" => &["region"],
-        "channel-spoof" => &["channel"],
-        "hypercall-probe" => &["nr"],
-        "ttbr-redirect" | "code-injection" | "text-patch" | "sysreg-probe" | "pt-forge-probe" => {
-            &[]
-        }
-        _ => return None,
-    })
-}
-
-/// Extra (parameter) keys a fault of the given kind consumes.
-fn fault_extra_keys(kind: &str) -> Option<&'static [&'static str]> {
-    Some(match kind {
-        "delay-irq" => &["steps"],
-        "flip-snoop-addr" => &["bit"],
-        "lose-hypercall" => &["call"],
-        "drop-irq" | "stall-translator" | "desync-bitmap" => &[],
-        _ => return None,
-    })
-}
-
-fn unknown_keys(
-    table: &TomlTable,
-    allowed: &[&str],
-    extra: &[&str],
-    what: &str,
-    out: &mut Vec<String>,
-) {
-    for (key, _) in &table.values {
-        if !allowed.contains(&key.as_str()) && !extra.contains(&key.as_str()) {
-            out.push(format!(
-                "{what}: unknown key `{key}` (the loader ignores it)"
-            ));
-        }
-    }
-}
+use crate::scenario::{Scenario, StepExpect};
+use crate::toml::toml_files;
 
 /// Lints one scenario source. `stem` is the file stem (for the
 /// name-matches-file check); pass `None` for sources without a file.
 /// Returns one message per problem; empty means clean.
 pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let doc = match toml::parse(source) {
-        Ok(doc) => doc,
-        Err(e) => return vec![format!("syntax: {e}")],
-    };
     let scenario = match Scenario::from_toml(source) {
         Ok(s) => s,
-        Err(e) => return vec![format!("schema: {e}")],
+        Err(e) => return e.problems,
     };
+    let mut out = Vec::new();
 
-    unknown_keys(&doc, TOP_KEYS, &[], "top level", &mut out);
-    for (name, t) in &doc.tables {
-        if name == "metrics" {
-            unknown_keys(t, METRICS_KEYS, &[], "[metrics]", &mut out);
-            continue;
-        }
-        if name == "compose" {
-            unknown_keys(t, COMPOSE_KEYS, &[], "[compose]", &mut out);
-            continue;
-        }
-        out.push(format!(
-            "top level: unknown section `[{name}]` (only `[metrics]`, `[compose]`, `[[step]]`, \
-             `[[fault]]`, `[[domain]]`, `[[channel]]` and `[[region]]` exist)"
-        ));
-    }
-    for (name, tables) in &doc.arrays {
-        let keys = match name.as_str() {
-            "step" | "fault" => continue, // handled per-kind below
-            "domain" => DOMAIN_KEYS,
-            "channel" => CHANNEL_KEYS,
-            "region" => REGION_KEYS,
-            _ => {
-                out.push(format!("top level: unknown section `[[{name}]]`"));
-                continue;
-            }
-        };
-        for (i, t) in tables.iter().enumerate() {
-            unknown_keys(t, keys, &[], &format!("{name} {}", i + 1), &mut out);
+    if let Some(series) = scenario.metrics.as_ref().and_then(|m| m.series.as_ref()) {
+        if series.is_empty() {
+            out.push("[metrics]: `series = []` disables every series".to_string());
         }
     }
-    for (i, t) in doc.array("step").iter().enumerate() {
-        let what = format!("step {}", i + 1);
-        // Unknown kinds are a loader error, already reported above.
-        if let Some(extra) = t.get_str("kind").and_then(step_extra_keys) {
-            unknown_keys(t, STEP_COMMON_KEYS, extra, &what, &mut out);
-        }
-    }
-    for (i, t) in doc.array("fault").iter().enumerate() {
-        let what = format!("fault {}", i + 1);
-        if let Some(extra) = t.get_str("kind").and_then(fault_extra_keys) {
-            unknown_keys(t, FAULT_COMMON_KEYS, extra, &what, &mut out);
-        }
-    }
-
-    if let Some(spec) = &scenario.metrics {
-        if let Some(series) = &spec.series {
-            if series.is_empty() {
-                out.push("[metrics]: `series = []` disables every series".to_string());
-            }
-            for name in series {
-                if hypernel_telemetry::metrics::metric(name).is_none() {
-                    out.push(format!(
-                        "[metrics]: unknown series `{name}` (the recorder ignores it); known: {}",
-                        hypernel_telemetry::metrics::metric_names()
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ));
-                }
-            }
-        }
-    }
-
     if let Some(stem) = stem {
         if scenario.name != stem {
             out.push(format!(
@@ -187,9 +44,15 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
             ));
         }
     }
-    if !matches!(scenario.mode, hypernel::Mode::Hypernel) {
-        for key in HYPERNEL_ONLY_KEYS {
-            if doc.get(key).is_some() {
+    if scenario.mode != Mode::Hypernel {
+        let hypernel_only = [
+            ("monitor", scenario.monitor != MonitorMode::SensitiveFields),
+            ("latency-bound", scenario.latency_bound.is_some()),
+            ("fifo-capacity", scenario.fifo_capacity.is_some()),
+            ("drain-budget", scenario.drain_budget.is_some()),
+        ];
+        for (key, set) in hypernel_only {
+            if set {
                 out.push(format!(
                     "`{key}` has no effect in `{}` mode (Hypernel-only knob)",
                     scenario.mode
@@ -197,10 +60,7 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
             }
         }
         for (i, spec) in scenario.steps.iter().enumerate() {
-            if matches!(
-                spec.expect,
-                crate::scenario::StepExpect::Detected | crate::scenario::StepExpect::Masked
-            ) {
+            if matches!(spec.expect, StepExpect::Detected | StepExpect::Masked) {
                 out.push(format!(
                     "step {}: expect `{}` needs a monitor, but mode `{}` has none",
                     i + 1,
@@ -214,7 +74,7 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
         && !scenario
             .steps
             .iter()
-            .any(|s| s.expect == crate::scenario::StepExpect::Detected)
+            .any(|s| s.expect == StepExpect::Detected)
     {
         out.push(
             "latency-bound is set but no step expects `detected`, so it can never be checked"
@@ -227,7 +87,6 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
         }
     }
     for (i, spec) in scenario.steps.iter().enumerate() {
-        use hypernel_kernel::AttackStep;
         let references: Vec<(&str, &str, &str)> = match &spec.step {
             AttackStep::CrossDomainCredTheft { attacker, victim } => vec![
                 ("attacker", "domain", attacker.as_str()),
@@ -269,7 +128,7 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
         || scenario.drain_budget.is_some();
     if !declared_mask {
         for (i, spec) in scenario.steps.iter().enumerate() {
-            if spec.expect == crate::scenario::StepExpect::Masked {
+            if spec.expect == StepExpect::Masked {
                 out.push(format!(
                     "step {}: expect `masked` but the scenario declares no fault or FIFO pressure \
                      that could mask detection",
@@ -312,15 +171,9 @@ impl std::fmt::Display for LintIssue {
 /// Returns an error string when the directory or a file cannot be read
 /// — I/O problems, not lint findings.
 pub fn lint_dir(dir: &Path) -> Result<Vec<LintIssue>, String> {
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read `{}`: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    paths.sort();
     let mut issues = Vec::new();
     let mut names: Vec<(String, String)> = Vec::new();
-    for path in &paths {
+    for path in &toml_files(dir)? {
         let file = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
@@ -708,8 +561,12 @@ mod tests {
 
     #[test]
     fn the_shipped_corpus_is_clean() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-        let issues = lint_dir(&dir).expect("corpus dir readable");
-        assert_eq!(issues, Vec::new(), "corpus must lint clean");
+        for dir in ["corpus", "examples/scenarios"] {
+            let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../..")
+                .join(dir);
+            let issues = lint_dir(&dir).expect("scenario dir readable");
+            assert_eq!(issues, Vec::new(), "{} must lint clean", dir.display());
+        }
     }
 }

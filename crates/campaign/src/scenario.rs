@@ -6,17 +6,24 @@
 //! [`FaultPlan`] injected at the machine/MBM boundary. Scenarios are
 //! built either in Rust (builder methods) or loaded from the TOML
 //! subset in `corpus/*.toml` (see `docs/CAMPAIGN.md` for the schema).
+//!
+//! The loader is strict and is the schema: every key it does not read,
+//! every wrong-typed value and every out-of-range value is a load
+//! error, and one [`ScenarioError`] lists them all, each with its
+//! location. Step and fault parameters come from the kind tables
+//! beside their enums ([`AttackStep::params_mut`],
+//! [`FaultKind::param`]), which [`Scenario::to_toml`] reads too.
 
-use std::fmt;
+use std::path::Path;
 
 use hypernel::Mode;
 use hypernel_compose::ComposeDoc;
 use hypernel_kernel::kernel::MonitorMode;
-use hypernel_kernel::AttackStep;
+use hypernel_kernel::{AttackStep, StepParam};
 use hypernel_machine::{FaultKind, FaultPlan, FaultSpec};
-use hypernel_telemetry::metrics::{MetricsConfig, DEFAULT_WINDOW_CYCLES};
+use hypernel_telemetry::metrics::{self, MetricsConfig, DEFAULT_WINDOW_CYCLES};
 
-use crate::toml::{self, TomlTable};
+use crate::toml::{self, Fields, LoadError, TomlTable};
 
 /// What a step's outcome should look like under this scenario's mode —
 /// the ground truth the `outcomes` and `detection` oracles check
@@ -38,6 +45,15 @@ pub enum StepExpect {
 }
 
 impl StepExpect {
+    /// Every expectation, in declaration order.
+    pub const ALL: [StepExpect; 5] = [
+        Self::Blocked,
+        Self::Detected,
+        Self::Undetected,
+        Self::Masked,
+        Self::Any,
+    ];
+
     /// Stable name used in scenario files and run records.
     pub fn name(self) -> &'static str {
         match self {
@@ -51,14 +67,7 @@ impl StepExpect {
 
     /// Inverse of [`StepExpect::name`].
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "blocked" => Self::Blocked,
-            "detected" => Self::Detected,
-            "undetected" => Self::Undetected,
-            "masked" => Self::Masked,
-            "any" => Self::Any,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|e| e.name() == s)
     }
 }
 
@@ -216,64 +225,68 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns a [`ScenarioError`] for syntax errors, unknown kinds or
-    /// missing required fields.
+    /// Returns a [`ScenarioError`] for a syntax error, or listing every
+    /// finding: missing required fields, unknown kinds, keys and
+    /// sections, wrong-typed values and out-of-range values.
     pub fn from_toml(input: &str) -> Result<Self, ScenarioError> {
-        let doc = toml::parse(input).map_err(|e| ScenarioError::new(e.to_string()))?;
-        Self::from_table(&doc)
+        let doc = toml::parse(input)?;
+        let mut problems = Vec::new();
+        let scenario = Self::from_table(&doc, &mut problems);
+        if problems.is_empty() {
+            Ok(scenario)
+        } else {
+            Err(LoadError { problems })
+        }
     }
 
-    fn from_table(doc: &TomlTable) -> Result<Self, ScenarioError> {
-        let name = doc
-            .get_str("name")
-            .ok_or_else(|| ScenarioError::new("missing `name`"))?;
-        let mode = match doc.get_str("mode").unwrap_or("hypernel") {
-            "native" => Mode::Native,
-            "kvm" => Mode::KvmGuest,
-            "hypernel" => Mode::Hypernel,
-            other => {
-                return Err(ScenarioError::new(format!(
-                    "unknown mode `{other}` (native | kvm | hypernel)"
-                )))
-            }
-        };
-        let mut scenario = Scenario::new(name, mode);
-        scenario.description = doc.get_str("description").unwrap_or("").to_string();
-        scenario.monitor = match doc.get_str("monitor").unwrap_or("sensitive-fields") {
-            "sensitive-fields" => MonitorMode::SensitiveFields,
-            "whole-object" => MonitorMode::WholeObject,
-            other => {
-                return Err(ScenarioError::new(format!(
-                    "unknown monitor mode `{other}` (sensitive-fields | whole-object)"
-                )))
-            }
-        };
-        scenario.background_ops = doc.get_u64("background-ops").unwrap_or(0);
-        scenario.latency_bound = doc.get_u64("latency-bound");
-        scenario.fifo_capacity = doc.get_u64("fifo-capacity").map(|v| v as usize);
-        scenario.drain_budget = doc.get_u64("drain-budget").map(|v| v as usize);
-
+    fn from_table(doc: &TomlTable, problems: &mut Vec<String>) -> Self {
+        let mut top = Fields::new(doc, "top level", problems);
+        let name = top.required("name");
+        let mode = top.choice("mode", &Mode::ALL, |m| m.key());
+        let mut scenario = Scenario::new(name, mode.unwrap_or(Mode::Hypernel));
+        scenario.description = top.str("description").unwrap_or_default().to_string();
+        scenario.monitor = top
+            .choice("monitor", &MonitorMode::ALL, |m| m.name())
+            .unwrap_or(MonitorMode::SensitiveFields);
+        scenario.background_ops = top.u64("background-ops").unwrap_or(0);
+        scenario.latency_bound = top.u64("latency-bound");
+        scenario.fifo_capacity = top
+            .u64_in("fifo-capacity", 1..=MAX_FIFO_CAPACITY)
+            .map(|v| v as usize);
+        scenario.drain_budget = top.u64("drain-budget").map(|v| v as usize);
         if doc.array("step").is_empty() {
-            return Err(ScenarioError::new("a scenario needs at least one [[step]]"));
+            top.problem("a scenario needs at least one [[step]]");
         }
+
         for (i, t) in doc.array("step").iter().enumerate() {
-            let spec = parse_step(t).map_err(|e| e.context(format!("step {}", i + 1)))?;
-            scenario.steps.push(spec);
+            let mut f = Fields::new(t, format!("step {}", i + 1), problems);
+            if let Some(spec) = parse_step(&mut f) {
+                scenario.steps.push(spec);
+                f.finish();
+            }
         }
         for (i, t) in doc.array("fault").iter().enumerate() {
-            let spec = parse_fault(t).map_err(|e| e.context(format!("fault {}", i + 1)))?;
-            scenario.faults = scenario.faults.with(spec);
+            let mut f = Fields::new(t, format!("fault {}", i + 1), problems);
+            if let Some(spec) = parse_fault(&mut f) {
+                scenario.faults = scenario.faults.with(spec);
+                f.finish();
+            }
         }
         if let Some(t) = doc.table("metrics") {
-            scenario.metrics = Some(parse_metrics(t).map_err(|e| e.context("[metrics]"))?);
+            let mut f = Fields::new(t, "[metrics]", problems);
+            scenario.metrics = Some(parse_metrics(&mut f));
+            f.finish();
         }
-        scenario.compose =
-            ComposeDoc::from_doc(doc).map_err(|e| ScenarioError::new(e.to_string()))?;
-        Ok(scenario)
+        match ComposeDoc::from_doc(doc) {
+            Ok(compose) => scenario.compose = compose,
+            Err(e) => problems.extend(e.problems),
+        }
+        Fields::new(doc, "top level", problems).finish();
+        scenario
     }
 
     /// Serializes the scenario back into its TOML form, emitting only
-    /// keys the linter knows, so `explore` mutants land on disk
+    /// keys the loader reads, so `explore` mutants land on disk
     /// ready-to-lint. Inverse of [`Scenario::from_toml`]:
     /// `from_toml(&s.to_toml())` reproduces `s` (round-trip tested).
     pub fn to_toml(&self) -> String {
@@ -283,14 +296,9 @@ impl Scenario {
         if !self.description.is_empty() {
             let _ = writeln!(out, "description = {}", toml_str(&self.description));
         }
-        let mode = match self.mode {
-            Mode::Native => "native",
-            Mode::KvmGuest => "kvm",
-            Mode::Hypernel => "hypernel",
-        };
-        let _ = writeln!(out, "mode = \"{mode}\"");
-        if self.monitor == MonitorMode::WholeObject {
-            let _ = writeln!(out, "monitor = \"whole-object\"");
+        let _ = writeln!(out, "mode = \"{}\"", self.mode.key());
+        if self.monitor != MonitorMode::SensitiveFields {
+            let _ = writeln!(out, "monitor = \"{}\"", self.monitor.name());
         }
         if self.background_ops > 0 {
             let _ = writeln!(out, "background-ops = {}", self.background_ops);
@@ -317,54 +325,12 @@ impl Scenario {
         }
         for spec in &self.steps {
             let _ = writeln!(out, "\n[[step]]");
-            let (kind, params): (&str, Vec<(&str, String)>) = match &spec.step {
-                AttackStep::CredEscalation { pid } => {
-                    ("cred-escalation", vec![("pid", pid.to_string())])
-                }
-                AttackStep::DentryHijack { path, rogue_inode } => (
-                    "dentry-hijack",
-                    vec![
-                        ("path", toml_str(path)),
-                        ("rogue-inode", rogue_inode.to_string()),
-                    ],
-                ),
-                AttackStep::MapSecureRegion { pid } => {
-                    ("map-secure-region", vec![("pid", pid.to_string())])
-                }
-                AttackStep::PtDirectWrite { pid, value } => (
-                    "pt-direct-write",
-                    vec![("pid", pid.to_string()), ("value", value.to_string())],
-                ),
-                AttackStep::TtbrRedirect => ("ttbr-redirect", vec![]),
-                AttackStep::CodeInjection => ("code-injection", vec![]),
-                AttackStep::TextPatch => ("text-patch", vec![]),
-                AttackStep::AtraCred { pid } => ("atra-cred", vec![("pid", pid.to_string())]),
-                AttackStep::AtraDentry { path } => ("atra-dentry", vec![("path", toml_str(path))]),
-                AttackStep::DoubleMapCred { pid } => {
-                    ("double-map-cred", vec![("pid", pid.to_string())])
-                }
-                AttackStep::CrossDomainCredTheft { attacker, victim } => (
-                    "cross-domain-cred-theft",
-                    vec![
-                        ("attacker", toml_str(attacker)),
-                        ("victim", toml_str(victim)),
-                    ],
-                ),
-                AttackStep::SharedRegionToctou { region } => {
-                    ("shared-region-toctou", vec![("region", toml_str(region))])
-                }
-                AttackStep::ChannelSpoof { channel } => {
-                    ("channel-spoof", vec![("channel", toml_str(channel))])
-                }
-                AttackStep::HypercallProbe { nr } => {
-                    ("hypercall-probe", vec![("nr", nr.to_string())])
-                }
-                AttackStep::SysregProbe => ("sysreg-probe", vec![]),
-                AttackStep::PtForgeProbe => ("pt-forge-probe", vec![]),
-            };
-            let _ = writeln!(out, "kind = \"{kind}\"");
-            for (key, value) in params {
-                let _ = writeln!(out, "{key} = {value}");
+            let _ = writeln!(out, "kind = \"{}\"", spec.step.name());
+            for (key, param) in spec.step.clone().params_mut() {
+                let _ = match param {
+                    StepParam::Int(v) => writeln!(out, "{key} = {v}"),
+                    StepParam::Text(s) => writeln!(out, "{key} = {}", toml_str(s)),
+                };
             }
             let _ = writeln!(out, "expect = \"{}\"", spec.expect.name());
         }
@@ -377,23 +343,43 @@ impl Scenario {
             } else {
                 let _ = writeln!(out, "count = {}", fault.count);
             }
-            match fault.kind {
-                FaultKind::DelayIrq => {
-                    let _ = writeln!(out, "steps = {}", fault.param);
+            if let Some((key, default)) = fault.kind.param() {
+                // `call`'s default, "any" (u64::MAX), has no literal
+                // TOML spelling — omit it to mean the same.
+                if fault.param != default || i64::try_from(default).is_ok() {
+                    let _ = writeln!(out, "{key} = {}", fault.param);
                 }
-                FaultKind::FlipSnoopAddr => {
-                    let _ = writeln!(out, "bit = {}", fault.param);
-                }
-                // `call` defaults to "any" (u64::MAX), which has no
-                // literal TOML spelling — omit it to mean the same.
-                FaultKind::LoseHypercall if fault.param != u64::MAX => {
-                    let _ = writeln!(out, "call = {}", fault.param);
-                }
-                _ => {}
             }
         }
         out
     }
+}
+
+/// The largest MBM snoop FIFO a scenario may ask for (the hardware
+/// default is 16 entries).
+const MAX_FIFO_CAPACITY: u64 = 1 << 16;
+
+/// Loads every `*.toml` scenario under `dir`, sorted by file name so
+/// every artifact derived from the corpus is stable.
+///
+/// # Errors
+///
+/// Returns a message naming the offending path when the directory is
+/// unreadable or holds no scenarios, or a file is unreadable or fails
+/// to load.
+pub fn load_corpus(dir: &Path) -> Result<Vec<Scenario>, String> {
+    let paths = toml::toml_files(dir)?;
+    if paths.is_empty() {
+        return Err(format!("no `*.toml` scenarios in `{}`", dir.display()));
+    }
+    paths
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
+            Scenario::from_toml(&text).map_err(|e| format!("`{}`: {e}", path.display()))
+        })
+        .collect()
 }
 
 /// Quotes a TOML basic string. The crate's TOML subset has no escape
@@ -404,138 +390,79 @@ fn toml_str(s: &str) -> String {
     format!("\"{}\"", s.replace('"', "'"))
 }
 
-fn parse_metrics(t: &TomlTable) -> Result<MetricsSpec, ScenarioError> {
+fn parse_metrics(f: &mut Fields) -> MetricsSpec {
     let mut spec = MetricsSpec::default();
-    if let Some(w) = t.get("window-cycles") {
-        spec.window_cycles = w
-            .as_u64()
-            .filter(|w| *w > 0)
-            .ok_or_else(|| ScenarioError::new("`window-cycles` must be a positive integer"))?;
+    if let Some(window) = f.u64_in("window-cycles", 1..=u64::MAX) {
+        spec.window_cycles = window;
     }
-    if let Some(v) = t.get("series") {
-        let toml::TomlValue::Array(items) = v else {
-            return Err(ScenarioError::new("`series` must be an array of strings"));
-        };
-        let series = items
-            .iter()
-            .map(|item| {
-                item.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ScenarioError::new("`series` must be an array of strings"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        spec.series = Some(series);
+    spec.series = f.strings("series");
+    for name in spec.series.iter().flatten() {
+        if metrics::metric(name).is_none() {
+            let known: Vec<&str> = metrics::metric_names().collect();
+            f.problem(format_args!(
+                "unknown series `{name}`; known: {}",
+                known.join(", ")
+            ));
+        }
     }
-    Ok(spec)
+    spec
 }
 
-fn parse_step(t: &TomlTable) -> Result<StepSpec, ScenarioError> {
-    let kind = t
-        .get_str("kind")
-        .ok_or_else(|| ScenarioError::new("missing `kind`"))?;
-    let pid = || t.get_u64("pid").unwrap_or(1);
-    let path = || t.get_str("path").unwrap_or("/bin/sh").to_string();
-    let step = match kind {
-        "cred-escalation" => AttackStep::CredEscalation { pid: pid() },
-        "dentry-hijack" => AttackStep::DentryHijack {
-            path: path(),
-            rogue_inode: t.get_u64("rogue-inode").unwrap_or(0xBAD),
-        },
-        "map-secure-region" => AttackStep::MapSecureRegion { pid: pid() },
-        "pt-direct-write" => AttackStep::PtDirectWrite {
-            pid: pid(),
-            value: t.get_u64("value").unwrap_or(0xBAD),
-        },
-        "ttbr-redirect" => AttackStep::TtbrRedirect,
-        "code-injection" => AttackStep::CodeInjection,
-        "text-patch" => AttackStep::TextPatch,
-        "atra-cred" => AttackStep::AtraCred { pid: pid() },
-        "atra-dentry" => AttackStep::AtraDentry { path: path() },
-        "double-map-cred" => AttackStep::DoubleMapCred { pid: pid() },
-        "cross-domain-cred-theft" => AttackStep::CrossDomainCredTheft {
-            attacker: t.get_str("attacker").unwrap_or("client").to_string(),
-            victim: t.get_str("victim").unwrap_or("server").to_string(),
-        },
-        "shared-region-toctou" => AttackStep::SharedRegionToctou {
-            region: t.get_str("region").unwrap_or("shared").to_string(),
-        },
-        "channel-spoof" => AttackStep::ChannelSpoof {
-            channel: t.get_str("channel").unwrap_or("chan").to_string(),
-        },
-        "hypercall-probe" => AttackStep::HypercallProbe {
-            nr: t.get_u64("nr").unwrap_or(0xDEAD),
-        },
-        "sysreg-probe" => AttackStep::SysregProbe,
-        "pt-forge-probe" => AttackStep::PtForgeProbe,
-        other => return Err(ScenarioError::new(format!("unknown step kind `{other}`"))),
+/// The step a `[[step]]` table declares, or `None` (with a finding)
+/// when its kind is missing or unknown — its other keys are then
+/// unknowable, so the caller skips the unread-key check.
+fn parse_step(f: &mut Fields) -> Option<StepSpec> {
+    let Some(mut step) = f.choice("kind", &AttackStep::defaults(), AttackStep::name) else {
+        f.require("kind");
+        return None;
     };
-    let expect = match t.get_str("expect") {
-        Some(text) => StepExpect::parse(text)
-            .ok_or_else(|| ScenarioError::new(format!("unknown expect `{text}`")))?,
-        None => StepExpect::Any,
-    };
-    Ok(StepSpec { step, expect })
+    for (key, param) in step.params_mut() {
+        match param {
+            StepParam::Int(v) => *v = f.u64(key).unwrap_or(*v),
+            StepParam::Text(s) => {
+                if let Some(text) = f.str(key) {
+                    *s = text.to_string();
+                }
+            }
+        }
+    }
+    let expect = f
+        .choice("expect", &StepExpect::ALL, |e| e.name())
+        .unwrap_or(StepExpect::Any);
+    Some(StepSpec { step, expect })
 }
 
-fn parse_fault(t: &TomlTable) -> Result<FaultSpec, ScenarioError> {
-    let kind_name = t
-        .get_str("kind")
-        .ok_or_else(|| ScenarioError::new("missing `kind`"))?;
-    let kind = FaultKind::parse(kind_name)
-        .ok_or_else(|| ScenarioError::new(format!("unknown fault kind `{kind_name}`")))?;
-    let at = t.get_u64("at").unwrap_or(1);
-    let count = t.get_u64("count").unwrap_or(1);
+/// The fault a `[[fault]]` table declares; `None` as for
+/// [`parse_step`].
+fn parse_fault(f: &mut Fields) -> Option<FaultSpec> {
+    let Some(kind) = f.choice("kind", &FaultKind::ALL, |k| k.name()) else {
+        f.require("kind");
+        return None;
+    };
+    let at = f.u64_in("at", 1..=u64::MAX).unwrap_or(1);
     // `count = -1` reads as "every occurrence from `at` on".
-    let count = if t.get("count").and_then(crate::toml::TomlValue::as_int) == Some(-1) {
-        u64::MAX
-    } else {
-        count
+    let count = match f.int("count") {
+        None => 1,
+        Some(-1) => u64::MAX,
+        Some(n) => u64::try_from(n).unwrap_or_else(|_| {
+            f.problem("`count` must be ≥ 0, or -1 for every occurrence from `at` on");
+            1
+        }),
     };
-    let param = match kind {
-        FaultKind::DelayIrq => t.get_u64("steps").unwrap_or(1),
-        FaultKind::FlipSnoopAddr => t.get_u64("bit").unwrap_or(12),
-        FaultKind::LoseHypercall => t.get_u64("call").unwrap_or(u64::MAX),
-        _ => 0,
-    };
-    Ok(FaultSpec {
-        kind,
-        at,
-        count,
-        param,
-    })
-}
-
-/// A scenario parsing/validation failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioError {
-    /// Human-readable cause, innermost first.
-    pub message: String,
-}
-
-impl ScenarioError {
-    fn new(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-        }
+    let mut spec = FaultSpec::of_kind(kind, at, count);
+    if let Some((key, _)) = kind.param() {
+        spec.param = f.u64(key).unwrap_or(spec.param);
     }
-
-    fn context(self, outer: impl fmt::Display) -> Self {
-        Self {
-            message: format!("{outer}: {}", self.message),
-        }
-    }
+    Some(spec)
 }
 
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for ScenarioError {}
+/// A scenario loading failure: every finding, each with its location.
+pub type ScenarioError = LoadError;
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -628,7 +555,7 @@ mod tests {
         ] {
             let text = format!("name = \"x\"\n[[step]]\nkind = \"text-patch\"\n{bad}");
             let e = Scenario::from_toml(&text).unwrap_err();
-            assert!(e.message.contains("[metrics]"), "{e}");
+            assert!(e.to_string().contains("[metrics]"), "{e}");
         }
     }
 
@@ -658,17 +585,21 @@ mod tests {
         let reparsed = Scenario::from_toml(&full.to_toml()).expect("round-trips");
         assert_eq!(reparsed, full);
 
-        // Every shipped corpus scenario must survive the round trip too.
-        for entry in std::fs::read_dir("../../corpus").expect("corpus dir") {
-            let path = entry.expect("entry").path();
-            if path.extension().and_then(|e| e.to_str()) != Some("toml") {
-                continue;
+        // Every shipped scenario and description must survive the round
+        // trip too.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for dir in ["corpus", "examples/scenarios"] {
+            for loaded in load_corpus(&root.join(dir)).expect("shipped scenarios load") {
+                let again = Scenario::from_toml(&loaded.to_toml())
+                    .unwrap_or_else(|e| panic!("{} re-parses: {e}", loaded.name));
+                assert_eq!(again, loaded, "{} round-trips", loaded.name);
             }
+        }
+        for path in toml::toml_files(&root.join("examples/compose")).expect("readable") {
             let source = std::fs::read_to_string(&path).expect("readable");
-            let loaded = Scenario::from_toml(&source).expect("corpus parses");
-            let again = Scenario::from_toml(&loaded.to_toml())
-                .unwrap_or_else(|e| panic!("{} re-parses: {e}", path.display()));
-            assert_eq!(again, loaded, "{} round-trips", path.display());
+            let doc = ComposeDoc::from_toml(&source).expect("description loads");
+            assert_eq!(doc.validate(), Vec::<String>::new(), "{}", path.display());
+            assert_eq!(ComposeDoc::from_toml(&doc.to_toml()), Ok(doc));
         }
     }
 
@@ -677,11 +608,219 @@ mod tests {
         assert!(Scenario::from_toml("name = \"x\"").is_err(), "no steps");
         let e =
             Scenario::from_toml("name = \"x\"\n[[step]]\nkind = \"warp-core-breach\"").unwrap_err();
-        assert!(e.message.contains("step 1"), "{e}");
-        assert!(e.message.contains("warp-core-breach"));
+        assert!(e.to_string().contains("step 1"), "{e}");
+        assert!(e.to_string().contains("warp-core-breach"));
         let e =
             Scenario::from_toml("name = \"x\"\nmode = \"xen\"\n[[step]]\nkind = \"text-patch\"")
                 .unwrap_err();
-        assert!(e.message.contains("xen"));
+        assert!(e.to_string().contains("xen"));
+    }
+
+    /// Compose sections carrying every compose key off its default,
+    /// with the names the test steps' parameters (each kind's default
+    /// with `2` appended) reference.
+    const COMPOSE: &str = r#"
+        [compose]
+        watch = false
+        [[domain]]
+        name = "server2"
+        role = "server"
+        priority = 3
+        tasks = 2
+        [[domain]]
+        name = "client2"
+        [[channel]]
+        name = "chan2"
+        from = "client2"
+        to = "server2"
+        capacity = 8
+        [[region]]
+        name = "shared2"
+        owner = "server2"
+        share = ["client2"]
+        pages = 2
+        protect = true
+        va = 0x60100000
+    "#;
+
+    /// Every step kind × every fault kind, each parameter off its
+    /// default: `to_toml` writes every key the kind tables declare, the
+    /// loader reads each one back (round trip), the result lints clean,
+    /// and any key the kind does not declare — a typo, or another
+    /// kind's parameter — is a load error naming its location.
+    #[test]
+    fn every_step_and_fault_kind_round_trips_and_rejects_foreign_keys() {
+        let compose = ComposeDoc::from_toml(COMPOSE).expect("parses");
+        let step_keys: BTreeSet<&str> = AttackStep::defaults()
+            .iter_mut()
+            .flat_map(|s| s.params_mut().into_iter().map(|(key, _)| key))
+            .chain(["pids"])
+            .collect();
+        let fault_keys: BTreeSet<&str> = FaultKind::ALL
+            .iter()
+            .filter_map(|k| k.param().map(|(key, _)| key))
+            .chain(["stepss"])
+            .collect();
+        for default in AttackStep::defaults() {
+            for kind in FaultKind::ALL {
+                let mut step = default.clone();
+                let mut own_step_keys = BTreeSet::new();
+                for (key, param) in step.params_mut() {
+                    own_step_keys.insert(key);
+                    match param {
+                        StepParam::Int(v) => *v += 1,
+                        StepParam::Text(s) => s.push('2'),
+                    }
+                }
+                let mut fault = FaultSpec::of_kind(kind, 2, 3);
+                if kind.param().is_some() {
+                    fault.param = fault.param.wrapping_add(1);
+                }
+                let scenario = Scenario::new("demo", Mode::Hypernel)
+                    .compose(compose.clone())
+                    .step(step, StepExpect::Any)
+                    .fault(fault);
+                let text = scenario.to_toml();
+                assert_eq!(Scenario::from_toml(&text), Ok(scenario), "{text}");
+                assert_eq!(
+                    crate::lint::lint_source(Some("demo"), &text),
+                    Vec::<String>::new()
+                );
+
+                for key in step_keys.difference(&own_step_keys) {
+                    let dirty = text.replace("expect = ", &format!("{key} = 1\nexpect = "));
+                    let e = Scenario::from_toml(&dirty).unwrap_err();
+                    assert_eq!(e.problems, [format!("step 1: unknown key `{key}`")]);
+                }
+                let own_fault_key = kind.param().map(|(key, _)| key);
+                for key in fault_keys.iter().filter(|k| Some(**k) != own_fault_key) {
+                    let dirty = text.replace("at = 2", &format!("at = 2\n{key} = 1"));
+                    let e = Scenario::from_toml(&dirty).unwrap_err();
+                    assert_eq!(e.problems, [format!("fault 1: unknown key `{key}`")]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_keys_and_sections_are_load_errors_at_every_level() {
+        let clean = format!(
+            "name = \"demo\"\nbackground-ops = 2\n[metrics]\nwindow-cycles = 50000\n\
+             {COMPOSE}\n[[step]]\nkind = \"text-patch\"\n[[fault]]\nkind = \"drop-irq\""
+        );
+        Scenario::from_toml(&clean).expect("clean loads");
+        for (after, typo, finding) in [
+            (
+                "background-ops = 2",
+                "latency_bound = 1",
+                "top level: unknown key `latency_bound`",
+            ),
+            (
+                "window-cycles = 50000",
+                "window_cycles = 9",
+                "[metrics]: unknown key `window_cycles`",
+            ),
+            (
+                "watch = false",
+                "watchdog = 1",
+                "[compose]: unknown key `watchdog`",
+            ),
+            (
+                "role = \"server\"",
+                "prio = 3",
+                "domain 1: unknown key `prio`",
+            ),
+            (
+                "to = \"server2\"",
+                "depth = 4",
+                "channel 1: unknown key `depth`",
+            ),
+            (
+                "share = [\"client2\"]",
+                "frames = 2",
+                "region 1: unknown key `frames`",
+            ),
+            (
+                "kind = \"drop-irq\"",
+                "[telemetry]\nring = 1",
+                "top level: unknown section `[telemetry]`",
+            ),
+            (
+                "kind = \"drop-irq\"",
+                "[[probe]]\nkind = \"x\"",
+                "top level: unknown section `[[probe]]`",
+            ),
+        ] {
+            let dirty = clean.replacen(after, &format!("{after}\n{typo}"), 1);
+            let e = Scenario::from_toml(&dirty).unwrap_err();
+            assert_eq!(e.problems, [finding], "{dirty}");
+        }
+    }
+
+    #[test]
+    fn wrong_typed_and_out_of_range_values_are_load_errors_naming_the_key() {
+        for (top, section, finding) in [
+            (
+                "background-ops = \"6\"",
+                "",
+                "top level: `background-ops` must be a non-negative integer",
+            ),
+            (
+                "fifo-capacity = 0",
+                "",
+                "top level: `fifo-capacity` must be in 1..=65536",
+            ),
+            ("mode = 3", "", "top level: `mode` must be a string"),
+            (
+                "",
+                "[[step]]\nkind = \"cred-escalation\"\npid = \"2\"",
+                "step 2: `pid` must be a non-negative integer",
+            ),
+            (
+                "",
+                "[[step]]\nkind = \"atra-dentry\"\npath = 7",
+                "step 2: `path` must be a string",
+            ),
+            ("", "[[step]]\nexpect = \"any\"", "step 2: missing `kind`"),
+            (
+                "",
+                "[[fault]]\nkind = \"delay-irq\"\nsteps = \"2\"",
+                "fault 1: `steps` must be a non-negative integer",
+            ),
+            (
+                "",
+                "[[fault]]\nkind = \"drop-irq\"\ncount = -3",
+                "fault 1: `count` must be ≥ 0, or -1 for every occurrence from `at` on",
+            ),
+            (
+                "",
+                "[[fault]]\nkind = \"drop-irq\"\nat = 0",
+                "fault 1: `at` must be ≥ 1",
+            ),
+            (
+                "",
+                "[[region]]\nname = \"r\"\nowner = \"d\"\npages = 0",
+                "region 1: `pages` must be in 1..=524288",
+            ),
+            (
+                "",
+                "[metrics]\nseries = [\"l0-hits\"]",
+                "[metrics]: unknown series `l0-hits`",
+            ),
+        ] {
+            let text = format!("name = \"x\"\n{top}\n[[step]]\nkind = \"text-patch\"\n{section}");
+            let e = Scenario::from_toml(&text).unwrap_err();
+            assert_eq!(e.problems.len(), 1, "{e}");
+            assert!(e.problems[0].starts_with(finding), "{e}");
+        }
+        // One error lists every finding, in document order.
+        let text = "mode = \"xen\"\nfifo-capacity = 0\n[[step]]\nkind = \"text-patch\"\npids = 1";
+        let e = Scenario::from_toml(text).unwrap_err();
+        assert_eq!(e.problems.len(), 4, "{e}");
+        assert_eq!(e.problems[0], "top level: missing `name`");
+        assert!(
+            e.problems[1].starts_with("top level: unknown mode `xen` (hypernel | kvm | native)")
+        );
+        assert_eq!(e.problems[3], "step 1: unknown key `pids`");
     }
 }

@@ -43,7 +43,7 @@ use hypernel_kernel::AttackStep;
 use hypernel_machine::FaultKind;
 use hypernel_telemetry::json::Json;
 
-use crate::coverage::{known_features, mode_key, CoverageMap};
+use crate::coverage::{known_features, CoverageMap};
 use crate::scenario::{Scenario, StepExpect};
 
 /// Schema version stamped into `static-coverage.json`.
@@ -132,7 +132,7 @@ impl AbstractState {
                 detail: format!(
                     "mode `{}`: the kernel linear map can alias the secure region \
                      (no verifier, no stage-2 isolation)",
-                    mode_key(scenario.mode)
+                    scenario.mode.key()
                 ),
             });
         } else {
@@ -384,7 +384,7 @@ pub fn impossible_expectations(scenario: &Scenario) -> Vec<(usize, String)> {
                 format!(
                     "expect `blocked` is statically impossible: `{kind}` always \
                      completes in `{}` mode (nothing refuses the store)",
-                    mode_key(scenario.mode)
+                    scenario.mode.key()
                 ),
             )),
             StepExpect::Detected | StepExpect::Undetected | StepExpect::Masked
@@ -396,7 +396,7 @@ pub fn impossible_expectations(scenario: &Scenario) -> Vec<(usize, String)> {
                         "expect `{}` is statically impossible: `{kind}` is always \
                          blocked in `{}` mode",
                         spec.expect.name(),
-                        mode_key(scenario.mode)
+                        scenario.mode.key()
                     ),
                 ));
             }
@@ -608,31 +608,10 @@ pub fn testonly_miswire(prediction: &Prediction) -> Prediction {
 }
 
 /// The attacker step vocabulary with canonical parameters — what the
-/// reachability sweep and the steering generator draw from.
+/// reachability sweep and the steering generator draw from: one step
+/// of every kind, with its defaults.
 pub fn step_vocabulary() -> Vec<AttackStep> {
-    vec![
-        AttackStep::CredEscalation { pid: 1 },
-        AttackStep::DentryHijack {
-            path: "/bin/sh".to_string(),
-            rogue_inode: 0xBAD,
-        },
-        AttackStep::MapSecureRegion { pid: 1 },
-        AttackStep::PtDirectWrite {
-            pid: 1,
-            value: 0xBAD,
-        },
-        AttackStep::TtbrRedirect,
-        AttackStep::CodeInjection,
-        AttackStep::TextPatch,
-        AttackStep::AtraCred { pid: 1 },
-        AttackStep::AtraDentry {
-            path: "/bin/sh".to_string(),
-        },
-        AttackStep::DoubleMapCred { pid: 1 },
-        AttackStep::HypercallProbe { nr: 0xDEAD },
-        AttackStep::SysregProbe,
-        AttackStep::PtForgeProbe,
-    ]
+    AttackStep::defaults().into()
 }
 
 /// Every rule name any vocabulary step can fire in `mode` — the
@@ -704,7 +683,7 @@ pub fn static_coverage_json(predictions: &[Prediction]) -> Json {
             (
                 p.scenario.clone(),
                 Json::obj(vec![
-                    ("mode", Json::str(mode_key(p.mode))),
+                    ("mode", Json::str(p.mode.key())),
                     (
                         "possible",
                         Json::Array(p.possible.iter().map(|k| Json::str(k)).collect()),
@@ -753,18 +732,13 @@ pub fn static_coverage_json(predictions: &[Prediction]) -> Json {
             )
         })
         .collect();
-    let reachable = crate::coverage::MODES
-        .iter()
+    let reachable = Mode::ALL
+        .into_iter()
         .map(|mode| {
-            let m = match *mode {
-                "native" => Mode::Native,
-                "kvm" => Mode::KvmGuest,
-                _ => Mode::Hypernel,
-            };
             (
-                (*mode).to_string(),
+                mode.key().to_string(),
                 Json::Array(
-                    reachable_rules(m)
+                    reachable_rules(mode)
                         .into_iter()
                         .map(|r| Json::str(&format!("hypersec/rule/{r}")))
                         .collect(),

@@ -12,9 +12,10 @@
 //! or every `*.toml` in a directory and exits nonzero when anything is
 //! flagged — the `just compose-smoke` gate keys on that.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use hypernel_compose::toml::toml_files;
 use hypernel_compose::{lower, ComposeDoc};
 
 const USAGE: &str = "\
@@ -85,37 +86,30 @@ fn cmd_lint(rest: &[String]) -> Result<ExitCode, String> {
     let [target] = rest else {
         return Err("`lint` takes exactly one <file.toml | dir>".to_string());
     };
-    let mut paths: Vec<PathBuf> = if std::fs::metadata(target)
+    let paths: Vec<PathBuf> = if std::fs::metadata(target)
         .map_err(|e| format!("cannot stat `{target}`: {e}"))?
         .is_dir()
     {
-        std::fs::read_dir(target)
-            .map_err(|e| format!("cannot read `{target}`: {e}"))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-            .collect()
+        toml_files(Path::new(target))?
     } else {
         vec![PathBuf::from(target)]
     };
-    paths.sort();
     if paths.is_empty() {
         return Err(format!("no `*.toml` descriptions in `{target}`"));
     }
     let mut flagged = 0usize;
     for path in &paths {
-        let shown = path.display();
-        match load(&path.to_string_lossy()) {
-            Err(message) => {
-                eprintln!("{message}");
-                flagged += 1;
-            }
-            Ok(doc) => {
-                for p in doc.validate() {
-                    eprintln!("{shown}: {p}");
-                    flagged += 1;
-                }
-            }
+        let problems = match std::fs::read_to_string(path) {
+            Err(e) => vec![format!("cannot read: {e}")],
+            Ok(text) => match ComposeDoc::from_toml(&text) {
+                Err(e) => e.problems,
+                Ok(doc) => doc.validate(),
+            },
+        };
+        for p in &problems {
+            eprintln!("{}: {p}", path.display());
         }
+        flagged += problems.len();
     }
     if flagged > 0 {
         eprintln!(

@@ -3,19 +3,20 @@
 //! A [`ComposeDoc`] is the parsed form of the `[compose]` /
 //! `[[domain]]` / `[[channel]]` / `[[region]]` sections of a
 //! description file (either standalone or embedded in a campaign
-//! scenario). Parsing follows the campaign loader's discipline: it is
-//! *lenient* about unknown keys (the linter flags them) but *strict*
-//! about the values of known keys, and [`ComposeDoc::to_toml`] is the
-//! exact inverse of [`ComposeDoc::from_doc`] so descriptions round-trip
-//! byte-for-byte through the model.
-
-use std::fmt;
+//! scenario). The loader is strict and is the schema: a key it does
+//! not read, a wrong-typed value or an out-of-range one is a load
+//! error naming its location (``domain 1: unknown key `prio` ``), and one
+//! error lists every such finding. Structural problems (dangling
+//! references, overlaps) are [`ComposeDoc::validate`]'s job.
+//! [`ComposeDoc::to_toml`] is the exact inverse of
+//! [`ComposeDoc::from_doc`], so descriptions round-trip byte-for-byte
+//! through the model.
 
 use hypernel_kernel::compose::MAX_CHANNELS;
-use hypernel_kernel::DomainRole;
+use hypernel_kernel::{layout, DomainRole};
 use hypernel_machine::addr::PAGE_SIZE;
 
-use crate::toml::{TomlTable, TomlValue};
+use crate::toml::{Fields, LoadError, TomlTable};
 
 /// One declared protection domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,93 +88,106 @@ impl Default for ComposeDoc {
     }
 }
 
-/// A description parsing failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComposeError {
-    /// Human-readable cause, innermost first.
-    pub message: String,
-}
+/// A description parsing failure: every finding, each with its
+/// location.
+pub type ComposeError = LoadError;
 
-impl ComposeError {
-    fn new(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-        }
-    }
-
-    fn context(self, outer: impl fmt::Display) -> Self {
-        Self {
-            message: format!("{outer}: {}", self.message),
-        }
-    }
-}
-
-impl fmt::Display for ComposeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for ComposeError {}
-
-fn require_str(t: &TomlTable, key: &str) -> Result<String, ComposeError> {
-    t.get_str(key)
-        .map(str::to_string)
-        .ok_or_else(|| ComposeError::new(format!("missing `{key}`")))
-}
+/// The most pages one region may span: all of DRAM.
+const MAX_REGION_PAGES: u64 = layout::DRAM_SIZE / PAGE_SIZE;
 
 impl ComposeDoc {
     /// Extracts the compose sections from a parsed document, or `None`
-    /// when the document declares nothing compose-related.
+    /// when the document declares nothing compose-related. Reads only
+    /// those sections; whoever owns the rest of the document reports
+    /// its unread top-level keys.
     ///
     /// # Errors
     ///
-    /// Returns a [`ComposeError`] for missing required fields or
-    /// unknown enum values. Structural problems (dangling references,
-    /// overlaps) are left to [`ComposeDoc::validate`] so lenient
-    /// loading matches the campaign loader's discipline.
+    /// Returns a [`ComposeError`] listing every missing required field,
+    /// unknown key, wrong-typed value and out-of-range value.
     pub fn from_doc(doc: &TomlTable) -> Result<Option<Self>, ComposeError> {
-        let present = doc.table("compose").is_some()
-            || !doc.array("domain").is_empty()
-            || !doc.array("channel").is_empty()
-            || !doc.array("region").is_empty();
-        if !present {
+        let compose = doc.table("compose");
+        let (domains, channels, regions) = (
+            doc.array("domain"),
+            doc.array("channel"),
+            doc.array("region"),
+        );
+        if compose.is_none() && domains.is_empty() && channels.is_empty() && regions.is_empty() {
             return Ok(None);
         }
+        let mut problems = Vec::new();
         let mut out = Self::default();
-        if let Some(t) = doc.table("compose") {
-            out.watch = t.get_bool("watch").unwrap_or(true);
+        if let Some(t) = compose {
+            let mut f = Fields::new(t, "[compose]", &mut problems);
+            out.watch = f.bool("watch").unwrap_or(true);
+            f.finish();
         }
-        for (i, t) in doc.array("domain").iter().enumerate() {
-            let decl = parse_domain(t).map_err(|e| e.context(format!("domain {}", i + 1)))?;
-            out.domains.push(decl);
+        for (i, t) in domains.iter().enumerate() {
+            let mut f = Fields::new(t, format!("domain {}", i + 1), &mut problems);
+            out.domains.push(DomainDecl {
+                name: f.required("name"),
+                role: f
+                    .choice("role", &DomainRole::ALL, |r| r.name())
+                    .unwrap_or(DomainRole::Client),
+                priority: f.u64("priority").unwrap_or(0),
+                tasks: f.u64("tasks").unwrap_or(1),
+            });
+            f.finish();
         }
-        for (i, t) in doc.array("channel").iter().enumerate() {
-            let decl = parse_channel(t).map_err(|e| e.context(format!("channel {}", i + 1)))?;
-            out.channels.push(decl);
+        for (i, t) in channels.iter().enumerate() {
+            let mut f = Fields::new(t, format!("channel {}", i + 1), &mut problems);
+            out.channels.push(ChannelDecl {
+                name: f.required("name"),
+                from: f.required("from"),
+                to: f.required("to"),
+                capacity: f.u64("capacity").unwrap_or(16),
+            });
+            f.finish();
         }
-        for (i, t) in doc.array("region").iter().enumerate() {
-            let decl = parse_region(t).map_err(|e| e.context(format!("region {}", i + 1)))?;
-            out.regions.push(decl);
+        for (i, t) in regions.iter().enumerate() {
+            let mut f = Fields::new(t, format!("region {}", i + 1), &mut problems);
+            out.regions.push(RegionDecl {
+                name: f.required("name"),
+                owner: f.required("owner"),
+                share: f.strings("share").unwrap_or_default(),
+                pages: f.u64_in("pages", 1..=MAX_REGION_PAGES).unwrap_or(1),
+                protect: f.bool("protect").unwrap_or(false),
+                va: f.u64("va"),
+            });
+            f.finish();
         }
-        Ok(Some(out))
+        if problems.is_empty() {
+            Ok(Some(out))
+        } else {
+            Err(LoadError { problems })
+        }
     }
 
-    /// Parses a standalone description file (which must declare at
-    /// least one compose section).
+    /// Parses a standalone description file, which must declare at
+    /// least one compose section and nothing else.
     ///
     /// # Errors
     ///
-    /// Returns a [`ComposeError`] for syntax errors, missing compose
-    /// sections, or field errors.
+    /// Returns a [`ComposeError`] for a syntax error, or listing every
+    /// finding: missing compose sections, unknown top-level keys and
+    /// sections, and every field error [`ComposeDoc::from_doc`] finds.
     pub fn from_toml(input: &str) -> Result<Self, ComposeError> {
-        let doc = crate::toml::parse(input).map_err(|e| ComposeError::new(e.to_string()))?;
-        Self::from_doc(&doc)?
-            .ok_or_else(|| ComposeError::new("no compose sections ([compose] / [[domain]] / ...)"))
+        let doc = crate::toml::parse(input)?;
+        let parsed = Self::from_doc(&doc);
+        let mut problems = match &parsed {
+            Ok(Some(_)) => Vec::new(),
+            Ok(None) => vec!["no compose sections ([compose] / [[domain]] / ...)".to_string()],
+            Err(e) => e.problems.clone(),
+        };
+        Fields::new(&doc, "top level", &mut problems).finish();
+        match parsed {
+            Ok(Some(out)) if problems.is_empty() => Ok(out),
+            _ => Err(LoadError { problems }),
+        }
     }
 
     /// Serializes the description back into its TOML form, emitting
-    /// only keys the linter knows and only non-default values. Exact
+    /// only keys the loader reads and only non-default values. Exact
     /// inverse of [`ComposeDoc::from_doc`], and a fixpoint:
     /// re-emitting a parsed emission reproduces it byte-for-byte.
     pub fn to_toml(&self) -> String {
@@ -358,56 +372,6 @@ fn check_duplicates<'a>(
     }
 }
 
-fn parse_domain(t: &TomlTable) -> Result<DomainDecl, ComposeError> {
-    let role = match t.get_str("role").unwrap_or("client") {
-        "server" => DomainRole::Server,
-        "client" => DomainRole::Client,
-        other => {
-            return Err(ComposeError::new(format!(
-                "unknown role `{other}` (server | client)"
-            )))
-        }
-    };
-    Ok(DomainDecl {
-        name: require_str(t, "name")?,
-        role,
-        priority: t.get_u64("priority").unwrap_or(0),
-        tasks: t.get_u64("tasks").unwrap_or(1),
-    })
-}
-
-fn parse_channel(t: &TomlTable) -> Result<ChannelDecl, ComposeError> {
-    Ok(ChannelDecl {
-        name: require_str(t, "name")?,
-        from: require_str(t, "from")?,
-        to: require_str(t, "to")?,
-        capacity: t.get_u64("capacity").unwrap_or(16),
-    })
-}
-
-fn parse_region(t: &TomlTable) -> Result<RegionDecl, ComposeError> {
-    let share = match t.get("share") {
-        None => Vec::new(),
-        Some(TomlValue::Array(items)) => items
-            .iter()
-            .map(|item| {
-                item.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ComposeError::new("`share` must be an array of strings"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err(ComposeError::new("`share` must be an array of strings")),
-    };
-    Ok(RegionDecl {
-        name: require_str(t, "name")?,
-        owner: require_str(t, "owner")?,
-        share,
-        pages: t.get_u64("pages").unwrap_or(1),
-        protect: t.get_bool("protect").unwrap_or(false),
-        va: t.get_u64("va"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,6 +470,34 @@ mod tests {
             (d.role, d.priority, d.tasks),
             (DomainRole::Client, 0, 1),
             "domain defaults"
+        );
+    }
+
+    #[test]
+    fn typos_and_bad_values_are_one_load_error() {
+        let source = "[[domain]]\nname = \"a\"\nprio = 3\nrole = \"boss\"\n\
+                      [[channel]]\nname = \"c\"\nfrom = \"a\"\nto = \"a\"\ndepth = 4\n\
+                      [[region]]\nname = \"r\"\nshare = \"a\"\npages = 0\n[extra]";
+        let e = ComposeDoc::from_toml(source).unwrap_err();
+        assert_eq!(
+            e.problems,
+            [
+                "domain 1: unknown role `boss` (server | client)",
+                "domain 1: unknown key `prio`",
+                "channel 1: unknown key `depth`",
+                "region 1: missing `owner`",
+                "region 1: `share` must be an array of strings",
+                "region 1: `pages` must be in 1..=524288",
+                "top level: unknown section `[extra]`",
+            ]
+        );
+        let e = ComposeDoc::from_toml("name = \"x\"").unwrap_err();
+        assert_eq!(
+            e.problems,
+            [
+                "no compose sections ([compose] / [[domain]] / ...)",
+                "top level: unknown key `name`",
+            ]
         );
     }
 }

@@ -83,12 +83,10 @@ OPTIONS:
 ";
 
 fn parse_mode(s: &str) -> Result<Mode, String> {
-    match s {
-        "native" => Ok(Mode::Native),
-        "kvm" | "kvm-guest" => Ok(Mode::KvmGuest),
-        "hypernel" => Ok(Mode::Hypernel),
-        other => Err(format!("unknown mode '{other}' (native|kvm|hypernel)")),
-    }
+    Mode::from_key(s).ok_or_else(|| {
+        let keys: Vec<&str> = Mode::ALL.iter().map(|m| m.key()).collect();
+        format!("unknown mode '{s}' ({})", keys.join("|"))
+    })
 }
 
 fn parse_op(s: &str) -> Result<LmbenchOp, String> {

@@ -76,6 +76,27 @@ pub enum Mode {
     Hypernel,
 }
 
+impl Mode {
+    /// Every mode, sorted by [`Mode::key`].
+    pub const ALL: [Mode; 3] = [Mode::Hypernel, Mode::KvmGuest, Mode::Native];
+
+    /// Stable lowercase key: the scenario-TOML `mode` value, the CLIs'
+    /// `--mode` value and the coverage-key component (`Display` is the
+    /// human form, `KVM-guest`).
+    pub fn key(self) -> &'static str {
+        match self {
+            Self::Native => "native",
+            Self::KvmGuest => "kvm",
+            Self::Hypernel => "hypernel",
+        }
+    }
+
+    /// Inverse of [`Mode::key`].
+    pub fn from_key(key: &str) -> Option<Mode> {
+        Self::ALL.into_iter().find(|m| m.key() == key)
+    }
+}
+
 impl std::fmt::Display for Mode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

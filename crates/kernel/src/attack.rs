@@ -141,7 +141,83 @@ pub enum AttackStep {
     PtForgeProbe,
 }
 
+/// One parameter of an [`AttackStep`], borrowed in place so a loader
+/// can overwrite it and a serializer can print it.
+#[derive(Debug)]
+pub enum StepParam<'a> {
+    /// An integer: pid, inode, descriptor value, hypercall number.
+    Int(&'a mut u64),
+    /// A name: path, domain, region, channel.
+    Text(&'a mut String),
+}
+
 impl AttackStep {
+    /// One step of every kind, in declaration order, carrying its
+    /// kind's default parameters — the step vocabulary every name list
+    /// and default derives from.
+    pub fn defaults() -> [AttackStep; 16] {
+        let sh = || "/bin/sh".to_string();
+        [
+            Self::CredEscalation { pid: 1 },
+            Self::DentryHijack {
+                path: sh(),
+                rogue_inode: 0xBAD,
+            },
+            Self::MapSecureRegion { pid: 1 },
+            Self::PtDirectWrite {
+                pid: 1,
+                value: 0xBAD,
+            },
+            Self::TtbrRedirect,
+            Self::CodeInjection,
+            Self::TextPatch,
+            Self::AtraCred { pid: 1 },
+            Self::AtraDentry { path: sh() },
+            Self::DoubleMapCred { pid: 1 },
+            Self::CrossDomainCredTheft {
+                attacker: "client".to_string(),
+                victim: "server".to_string(),
+            },
+            Self::SharedRegionToctou {
+                region: "shared".to_string(),
+            },
+            Self::ChannelSpoof {
+                channel: "chan".to_string(),
+            },
+            Self::HypercallProbe { nr: 0xDEAD },
+            Self::SysregProbe,
+            Self::PtForgeProbe,
+        ]
+    }
+
+    /// The step's parameters as `(key, field)` pairs, keyed and ordered
+    /// as scenario files spell them.
+    pub fn params_mut(&mut self) -> Vec<(&'static str, StepParam<'_>)> {
+        use StepParam::{Int, Text};
+        match self {
+            Self::CredEscalation { pid }
+            | Self::MapSecureRegion { pid }
+            | Self::AtraCred { pid }
+            | Self::DoubleMapCred { pid } => vec![("pid", Int(pid))],
+            Self::DentryHijack { path, rogue_inode } => {
+                vec![("path", Text(path)), ("rogue-inode", Int(rogue_inode))]
+            }
+            Self::PtDirectWrite { pid, value } => vec![("pid", Int(pid)), ("value", Int(value))],
+            Self::AtraDentry { path } => vec![("path", Text(path))],
+            Self::CrossDomainCredTheft { attacker, victim } => {
+                vec![("attacker", Text(attacker)), ("victim", Text(victim))]
+            }
+            Self::SharedRegionToctou { region } => vec![("region", Text(region))],
+            Self::ChannelSpoof { channel } => vec![("channel", Text(channel))],
+            Self::HypercallProbe { nr } => vec![("nr", Int(nr))],
+            Self::TtbrRedirect
+            | Self::CodeInjection
+            | Self::TextPatch
+            | Self::SysregProbe
+            | Self::PtForgeProbe => Vec::new(),
+        }
+    }
+
     /// Stable kebab-case identifier (scenario files and run records).
     pub fn name(&self) -> &'static str {
         match self {

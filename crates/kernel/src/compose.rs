@@ -26,6 +26,9 @@ pub enum DomainRole {
 }
 
 impl DomainRole {
+    /// Both roles, in declaration order.
+    pub const ALL: [DomainRole; 2] = [Self::Server, Self::Client];
+
     /// Stable lowercase name (used by TOML and coverage keys).
     pub fn name(self) -> &'static str {
         match self {

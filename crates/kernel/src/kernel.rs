@@ -103,6 +103,19 @@ pub enum MonitorMode {
     WholeObject,
 }
 
+impl MonitorMode {
+    /// Both policies, in declaration order.
+    pub const ALL: [MonitorMode; 2] = [Self::SensitiveFields, Self::WholeObject];
+
+    /// Stable kebab-case name (the scenario-TOML `monitor` value).
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::SensitiveFields => "sensitive-fields",
+            Self::WholeObject => "whole-object",
+        }
+    }
+}
+
 /// Security-hook configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorHooks {

@@ -18,7 +18,7 @@ pub mod sched;
 pub mod slab;
 pub mod task;
 
-pub use attack::{AttackOutcome, AttackStep, StepResult};
+pub use attack::{AttackOutcome, AttackStep, StepParam, StepResult};
 pub use compose::{
     ChannelInfo, ComposeState, ComposeStats, DomainInfo, DomainRole, RegionInfo, MAX_CHANNELS,
 };

@@ -52,6 +52,16 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [FaultKind; 6] = [
+        Self::DropIrq,
+        Self::DelayIrq,
+        Self::StallTranslator,
+        Self::FlipSnoopAddr,
+        Self::LoseHypercall,
+        Self::DesyncBitmap,
+    ];
+
     /// Stable machine-readable name (used by scenario TOML and reports).
     pub fn name(self) -> &'static str {
         match self {
@@ -66,15 +76,18 @@ impl FaultKind {
 
     /// Parses a [`FaultKind::name`] back into the kind.
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "drop-irq" => Self::DropIrq,
-            "delay-irq" => Self::DelayIrq,
-            "stall-translator" => Self::StallTranslator,
-            "flip-snoop-addr" => Self::FlipSnoopAddr,
-            "lose-hypercall" => Self::LoseHypercall,
-            "desync-bitmap" => Self::DesyncBitmap,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|k| k.name() == s)
+    }
+
+    /// The kind's [`FaultSpec::param`] as scenario files spell it: its
+    /// key and default value, or `None` for kinds without one.
+    pub fn param(self) -> Option<(&'static str, u64)> {
+        match self {
+            Self::DelayIrq => Some(("steps", 1)),
+            Self::FlipSnoopAddr => Some(("bit", 12)),
+            Self::LoseHypercall => Some(("call", u64::MAX)),
+            _ => None,
+        }
     }
 }
 
@@ -99,6 +112,17 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
+    /// A fault of `kind` on the given schedule, with the kind's default
+    /// parameter ([`FaultKind::param`]).
+    pub fn of_kind(kind: FaultKind, at: u64, count: u64) -> Self {
+        Self {
+            kind,
+            at,
+            count,
+            param: kind.param().map_or(0, |(_, default)| default),
+        }
+    }
+
     /// Drop the `at`-th through `at + count - 1`-th MBM IRQ assertions.
     pub fn drop_irq(at: u64, count: u64) -> Self {
         Self {
@@ -545,14 +569,7 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in [
-            FaultKind::DropIrq,
-            FaultKind::DelayIrq,
-            FaultKind::StallTranslator,
-            FaultKind::FlipSnoopAddr,
-            FaultKind::LoseHypercall,
-            FaultKind::DesyncBitmap,
-        ] {
+        for kind in FaultKind::ALL {
             assert_eq!(FaultKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(FaultKind::parse("nope"), None);

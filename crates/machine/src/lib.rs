@@ -51,7 +51,6 @@ pub mod pagetable;
 pub mod regs;
 pub mod shadow;
 pub mod tlb;
-pub mod trace;
 
 pub use addr::{IntermAddr, PhysAddr, VirtAddr};
 pub use compiled::PlanStats;

@@ -22,7 +22,6 @@ use crate::pagetable::{self, PagePerms, WalkFault};
 use crate::regs::{ExceptionLevel, SysReg, SysRegs};
 use crate::shadow::{PageTag, ShadowTags, Writer as ShadowWriter};
 use crate::tlb::{Regime, Tlb, TlbEntry};
-use crate::trace::{TraceBuffer, TraceEvent};
 use hypernel_telemetry::{Event, PointKind, SharedSink, SpanKind, Track};
 
 /// The kind of memory access being performed.
@@ -350,7 +349,6 @@ pub struct Machine {
     cycles: u64,
     cost: CostModel,
     stats: MachineStats,
-    trace: Option<TraceBuffer>,
     sink: Option<SharedSink>,
     faults: Option<SharedFaults>,
     /// Host-side switch for the block-access streaming path. Model
@@ -392,7 +390,6 @@ impl Machine {
             cycles: 0,
             cost: config.cost,
             stats: MachineStats::default(),
-            trace: None,
             sink: None,
             faults: None,
             block_fastpath: crate::fastpath::fastpath_enabled(),
@@ -534,22 +531,6 @@ impl Machine {
         self.faults.as_ref().map(|f| f.borrow().stats())
     }
 
-    /// Enables architectural event tracing with a ring of `capacity`
-    /// records. Free when disabled (the default).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// Disables tracing and returns the buffer, if any.
-    pub fn disable_trace(&mut self) -> Option<TraceBuffer> {
-        self.trace.take()
-    }
-
-    /// The live trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
-    }
-
     /// Installs (or, with `None`, removes) the telemetry sink. The same
     /// shared sink is typically also handed to the kernel, Hypersec and
     /// the MBM so all layers stamp one event stream on one clock.
@@ -600,33 +581,11 @@ impl Machine {
         }
     }
 
-    fn trace_event(&mut self, event: TraceEvent) {
-        if let Some(buf) = &mut self.trace {
-            buf.record(self.cycles, event);
-        }
-        if self.sink.is_some() {
-            let (point, a, b) = match event {
-                TraceEvent::Hypercall { call } => (PointKind::Hypercall, call, 0),
-                TraceEvent::SysregTrap { reg, value } => (PointKind::SysregTrap, reg as u64, value),
-                TraceEvent::Stage2Fault { ipa, kind } => {
-                    (PointKind::Stage2Fault, ipa.raw(), kind as u64)
-                }
-                TraceEvent::DataAbort {
-                    va,
-                    kind,
-                    permission,
-                } => (
-                    PointKind::DataAbort,
-                    va.raw(),
-                    (u64::from(permission) << 1) | kind as u64,
-                ),
-                TraceEvent::IrqRaised { line } => (PointKind::IrqRaised, u64::from(line.0), 0),
-                TraceEvent::Wfi => (PointKind::Wfi, 0, 0),
-                TraceEvent::Sgi => (PointKind::Sgi, 0, 0),
-                TraceEvent::TlbMaintenance => (PointKind::TlbMaintenance, 0, 0),
-            };
-            self.emit_mark(point, a, b);
-        }
+    /// Emits the point event of a stage-1 data abort: the faulting VA,
+    /// and the access kind with the permission flag in bit 1.
+    fn emit_abort(&self, va: VirtAddr, kind: AccessKind, permission: bool) {
+        let detail = (u64::from(permission) << 1) | kind as u64;
+        self.emit_mark(PointKind::DataAbort, va.raw(), detail);
     }
 
     // ------------------------------------------------------------------
@@ -820,7 +779,7 @@ impl Machine {
                 }
                 if reg.is_vm_group() && self.regs.tvm_enabled() {
                     self.stats.sysreg_traps += 1;
-                    self.trace_event(TraceEvent::SysregTrap { reg, value });
+                    self.emit_mark(PointKind::SysregTrap, reg as u64, value);
                     self.cycles += self.cost.hyp_roundtrip;
                     let from = self.el;
                     self.el = ExceptionLevel::El2;
@@ -887,7 +846,7 @@ impl Machine {
             });
         }
         self.stats.hypercalls += 1;
-        self.trace_event(TraceEvent::Hypercall { call });
+        self.emit_mark(PointKind::Hypercall, call, 0);
         self.cycles += self.cost.hyp_roundtrip;
         // Fault site: the trap is taken (cycles charged, event traced)
         // but the EL2 handler never runs — a lost doorbell.
@@ -910,7 +869,7 @@ impl Machine {
     /// benchmark); a trapping hypervisor charges its exit cost via
     /// [`Hyp::on_wfi`].
     pub fn wfi(&mut self, hyp: &mut dyn Hyp) {
-        self.trace_event(TraceEvent::Wfi);
+        self.emit_mark(PointKind::Wfi, 0, 0);
         let from = self.el;
         self.el = ExceptionLevel::El2;
         hyp.on_wfi(self);
@@ -920,7 +879,7 @@ impl Machine {
     /// Sends a software-generated interrupt (cross-CPU wakeup). Traps to
     /// a hypervisor's vGIC via [`Hyp::on_sgi`]; free otherwise.
     pub fn send_sgi(&mut self, hyp: &mut dyn Hyp) {
-        self.trace_event(TraceEvent::Sgi);
+        self.emit_mark(PointKind::Sgi, 0, 0);
         let from = self.el;
         self.el = ExceptionLevel::El2;
         hyp.on_sgi(self);
@@ -954,7 +913,7 @@ impl Machine {
 
     /// `TLBI VMALLE1`-style full invalidation.
     pub fn tlbi_all(&mut self) {
-        self.trace_event(TraceEvent::TlbMaintenance);
+        self.emit_mark(PointKind::TlbMaintenance, 0, 0);
         self.cycles += self.cost.tlb_maintenance;
         self.tlb.flush_all();
         self.plans.invalidate_all(InvalidateCause::TlbMaintenance);
@@ -962,7 +921,7 @@ impl Machine {
 
     /// `TLBI ASID` — invalidate one address space.
     pub fn tlbi_asid(&mut self, asid: u16) {
-        self.trace_event(TraceEvent::TlbMaintenance);
+        self.emit_mark(PointKind::TlbMaintenance, 0, 0);
         self.cycles += self.cost.tlb_maintenance;
         self.tlb.flush_asid(asid);
         self.plans.invalidate_asid(asid);
@@ -970,7 +929,7 @@ impl Machine {
 
     /// `TLBI VAE1` — invalidate one page in all address spaces.
     pub fn tlbi_va(&mut self, va: VirtAddr) {
-        self.trace_event(TraceEvent::TlbMaintenance);
+        self.emit_mark(PointKind::TlbMaintenance, 0, 0);
         self.cycles += self.cost.tlb_maintenance;
         self.tlb.flush_va(va);
         self.plans.invalidate_va(va.page_index());
@@ -979,7 +938,7 @@ impl Machine {
     /// Invalidate stage-2 (and combined) entries after a stage-2 table
     /// change.
     pub fn tlbi_stage2(&mut self) {
-        self.trace_event(TraceEvent::TlbMaintenance);
+        self.emit_mark(PointKind::TlbMaintenance, 0, 0);
         self.cycles += self.cost.tlb_maintenance;
         self.tlb.flush_stage2();
         self.plans.invalidate_all(InvalidateCause::TlbMaintenance);
@@ -1504,11 +1463,7 @@ impl Machine {
                 }
                 Err(TranslateFault::Stage1 { permission }) => {
                     self.stats.el1_aborts += 1;
-                    self.trace_event(TraceEvent::DataAbort {
-                        va,
-                        kind,
-                        permission,
-                    });
+                    self.emit_abort(va, kind, permission);
                     return Err(Exception::DataAbort {
                         va,
                         kind,
@@ -1517,7 +1472,7 @@ impl Machine {
                 }
                 Err(TranslateFault::Stage2 { ipa, kind: fk }) => {
                     self.stats.stage2_faults += 1;
-                    self.trace_event(TraceEvent::Stage2Fault { ipa, kind: fk });
+                    self.emit_mark(PointKind::Stage2Fault, ipa.raw(), fk as u64);
                     self.cycles += self.cost.world_switch;
                     let from = self.el;
                     self.el = ExceptionLevel::El2;
@@ -1659,11 +1614,7 @@ impl Machine {
         let user = self.el == ExceptionLevel::El0;
         if !entry.perms.exec || (user && !entry.perms.user) {
             self.stats.el1_aborts += 1;
-            self.trace_event(TraceEvent::DataAbort {
-                va,
-                kind: AccessKind::Read,
-                permission: true,
-            });
+            self.emit_abort(va, AccessKind::Read, true);
             return Err(Exception::DataAbort {
                 va,
                 kind: AccessKind::Read,

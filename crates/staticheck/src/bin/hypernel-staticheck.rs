@@ -125,14 +125,10 @@ fn corpus_of(
 }
 
 fn parse_mode(text: &str) -> Result<Mode, String> {
-    match text {
-        "hypernel" => Ok(Mode::Hypernel),
-        "kvm" => Ok(Mode::KvmGuest),
-        "native" => Ok(Mode::Native),
-        other => Err(format!(
-            "unknown mode `{other}` (expected hypernel | kvm | native)"
-        )),
-    }
+    Mode::from_key(text).ok_or_else(|| {
+        let keys: Vec<&str> = Mode::ALL.iter().map(|m| m.key()).collect();
+        format!("unknown mode `{text}` (expected {})", keys.join(" | "))
+    })
 }
 
 fn cmd_corpus(rest: &[String]) -> Result<ExitCode, String> {

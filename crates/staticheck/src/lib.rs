@@ -5,8 +5,8 @@
 //! crate re-exports it and adds the corpus-level drivers the
 //! `hypernel-staticheck` CLI and the CI soundness gate use:
 //!
-//! - [`load_corpus`] — the same name-sorted `*.toml` loading the
-//!   campaign CLI does;
+//! - [`load_corpus`] — the campaign crate's name-sorted `*.toml`
+//!   corpus loader, re-exported;
 //! - [`predict_corpus_jobs`] — whole-corpus prediction sharded over a
 //!   thread pool, with output independent of the job count (shards are
 //!   merged back in name order; the analysis itself is pure);
@@ -19,13 +19,12 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::{Path, PathBuf};
-
 use hypernel::Mode;
 use hypernel_campaign::engine::run_one;
 use hypernel_campaign::explore::with_mode;
 use hypernel_campaign::scenario::Scenario;
 
+pub use hypernel_campaign::load_corpus;
 pub use hypernel_campaign::staticheck::{
     contract_key, impossible_expectations, predict_corpus, predict_scenario, prediction_universe,
     ranked_targets, reachable_rules, soundness_excess, static_coverage_json, step_for_rule,
@@ -34,35 +33,7 @@ pub use hypernel_campaign::staticheck::{
 };
 
 /// The three protection modes the soundness gate sweeps.
-pub const SOUNDNESS_MODES: [Mode; 3] = [Mode::Hypernel, Mode::KvmGuest, Mode::Native];
-
-/// Loads every `*.toml` scenario under `dir`, sorted by file name, so
-/// every artifact derived from the corpus is stable.
-///
-/// # Errors
-///
-/// Returns a message when the directory is unreadable, empty of
-/// scenarios, or any file fails to parse.
-pub fn load_corpus(dir: &Path) -> Result<Vec<Scenario>, String> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read corpus dir `{}`: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        return Err(format!("no `*.toml` scenarios in `{}`", dir.display()));
-    }
-    let mut scenarios = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-        let scenario =
-            Scenario::from_toml(&text).map_err(|e| format!("`{}`: {e}", path.display()))?;
-        scenarios.push(scenario);
-    }
-    Ok(scenarios)
-}
+pub const SOUNDNESS_MODES: [Mode; 3] = Mode::ALL;
 
 /// Re-targets `base` at `mode`: the scenario itself when the mode
 /// already matches, otherwise the same expectation-rewriting remode the
@@ -185,6 +156,7 @@ pub fn soundness_sweep(corpus: &[Scenario], seeds: u64) -> SoundnessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
 
     fn corpus_dir() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus")

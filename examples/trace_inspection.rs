@@ -1,6 +1,6 @@
-//! Trace inspection: enable the machine's architectural event tracer,
-//! run one `fork`, and print the exact sequence of privilege-boundary
-//! events it caused — the hypercall-per-descriptor pattern that explains
+//! Trace inspection: record one `fork` through the telemetry pipeline
+//! and print the exact sequence of privilege-boundary point events it
+//! caused — the hypercall-per-descriptor pattern that explains
 //! Hypernel's Table 1 fork overhead at a glance.
 //!
 //! ```sh
@@ -10,12 +10,12 @@
 use hypernel::kernel::abi::call;
 use hypernel::kernel::kernel::KernelError;
 use hypernel::kernel::task::Pid;
-use hypernel::machine::trace::TraceEvent;
-use hypernel::{Mode, System};
+use hypernel::telemetry::{EventKind, PointKind};
+use hypernel::{Mode, System, DEFAULT_TELEMETRY_CAPACITY};
 
 fn main() -> Result<(), KernelError> {
     let mut system = System::boot(Mode::Hypernel)?;
-    system.machine_mut().enable_trace(4096);
+    system.enable_telemetry(DEFAULT_TELEMETRY_CAPACITY);
 
     let start = system.cycles();
     {
@@ -26,11 +26,20 @@ fn main() -> Result<(), KernelError> {
     }
     let end = system.cycles();
 
-    let trace = system.machine().trace().expect("tracing enabled");
+    let points: Vec<(u64, PointKind, u64, u64)> = system
+        .telemetry_events()
+        .expect("telemetry enabled")
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Mark(kind, a, b) => Some((e.cycles, kind, a, b)),
+            _ => None,
+        })
+        .collect();
     println!(
-        "one fork+exit under Hypernel: {} cycles, {} traced events\n",
+        "one fork+exit under Hypernel: {} cycles, {} point events ({} dropped)\n",
         end - start,
-        trace.len()
+        points.len(),
+        system.telemetry_dropped().unwrap_or(0)
     );
 
     // Histogram by event kind / hypercall number.
@@ -40,14 +49,14 @@ fn main() -> Result<(), KernelError> {
     let mut other_hvc = 0u64;
     let mut ttbr_traps = 0u64;
     let mut tlb_ops = 0u64;
-    for rec in trace.iter() {
-        match rec.event {
-            TraceEvent::Hypercall { call: c } if c == call::PT_WRITE => pt_writes += 1,
-            TraceEvent::Hypercall { call: c } if c == call::PT_REGISTER_TABLE => registrations += 1,
-            TraceEvent::Hypercall { call: c } if c == call::PT_UNREGISTER_TABLE => retirements += 1,
-            TraceEvent::Hypercall { .. } => other_hvc += 1,
-            TraceEvent::SysregTrap { .. } => ttbr_traps += 1,
-            TraceEvent::TlbMaintenance => tlb_ops += 1,
+    for &(_, kind, a, _) in &points {
+        match kind {
+            PointKind::Hypercall if a == call::PT_WRITE => pt_writes += 1,
+            PointKind::Hypercall if a == call::PT_REGISTER_TABLE => registrations += 1,
+            PointKind::Hypercall if a == call::PT_UNREGISTER_TABLE => retirements += 1,
+            PointKind::Hypercall => other_hvc += 1,
+            PointKind::SysregTrap => ttbr_traps += 1,
+            PointKind::TlbMaintenance => tlb_ops += 1,
             _ => {}
         }
     }
@@ -59,9 +68,9 @@ fn main() -> Result<(), KernelError> {
     println!("  TVM traps (TTBR0 context-switch validation):      {ttbr_traps}");
     println!("  TLB maintenance:                                  {tlb_ops}");
 
-    println!("\nfirst ten events:");
-    for rec in trace.iter().take(10) {
-        println!("  @{:>8} {:?}", rec.cycles, rec.event);
+    println!("\nfirst ten point events:");
+    for (cycles, kind, a, b) in points.iter().take(10) {
+        println!("  @{cycles:>8} {:<16} {a:#x} {b:#x}", kind.name());
     }
     println!("\nEach PT_WRITE is one verified page-table descriptor — fork copies");
     println!("the parent's user mappings into the child's fresh tables, which is");

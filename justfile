@@ -116,14 +116,17 @@ determinism:
             {{justfile_directory()}}/target/determinism/nocompiled-metrics
     @echo "determinism: campaign.jsonl + metrics.jsonl byte-identical (fastpath on/off, compiled on/off, jobs 1/4)"
 
-# The CI audit gate: lint the scenario corpus schema, then run the
-# static whole-system audit (with the ownership sanitizer enabled)
-# over every corpus scenario's end state, plus one negative control —
-# an unprotected native replay of the W^X attack must be flagged.
+# The CI audit gate: lint the scenario corpus and the example
+# scenarios, then run the static whole-system audit (with the
+# ownership sanitizer enabled) over every corpus scenario's end state,
+# plus one negative control — an unprotected native replay of the W^X
+# attack must be flagged.
 # See docs/AUDIT.md.
 audit:
     cargo run -q --release -p hypernel-campaign -- lint \
         {{justfile_directory()}}/corpus
+    cargo run -q --release -p hypernel-campaign -- lint \
+        {{justfile_directory()}}/examples/scenarios
     cargo run -q --release -p hypernel-audit-cli --bin hypernel-audit -- \
         corpus {{justfile_directory()}}/corpus --sanitize
     ! cargo run -q --release -p hypernel-audit-cli --bin hypernel-audit -- \

@@ -13,20 +13,7 @@ fn corpus_dir() -> PathBuf {
 }
 
 fn load_corpus() -> Vec<Scenario> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
-        .expect("corpus dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "toml"))
-        .collect();
-    paths.sort();
-    paths
-        .iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(p).expect("readable");
-            Scenario::from_toml(&text)
-                .unwrap_or_else(|e| panic!("{} does not parse: {e}", p.display()))
-        })
-        .collect()
+    hypernel_campaign::load_corpus(&corpus_dir()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn find(scenarios: &[Scenario], name: &str) -> Scenario {
@@ -156,5 +143,29 @@ fn overflow_scenario_attributes_the_miss_to_the_first_dropped_capture() {
         excused[0].detail.contains(&format!("{:#x}", addr.raw())),
         "the violation names the dropped address: {}",
         excused[0].detail
+    );
+}
+
+/// Hostile input is an error, never a panic: a `fifo-capacity = 0`
+/// scenario (which would trip the MBM FIFO's non-zero assertion at
+/// boot) stops `hypernel-campaign run` at load time, with a message
+/// naming the file and the key.
+#[test]
+fn run_rejects_an_out_of_range_scenario_with_a_message() {
+    let dir = std::env::temp_dir().join(format!("hypernel-fifo-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let source = "name = \"fifo-zero\"\nfifo-capacity = 0\n[[step]]\nkind = \"cred-escalation\"\n";
+    std::fs::write(dir.join("fifo-zero.toml"), source).expect("written");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hypernel-campaign"))
+        .args(["run", "--seeds", "1", "--corpus"])
+        .arg(&dir)
+        .output()
+        .expect("runs");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("fifo-zero.toml`: top level: `fifo-capacity` must be in 1..=65536"),
+        "{stderr}"
     );
 }

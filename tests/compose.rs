@@ -38,9 +38,12 @@ fn corpus_source(stem: &str) -> String {
 #[test]
 fn corpus_compose_docs_round_trip_exactly() {
     for stem in COMPOSE_CORPUS {
-        let source = corpus_source(stem);
-        let doc = ComposeDoc::from_toml(&source)
-            .unwrap_or_else(|e| panic!("{stem}: compose sections parse: {e}"));
+        // The scenario loader owns the top-level keys and hands the
+        // compose sections to `ComposeDoc::from_doc`.
+        let doc = Scenario::from_toml(&corpus_source(stem))
+            .unwrap_or_else(|e| panic!("{stem}: scenario loads: {e}"))
+            .compose
+            .unwrap_or_else(|| panic!("{stem}: declares compose sections"));
         let emitted = doc.to_toml();
         let reparsed = ComposeDoc::from_toml(&emitted)
             .unwrap_or_else(|e| panic!("{stem}: emitted TOML re-parses: {e}"));

@@ -1,20 +1,20 @@
-//! Lint/loader round-trip: the scenario TOML loader is deliberately
-//! lenient (unknown keys are ignored so old corpora keep loading), and
-//! `hypernel-campaign lint` exists to close that gap. These tests pin
-//! the contract from both sides:
+//! Lint/loader agreement: the scenario TOML loader is strict (a key or
+//! section no parser reads is a load error), and `hypernel-campaign
+//! lint` reports each loader finding as its own message. These tests
+//! pin the contract from both sides:
 //!
-//! * every key the loader silently ignores — at the top level, in
-//!   `[metrics]`, in a `[[step]]`, in a `[[fault]]` — is flagged by
-//!   `lint_source`, so a typo can never ship silently;
-//! * every key the linter whitelists is actually honored by the loader
-//!   (a fully-keyed scenario loads, lints clean, and `to_toml`
-//!   round-trips it).
+//! * every key the loader does not read — at the top level, in
+//!   `[metrics]`, in a `[[step]]`, in a `[[fault]]`, in the compose
+//!   sections — fails the load with a finding that names it, and
+//!   `lint_source` reports exactly the loader's findings;
+//! * a fully keyed scenario loads, lints clean, and `to_toml`
+//!   round-trips it.
 
 use hypernel_campaign::{lint_source, Scenario};
 
-/// A scenario body exercising every whitelisted key for one step kind
-/// and one fault kind, with `{top}`, `{metrics}`, `{step}` and
-/// `{fault}` injection points for bogus keys.
+/// A scenario body keying one step kind and one fault kind, with
+/// `{top}`, `{metrics}`, `{step}` and `{fault}` injection points for
+/// bogus keys.
 fn source(top: &str, metrics: &str, step: &str, fault: &str) -> String {
     format!(
         r#"
@@ -49,53 +49,47 @@ steps = 3
     )
 }
 
-/// The loader accepts the source (leniency) while the linter flags
-/// exactly the injected key.
-fn assert_ignored_but_flagged(source: &str, key: &str) {
-    let scenario = Scenario::from_toml(source).expect("lenient loader still loads");
-    // Ignored means ignored: the parsed scenario is identical to the
-    // clean one.
-    let clean = Scenario::from_toml(&self::source("", "", "", "")).expect("clean loads");
-    assert_eq!(scenario, clean, "`{key}` leaked into the parsed scenario");
-    let issues = lint_source(Some("demo"), source);
+/// The loader rejects the source with a finding naming `key`, and lint
+/// reports exactly the loader's findings.
+fn assert_rejected_and_flagged(source: &str, key: &str) {
+    let e = Scenario::from_toml(source).expect_err("strict loader rejects");
     assert!(
-        issues.iter().any(|m| m.contains(key)),
-        "lint missed ignored key `{key}`; issues: {issues:?}"
+        e.problems.iter().any(|p| p.contains(key)),
+        "no finding names `{key}`: {e}"
     );
+    assert_eq!(lint_source(Some("demo"), source), e.problems);
+}
+
+/// Lints clean, loads, and survives a serialize/parse round-trip.
+fn assert_clean_round_trip(source: &str) {
+    assert_eq!(lint_source(Some("demo"), source), Vec::<String>::new());
+    let scenario = Scenario::from_toml(source).expect("loads");
+    let reparsed = Scenario::from_toml(&scenario.to_toml()).expect("round-trip loads");
+    assert_eq!(scenario, reparsed);
 }
 
 #[test]
 fn every_loader_ignored_key_is_flagged_by_lint() {
-    assert_ignored_but_flagged(&source("latency_bound = 1", "", "", ""), "latency_bound");
-    assert_ignored_but_flagged(&source("", "window_cycles = 9", "", ""), "window_cycles");
-    assert_ignored_but_flagged(&source("", "", "pidd = 7", ""), "pidd");
-    assert_ignored_but_flagged(&source("", "", "", "stepss = 9"), "stepss");
-    // Keys that belong to a *different* kind are just as ignored: a
+    assert_clean_round_trip(&source("", "", "", ""));
+    assert_rejected_and_flagged(&source("latency_bound = 1", "", "", ""), "latency_bound");
+    assert_rejected_and_flagged(&source("", "window_cycles = 9", "", ""), "window_cycles");
+    assert_rejected_and_flagged(&source("", "", "pidd = 7", ""), "pidd");
+    assert_rejected_and_flagged(&source("", "", "", "stepss = 9"), "stepss");
+    // Keys that belong to a *different* kind are just as unknown: a
     // dentry-hijack step has no `pid`, a delay-irq fault has no `bit`.
-    assert_ignored_but_flagged(&source("", "", "pid = 7", ""), "pid");
-    assert_ignored_but_flagged(&source("", "", "", "bit = 3"), "bit");
+    assert_rejected_and_flagged(&source("", "", "pid = 7", ""), "pid");
+    assert_rejected_and_flagged(&source("", "", "", "bit = 3"), "bit");
 }
 
 #[test]
 fn unknown_sections_are_flagged_too() {
-    let with_table = format!("{}\n[telemetry]\nring = 4096\n", source("", "", "", ""));
-    Scenario::from_toml(&with_table).expect("lenient loader still loads");
-    let issues = lint_source(Some("demo"), &with_table);
-    assert!(
-        issues.iter().any(|m| m.contains("telemetry")),
-        "lint missed unknown section: {issues:?}"
-    );
-    let with_array = format!("{}\n[[probe]]\nkind = \"x\"\n", source("", "", "", ""));
-    Scenario::from_toml(&with_array).expect("lenient loader still loads");
-    let issues = lint_source(Some("demo"), &with_array);
-    assert!(
-        issues.iter().any(|m| m.contains("probe")),
-        "lint missed unknown section: {issues:?}"
-    );
+    let clean = source("", "", "", "");
+    assert_rejected_and_flagged(&format!("{clean}\n[telemetry]\nring = 4096\n"), "telemetry");
+    assert_rejected_and_flagged(&format!("{clean}\n[[probe]]\nkind = \"x\"\n"), "probe");
 }
 
-/// Compose sections obey the same contract: bogus keys load leniently
-/// but lint dirty, and a fully-keyed description lints clean and
+/// Compose sections obey the same contract: bogus keys fail the load
+/// and lint dirty, and a fully keyed description lints clean and
 /// round-trips exactly.
 #[test]
 fn compose_sections_are_pinned_both_ways() {
@@ -143,121 +137,13 @@ expect = "detected"
         )
     }
 
-    let clean = compose_source("", "", "", "");
-    assert_eq!(lint_source(Some("demo"), &clean), Vec::<String>::new());
-    let scenario = Scenario::from_toml(&clean).expect("loads");
-    let reparsed = Scenario::from_toml(&scenario.to_toml()).expect("round-trip loads");
-    assert_eq!(scenario, reparsed);
-
+    assert_clean_round_trip(&compose_source("", "", "", ""));
     for (src, key) in [
         (compose_source("watchdog = 1", "", "", ""), "watchdog"),
         (compose_source("", "prio = 3", "", ""), "prio"),
         (compose_source("", "", "depth = 4", ""), "depth"),
         (compose_source("", "", "", "frames = 2"), "frames"),
     ] {
-        let dirty = Scenario::from_toml(&src).expect("lenient loader still loads");
-        let baseline = Scenario::from_toml(&clean).expect("clean loads");
-        assert_eq!(dirty, baseline, "`{key}` leaked into the parsed scenario");
-        let issues = lint_source(Some("demo"), &src);
-        assert!(
-            issues.iter().any(|m| m.contains(key)),
-            "lint missed ignored compose key `{key}`; issues: {issues:?}"
-        );
-    }
-}
-
-/// The complementary direction: everything the linter whitelists is a
-/// key the loader honors, for every step and fault kind.
-#[test]
-fn every_whitelisted_key_is_honored_by_the_loader() {
-    let clean = source("", "", "", "");
-    assert_eq!(lint_source(Some("demo"), &clean), Vec::<String>::new());
-    let scenario = Scenario::from_toml(&clean).expect("loads");
-    // Honored means present after a serialize/parse round-trip.
-    let reparsed = Scenario::from_toml(&scenario.to_toml()).expect("round-trip loads");
-    assert_eq!(scenario, reparsed);
-
-    // Compose-targeting steps need the composed system declared, or the
-    // linter (correctly) flags the dangling reference.
-    const COMPOSE: &str = r#"
-[[domain]]
-name = "server"
-role = "server"
-
-[[domain]]
-name = "client"
-
-[[channel]]
-name = "req"
-from = "client"
-to = "server"
-
-[[region]]
-name = "shared"
-owner = "server"
-share = ["client"]
-"#;
-    let steps = [
-        ("cred-escalation", "pid = 2", ""),
-        ("map-secure-region", "pid = 2", ""),
-        ("atra-cred", "pid = 2", ""),
-        ("double-map-cred", "pid = 2", ""),
-        (
-            "dentry-hijack",
-            "path = \"/sbin/init\"\nrogue-inode = 7",
-            "",
-        ),
-        ("pt-direct-write", "pid = 2\nvalue = 13", ""),
-        ("atra-dentry", "path = \"/sbin/init\"", ""),
-        ("ttbr-redirect", "", ""),
-        ("code-injection", "", ""),
-        ("text-patch", "", ""),
-        (
-            "cross-domain-cred-theft",
-            "attacker = \"client\"\nvictim = \"server\"",
-            COMPOSE,
-        ),
-        ("shared-region-toctou", "region = \"shared\"", COMPOSE),
-        ("channel-spoof", "channel = \"req\"", COMPOSE),
-    ];
-    let faults = [
-        ("delay-irq", "steps = 2"),
-        ("flip-snoop-addr", "bit = 5"),
-        ("lose-hypercall", "call = 3"),
-        ("drop-irq", ""),
-        ("stall-translator", ""),
-        ("desync-bitmap", ""),
-    ];
-    for (step_kind, step_params, sections) in steps {
-        for (fault_kind, fault_params) in faults {
-            let src = format!(
-                r#"
-name = "demo"
-mode = "hypernel"
-{sections}
-[[step]]
-kind = "{step_kind}"
-{step_params}
-expect = "any"
-
-[[fault]]
-kind = "{fault_kind}"
-at = 1
-count = 1
-{fault_params}
-"#
-            );
-            let issues = lint_source(Some("demo"), &src);
-            assert_eq!(
-                issues,
-                Vec::<String>::new(),
-                "{step_kind}/{fault_kind} should lint clean"
-            );
-            let scenario = Scenario::from_toml(&src)
-                .unwrap_or_else(|e| panic!("{step_kind}/{fault_kind} should load: {e}"));
-            let reparsed = Scenario::from_toml(&scenario.to_toml())
-                .unwrap_or_else(|e| panic!("{step_kind}/{fault_kind} round-trip: {e}"));
-            assert_eq!(scenario, reparsed, "{step_kind}/{fault_kind}");
-        }
+        assert_rejected_and_flagged(&src, key);
     }
 }
