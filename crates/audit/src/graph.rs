@@ -1,18 +1,31 @@
 //! The snapshot walker: from a paused machine, rebuild the full
 //! stage-1 mapping graph reachable from a set of translation roots.
 //!
-//! The walker reads descriptors with `Machine::debug_read_phys` (cache
-//! coherent, zero simulated cycles, no architectural effect), records
-//! the *descriptor chain* that reaches every leaf — `(table, index)`
-//! links from the root down — and is cycle-safe: a table revisited
-//! along one root's walk is not descended into again, so a maliciously
-//! self-referencing table terminates instead of recursing forever.
+//! The walker reads each table page whole with
+//! `Machine::debug_read_table` (cache coherent, zero simulated cycles,
+//! no architectural effect) and keeps the graph compact:
+//!
+//! - every table *visit* records its parent link — the `(table, index)`
+//!   entry that led to it — so the *descriptor chain* from the root to
+//!   any entry is rebuilt on demand ([`MappingGraph::chain`]) instead of
+//!   being stored with every leaf;
+//! - leaves are stored as *runs* ([`LeafRun`]): consecutive entries of
+//!   one table with contiguous outputs and equal permissions. A 2 GiB
+//!   linear map of 4 KiB pages is half a million leaves but a few
+//!   thousand runs, and a check whose verdict is the same for a whole
+//!   run looks at each run once.
+//!
+//! The walk is cycle-safe: a table revisited along one root's walk is
+//! not descended into again, so a maliciously self-referencing table
+//! terminates instead of recursing forever, and a chain is the path of
+//! the table's first visit under its root. A root or table pointer
+//! outside DRAM is recorded as malformed and not descended into.
 
 use std::collections::HashSet;
 
 use hypernel_machine::addr::PhysAddr;
 use hypernel_machine::machine::Machine;
-use hypernel_machine::pagetable::{desc, Descriptor, PagePerms, ENTRIES_PER_TABLE};
+use hypernel_machine::pagetable::{desc, Descriptor, PagePerms};
 
 /// How a root entered the walk — provenance shown in findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,23 +87,63 @@ pub fn chain_display(chain: &[ChainLink]) -> String {
         .join(" -> ")
 }
 
-/// One reachable leaf mapping with its full provenance.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LeafRecord {
-    /// The root this leaf was reached from.
-    pub root: PhysAddr,
-    /// Whether that root is a kernel-half root.
+/// One table page as reached during one root's walk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TableVisit {
+    /// Physical address of the table page.
+    pub table: PhysAddr,
+    /// Index into [`MappingGraph::roots`] of the root being walked.
+    pub root: usize,
+    /// The visit and entry index of the descriptor that pointed here;
+    /// `None` for the root table.
+    pub parent: Option<(usize, u64)>,
+}
+
+/// A run of reachable leaves: entries `first..first + len` of one table
+/// visit, with equal permissions and contiguous outputs. Leaf `k` of
+/// the run maps `va + k * span` to `out + k * span`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LeafRun {
+    /// Index into [`MappingGraph::visits`] of the table holding the run.
+    pub visit: usize,
+    /// Entry index of the first leaf.
+    pub first: u64,
+    /// Number of leaves.
+    pub len: u64,
+    /// Whether the run was reached from a kernel-half root.
     pub kernel_space: bool,
-    /// Virtual address the leaf maps.
+    /// Virtual address the first leaf maps.
     pub va: u64,
-    /// Output physical address.
+    /// Output physical address of the first leaf.
     pub out: PhysAddr,
-    /// Bytes covered (4 KiB page or a 2 MiB / 1 GiB block).
+    /// Bytes each leaf covers (4 KiB page or a 2 MiB / 1 GiB block).
     pub span: u64,
-    /// Decoded permissions.
+    /// Decoded permissions of every leaf.
     pub perms: PagePerms,
-    /// Descriptor chain from the root to this leaf.
-    pub chain: Vec<ChainLink>,
+}
+
+impl LeafRun {
+    /// End of the output range the run maps (exclusive).
+    pub fn out_end(&self) -> u64 {
+        self.out.raw() + self.len * self.span
+    }
+
+    /// Whether some leaf of the run maps a byte of `[base, base + len)`.
+    pub fn overlaps(&self, base: u64, len: u64) -> bool {
+        self.out.raw() < base + len && self.out_end() > base
+    }
+
+    /// The run's leaves, in entry order, as `(entry index, va, out)`.
+    pub fn leaves(&self) -> impl Iterator<Item = (u64, u64, PhysAddr)> {
+        let run = *self;
+        (0..run.len).map(move |k| {
+            (
+                run.first + k,
+                run.va + k * run.span,
+                run.out.add(k * run.span),
+            )
+        })
+    }
 }
 
 /// The reconstructed mapping graph of a paused machine.
@@ -98,12 +151,16 @@ pub struct LeafRecord {
 pub struct MappingGraph {
     /// The roots that were walked, in walk order.
     pub roots: Vec<RootSpec>,
+    /// Every table visit, in walk order. A table reached from two roots
+    /// is visited once under each.
+    pub visits: Vec<TableVisit>,
     /// Every table page visited, sorted and deduplicated.
     pub tables: Vec<PhysAddr>,
-    /// Every reachable leaf, in deterministic walk order.
-    pub leaves: Vec<LeafRecord>,
-    /// Structurally malformed descriptors (table pointer at leaf
-    /// level), each with the offending chain.
+    /// Every reachable leaf, as runs in deterministic walk order.
+    pub runs: Vec<LeafRun>,
+    /// Structurally malformed descriptors (a table pointer at leaf
+    /// level, a root or table outside DRAM), each with the offending
+    /// chain.
     pub malformed: Vec<(String, Vec<ChainLink>)>,
 }
 
@@ -115,85 +172,121 @@ impl MappingGraph {
             roots: roots.to_vec(),
             ..MappingGraph::default()
         };
-        let mut tables: HashSet<u64> = HashSet::new();
-        for root in roots {
-            let mut visited: HashSet<u64> = HashSet::new();
-            walk_table(
-                m,
-                root,
-                root.pa,
-                0,
-                0,
-                &mut Vec::new(),
-                &mut visited,
-                &mut tables,
-                &mut graph,
-            );
+        for (root, spec) in roots.iter().enumerate() {
+            let mut visited = HashSet::new();
+            graph.walk_table(m, &mut visited, root, spec.pa, 0, 0, None);
         }
-        let mut sorted: Vec<PhysAddr> = tables.into_iter().map(PhysAddr::new).collect();
-        sorted.sort();
-        graph.tables = sorted;
+        graph.tables = graph.tables_from(|_| true);
         graph
     }
 
-    /// Leaves whose span overlaps `[base, base + len)`.
-    pub fn leaves_over(&self, base: u64, len: u64) -> impl Iterator<Item = &LeafRecord> {
-        self.leaves
+    /// Number of reachable leaves, counted once per root that reaches
+    /// them.
+    pub fn leaf_count(&self) -> u64 {
+        self.runs.iter().map(|r| r.len).sum()
+    }
+
+    /// The distinct table pages visited from the roots `pick` accepts,
+    /// sorted.
+    pub fn tables_from(&self, pick: impl Fn(&RootSpec) -> bool) -> Vec<PhysAddr> {
+        let mut tables: Vec<PhysAddr> = self
+            .visits
             .iter()
-            .filter(move |l| l.out.raw() < base + len && l.out.raw() + l.span > base)
+            .filter(|v| pick(&self.roots[v.root]))
+            .map(|v| v.table)
+            .collect();
+        tables.sort_unstable();
+        tables.dedup();
+        tables
+    }
+
+    /// The descriptor chain from the root to entry `entry` of `visit`.
+    pub fn chain(&self, visit: usize, entry: u64) -> Vec<ChainLink> {
+        let mut chain = vec![ChainLink {
+            table: self.visits[visit].table,
+            index: entry,
+        }];
+        let mut parent = self.visits[visit].parent;
+        while let Some((visit, index)) = parent {
+            chain.push(ChainLink {
+                table: self.visits[visit].table,
+                index,
+            });
+            parent = self.visits[visit].parent;
+        }
+        chain.reverse();
+        chain
+    }
+
+    #[allow(clippy::too_many_arguments)] // internal recursion carries the whole walk state
+    fn walk_table(
+        &mut self,
+        m: &mut Machine,
+        visited: &mut HashSet<u64>,
+        root: usize,
+        table: PhysAddr,
+        level: u32,
+        va_base: u64,
+        parent: Option<(usize, u64)>,
+    ) {
+        if !visited.insert(table.raw()) {
+            return; // cycle (or diamond) — already walked under this root
+        }
+        let Ok(entries) = m.debug_read_table(table) else {
+            let (detail, chain) = match parent {
+                None => (format!("root table {table} is outside DRAM"), Vec::new()),
+                Some((visit, index)) => (
+                    format!("table pointer outside DRAM ({table}), va {va_base:#x}"),
+                    self.chain(visit, index),
+                ),
+            };
+            self.malformed.push((detail, chain));
+            return;
+        };
+        let visit = self.visits.len();
+        self.visits.push(TableVisit {
+            table,
+            root,
+            parent,
+        });
+        let kernel_space = self.roots[root].kernel_space;
+        let shift = level_shift(level);
+        let mut run: Option<LeafRun> = None;
+        for (i, raw) in (0u64..).zip(entries) {
+            let va = va_base | i << shift;
+            match Descriptor::decode(raw, level) {
+                Descriptor::Leaf { out, perms } => match &mut run {
+                    Some(r) if r.perms == perms && r.out_end() == out.raw() => r.len += 1,
+                    _ => self.runs.extend(run.replace(LeafRun {
+                        visit,
+                        first: i,
+                        len: 1,
+                        kernel_space,
+                        va,
+                        out,
+                        span: 1 << shift,
+                        perms,
+                    })),
+                },
+                Descriptor::Invalid => self.runs.extend(run.take()),
+                Descriptor::Table { next } => {
+                    self.runs.extend(run.take());
+                    if level >= 3 {
+                        let chain = self.chain(visit, i);
+                        self.malformed
+                            .push((format!("table pointer at leaf level, va {va:#x}"), chain));
+                    } else {
+                        self.walk_table(m, visited, root, next, level + 1, va, Some((visit, i)));
+                    }
+                }
+            }
+        }
+        self.runs.extend(run);
     }
 }
 
 fn level_shift(level: u32) -> u32 {
     12 + 9 * (3 - level)
-}
-
-#[allow(clippy::too_many_arguments)] // internal recursion carries the whole walk state
-fn walk_table(
-    m: &mut Machine,
-    root: &RootSpec,
-    table: PhysAddr,
-    level: u32,
-    va_base: u64,
-    chain: &mut Vec<ChainLink>,
-    visited: &mut HashSet<u64>,
-    tables: &mut HashSet<u64>,
-    graph: &mut MappingGraph,
-) {
-    if !visited.insert(table.raw()) {
-        return; // cycle (or diamond) — already walked under this root
-    }
-    tables.insert(table.raw());
-    for i in 0..ENTRIES_PER_TABLE as u64 {
-        let raw = m.debug_read_phys(table.add(i * 8));
-        let va = va_base | i << level_shift(level);
-        chain.push(ChainLink { table, index: i });
-        match Descriptor::decode(raw, level) {
-            Descriptor::Invalid => {}
-            Descriptor::Table { next } => {
-                if level >= 3 {
-                    graph.malformed.push((
-                        format!("table pointer at leaf level, va {va:#x}"),
-                        chain.clone(),
-                    ));
-                } else {
-                    walk_table(m, root, next, level + 1, va, chain, visited, tables, graph);
-                }
-            }
-            Descriptor::Leaf { out, perms } => {
-                graph.leaves.push(LeafRecord {
-                    root: root.pa,
-                    kernel_space: root.kernel_space,
-                    va,
-                    out,
-                    span: 1u64 << level_shift(level),
-                    perms,
-                    chain: chain.clone(),
-                });
-            }
-        }
-        chain.pop();
-    }
 }
 
 /// Strips the ASID field from a raw `TTBRn_EL1` value, leaving the
@@ -242,14 +335,110 @@ mod tests {
         }];
         let g = MappingGraph::walk(&mut m, &roots);
         assert_eq!(g.tables.len(), 4);
-        assert_eq!(g.leaves.len(), 1);
-        let l = &g.leaves[0];
-        assert_eq!(l.out, PhysAddr::new(0x5000));
-        assert_eq!(l.va, 7 << 12);
-        assert_eq!(l.span, 4096);
-        assert_eq!(l.chain.len(), 4);
-        assert_eq!(l.chain[3].index, 7);
-        assert!(chain_display(&l.chain).contains("[7]"));
+        assert_eq!(g.visits.len(), 4);
+        assert_eq!(g.leaf_count(), 1);
+        assert_eq!(g.runs.len(), 1);
+        let run = g.runs[0];
+        assert_eq!(run.out, PhysAddr::new(0x5000));
+        assert_eq!(run.va, 7 << 12);
+        assert_eq!(run.span, 4096);
+        assert_eq!(run.first, 7);
+        assert!(run.kernel_space);
+        assert_eq!(run.perms, PagePerms::KERNEL_DATA);
+        let chain = g.chain(run.visit, run.first);
+        assert_eq!(chain.len(), 4);
+        assert_eq!(
+            chain
+                .iter()
+                .map(|l| (l.table.raw(), l.index))
+                .collect::<Vec<_>>(),
+            [(0x1000, 0), (0x2000, 0), (0x3000, 0), (0x4000, 7)]
+        );
+        assert!(chain_display(&chain).contains("[7]"));
+        assert!(g.malformed.is_empty());
+    }
+
+    #[test]
+    fn contiguous_leaves_with_equal_perms_form_one_run() {
+        let mut m = machine();
+        for t in [0x1000u64, 0x2000, 0x3000, 0x4000] {
+            m.debug_zero_page(PhysAddr::new(t));
+        }
+        m.debug_write_phys(PhysAddr::new(0x1000), table_desc(0x2000));
+        m.debug_write_phys(PhysAddr::new(0x2000), table_desc(0x3000));
+        m.debug_write_phys(PhysAddr::new(0x3000), table_desc(0x4000));
+        // Entries 0..4 map 0x40_0000.. contiguously; entry 4 changes the
+        // permissions, entry 5 breaks contiguity, 6 is invalid, 7 follows.
+        let leaf = |out: u64, perms| Descriptor::Leaf {
+            out: PhysAddr::new(out),
+            perms,
+        };
+        let entries = [
+            leaf(0x40_0000, PagePerms::KERNEL_DATA),
+            leaf(0x40_1000, PagePerms::KERNEL_DATA),
+            leaf(0x40_2000, PagePerms::KERNEL_DATA),
+            leaf(0x40_3000, PagePerms::KERNEL_DATA),
+            leaf(0x40_4000, PagePerms::KERNEL_RO),
+            leaf(0x50_0000, PagePerms::KERNEL_RO),
+            Descriptor::Invalid,
+            leaf(0x50_2000, PagePerms::KERNEL_RO),
+        ];
+        for (i, d) in (0u64..).zip(entries) {
+            m.debug_write_phys(PhysAddr::new(0x4000 + i * 8), d.encode());
+        }
+        let roots = [RootSpec {
+            pa: PhysAddr::new(0x1000),
+            kernel_space: false,
+            origins: vec![RootOrigin::ActiveTtbr0],
+        }];
+        let g = MappingGraph::walk(&mut m, &roots);
+        let shape: Vec<(u64, u64, u64)> = g
+            .runs
+            .iter()
+            .map(|r| (r.first, r.len, r.out.raw()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (0, 4, 0x40_0000),
+                (4, 1, 0x40_4000),
+                (5, 1, 0x50_0000),
+                (7, 1, 0x50_2000)
+            ]
+        );
+        assert_eq!(g.leaf_count(), 7);
+        let expanded: Vec<(u64, u64, u64)> = g.runs[0]
+            .leaves()
+            .map(|(entry, va, out)| (entry, va, out.raw()))
+            .collect();
+        assert_eq!(expanded[3], (3, 3 << 12, 0x40_3000));
+        assert!(g.runs[0].overlaps(0x40_3FF8, 8) && !g.runs[0].overlaps(0x40_4000, 8));
+    }
+
+    #[test]
+    fn pointers_outside_dram_are_malformed_not_walked() {
+        let mut m = machine();
+        m.debug_zero_page(PhysAddr::new(0x1000));
+        m.debug_write_phys(PhysAddr::new(0x1000 + 3 * 8), table_desc(1 << 32));
+        let roots = [
+            RootSpec {
+                pa: PhysAddr::new(0x1000),
+                kernel_space: false,
+                origins: vec![RootOrigin::ActiveTtbr0],
+            },
+            RootSpec {
+                pa: PhysAddr::new(1 << 40),
+                kernel_space: false,
+                origins: vec![RootOrigin::ActiveTtbr0],
+            },
+        ];
+        let g = MappingGraph::walk(&mut m, &roots);
+        assert_eq!(g.tables, [PhysAddr::new(0x1000)]);
+        assert_eq!(g.malformed.len(), 2);
+        assert!(g.malformed[0].0.contains("outside DRAM"));
+        assert_eq!(chain_display(&g.malformed[0].1), "0x1000[3]");
+        assert!(g.malformed[1].0.starts_with("root table"));
+        assert!(g.malformed[1].1.is_empty());
     }
 
     #[test]
@@ -265,7 +454,8 @@ mod tests {
         }];
         let g = MappingGraph::walk(&mut m, &roots);
         assert_eq!(g.tables.len(), 1);
-        assert!(g.leaves.is_empty());
+        assert_eq!(g.visits.len(), 1);
+        assert!(g.runs.is_empty());
     }
 
     #[test]

@@ -44,9 +44,13 @@
 //! tag per physical page, maintained by the kernel at allocation sites
 //! and checked against a writer/tag policy on every store.
 //!
-//! All reads go through `Machine::debug_read_phys` — cache coherent,
-//! zero simulated cycles, no architectural side effects — so auditing
-//! never perturbs the simulation it inspects.
+//! The pass walks the graph once ([`MappingGraph::walk`]), reading
+//! every table page whole through `Machine::debug_read_table` — cache
+//! coherent, zero simulated cycles, no architectural side effects — so
+//! auditing never perturbs the simulation it inspects. Leaves are
+//! checked as runs: a run whose O(1) range tests show that no leaf can
+//! fire is never expanded, and a descriptor chain is rebuilt only for
+//! a finding.
 //!
 //! [paper]: https://doi.org/10.1145/3195970.3196061
 
@@ -54,7 +58,9 @@ pub mod graph;
 pub mod report;
 pub mod sanitizer;
 
-pub use graph::{chain_display, ChainLink, LeafRecord, MappingGraph, RootOrigin, RootSpec};
+pub use graph::{
+    chain_display, ChainLink, LeafRun, MappingGraph, RootOrigin, RootSpec, TableVisit,
+};
 pub use report::{
     CheckKind, DifferentialReport, Finding, SanitizerReport, StaticAuditReport, AUDIT_SCHEMA,
     REPORT_KIND,
@@ -63,7 +69,7 @@ pub use sanitizer::seed_shadow;
 
 use std::collections::HashSet;
 
-use hypernel_hypersec::Hypersec;
+use hypernel_hypersec::{AuditReport, Hypersec};
 use hypernel_kernel::{layout, Kernel};
 use hypernel_machine::addr::PhysAddr;
 use hypernel_machine::machine::Machine;
@@ -74,38 +80,41 @@ use hypernel_machine::regs::SysReg;
 /// `kernel` supplies the kernel-known ground truth (its root, the
 /// per-task user roots); `hypersec`, when present **and locked**, adds
 /// the verified root/table pools, enables the strict table checks, and
-/// arms the differential comparison against [`Hypersec::audit`]. The
-/// ownership-sanitizer section is filled in when shadow tags are
-/// enabled on the machine.
+/// arms the differential comparison against [`Hypersec::audit`]. That
+/// runtime audit runs once and is returned beside the report, so a
+/// caller that needs it too (the campaign's W⊕X oracle) does not audit
+/// the same state twice. The ownership-sanitizer section is filled in
+/// when shadow tags are enabled on the machine.
 pub fn audit_system(
     m: &mut Machine,
     kernel: &Kernel,
     hypersec: Option<&Hypersec>,
-) -> StaticAuditReport {
+) -> (StaticAuditReport, Option<AuditReport>) {
     let mut report = StaticAuditReport::default();
-    let strict = hypersec.is_some_and(Hypersec::is_locked);
+    let locked = hypersec.filter(|h| h.is_locked());
 
     let roots = collect_roots(m, kernel, hypersec);
-    check_rogue_roots(&roots, kernel, hypersec, strict, &mut report);
+    check_rogue_roots(&roots, kernel, locked, &mut report);
 
     let graph = MappingGraph::walk(m, &roots);
     report.roots_walked = graph.roots.len() as u64;
     report.tables_walked = graph.tables.len() as u64;
-    report.leaves_checked = graph.leaves.len() as u64;
+    report.leaves_checked = graph.leaf_count();
 
     for (detail, chain) in &graph.malformed {
         report.finding(CheckKind::Malformed, detail.clone(), chain.clone());
     }
     check_leaves(&graph, &mut report);
-    if strict {
-        check_tables_ro(&graph, hypersec, &mut report);
-        check_verified_pool(m, hypersec.expect("strict implies hypersec"), &mut report);
+    if let Some(hyp) = locked {
+        check_tables_ro(&graph, &hyp.verified_tables(), &mut report);
+        check_verified_pool(&graph, hyp, &mut report);
     }
     if let Some(hyp) = hypersec {
         check_watch_coverage(m, hyp, &graph, &mut report);
     }
-    if strict {
-        run_differential(m, hypersec.expect("strict implies hypersec"), &mut report);
+    let incremental = locked.map(|hyp| hyp.audit(m));
+    if let Some(incremental) = &incremental {
+        report.differential = Some(differential(&report, incremental));
     }
     if let Some(shadow) = m.shadow_tags() {
         report.sanitizer = Some(SanitizerReport {
@@ -113,7 +122,7 @@ pub fn audit_system(
             violations: shadow.violations().to_vec(),
         });
     }
-    report
+    (report, incremental)
 }
 
 /// Gathers every translation root the system knows about, deduplicated
@@ -184,22 +193,20 @@ fn collect_roots(m: &Machine, kernel: &Kernel, hypersec: Option<&Hypersec>) -> V
 fn check_rogue_roots(
     roots: &[RootSpec],
     kernel: &Kernel,
-    hypersec: Option<&Hypersec>,
-    strict: bool,
+    locked: Option<&Hypersec>,
     report: &mut StaticAuditReport,
 ) {
-    let trusted: HashSet<u64> = if strict {
-        let hyp = hypersec.expect("strict implies hypersec");
-        hyp.kernel_root()
+    let trusted: HashSet<u64> = match locked {
+        Some(hyp) => hyp
+            .kernel_root()
             .into_iter()
             .chain(hyp.verified_roots())
             .map(|r| r.raw())
-            .collect()
-    } else {
-        std::iter::once(kernel.kernel_root())
+            .collect(),
+        None => std::iter::once(kernel.kernel_root())
             .chain(kernel.user_roots())
             .map(|r| r.raw())
-            .collect()
+            .collect(),
     };
     for root in roots {
         let active = root
@@ -222,49 +229,56 @@ fn check_rogue_roots(
 }
 
 /// The per-leaf invariants: secure unreachability, W^X, kernel linear
-/// identity, kernel text never writable.
+/// identity, kernel text never writable. A run is expanded leaf by leaf
+/// only when one of its range tests says some leaf can fail a check:
+/// outputs grow along a run while permissions and `va - out` stay fixed,
+/// so each check holds for all of a run's leaves or for a stretch of
+/// them that the run's own bounds reveal.
 fn check_leaves(graph: &MappingGraph, report: &mut StaticAuditReport) {
     let image_end = layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE;
-    for leaf in &graph.leaves {
-        if leaf.out.raw() + leaf.span > layout::SECURE_BASE {
-            report.finding(
-                CheckKind::SecureReachable,
-                format!(
-                    "leaf at va {:#x} maps secure memory ({})",
-                    leaf.va, leaf.out
-                ),
-                leaf.chain.clone(),
-            );
+    for run in &graph.runs {
+        let wx = run.perms.write && run.perms.exec;
+        let may_fire = run.out_end() > layout::SECURE_BASE
+            || wx
+            || (run.kernel_space && run.va != run.out.raw())
+            || (run.perms.write
+                && run.overlaps(layout::KERNEL_IMAGE_BASE, layout::KERNEL_IMAGE_SIZE));
+        if !may_fire {
+            continue;
         }
-        if leaf.perms.write && leaf.perms.exec {
-            report.finding(
-                CheckKind::WxMapping,
-                format!(
-                    "writable+executable leaf at va {:#x} -> {}",
-                    leaf.va, leaf.out
-                ),
-                leaf.chain.clone(),
-            );
-        }
-        if leaf.kernel_space && leaf.va != leaf.out.raw() {
-            report.finding(
-                CheckKind::LinearIdentity,
-                format!(
-                    "kernel linear leaf not identity: va {:#x} -> {}",
-                    leaf.va, leaf.out
-                ),
-                leaf.chain.clone(),
-            );
-        }
-        if leaf.perms.write
-            && leaf.out.raw() < image_end
-            && leaf.out.raw() + leaf.span > layout::KERNEL_IMAGE_BASE
-        {
-            report.finding(
-                CheckKind::TextWritable,
-                format!("kernel text writable at va {:#x} -> {}", leaf.va, leaf.out),
-                leaf.chain.clone(),
-            );
+        for (entry, va, out) in run.leaves() {
+            let chain = || graph.chain(run.visit, entry);
+            if out.raw() + run.span > layout::SECURE_BASE {
+                report.finding(
+                    CheckKind::SecureReachable,
+                    format!("leaf at va {va:#x} maps secure memory ({out})"),
+                    chain(),
+                );
+            }
+            if wx {
+                report.finding(
+                    CheckKind::WxMapping,
+                    format!("writable+executable leaf at va {va:#x} -> {out}"),
+                    chain(),
+                );
+            }
+            if run.kernel_space && va != out.raw() {
+                report.finding(
+                    CheckKind::LinearIdentity,
+                    format!("kernel linear leaf not identity: va {va:#x} -> {out}"),
+                    chain(),
+                );
+            }
+            if run.perms.write
+                && out.raw() < image_end
+                && out.raw() + run.span > layout::KERNEL_IMAGE_BASE
+            {
+                report.finding(
+                    CheckKind::TextWritable,
+                    format!("kernel text writable at va {va:#x} -> {out}"),
+                    chain(),
+                );
+            }
         }
     }
 }
@@ -272,32 +286,30 @@ fn check_leaves(graph: &MappingGraph, report: &mut StaticAuditReport) {
 /// No writable leaf may cover a live table page (the union of the
 /// graph's reachable tables and Hypersec's verified pool). Only
 /// meaningful under a locked Hypersec — a native kernel writes its own
-/// tables through its linear map by design.
-fn check_tables_ro(
-    graph: &MappingGraph,
-    hypersec: Option<&Hypersec>,
-    report: &mut StaticAuditReport,
-) {
-    let mut tables: Vec<u64> = graph.tables.iter().map(|t| t.raw()).collect();
-    if let Some(hyp) = hypersec {
-        tables.extend(hyp.verified_tables().iter().map(|t| t.raw()));
-    }
+/// tables through its linear map by design. A run's leaves cover its
+/// output range in order, so the tables inside that range, ascending,
+/// are the per-leaf findings in leaf order.
+fn check_tables_ro(graph: &MappingGraph, verified: &[PhysAddr], report: &mut StaticAuditReport) {
+    let mut tables: Vec<u64> = graph
+        .tables
+        .iter()
+        .chain(verified)
+        .map(|t| t.raw())
+        .collect();
     tables.sort_unstable();
     tables.dedup();
-    for leaf in graph.leaves.iter().filter(|l| l.perms.write) {
-        let start = tables.partition_point(|&t| t < leaf.out.raw());
-        for &table in tables[start..]
-            .iter()
-            .take_while(|&&t| t < leaf.out.raw() + leaf.span)
-        {
+    for run in graph.runs.iter().filter(|r| r.perms.write) {
+        let start = tables.partition_point(|&t| t < run.out.raw());
+        for &table in tables[start..].iter().take_while(|&&t| t < run.out_end()) {
+            let offset = table - run.out.raw();
             report.finding(
                 CheckKind::TableWritable,
                 format!(
                     "table page {} is writable via va {:#x}",
                     PhysAddr::new(table),
-                    leaf.va + (table - leaf.out.raw())
+                    run.va + offset
                 ),
-                leaf.chain.clone(),
+                graph.chain(run.visit, run.first + offset / run.span),
             );
         }
     }
@@ -305,26 +317,15 @@ fn check_tables_ro(
 
 /// Every table reachable from Hypersec's registered roots must be in
 /// its verified pool — the exact invariant the incremental runtime
-/// audit re-checks, so both sides flag the same tables.
-fn check_verified_pool(m: &mut Machine, hyp: &Hypersec, report: &mut StaticAuditReport) {
-    let mut roots = Vec::new();
-    if let Some(root) = hyp.kernel_root() {
-        roots.push(RootSpec {
-            pa: root,
-            kernel_space: true,
-            origins: vec![RootOrigin::HypervisorVerified],
-        });
-    }
-    for pa in hyp.verified_roots() {
-        roots.push(RootSpec {
-            pa,
-            kernel_space: false,
-            origins: vec![RootOrigin::HypervisorVerified],
-        });
-    }
-    let reachable = MappingGraph::walk(m, &roots);
+/// audit re-checks, so both sides flag the same tables. Every Hypersec
+/// root is among the walked roots, tagged
+/// [`RootOrigin::HypervisorVerified`], so the walk already holds the
+/// tables they reach.
+fn check_verified_pool(graph: &MappingGraph, hyp: &Hypersec, report: &mut StaticAuditReport) {
     let verified: HashSet<u64> = hyp.verified_tables().iter().map(|t| t.raw()).collect();
-    for table in &reachable.tables {
+    let reachable =
+        graph.tables_from(|root| root.origins.contains(&RootOrigin::HypervisorVerified));
+    for table in reachable {
         if !verified.contains(&table.raw()) {
             report.finding(
                 CheckKind::UnverifiedTable,
@@ -347,11 +348,31 @@ fn check_watch_coverage(
 ) {
     for region in hyp.regions() {
         report.regions_checked += 1;
-        let covering: Vec<&LeafRecord> = graph
-            .leaves_over(region.pa.raw(), region.len)
-            .filter(|l| l.kernel_space)
-            .collect();
-        if covering.is_empty() {
+        let (base, len) = (region.pa.raw(), region.len);
+        let mut mapped = false;
+        for run in graph
+            .runs
+            .iter()
+            .filter(|r| r.kernel_space && r.overlaps(base, len))
+        {
+            mapped = true;
+            if !run.perms.cacheable {
+                continue;
+            }
+            for (entry, va, out) in run.leaves() {
+                if out.raw() < base + len && out.raw() + run.span > base {
+                    report.finding(
+                        CheckKind::WatchCoverage,
+                        format!(
+                            "monitored region sid {} at {} is mapped cacheable (va {va:#x})",
+                            region.sid, region.base_va
+                        ),
+                        graph.chain(run.visit, entry),
+                    );
+                }
+            }
+        }
+        if !mapped {
             report.finding(
                 CheckKind::WatchCoverage,
                 format!(
@@ -360,18 +381,6 @@ fn check_watch_coverage(
                 ),
                 Vec::new(),
             );
-        }
-        for leaf in covering {
-            if leaf.perms.cacheable {
-                report.finding(
-                    CheckKind::WatchCoverage,
-                    format!(
-                        "monitored region sid {} at {} is mapped cacheable (va {:#x})",
-                        region.sid, region.base_va, leaf.va
-                    ),
-                    leaf.chain.clone(),
-                );
-            }
         }
         let coverage = hyp
             .config()
@@ -393,14 +402,13 @@ fn check_watch_coverage(
     }
 }
 
-/// Runs Hypersec's incremental runtime audit and compares verdicts.
-/// The comparison is on the *verdict*, not the phrasing: both analyses
-/// must agree on whether the system is dirty. A static-only finding
-/// means the incremental verifier admitted something it should not
-/// have (a verifier bug); an incremental-only violation means the
-/// static pass has a gap.
-fn run_differential(m: &mut Machine, hyp: &Hypersec, report: &mut StaticAuditReport) {
-    let incremental = hyp.audit(m);
+/// Compares the static findings with Hypersec's incremental runtime
+/// audit of the same state. The comparison is on the *verdict*, not
+/// the phrasing: both analyses must agree on whether the system is
+/// dirty. A static-only finding means the incremental verifier admitted
+/// something it should not have (a verifier bug); an incremental-only
+/// violation means the static pass has a gap.
+fn differential(report: &StaticAuditReport, incremental: &AuditReport) -> DifferentialReport {
     let mut diff = DifferentialReport {
         static_findings: report.findings.len() as u64,
         incremental_violations: incremental.violations.clone(),
@@ -418,5 +426,70 @@ fn run_differential(m: &mut Machine, hyp: &Hypersec, report: &mut StaticAuditRep
                 .push(format!("incremental-only: {violation}"));
         }
     }
-    report.differential = Some(diff);
+    diff
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hypernel_machine::machine::MachineConfig;
+    use hypernel_machine::pagetable::{desc, Descriptor, PagePerms};
+
+    /// A kernel-half walk down to one level-3 table whose entries
+    /// `0x10..0x30` identity-map `0x41_0000..0x43_0000`: entry `0x18` is
+    /// writable+executable, the rest kernel data, and the level-3 table
+    /// page itself (`0x41_4000`) lies inside the mapped range.
+    fn identity_run_graph() -> MappingGraph {
+        let mut m = Machine::new(MachineConfig {
+            dram_size: 8 << 20,
+            ..MachineConfig::default()
+        });
+        let (root, l1, l2, l3) = (0x10_0000u64, 0x10_1000, 0x10_2000, 0x41_4000);
+        for t in [root, l1, l2, l3] {
+            m.debug_zero_page(PhysAddr::new(t));
+        }
+        let table = |next: u64| next | desc::VALID | desc::TABLE;
+        m.debug_write_phys(PhysAddr::new(root), table(l1));
+        m.debug_write_phys(PhysAddr::new(l1), table(l2));
+        m.debug_write_phys(PhysAddr::new(l2 + 2 * 8), table(l3));
+        for i in 0x10..0x30u64 {
+            let perms = PagePerms {
+                exec: i == 0x18,
+                ..PagePerms::KERNEL_DATA
+            };
+            let out = PhysAddr::new(0x40_0000 + i * 0x1000);
+            m.debug_write_phys(
+                PhysAddr::new(l3 + i * 8),
+                Descriptor::Leaf { out, perms }.encode(),
+            );
+        }
+        let roots = [RootSpec {
+            pa: PhysAddr::new(root),
+            kernel_space: true,
+            origins: vec![RootOrigin::KernelKnown],
+        }];
+        MappingGraph::walk(&mut m, &roots)
+    }
+
+    /// The findings, chains and leaf count a per-leaf walk gives for
+    /// this table, from three runs.
+    #[test]
+    fn runs_give_the_per_leaf_findings_and_leaf_count() {
+        let graph = identity_run_graph();
+        assert_eq!(graph.runs.len(), 3);
+        assert_eq!(graph.leaf_count(), 32);
+        let mut report = StaticAuditReport::default();
+        check_leaves(&graph, &mut report);
+        check_tables_ro(&graph, &[], &mut report);
+        let findings: Vec<String> = report.findings.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            findings,
+            [
+                "[wx-mapping] writable+executable leaf at va 0x418000 -> 0x418000 \
+                 (via 0x100000[0] -> 0x101000[0] -> 0x102000[2] -> 0x414000[24])",
+                "[table-writable] table page 0x414000 is writable via va 0x414000 \
+                 (via 0x100000[0] -> 0x101000[0] -> 0x102000[2] -> 0x414000[20])",
+            ]
+        );
+    }
 }

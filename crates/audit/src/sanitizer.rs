@@ -83,8 +83,8 @@ pub fn seed_shadow(
     for table in &graph.tables {
         tags.tag_page(*table, PageTag::PageTable);
     }
-    for leaf in graph.leaves.iter().filter(|l| !l.kernel_space) {
-        tags.tag_range(leaf.out, leaf.span, PageTag::UserData);
+    for run in graph.runs.iter().filter(|r| !r.kernel_space) {
+        tags.tag_range(run.out, run.len * run.span, PageTag::UserData);
     }
 
     // The kernel linear map covers the whole frame pool, so kernel-half

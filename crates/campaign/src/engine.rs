@@ -284,8 +284,7 @@ pub fn run_one_full(
         })
         .collect();
 
-    let audit = sys.audit_hypersec();
-    let static_audit = sys.audit_static();
+    let (static_audit, audit) = sys.audit();
     let mbm = sys.mbm_stats();
     let faults = sys.fault_stats();
     let fault_log = sys.fault_log().unwrap_or_default();

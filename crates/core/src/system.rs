@@ -546,6 +546,19 @@ impl System {
     /// (when enabled). Works in every mode; costs zero simulated
     /// cycles. See [`hypernel_audit::audit_system`].
     pub fn audit_static(&mut self) -> hypernel_audit::StaticAuditReport {
+        self.audit().0
+    }
+
+    /// Both final-state audits from one Hypersec pass: the static report
+    /// of [`System::audit_static`] and the [`Hypersec::audit`] report
+    /// its differential compared against (`Some` once Hypersec is
+    /// locked, i.e. in Hypernel mode after boot).
+    pub fn audit(
+        &mut self,
+    ) -> (
+        hypernel_audit::StaticAuditReport,
+        Option<hypernel_hypersec::AuditReport>,
+    ) {
         let hypersec = match &self.el2 {
             El2Software::Hypersec(h) => Some(h),
             _ => None,

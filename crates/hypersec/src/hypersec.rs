@@ -641,8 +641,11 @@ impl Hypersec {
         if !self.tables.contains_key(&table.raw()) {
             report.violation(format!("reachable table {table} is not registered"));
         }
-        for i in 0..pagetable::ENTRIES_PER_TABLE as u64 {
-            let raw = m.debug_read_phys(table.add(i * 8));
+        let Ok(entries) = m.debug_read_table(table) else {
+            report.violation(format!("reachable table {table} is outside DRAM"));
+            return;
+        };
+        for (i, raw) in (0u64..).zip(entries) {
             let va = va_base | i << level_shift(level);
             match Descriptor::decode(raw, level) {
                 Descriptor::Invalid => {}

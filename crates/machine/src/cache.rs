@@ -472,6 +472,16 @@ impl DataCache {
         let (set_idx, tag) = self.index(addr);
         self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
     }
+
+    /// The words of the resident line containing `addr`, if any. Pure
+    /// like [`DataCache::contains`]: no statistics or recency updates.
+    pub(crate) fn resident_line(&self, addr: PhysAddr) -> Option<&[u64; LINE_WORDS]> {
+        let (set_idx, tag) = self.index(addr);
+        self.sets[set_idx]
+            .iter()
+            .find(|l| l.valid && l.tag == tag)
+            .map(|l| &l.data)
+    }
 }
 
 #[cfg(test)]

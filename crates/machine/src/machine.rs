@@ -17,8 +17,8 @@ use crate::compiled::{InvalidateCause, PlanCache, PlanStats};
 use crate::cost::CostModel;
 use crate::fault::{FaultStats, SharedFaults};
 use crate::irq::IrqController;
-use crate::mem::PhysMemory;
-use crate::pagetable::{self, PagePerms, WalkFault};
+use crate::mem::{AccessOutOfRangeError, PhysMemory};
+use crate::pagetable::{self, PagePerms, WalkFault, ENTRIES_PER_TABLE};
 use crate::regs::{ExceptionLevel, SysReg, SysRegs};
 use crate::shadow::{PageTag, ShadowTags, Writer as ShadowWriter};
 use crate::tlb::{Regime, Tlb, TlbEntry};
@@ -679,6 +679,36 @@ impl Machine {
         } else {
             self.mem.read_u64(pa)
         }
+    }
+
+    /// Reads the 4 KiB translation table at `table` whole: exactly the
+    /// 512 words that [`Machine::debug_read_phys`] returns for its
+    /// entries, with one cache-residency probe per 64-byte line instead
+    /// of one per word. Cost-free and coherent like `debug_read_phys`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccessOutOfRangeError`] if the page lies outside DRAM
+    /// (a corrupt table pointer, say) instead of panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` is not page-aligned.
+    pub fn debug_read_table(
+        &mut self,
+        table: PhysAddr,
+    ) -> Result<[u64; ENTRIES_PER_TABLE], AccessOutOfRangeError> {
+        assert!(table.is_page_aligned(), "table {table} is not page-aligned");
+        self.mem.try_check(table, crate::addr::PAGE_SIZE)?;
+        let mut words = [0u64; ENTRIES_PER_TABLE];
+        for (line, out) in (0u64..).zip(words.chunks_exact_mut(LINE_WORDS)) {
+            let addr = table.add(line * LINE_SIZE);
+            match self.cache.resident_line(addr) {
+                Some(data) => out.copy_from_slice(data),
+                None => out.copy_from_slice(&self.mem.read_line(addr)),
+            }
+        }
+        Ok(words)
     }
 
     /// Writes physical memory without cost, translation or bus visibility.
@@ -1861,6 +1891,38 @@ mod tests {
         );
         // The data landed at the mapped physical address.
         assert_eq!(rig.m.debug_read_phys(PhysAddr::new(0x8_0008)), 0xFEED);
+    }
+
+    #[test]
+    fn table_read_equals_per_word_reads() {
+        let mut rig = Rig::new();
+        rig.map(0x5000, 0x8_0000, PagePerms::KERNEL_DATA);
+        let mut hyp = NullHyp;
+        for (i, va) in [0x5008u64, 0x5200, 0x5FF8].into_iter().enumerate() {
+            rig.m
+                .write_u64(VirtAddr::new(va), 0xD1E7 + i as u64, &mut hyp)
+                .unwrap();
+        }
+        // The write-back cache still holds the stores: DRAM is stale.
+        let dirty = PhysAddr::new(0x8_0008);
+        assert!(rig.m.data_cache().contains(dirty));
+        assert_eq!(rig.m.mem_mut().read_u64(dirty), 0);
+        // A table page the kernel wrote, a frame with dirty lines and a
+        // frame nothing ever touched.
+        for page in [0x10_0000u64, 0x8_0000, 0x30_0000] {
+            let page = PhysAddr::new(page);
+            let batched = rig.m.debug_read_table(page).expect("inside DRAM");
+            let per_word: Vec<u64> = (0..ENTRIES_PER_TABLE as u64)
+                .map(|i| rig.m.debug_read_phys(page.add(i * 8)))
+                .collect();
+            assert_eq!(batched.as_slice(), per_word.as_slice(), "page {page}");
+        }
+        assert_eq!(
+            rig.m.debug_read_table(PhysAddr::new(0x8_0000)).unwrap()[1],
+            0xD1E7
+        );
+        let outside = rig.m.debug_read_table(PhysAddr::new(64 << 20));
+        assert_eq!(outside.unwrap_err().addr, PhysAddr::new(64 << 20));
     }
 
     #[test]

@@ -15,9 +15,14 @@
 //!   excuse;
 //! - under Native, attack footprints surface as the expected static
 //!   findings (`linear-identity`, `rogue-root`, `wx-mapping`);
-//! - enabling the sanitizer changes no simulated result.
+//! - enabling the sanitizer changes no simulated result;
+//! - the report and every finding are pinned byte for byte over the
+//!   corpus, every primitive in every mode and the miswired verifier.
+
+use std::path::PathBuf;
 
 use hypernel::Mode;
+use hypernel_audit::chain_display;
 use hypernel_campaign::engine::{boot_system, run_one, run_one_full};
 use hypernel_campaign::scenario::{Scenario, StepExpect};
 use hypernel_kernel::AttackStep;
@@ -112,8 +117,7 @@ fn desync_bitmap_fault_is_caught_only_by_the_audit_oracle() {
 /// sees it, and the disagreement convicts the verifier.
 #[test]
 fn miswired_verifier_is_convicted_by_the_differential() {
-    let scenario = Scenario::new("unit-miswired", Mode::Hypernel)
-        .step(AttackStep::CodeInjection, StepExpect::Any);
+    let scenario = miswired_scenario();
     let mut sys = boot_system(&scenario).expect("boot");
     sys.hypersec_mut()
         .expect("hypernel mode has hypersec")
@@ -220,4 +224,119 @@ fn sanitizer_costs_zero_simulated_cycles_and_changes_no_result() {
     assert!(sanitizer.stats.checked > 0, "stores were checked");
     assert_eq!(sanitizer.stats.denied, 0);
     assert!(report.is_clean(), "{report:?}");
+}
+
+/// What [`audit_reports_and_findings_are_pinned_byte_for_byte`] must
+/// see: runs audited, findings reported and the digest of both.
+const PIN_RUNS: u64 = 57;
+const PIN_FINDINGS: u64 = 21;
+const PIN_DIGEST: u64 = 0xe61e_c44f_9edd_ac19;
+
+/// The code-injection run with the incremental W⊕X check disabled.
+fn miswired_scenario() -> Scenario {
+    Scenario::new("unit-miswired", Mode::Hypernel).step(AttackStep::CodeInjection, StepExpect::Any)
+}
+
+/// Every observable of the static audit, pinned byte for byte: the
+/// report JSON and each finding's check, detail and descriptor chain,
+/// after every corpus scenario at seed 1, every non-compose primitive
+/// in every mode and the miswired verifier. Runs the engine refuses
+/// (`ttbr-redirect` under KVM faults on some seeds) are skipped; at
+/// seed 1 there are none. The expected values were
+/// produced by the per-leaf walker that preceded the run-based one, so
+/// the walk's representation can change but its output cannot.
+#[test]
+fn audit_reports_and_findings_are_pinned_byte_for_byte() {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let mut cases: Vec<(Scenario, bool)> = hypernel_campaign::load_corpus(&corpus)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_iter()
+        .map(|s| (s, false))
+        .collect();
+    for mode in Mode::ALL {
+        for step in AttackStep::defaults() {
+            let compose = matches!(
+                step,
+                AttackStep::CrossDomainCredTheft { .. }
+                    | AttackStep::SharedRegionToctou { .. }
+                    | AttackStep::ChannelSpoof { .. }
+            );
+            if !compose {
+                cases.push((
+                    Scenario::new("pin-audit", mode).step(step, StepExpect::Any),
+                    false,
+                ));
+            }
+        }
+    }
+    cases.push((miswired_scenario(), true));
+
+    // FNV-1a over every string, each followed by a separator byte.
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |text: &str| {
+        for byte in text.bytes().chain([0xFF]) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let (mut runs, mut findings) = (0u64, 0u64);
+    for (scenario, miswired) in &cases {
+        let mut sys = boot_system(scenario).expect("boot");
+        if *miswired {
+            sys.hypersec_mut()
+                .expect("hypernel mode has hypersec")
+                .testonly_disable_wx_check();
+        }
+        let Ok((_, _, mut sys)) = run_one_full(sys, scenario, 1) else {
+            continue;
+        };
+        let report = sys.audit_static();
+        feed(&report.to_json().to_string());
+        for finding in &report.findings {
+            feed(finding.check.name());
+            feed(&finding.detail);
+            feed(&chain_display(&finding.chain));
+        }
+        runs += 1;
+        findings += report.findings.len() as u64;
+    }
+    println!("pinned audit: {runs} runs, {findings} findings, digest {digest:#018x}");
+    assert_eq!(
+        (runs, findings, digest),
+        (PIN_RUNS, PIN_FINDINGS, PIN_DIGEST),
+        "the audit output changed"
+    );
+}
+
+/// Under Native nothing stops a page-table write from pointing a table
+/// entry past the end of DRAM (here at 4 GiB, twice the DRAM size).
+/// The walker reports it as a `malformed` finding instead of reading
+/// outside DRAM.
+#[test]
+fn table_pointer_outside_dram_is_a_malformed_finding() {
+    let scenario = Scenario::from_toml(
+        r#"
+name = "pt-pointer-outside-dram"
+mode = "native"
+
+[[step]]
+kind = "pt-direct-write"
+pid = 1
+value = 0x100000003
+expect = "any"
+"#,
+    )
+    .expect("load");
+    let record = run_one(&scenario, 1).expect("run");
+    let malformed: Vec<_> = record
+        .violations
+        .iter()
+        .filter(|v| v.oracle == "audit" && v.detail.starts_with("[malformed]"))
+        .collect();
+    assert_eq!(malformed.len(), 1, "{:?}", record.violations);
+    assert!(
+        malformed[0].detail.contains("outside DRAM") && malformed[0].detail.contains("0x100000000"),
+        "{malformed:?}"
+    );
+    assert!(malformed[0].expected, "native footprints are expected");
+    assert!(record.passed, "{:?}", record.violations);
 }
