@@ -145,7 +145,7 @@ pub fn ingest_records(text: &str) -> Result<(Vec<CampaignRow>, usize), String> {
 }
 
 /// Reads rows back out of a summary artifact (as written by
-/// `hypernel-campaign run --summary` or [`summary_to_json`]).
+/// `hypernel campaign run --summary` or [`summary_to_json`]).
 ///
 /// # Errors
 ///
@@ -193,7 +193,7 @@ pub fn rows_from_summary(doc: &Json) -> Result<Vec<CampaignRow>, String> {
 }
 
 /// Serializes rows as a summary artifact, byte-compatible with the one
-/// `hypernel-campaign run --summary` writes.
+/// `hypernel campaign run --summary` writes.
 pub fn summary_to_json(rows: &[CampaignRow]) -> Json {
     Json::obj(vec![
         ("schema", Json::UInt(1)),

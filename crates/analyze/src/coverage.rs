@@ -195,7 +195,7 @@ pub fn render_report(atlas: &Atlas) -> String {
 /// universe defines but no run fired, one row per rule, with the
 /// fired/total headline. These are the protection surfaces the corpus
 /// never provoked — the static analyzer ranks which of them an attack
-/// step could actually reach (`hypernel-staticheck targets`).
+/// step could actually reach (`hypernel staticheck targets`).
 fn write_unfired_rules(out: &mut String, atlas: &Atlas, unfired: &[&str]) {
     use std::fmt::Write as _;
     let total = atlas

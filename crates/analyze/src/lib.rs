@@ -4,7 +4,7 @@
 //! # hypernel-analyze
 //!
 //! Turns the telemetry artifacts the simulation emits — JSONL event
-//! traces (`hypernel-sim --trace-out t.jsonl --trace-format jsonl`) and
+//! traces (`hypernel sim run --trace-out t.jsonl --trace-format jsonl`) and
 //! machine-readable run reports (`--report-json r.json`) — into the
 //! analyses the paper's evaluation is built on:
 //!
@@ -33,7 +33,7 @@
 //!   `metrics.jsonl` time series, including the ones embedded in
 //!   `blackbox.json` flight-recorder dumps.
 //!
-//! The `hypernel-analyze` binary fronts all of these; see its `--help`.
+//! The `hypernel analyze` command fronts all of these; see `hypernel analyze help`.
 
 pub mod attribution;
 pub mod audit;

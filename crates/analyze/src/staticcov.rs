@@ -1,5 +1,5 @@
 //! Static-coverage analytics: ingest the self-contained
-//! `static-coverage.json` artifact `hypernel-staticheck` emits, render
+//! `static-coverage.json` artifact `hypernel staticheck corpus` emits, render
 //! the per-scenario prediction tables, and diff against a dynamic
 //! coverage atlas — the static-vs-dynamic view the soundness gate and
 //! the steering loop are built on.
@@ -214,7 +214,7 @@ impl StaticDynamicDiff {
     }
 
     /// The `hypersec/rule/*` slice of the unfired keys, the input
-    /// `hypernel-campaign explore --targets` consumes.
+    /// `hypernel campaign explore --targets` consumes.
     pub fn rule_targets(&self) -> Vec<&str> {
         self.unfired
             .iter()

@@ -8,7 +8,7 @@
 //!  "metrics":{"avg_hypernel_overhead_pct":8.8, …}}
 //! ```
 //!
-//! `hypernel-analyze bench --dir <dir>` aggregates those into a dated
+//! `hypernel analyze bench --dir <dir>` aggregates those into a dated
 //! `BENCH_<date>.json` trajectory and diffs it against a committed
 //! baseline — the CI perf gate. Without the variable set, benches
 //! behave exactly as before and write nothing.

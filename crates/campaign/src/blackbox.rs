@@ -8,7 +8,7 @@
 //! machine-state snapshot into a `blackbox.json` document: mode,
 //! exception level, translation roots, MBM statistics, the tail of the
 //! fault-hit log, pending interrupt lines, the run's windowed metrics,
-//! and the violations themselves. `hypernel-analyze timeline` ingests
+//! and the violations themselves. `hypernel analyze timeline` ingests
 //! it, so "oracle X failed at seed 17" arrives as a self-contained
 //! artifact instead of a repro recipe.
 //!
@@ -45,7 +45,7 @@ pub const FAULT_LOG_TAIL: usize = 32;
 /// minimization reproduced the gap", ...). `fault_log` is the full
 /// chronological hit log; only the last [`FAULT_LOG_TAIL`] entries are
 /// embedded. `metrics` embeds the run's windowed series so the dump is
-/// self-contained for `hypernel-analyze timeline`.
+/// self-contained for `hypernel analyze timeline`.
 pub fn capture(
     sys: &System,
     scenario: &Scenario,

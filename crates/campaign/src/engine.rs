@@ -198,7 +198,7 @@ pub fn run_one_on(
 }
 
 /// [`run_one_on`], but also hands back the finished [`System`] so
-/// callers (the `hypernel-audit` CLI) can run further analyses — a full
+/// callers (the `hypernel audit` command) can run further analyses — a full
 /// static audit, sanitizer inspection — over the exact final state the
 /// record describes.
 ///

@@ -7,7 +7,7 @@
 //! MBM pressure knobs — and keeps only mutants that (a) run clean on
 //! every probe seed, (b) cover at least one tuple the corpus never
 //! reached, and (c) serialize to a lint-clean TOML. Survivors come back
-//! as ready-to-commit scenario sources (`hypernel-campaign explore`
+//! as ready-to-commit scenario sources (`hypernel campaign explore`
 //! writes them to `--out`).
 //!
 //! There is no randomness anywhere: mutants are generated in a fixed

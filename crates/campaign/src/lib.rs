@@ -23,10 +23,10 @@
 //! - [`blackbox`] — the always-on flight recorder and the
 //!   `blackbox.json` post-mortem dump a failing run leaves behind;
 //! - [`record`] — `campaign.jsonl` records and summary artifacts that
-//!   `hypernel-analyze campaign` consumes;
+//!   `hypernel analyze campaign` consumes;
 //! - [`coverage`] — structural coverage of a run (which model behaviors
 //!   it exercised), merged across a sweep into the `coverage.json`
-//!   atlas `hypernel-analyze coverage` renders and gates on;
+//!   atlas `hypernel analyze coverage` renders and gates on;
 //! - [`explore`] — the coverage-guided mutation loop: corpus mutants
 //!   that reach new `(outcome, fault, oracle, mode)` tuples are emitted
 //!   as ready-to-lint scenario TOMLs;

@@ -92,7 +92,7 @@ impl StepRecord {
 }
 
 /// Condensed static-audit section of a run record. The full report
-/// (chains, per-finding detail) is the `hypernel-audit` artifact; the
+/// (chains, per-finding detail) is the `hypernel audit` artifact; the
 /// run record keeps just enough to diff and to anchor the `audit`
 /// oracle's violations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,7 +286,7 @@ pub fn summarize(records: &[RunRecord]) -> Vec<ScenarioSummary> {
 }
 
 /// Serializes a summary (plus campaign totals) as a deterministic JSON
-/// artifact `hypernel-analyze campaign` can diff.
+/// artifact `hypernel analyze campaign` can diff.
 pub fn summary_json(rows: &[ScenarioSummary]) -> Json {
     let total_runs: u64 = rows.iter().map(|r| r.runs).sum();
     let total_passed: u64 = rows.iter().map(|r| r.passed).sum();

@@ -44,6 +44,8 @@ use hypernel_machine::FaultKind;
 use hypernel_telemetry::json::Json;
 
 use crate::coverage::{known_features, CoverageMap};
+use crate::engine::run_one;
+use crate::explore::with_mode;
 use crate::scenario::{Scenario, StepExpect};
 
 /// Schema version stamped into `static-coverage.json`.
@@ -578,6 +580,38 @@ pub fn predict_corpus(corpus: &[Scenario]) -> Vec<Prediction> {
     sorted.iter().map(|s| predict_scenario(s)).collect()
 }
 
+/// Whole-corpus prediction sharded over `jobs` threads. The prediction
+/// of one scenario is a pure function, so the shard boundaries cannot
+/// change the result; shards are merged back in corpus name order and
+/// the output is byte-identical at any job count.
+pub fn predict_corpus_jobs(corpus: &[Scenario], jobs: usize) -> Vec<Prediction> {
+    let jobs = jobs.max(1);
+    if jobs == 1 || corpus.len() <= 1 {
+        return predict_corpus(corpus);
+    }
+    let mut sorted: Vec<&Scenario> = corpus.iter().collect();
+    sorted.sort_by(|a, b| a.name.cmp(&b.name));
+    let chunk = sorted.len().div_ceil(jobs);
+    let mut out: Vec<Prediction> = Vec::with_capacity(sorted.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = sorted
+            .chunks(chunk)
+            .map(|shard| {
+                scope.spawn(move || {
+                    shard
+                        .iter()
+                        .map(|s| predict_scenario(s))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            out.extend(handle.join().expect("prediction shard panicked"));
+        }
+    });
+    out
+}
+
 // ---------------------------------------------------------------------
 // Soundness + steering
 // ---------------------------------------------------------------------
@@ -593,6 +627,92 @@ pub fn soundness_excess(prediction: &Prediction, coverage: &CoverageMap) -> Vec<
         .filter(|k| contract_key(k) && !prediction.possible.contains(*k))
         .map(str::to_string)
         .collect()
+}
+
+/// Re-targets `base` at `mode`: the scenario itself when the mode
+/// already matches, otherwise the same expectation-rewriting remode the
+/// explore loop uses (so the gate never manufactures expectations the
+/// dynamic oracles would reject by construction).
+pub fn remode(base: &Scenario, mode: Mode) -> Scenario {
+    if base.mode == mode {
+        base.clone()
+    } else {
+        with_mode(base, mode)
+    }
+}
+
+/// One soundness-contract breach: a dynamically observed contract key
+/// the static prediction did not allow.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Breach {
+    /// Scenario name (after remoding — the name is unchanged).
+    pub scenario: String,
+    /// Mode the run executed under.
+    pub mode: Mode,
+    /// Seed of the breaching run.
+    pub seed: u64,
+    /// The contract keys outside the prediction.
+    pub excess: Vec<String>,
+}
+
+/// The outcome of one differential soundness sweep.
+#[derive(Debug, Clone, Default)]
+pub struct SoundnessReport {
+    /// Runs whose dynamic coverage escaped the static prediction.
+    pub breaches: Vec<Breach>,
+    /// `(scenario, mode, seed, error)` runs the engine could not
+    /// execute at all (a re-moded scenario can be non-executable —
+    /// e.g. a TTBR redirect that the baseline never refuses leaves the
+    /// machine faulting). No coverage exists, so no soundness claim is
+    /// made; reported so a gate log shows exactly what was exercised.
+    pub skipped: Vec<(String, Mode, u64, String)>,
+    /// Total runs attempted.
+    pub runs: u64,
+}
+
+/// Runs the differential soundness gate: every corpus scenario ×
+/// [`Mode::ALL`] × seeds `0..seeds`, checking that the dynamic
+/// contract-namespace coverage of each run is ⊆ the static prediction
+/// of the (re-moded) scenario. An empty `breaches` is a green gate.
+pub fn soundness_sweep(corpus: &[Scenario], seeds: u64) -> SoundnessReport {
+    let mut report = SoundnessReport::default();
+    for base in corpus {
+        for mode in Mode::ALL {
+            let scenario = remode(base, mode);
+            let prediction = predict_scenario(&scenario);
+            for seed in 0..seeds {
+                report.runs += 1;
+                let record = match run_one(&scenario, seed) {
+                    Ok(record) => record,
+                    Err(e) => {
+                        report
+                            .skipped
+                            .push((scenario.name.clone(), mode, seed, e.to_string()));
+                        continue;
+                    }
+                };
+                let Some(coverage) = record.coverage else {
+                    report.skipped.push((
+                        scenario.name.clone(),
+                        mode,
+                        seed,
+                        "run carried no coverage map".to_string(),
+                    ));
+                    continue;
+                };
+                let excess = soundness_excess(&prediction, &coverage);
+                if !excess.is_empty() {
+                    report.breaches.push(Breach {
+                        scenario: scenario.name.clone(),
+                        mode,
+                        seed,
+                        excess,
+                    });
+                }
+            }
+        }
+    }
+    report
 }
 
 /// Negative control for the soundness gate: a deliberately miswired
@@ -780,6 +900,7 @@ pub fn static_coverage_json(predictions: &[Prediction]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::load_corpus;
 
     fn scenario(mode: Mode, steps: Vec<(AttackStep, StepExpect)>) -> Scenario {
         let mut s = Scenario::new("static-test", mode);
@@ -958,6 +1079,43 @@ mod tests {
         assert_eq!(parsed.get("kind").and_then(Json::as_str), Some(STATIC_KIND));
         assert_eq!(parsed.get("schema").and_then(Json::as_u64), Some(1));
         assert!(parsed.get("rules").and_then(Json::as_array).is_some());
+    }
+
+    fn corpus_dir() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus")
+    }
+
+    #[test]
+    fn the_shipped_corpus_loads_and_predicts() {
+        let corpus = load_corpus(&corpus_dir()).expect("corpus loads");
+        assert!(corpus.len() >= 17, "corpus shrank to {}", corpus.len());
+        let predictions = predict_corpus(&corpus);
+        assert_eq!(predictions.len(), corpus.len());
+        // Name-sorted, and every prediction is non-trivial.
+        for pair in predictions.windows(2) {
+            assert!(pair[0].scenario < pair[1].scenario);
+        }
+        for p in &predictions {
+            assert!(!p.possible.is_empty(), "`{}` predicts nothing", p.scenario);
+        }
+    }
+
+    #[test]
+    fn job_count_does_not_change_the_artifact() {
+        let corpus = load_corpus(&corpus_dir()).expect("corpus loads");
+        let one = static_coverage_json(&predict_corpus_jobs(&corpus, 1)).to_string();
+        for jobs in [2, 3, 8, 64] {
+            let many = static_coverage_json(&predict_corpus_jobs(&corpus, jobs)).to_string();
+            assert_eq!(one, many, "--jobs {jobs} changed the artifact bytes");
+        }
+    }
+
+    #[test]
+    fn remode_is_identity_on_matching_mode() {
+        let corpus = load_corpus(&corpus_dir()).expect("corpus loads");
+        for base in &corpus {
+            assert_eq!(remode(base, base.mode), *base);
+        }
     }
 
     #[test]

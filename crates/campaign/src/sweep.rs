@@ -125,7 +125,7 @@ pub fn run_sweep(scenarios: &[Scenario], config: SweepConfig) -> SweepOutcome {
 
 /// [`run_sweep`] with a live progress callback, invoked on the
 /// collector thread once per finished run (in completion order). The
-/// callback feeds `hypernel-campaign run --watch`; it cannot perturb
+/// callback feeds `hypernel campaign run --watch`; it cannot perturb
 /// the artifact, which is sorted afterwards regardless.
 pub fn run_sweep_with(
     scenarios: &[Scenario],

@@ -11,7 +11,7 @@
 //! registrations; nothing else in the pipeline maintains a watch list.
 //!
 //! [`plan`] produces the same phases as a pure description (what the
-//! `hypernel-compose compile` CLI prints); [`apply`] executes them.
+//! `hypernel compose compile` command prints); [`apply`] executes them.
 
 use std::fmt;
 

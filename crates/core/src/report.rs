@@ -16,7 +16,7 @@ use crate::system::{Mode, System};
 
 /// Schema version stamped into every JSON run artifact. Bump when a
 /// field is renamed or its meaning changes; additions are
-/// backwards-compatible and do not bump it. `hypernel-analyze compare`
+/// backwards-compatible and do not bump it. `hypernel analyze compare`
 /// warns when two reports disagree on this.
 pub const REPORT_SCHEMA: u64 = 1;
 

@@ -1,7 +1,7 @@
 //! The windowed-metrics recorder.
 //!
 //! A [`MetricsRecorder`] is a *poller*, not a sink: the driver (the
-//! campaign engine, `hypernel-sim`) feeds it cumulative counter values
+//! campaign engine, `hypernel sim`) feeds it cumulative counter values
 //! and instantaneous gauge levels at natural boundaries (attack steps,
 //! measurement iterations), stamped with simulated cycles. The recorder
 //! buckets them into fixed-width cycle windows: counters become

@@ -59,7 +59,7 @@ fn main() -> Result<(), KernelError> {
 
     // Now the forensics: rebuild every incident's causal timeline from
     // the raw telemetry events alone — exactly what
-    // `hypernel-analyze forensics trace.jsonl` does offline.
+    // `hypernel analyze forensics trace.jsonl` does offline.
     let events = sys.telemetry_events().expect("telemetry enabled");
     let incidents = forensics::reconstruct_incidents(&events);
     println!("\n{}", forensics::render_text(&incidents));

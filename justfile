@@ -29,7 +29,7 @@ bench-smoke:
     HYPERNEL_BENCH_DIR={{justfile_directory()}}/target/bench-summaries \
     HYPERNEL_BENCH_ITERS=20 \
         cargo bench -q -p hypernel-bench --bench smoke
-    cargo run -q -p hypernel-analyze -- bench \
+    cargo run -q --bin hypernel -- analyze bench \
         --dir {{justfile_directory()}}/target/bench-summaries \
         --out-dir {{justfile_directory()}}/target/bench-trajectory \
         --baseline {{justfile_directory()}}/benchmarks/baseline.json \
@@ -42,7 +42,7 @@ bench-baseline:
     HYPERNEL_BENCH_DIR={{justfile_directory()}}/target/bench-summaries \
     HYPERNEL_BENCH_ITERS=20 \
         cargo bench -q -p hypernel-bench --bench smoke
-    cargo run -q -p hypernel-analyze -- bench \
+    cargo run -q --bin hypernel -- analyze bench \
         --dir {{justfile_directory()}}/target/bench-summaries \
         --out {{justfile_directory()}}/benchmarks/baseline.json
 
@@ -54,7 +54,7 @@ bench-throughput:
     rm -rf {{justfile_directory()}}/target/throughput-summaries
     HYPERNEL_BENCH_DIR={{justfile_directory()}}/target/throughput-summaries \
         cargo bench -q -p hypernel-bench --bench throughput
-    cargo run -q -p hypernel-analyze -- bench \
+    cargo run -q --bin hypernel -- analyze bench \
         --dir {{justfile_directory()}}/target/throughput-summaries \
         --out-dir {{justfile_directory()}}/target/throughput-trajectory \
         --baseline {{justfile_directory()}}/benchmarks/throughput-baseline.json \
@@ -67,54 +67,66 @@ bench-throughput-baseline:
     rm -rf {{justfile_directory()}}/target/throughput-summaries
     HYPERNEL_BENCH_DIR={{justfile_directory()}}/target/throughput-summaries \
         cargo bench -q -p hypernel-bench --bench throughput
-    cargo run -q -p hypernel-analyze -- bench \
+    cargo run -q --bin hypernel -- analyze bench \
         --dir {{justfile_directory()}}/target/throughput-summaries \
         --out {{justfile_directory()}}/benchmarks/throughput-baseline.json
 
 # Determinism gate: the fast paths must be model-invisible. Sweep the
-# corpus with fast paths on (at two worker counts) and off, and demand
-# byte-identical campaign.jsonl artifacts AND byte-identical
-# metrics.jsonl time series.
+# corpus with fast paths on (at two worker counts), off, and with
+# compiled plans off (at two worker counts), and demand byte-identical
+# campaign.jsonl artifacts, metrics.jsonl time series AND coverage.json
+# atlases. Then gate the atlas against the committed baseline (any
+# feature covered there but not here exits nonzero) and run the explore
+# smoke (must emit at least one lint-clean novel scenario).
 determinism:
-    rm -rf {{justfile_directory()}}/target/determinism/fast-metrics \
-           {{justfile_directory()}}/target/determinism/fast-j1-metrics \
-           {{justfile_directory()}}/target/determinism/slow-metrics \
-           {{justfile_directory()}}/target/determinism/nocompiled-metrics
-    cargo run -q --release -p hypernel-campaign -- run \
+    rm -rf {{justfile_directory()}}/target/determinism {{justfile_directory()}}/target/coverage
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus --seeds 8 --jobs 4 \
         --out {{justfile_directory()}}/target/determinism/fast.jsonl \
         --summary {{justfile_directory()}}/target/determinism/fast-summary.json \
-        --metrics {{justfile_directory()}}/target/determinism/fast-metrics
-    cargo run -q --release -p hypernel-campaign -- run \
+        --metrics {{justfile_directory()}}/target/determinism/fast-metrics \
+        --coverage {{justfile_directory()}}/target/determinism/fast-coverage.json
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus --seeds 8 --jobs 1 \
         --out {{justfile_directory()}}/target/determinism/fast-j1.jsonl \
         --summary {{justfile_directory()}}/target/determinism/fast-j1-summary.json \
-        --metrics {{justfile_directory()}}/target/determinism/fast-j1-metrics
+        --metrics {{justfile_directory()}}/target/determinism/fast-j1-metrics \
+        --coverage {{justfile_directory()}}/target/determinism/fast-j1-coverage.json
     HYPERNEL_NO_FASTPATH=1 \
-        cargo run -q --release -p hypernel-campaign -- run \
+        cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus --seeds 8 --jobs 4 \
         --out {{justfile_directory()}}/target/determinism/slow.jsonl \
         --summary {{justfile_directory()}}/target/determinism/slow-summary.json \
-        --metrics {{justfile_directory()}}/target/determinism/slow-metrics
-    diff {{justfile_directory()}}/target/determinism/fast.jsonl \
-         {{justfile_directory()}}/target/determinism/fast-j1.jsonl
-    diff {{justfile_directory()}}/target/determinism/fast.jsonl \
-         {{justfile_directory()}}/target/determinism/slow.jsonl
-    diff -r {{justfile_directory()}}/target/determinism/fast-metrics \
-            {{justfile_directory()}}/target/determinism/fast-j1-metrics
-    diff -r {{justfile_directory()}}/target/determinism/fast-metrics \
-            {{justfile_directory()}}/target/determinism/slow-metrics
+        --metrics {{justfile_directory()}}/target/determinism/slow-metrics \
+        --coverage {{justfile_directory()}}/target/determinism/slow-coverage.json
     HYPERNEL_NO_COMPILED=1 \
-        cargo run -q --release -p hypernel-campaign -- run \
+        cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus --seeds 8 --jobs 4 \
         --out {{justfile_directory()}}/target/determinism/nocompiled.jsonl \
         --summary {{justfile_directory()}}/target/determinism/nocompiled-summary.json \
-        --metrics {{justfile_directory()}}/target/determinism/nocompiled-metrics
-    diff {{justfile_directory()}}/target/determinism/fast.jsonl \
-         {{justfile_directory()}}/target/determinism/nocompiled.jsonl
-    diff -r {{justfile_directory()}}/target/determinism/fast-metrics \
-            {{justfile_directory()}}/target/determinism/nocompiled-metrics
-    @echo "determinism: campaign.jsonl + metrics.jsonl byte-identical (fastpath on/off, compiled on/off, jobs 1/4)"
+        --metrics {{justfile_directory()}}/target/determinism/nocompiled-metrics \
+        --coverage {{justfile_directory()}}/target/determinism/nocompiled-coverage.json
+    HYPERNEL_NO_COMPILED=1 \
+        cargo run -q --release --bin hypernel -- campaign run \
+        --corpus {{justfile_directory()}}/corpus --seeds 8 --jobs 1 \
+        --out {{justfile_directory()}}/target/determinism/nocompiled-j1.jsonl \
+        --summary {{justfile_directory()}}/target/determinism/nocompiled-j1-summary.json \
+        --metrics {{justfile_directory()}}/target/determinism/nocompiled-j1-metrics \
+        --coverage {{justfile_directory()}}/target/determinism/nocompiled-j1-coverage.json
+    cd {{justfile_directory()}}/target/determinism && for run in fast-j1 slow nocompiled nocompiled-j1; do \
+        diff fast.jsonl $run.jsonl && \
+        diff -r fast-metrics $run-metrics && \
+        diff fast-coverage.json $run-coverage.json || exit 1; \
+    done
+    cargo run -q --release --bin hypernel -- analyze coverage \
+        {{justfile_directory()}}/target/determinism/fast-coverage.json \
+        --against {{justfile_directory()}}/benchmarks/coverage-baseline.json
+    cargo run -q --release --bin hypernel -- campaign explore \
+        --corpus {{justfile_directory()}}/corpus \
+        --out {{justfile_directory()}}/target/coverage/novel
+    cargo run -q --release --bin hypernel -- campaign lint \
+        {{justfile_directory()}}/target/coverage/novel
+    @echo "determinism: campaign.jsonl + metrics.jsonl + coverage.json byte-identical (fastpath on/off, compiled on/off, jobs 1/4), coverage gate clean, explore emitted a novel scenario"
 
 # The CI audit gate: lint the scenario corpus and the example
 # scenarios, then run the static whole-system audit (with the
@@ -123,13 +135,13 @@ determinism:
 # attack must be flagged.
 # See docs/AUDIT.md.
 audit:
-    cargo run -q --release -p hypernel-campaign -- lint \
+    cargo run -q --release --bin hypernel -- campaign lint \
         {{justfile_directory()}}/corpus
-    cargo run -q --release -p hypernel-campaign -- lint \
+    cargo run -q --release --bin hypernel -- campaign lint \
         {{justfile_directory()}}/examples/scenarios
-    cargo run -q --release -p hypernel-audit-cli --bin hypernel-audit -- \
+    cargo run -q --release --bin hypernel -- audit \
         corpus {{justfile_directory()}}/corpus --sanitize
-    ! cargo run -q --release -p hypernel-audit-cli --bin hypernel-audit -- \
+    ! cargo run -q --release --bin hypernel -- audit \
         scenario {{justfile_directory()}}/corpus/wxorx.toml --mode native \
         --json {{justfile_directory()}}/target/audit/wxorx-native.json \
         > /dev/null
@@ -144,31 +156,31 @@ audit:
 # targeting a statically-reachable-but-unfired rule). See docs/STATIC.md.
 staticheck:
     rm -rf {{justfile_directory()}}/target/staticheck
-    cargo run -q --release -p hypernel-staticheck -- corpus \
+    cargo run -q --release --bin hypernel -- staticheck corpus \
         --corpus {{justfile_directory()}}/corpus --jobs 4 \
         --out {{justfile_directory()}}/target/staticheck/static-coverage.json
-    cargo run -q --release -p hypernel-staticheck -- corpus \
+    cargo run -q --release --bin hypernel -- staticheck corpus \
         --corpus {{justfile_directory()}}/corpus --jobs 1 \
         --out {{justfile_directory()}}/target/staticheck/static-coverage-j1.json
     HYPERNEL_NO_FASTPATH=1 HYPERNEL_NO_COMPILED=1 \
-        cargo run -q --release -p hypernel-staticheck -- corpus \
+        cargo run -q --release --bin hypernel -- staticheck corpus \
         --corpus {{justfile_directory()}}/corpus --jobs 4 \
         --out {{justfile_directory()}}/target/staticheck/static-coverage-slow.json
     diff {{justfile_directory()}}/target/staticheck/static-coverage.json \
          {{justfile_directory()}}/target/staticheck/static-coverage-j1.json
     diff {{justfile_directory()}}/target/staticheck/static-coverage.json \
          {{justfile_directory()}}/target/staticheck/static-coverage-slow.json
-    cargo run -q --release -p hypernel-staticheck -- soundness \
+    cargo run -q --release --bin hypernel -- staticheck soundness \
         --corpus {{justfile_directory()}}/corpus --seeds 8
-    cargo run -q --release -p hypernel-analyze -- staticcov \
+    cargo run -q --release --bin hypernel -- analyze staticcov \
         {{justfile_directory()}}/target/staticheck/static-coverage.json \
         --against {{justfile_directory()}}/benchmarks/coverage-baseline.json
-    cargo run -q --release -p hypernel-campaign -- explore \
+    cargo run -q --release --bin hypernel -- campaign explore \
         --corpus {{justfile_directory()}}/corpus \
         --out {{justfile_directory()}}/target/staticheck/steered \
         --targets auto 2>&1 | tee {{justfile_directory()}}/target/staticheck/steered.log
     grep -q '(steered)' {{justfile_directory()}}/target/staticheck/steered.log
-    cargo run -q --release -p hypernel-campaign -- lint \
+    cargo run -q --release --bin hypernel -- campaign lint \
         {{justfile_directory()}}/target/staticheck/steered
     @echo "staticheck: artifact deterministic, soundness gate green, steering emitted a targeted mutant"
 
@@ -176,52 +188,32 @@ staticheck:
 # 64 seeds and enforce the invariant oracles. Artifacts land in
 # target/campaign/.
 campaign:
-    cargo run -q --release -p hypernel-campaign -- run \
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus \
         --seeds 64 --jobs 8 \
         --out {{justfile_directory()}}/target/campaign/campaign.jsonl \
         --summary {{justfile_directory()}}/target/campaign/campaign-summary.json
-    cargo run -q --release -p hypernel-analyze -- campaign \
+    cargo run -q --release --bin hypernel -- analyze campaign \
         {{justfile_directory()}}/target/campaign/campaign.jsonl
 
 # The CI campaign gate: a 16-seed corpus sweep; any oracle violation a
 # scenario did not declare exits nonzero.
 campaign-smoke:
-    cargo run -q --release -p hypernel-campaign -- run \
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus \
         --seeds 16 --jobs 4 \
         --out {{justfile_directory()}}/target/campaign/campaign.jsonl \
         --summary {{justfile_directory()}}/target/campaign/campaign-summary.json
-    cargo run -q --release -p hypernel-campaign -- minimize \
+    cargo run -q --release --bin hypernel -- campaign minimize \
         --corpus {{justfile_directory()}}/corpus \
         --scenario fault-drop-irq --seed 0
 
-# The CI coverage gate: an 8-seed corpus sweep merged into the coverage
-# atlas, rendered and diffed against the committed baseline (any feature
-# covered there but not here exits nonzero), then the explore smoke
-# (must emit at least one lint-clean novel scenario).
-coverage-smoke:
-    rm -rf {{justfile_directory()}}/target/coverage
-    cargo run -q --release -p hypernel-campaign -- run \
-        --corpus {{justfile_directory()}}/corpus \
-        --seeds 8 --jobs 4 \
-        --coverage {{justfile_directory()}}/target/coverage/coverage.json \
-        > /dev/null
-    cargo run -q --release -p hypernel-analyze -- coverage \
-        {{justfile_directory()}}/target/coverage/coverage.json \
-        --against {{justfile_directory()}}/benchmarks/coverage-baseline.json
-    cargo run -q --release -p hypernel-campaign -- explore \
-        --corpus {{justfile_directory()}}/corpus \
-        --out {{justfile_directory()}}/target/coverage/novel
-    cargo run -q --release -p hypernel-campaign -- lint \
-        {{justfile_directory()}}/target/coverage/novel
-
 # Regenerate benchmarks/coverage-baseline.json after intentionally
 # extending coverage (new scenario or new instrumentation). Must use the
-# same seeds/jobs as `coverage-smoke` — the atlas is seed-range
+# same seeds as the `determinism` sweeps — the atlas is seed-range
 # dependent but jobs-independent.
 coverage-baseline:
-    cargo run -q --release -p hypernel-campaign -- run \
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus \
         --seeds 8 --jobs 4 \
         --coverage {{justfile_directory()}}/benchmarks/coverage-baseline.json \
@@ -229,57 +221,50 @@ coverage-baseline:
     @echo "wrote benchmarks/coverage-baseline.json — review and commit"
 
 # The CI compose gate: lint + compile the standalone compose
-# descriptions, run one composed scenario per protection mode, and
-# prove the composed-system artifact survives fastpath-off and a
-# different job count byte-for-byte. See docs/COMPOSE.md.
+# descriptions and run one composed scenario per protection mode (the
+# `determinism` sweeps prove the composed artifacts fastpath- and
+# jobs-invariant with the rest of the corpus). See docs/COMPOSE.md.
 compose-smoke:
-    cargo run -q --release -p hypernel-compose -- lint \
+    cargo run -q --release --bin hypernel -- compose lint \
         {{justfile_directory()}}/examples/compose
-    cargo run -q --release -p hypernel-compose -- compile \
+    cargo run -q --release --bin hypernel -- compose compile \
         {{justfile_directory()}}/examples/compose/three-domain.toml
-    cargo run -q --release -p hypernel-campaign -- run \
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus --scenario compose-cred-theft \
         --seeds 2 --jobs 2 \
         --out {{justfile_directory()}}/target/compose/hypernel.jsonl
-    cargo run -q --release -p hypernel-campaign -- run \
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus --scenario compose-cross-native \
         --seeds 2 --jobs 2 \
         --out {{justfile_directory()}}/target/compose/native.jsonl
-    cargo run -q --release -p hypernel-campaign -- run \
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus --scenario compose-cross-kvm \
         --seeds 2 --jobs 2 \
         --out {{justfile_directory()}}/target/compose/kvm.jsonl
-    HYPERNEL_NO_FASTPATH=1 \
-        cargo run -q --release -p hypernel-campaign -- run \
-        --corpus {{justfile_directory()}}/corpus --scenario compose-cred-theft \
-        --seeds 2 --jobs 1 \
-        --out {{justfile_directory()}}/target/compose/hypernel-slow.jsonl
-    diff {{justfile_directory()}}/target/compose/hypernel.jsonl \
-         {{justfile_directory()}}/target/compose/hypernel-slow.jsonl
-    @echo "compose-smoke: descriptions clean, composed scenarios pass in all modes, artifacts fastpath-invariant"
+    @echo "compose-smoke: descriptions clean, composed scenarios pass in all modes"
 
 # The CI flight-recorder gate: the deliberately broken desync scenario
 # must FAIL its sweep (hence the `!`), dump a blackbox.json, and that
-# dump must render through `hypernel-analyze timeline`. Also diffs the
+# dump must render through `hypernel analyze timeline`. Also diffs the
 # fifo-overflow time series against itself as a zero-regression check
 # of the timeline gate.
 timeline-smoke:
     rm -rf {{justfile_directory()}}/target/timeline
-    ! cargo run -q --release -p hypernel-campaign -- run \
+    ! cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/examples/scenarios \
         --seeds 1 --jobs 1 \
         --out {{justfile_directory()}}/target/timeline/desync.jsonl \
         --blackbox {{justfile_directory()}}/target/timeline/blackbox \
         > /dev/null
-    cargo run -q --release -p hypernel-analyze -- timeline \
+    cargo run -q --release --bin hypernel -- analyze timeline \
         {{justfile_directory()}}/target/timeline/blackbox/blackbox-desync-s0.blackbox.json \
         > /dev/null
-    cargo run -q --release -p hypernel-campaign -- run \
+    cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus --scenario fifo-overflow \
         --seeds 1 --jobs 1 \
         --metrics {{justfile_directory()}}/target/timeline/metrics \
         > /dev/null
-    cargo run -q --release -p hypernel-analyze -- timeline \
+    cargo run -q --release --bin hypernel -- analyze timeline \
         {{justfile_directory()}}/target/timeline/metrics/fifo-overflow-s0.metrics.jsonl \
         --against {{justfile_directory()}}/target/timeline/metrics/fifo-overflow-s0.metrics.jsonl \
         > /dev/null

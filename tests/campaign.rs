@@ -148,7 +148,7 @@ fn overflow_scenario_attributes_the_miss_to_the_first_dropped_capture() {
 
 /// Hostile input is an error, never a panic: a `fifo-capacity = 0`
 /// scenario (which would trip the MBM FIFO's non-zero assertion at
-/// boot) stops `hypernel-campaign run` at load time, with a message
+/// boot) stops `hypernel campaign run` at load time, with a message
 /// naming the file and the key.
 #[test]
 fn run_rejects_an_out_of_range_scenario_with_a_message() {
@@ -156,8 +156,8 @@ fn run_rejects_an_out_of_range_scenario_with_a_message() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let source = "name = \"fifo-zero\"\nfifo-capacity = 0\n[[step]]\nkind = \"cred-escalation\"\n";
     std::fs::write(dir.join("fifo-zero.toml"), source).expect("written");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hypernel-campaign"))
-        .args(["run", "--seeds", "1", "--corpus"])
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hypernel"))
+        .args(["campaign", "run", "--seeds", "1", "--corpus"])
         .arg(&dir)
         .output()
         .expect("runs");
@@ -168,4 +168,119 @@ fn run_rejects_an_out_of_range_scenario_with_a_message() {
         stderr.contains("fifo-zero.toml`: top level: `fifo-capacity` must be in 1..=65536"),
         "{stderr}"
     );
+}
+
+/// Runs `hypernel <line>` (arguments split on whitespace); returns the
+/// exit code, stdout and stderr.
+fn hypernel(line: &str) -> (Option<i32>, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hypernel"))
+        .args(line.split_whitespace())
+        .output()
+        .expect("runs");
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
+}
+
+/// The CLI surface: `help` prints the usage of the entry point and of
+/// every tool; an unknown tool, command or option, and a positional
+/// argument where a command takes none, exit 1 naming the culprit.
+#[test]
+fn cli_prints_usage_and_rejects_what_it_does_not_know() {
+    let (code, usage, _) = hypernel("help");
+    assert_eq!(code, Some(0));
+    for tool in [
+        "sim",
+        "campaign",
+        "audit",
+        "staticheck",
+        "analyze",
+        "compose",
+    ] {
+        assert!(usage.contains(&format!("\n  {tool} ")), "{usage}");
+        let (code, stdout, stderr) = hypernel(&format!("{tool} help"));
+        assert_eq!(code, Some(0), "{tool}: {stderr}");
+        assert!(stdout.starts_with(&format!("hypernel {tool}")), "{stdout}");
+    }
+    for (line, named) in [
+        ("bogus", "unknown tool `bogus`"),
+        ("campaign bogus", "unknown command `bogus`"),
+        ("campaign run --bogus 1", "unknown option `--bogus`"),
+        (
+            "analyze attribution t.jsonl --json",
+            "unknown option `--json`",
+        ),
+        ("campaign list extra", "unexpected argument `extra`"),
+        ("sim run --op mmap --audit 10", "unexpected argument `10`"),
+    ] {
+        let (code, _, stderr) = hypernel(line);
+        assert_eq!(code, Some(1), "{line}: {stderr}");
+        assert!(stderr.contains(named), "{line} must name {named}: {stderr}");
+    }
+}
+
+/// `sim compare` boots without telemetry or metrics, so the output
+/// options it would ignore are a usage error.
+#[test]
+fn sim_compare_rejects_the_output_options_it_would_ignore() {
+    let (code, _, stderr) =
+        hypernel("sim compare --op mmap --iters 10 --metrics m.jsonl --report-json r.json");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("unknown option `--metrics`"), "{stderr}");
+}
+
+/// `sim audit` takes no options at all.
+#[test]
+fn sim_audit_rejects_an_unknown_option() {
+    let (code, _, stderr) = hypernel("sim audit --bogus");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("unknown option `--bogus`"), "{stderr}");
+}
+
+/// Zero iterations would divide by zero (`NaN us/iter`, `NaN%`):
+/// `--iters` must be at least 1, like `--audit=<N>`.
+#[test]
+fn sim_rejects_zero_iterations() {
+    for line in [
+        "sim run --op mmap --iters 0 --metrics m.jsonl",
+        "sim compare --op mmap --iters 0",
+        "sim run --op mmap --audit=0",
+    ] {
+        let (code, stdout, stderr) = hypernel(line);
+        assert_eq!(code, Some(1), "{line}: {stdout}{stderr}");
+        assert!(stderr.contains("must be at least 1"), "{line}: {stderr}");
+    }
+}
+
+/// `analyze campaign --threshold` reads through the same accessor as
+/// the other gates: NaN or infinity would switch the latency gate off,
+/// so both are usage errors, while a finite threshold still flags the
+/// latency regression.
+#[test]
+fn analyze_campaign_rejects_a_non_finite_threshold() {
+    use hypernel_campaign::record::{summarize, summary_json};
+
+    let dir = std::env::temp_dir().join(format!("hypernel-threshold-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let record = run_one(&find(&load_corpus(), "cred-escalation"), 0).expect("runs");
+    let mut baseline = summarize(std::slice::from_ref(&record));
+    // A baseline latency well under half the run's.
+    baseline[0].max_latency = baseline[0].max_latency.map(|latency| latency * 4 / 10);
+    let (records, base) = (dir.join("c.jsonl"), dir.join("base.json"));
+    std::fs::write(&records, format!("{}\n", record.to_json())).expect("written");
+    std::fs::write(&base, summary_json(&baseline).to_string()).expect("written");
+    let (records, base) = (records.display(), base.display());
+    let gate = |threshold: &str| {
+        hypernel(&format!(
+            "analyze campaign {records} --baseline {base} --threshold {threshold}"
+        ))
+    };
+    let (code, stdout, stderr) = gate("0.10");
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(stdout.contains("REGRESSION cred-escalation"), "{stdout}");
+    for threshold in ["nan", "inf", "-0.5"] {
+        let (code, stdout, stderr) = gate(threshold);
+        assert_eq!(code, Some(1), "--threshold {threshold}: {stdout}{stderr}");
+        assert!(stderr.contains("--threshold"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,5 @@
 //! Lint/loader agreement: the scenario TOML loader is strict (a key or
-//! section no parser reads is a load error), and `hypernel-campaign
+//! section no parser reads is a load error), and `hypernel campaign
 //! lint` reports each loader finding as its own message. These tests
 //! pin the contract from both sides:
 //!

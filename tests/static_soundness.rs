@@ -13,25 +13,25 @@
 //! the corpus — byte-identical at any `--jobs` shard count and
 //! indifferent to the dynamic engine's `HYPERNEL_NO_FASTPATH` /
 //! `HYPERNEL_NO_COMPILED` switches (the analyzer never executes, so
-//! execution-path toggles cannot reach it).
+//! execution-path toggles cannot reach it; checked through the
+//! `hypernel staticheck` CLI, one process per setting).
 
 use std::path::Path;
 
 use hypernel::Mode;
 use hypernel_campaign::engine::run_one;
+use hypernel_campaign::load_corpus;
 use hypernel_campaign::scenario::Scenario;
-use hypernel_staticheck::{
-    load_corpus, predict_corpus_jobs, predict_scenario, remode, soundness_excess, soundness_sweep,
-    static_coverage_json, testonly_miswire, SOUNDNESS_MODES,
+use hypernel_campaign::staticheck::{
+    predict_corpus_jobs, predict_scenario, reachable_rules, remode, soundness_excess,
+    soundness_sweep, static_coverage_json, step_for_rule, testonly_miswire,
 };
 use proptest::prelude::*;
 
+const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+
 fn corpus() -> Vec<Scenario> {
-    load_corpus(Path::new(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../corpus"
-    )))
-    .expect("shipped corpus loads")
+    load_corpus(Path::new(CORPUS)).expect("shipped corpus loads")
 }
 
 /// The full differential gate: corpus x 3 modes x 8 seeds. One test,
@@ -76,8 +76,7 @@ fn the_miswired_prediction_fails_the_gate() {
 }
 
 /// The artifact is a pure function of the corpus: byte-identical at
-/// any shard count, and untouched by the dynamic engine's
-/// execution-path switches.
+/// any shard count.
 #[test]
 fn static_coverage_artifact_is_deterministic() {
     let corpus = corpus();
@@ -89,19 +88,29 @@ fn static_coverage_artifact_is_deterministic() {
             "--jobs {jobs} changed the artifact"
         );
     }
-    // Execution-path toggles: the analyzer never executes anything, so
-    // the artifact cannot depend on them. Setting them here also pins
-    // that nothing in the prediction path sneakily consults the
-    // environment. (Process-global; this test restores both.)
-    std::env::set_var("HYPERNEL_NO_FASTPATH", "1");
-    std::env::set_var("HYPERNEL_NO_COMPILED", "1");
-    let toggled = static_coverage_json(&predict_corpus_jobs(&corpus, 4)).to_string();
-    std::env::remove_var("HYPERNEL_NO_FASTPATH");
-    std::env::remove_var("HYPERNEL_NO_COMPILED");
-    assert_eq!(
-        reference, toggled,
-        "engine toggles leaked into the artifact"
-    );
+}
+
+/// Execution-path toggles: the analyzer never executes anything, so
+/// the artifact cannot depend on them. The engine reads both switches
+/// once per process, so each setting needs a process of its own: the
+/// CLI must print the in-process artifact with and without them.
+#[test]
+fn static_coverage_artifact_ignores_the_engine_toggles() {
+    let reference = static_coverage_json(&predict_corpus_jobs(&corpus(), 4)).to_string();
+    for set in [false, true] {
+        let mut cli = std::process::Command::new(env!("CARGO_BIN_EXE_hypernel"));
+        cli.args(["staticheck", "corpus", "--jobs", "4", "--corpus", CORPUS]);
+        for var in ["HYPERNEL_NO_FASTPATH", "HYPERNEL_NO_COMPILED"] {
+            cli.env_remove(var);
+            if set {
+                cli.env(var, "1");
+            }
+        }
+        let out = cli.output().expect("runs");
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout, format!("{reference}\n"), "toggles set: {set}");
+    }
 }
 
 proptest! {
@@ -118,7 +127,7 @@ proptest! {
     ) {
         let corpus = corpus();
         let base = &corpus[index % corpus.len()];
-        let scenario = remode(base, SOUNDNESS_MODES[mode_index]);
+        let scenario = remode(base, Mode::ALL[mode_index]);
         let prediction = predict_scenario(&scenario);
         // Re-moded scenarios can be legitimately non-executable; only
         // executed runs make soundness claims.
@@ -129,7 +138,7 @@ proptest! {
                 excess.is_empty(),
                 "`{}` under {:?} seed {seed}: {excess:?}",
                 scenario.name,
-                SOUNDNESS_MODES[mode_index],
+                Mode::ALL[mode_index],
             );
         }
     }
@@ -144,9 +153,9 @@ proptest! {
     ) {
         let corpus = corpus();
         let base = &corpus[index % corpus.len()];
-        let mode = SOUNDNESS_MODES[mode_index];
+        let mode = Mode::ALL[mode_index];
         let scenario = remode(base, mode);
-        let frontier: Vec<String> = hypernel_staticheck::reachable_rules(mode)
+        let frontier: Vec<String> = reachable_rules(mode)
             .into_iter()
             .map(|r| format!("hypersec/rule/{r}"))
             .collect();
@@ -169,12 +178,12 @@ proptest! {
 /// 9 reachable rules, and the shipped baseline covers 6 of them.
 #[test]
 fn hypernel_reachability_matches_the_model() {
-    let reachable = hypernel_staticheck::reachable_rules(Mode::Hypernel);
+    let reachable = reachable_rules(Mode::Hypernel);
     assert_eq!(reachable.len(), 9, "{reachable:?}");
-    assert!(hypernel_staticheck::reachable_rules(Mode::Native).is_empty());
-    assert!(hypernel_staticheck::reachable_rules(Mode::KvmGuest).is_empty());
+    assert!(reachable_rules(Mode::Native).is_empty());
+    assert!(reachable_rules(Mode::KvmGuest).is_empty());
     for rule in ["unknown-hypercall", "frozen-sysreg", "not-a-table"] {
         assert!(reachable.contains(rule), "probe-reachable `{rule}` missing");
-        assert!(hypernel_staticheck::step_for_rule(rule).is_some());
+        assert!(step_for_rule(rule).is_some());
     }
 }
