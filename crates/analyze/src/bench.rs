@@ -4,8 +4,8 @@
 //! summary (`HYPERNEL_BENCH_DIR=… cargo bench`), one JSON file per
 //! bench:
 //!
-//! ```json
-//! {"schema":1,"kind":"hypernel-bench-summary","name":"table1_lmbench",
+//! ```text
+//! {"schema":1,"kind":<SUMMARY_KIND>,"name":"table1_lmbench",
 //!  "metrics":{"null_syscall_overhead_pct":4.0, …}}
 //! ```
 //!

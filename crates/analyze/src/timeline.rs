@@ -18,6 +18,10 @@
 use hypernel_telemetry::json::Json;
 use hypernel_telemetry::series::{MetricsDoc, SeriesKind, METRICS_KIND};
 
+/// `kind` tag of a `blackbox.json` flight-recorder dump (written by
+/// `hypernel-campaign`'s `blackbox` module).
+pub const BLACKBOX_KIND: &str = "hypernel-blackbox";
+
 /// Blackbox context carried alongside metrics ingested from a
 /// `blackbox.json` dump.
 #[derive(Debug, Clone)]
@@ -54,7 +58,7 @@ pub fn ingest(text: &str) -> Result<Timeline, String> {
     // cannot be confused.
     if let Ok(doc) = Json::parse(text) {
         return match doc.get("kind").and_then(Json::as_str) {
-            Some("hypernel-blackbox") => {
+            Some(BLACKBOX_KIND) => {
                 let embedded = doc
                     .get("metrics_jsonl")
                     .and_then(Json::as_str)
@@ -463,7 +467,7 @@ mod tests {
         let metrics = doc(&[3], &[42]);
         let dump = Json::obj(vec![
             ("schema", Json::UInt(1)),
-            ("kind", Json::str("hypernel-blackbox")),
+            ("kind", Json::str(BLACKBOX_KIND)),
             ("reason", Json::str("unit trigger")),
             (
                 "violations",

@@ -1,5 +1,6 @@
-//! The static-audit report: typed findings, the differential verdict
-//! and a deterministic JSON serialization `hypernel-analyze` ingests.
+//! The static-audit report: typed findings, the differential verdict,
+//! a deterministic JSON serialization, and the reader
+//! ([`ingest_report`]) behind `hypernel analyze audit`.
 
 use hypernel_machine::shadow::ShadowStats;
 use hypernel_machine::TagViolation;
@@ -205,8 +206,8 @@ impl StaticAuditReport {
         });
     }
 
-    /// Serializes the report as one deterministic JSON object
-    /// (`kind: hypernel-audit-report`).
+    /// Serializes the report as one deterministic JSON object (`kind`
+    /// [`REPORT_KIND`]).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("schema", Json::UInt(AUDIT_SCHEMA)),
@@ -229,6 +230,150 @@ impl StaticAuditReport {
         fields.push(("clean", Json::Bool(self.is_clean())));
         Json::obj(fields)
     }
+}
+
+/// One finding row of an ingested report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AuditFinding {
+    /// Invariant name (`wx-mapping`, `rogue-root`, ...).
+    pub check: String,
+    /// Human-readable specifics.
+    pub detail: String,
+    /// Rendered descriptor chain, when the finding has one.
+    pub chain: Option<String>,
+}
+
+/// An ingested `hypernel-audit` report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AuditSummary {
+    /// Translation roots walked.
+    pub roots: u64,
+    /// Distinct table pages visited.
+    pub tables: u64,
+    /// Leaves checked.
+    pub leaves: u64,
+    /// Monitored regions whose watch coverage was checked.
+    pub regions: u64,
+    /// Every finding, in report order.
+    pub findings: Vec<AuditFinding>,
+    /// Static-vs-incremental verdict (`None` when the differential did
+    /// not run).
+    pub differential_agrees: Option<bool>,
+    /// `(checked, denied)` sanitizer counters, when enabled.
+    pub sanitizer: Option<(u64, u64)>,
+    /// The report's own overall verdict.
+    pub clean: bool,
+}
+
+impl AuditSummary {
+    /// Finding counts per invariant, in first-seen order.
+    pub fn counts_by_check(&self) -> Vec<(String, u64)> {
+        let mut rows: Vec<(String, u64)> = Vec::new();
+        for finding in &self.findings {
+            match rows.iter_mut().find(|(check, _)| *check == finding.check) {
+                Some((_, n)) => *n += 1,
+                None => rows.push((finding.check.clone(), 1)),
+            }
+        }
+        rows
+    }
+
+    /// Renders the summary as the human-facing text block.
+    pub fn render_text(&self) -> String {
+        let mut out = format!(
+            "roots {}  tables {}  leaves {}  regions {}\n",
+            self.roots, self.tables, self.leaves, self.regions
+        );
+        match self.differential_agrees {
+            Some(true) => out.push_str("differential: static and incremental agree\n"),
+            Some(false) => out.push_str("differential: DISAGREEMENT (verifier bug)\n"),
+            None => {}
+        }
+        if let Some((checked, denied)) = self.sanitizer {
+            out.push_str(&format!(
+                "sanitizer: {checked} writes checked, {denied} denied\n"
+            ));
+        }
+        if self.findings.is_empty() {
+            out.push_str("no findings\n");
+        } else {
+            for (check, n) in self.counts_by_check() {
+                out.push_str(&format!("{check:<18} {n:>3}\n"));
+            }
+            for f in &self.findings {
+                let chain = f
+                    .chain
+                    .as_deref()
+                    .map(|c| format!(" (via {c})"))
+                    .unwrap_or_default();
+                out.push_str(&format!("  [{}] {}{chain}\n", f.check, f.detail));
+            }
+        }
+        out.push_str(if self.clean {
+            "verdict: clean\n"
+        } else {
+            "verdict: NOT CLEAN\n"
+        });
+        out
+    }
+}
+
+/// Ingests one audit-report document.
+///
+/// # Errors
+///
+/// Returns a message when the document is not a static-audit report.
+pub fn ingest_report(doc: &Json) -> Result<AuditSummary, String> {
+    if doc.get("kind").and_then(Json::as_str) != Some(REPORT_KIND) {
+        return Err(format!(
+            "not a static-audit report (kind = {:?})",
+            doc.get("kind").and_then(Json::as_str)
+        ));
+    }
+    let count = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let findings = doc
+        .get("findings")
+        .and_then(Json::as_array)
+        .map(|items| {
+            items
+                .iter()
+                .map(|f| AuditFinding {
+                    check: f
+                        .get("check")
+                        .and_then(Json::as_str)
+                        .unwrap_or("unknown")
+                        .to_string(),
+                    detail: f
+                        .get("detail")
+                        .and_then(Json::as_str)
+                        .unwrap_or("")
+                        .to_string(),
+                    chain: f
+                        .get("chain")
+                        .and_then(Json::as_str)
+                        .map(ToString::to_string),
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    Ok(AuditSummary {
+        roots: count("roots_walked"),
+        tables: count("tables_walked"),
+        leaves: count("leaves_checked"),
+        regions: count("regions_checked"),
+        findings,
+        differential_agrees: doc
+            .get("differential")
+            .and_then(|d| d.get("agrees"))
+            .and_then(Json::as_bool),
+        sanitizer: doc.get("sanitizer").map(|s| {
+            (
+                s.get("checked").and_then(Json::as_u64).unwrap_or(0),
+                s.get("denied").and_then(Json::as_u64).unwrap_or(0),
+            )
+        }),
+        clean: doc.get("clean").and_then(Json::as_bool).unwrap_or(false),
+    })
 }
 
 #[cfg(test)]
@@ -276,5 +421,59 @@ mod tests {
             ..Default::default()
         };
         assert!(!report.is_clean());
+    }
+
+    const REPORT: &str = r#"{"schema":1,"kind":"hypernel-audit-report",
+        "roots_walked":2,"tables_walked":971,"leaves_checked":491585,
+        "regions_checked":43,
+        "findings":[
+            {"check":"wx-mapping","detail":"writable+executable leaf at va 0x817000","chain":"0x400000[0]"},
+            {"check":"wx-mapping","detail":"writable+executable leaf at va 0x818000"},
+            {"check":"rogue-root","detail":"active root 0x814000 is not trusted"}],
+        "differential":{"static_findings":3,"incremental_violations":0,
+                        "agrees":false,"disagreements":["static-only: x"]},
+        "sanitizer":{"checked":100,"denied":2,"violations":[]},
+        "clean":false}"#;
+
+    #[test]
+    fn ingests_and_aggregates_by_check() {
+        let doc = Json::parse(REPORT).expect("valid");
+        let summary = ingest_report(&doc).expect("ingests");
+        assert_eq!(summary.roots, 2);
+        assert_eq!(summary.tables, 971);
+        assert_eq!(summary.findings.len(), 3);
+        assert_eq!(summary.differential_agrees, Some(false));
+        assert_eq!(summary.sanitizer, Some((100, 2)));
+        assert!(!summary.clean);
+        assert_eq!(
+            summary.counts_by_check(),
+            vec![("wx-mapping".to_string(), 2), ("rogue-root".to_string(), 1)]
+        );
+        let text = summary.render_text();
+        assert!(text.contains("DISAGREEMENT"));
+        assert!(text.contains("NOT CLEAN"));
+        assert!(text
+            .lines()
+            .any(|l| l.starts_with("wx-mapping") && l.ends_with('2')));
+    }
+
+    #[test]
+    fn clean_report_renders_clean() {
+        let doc = Json::parse(
+            r#"{"schema":1,"kind":"hypernel-audit-report","roots_walked":2,
+                "tables_walked":9,"leaves_checked":10,"regions_checked":0,
+                "findings":[],"clean":true}"#,
+        )
+        .expect("valid");
+        let summary = ingest_report(&doc).expect("ingests");
+        assert!(summary.clean);
+        assert_eq!(summary.differential_agrees, None);
+        assert!(summary.render_text().contains("verdict: clean"));
+    }
+
+    #[test]
+    fn rejects_other_kinds() {
+        let doc = Json::parse(r#"{"kind":"hypernel-run-report"}"#).expect("valid");
+        assert!(ingest_report(&doc).is_err());
     }
 }

@@ -1,10 +1,12 @@
 //! Machine-readable bench summaries.
 //!
 //! When `HYPERNEL_BENCH_DIR` is set, each bench target additionally
-//! writes its headline numbers as `<dir>/<name>.json`:
+//! writes its headline numbers as `<dir>/<name>.json`, in the summary
+//! format `hypernel-analyze`'s `bench` module declares (its schema
+//! version and `kind` tag are imported from there):
 //!
-//! ```json
-//! {"schema":1,"kind":"hypernel-bench-summary","name":"table1_lmbench",
+//! ```text
+//! {"schema":1,"kind":<SUMMARY_KIND>,"name":"table1_lmbench",
 //!  "metrics":{"avg_hypernel_overhead_pct":8.8, …}}
 //! ```
 //!
@@ -17,11 +19,7 @@ use hypernel::telemetry::json::Json;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// Schema version of the summary documents (kept in lockstep with
-/// `hypernel-analyze`'s expectations).
-pub const SUMMARY_SCHEMA: u64 = 1;
-/// `kind` tag of a summary document.
-pub const SUMMARY_KIND: &str = "hypernel-bench-summary";
+pub use hypernel::analyze::bench::{BENCH_SCHEMA, SUMMARY_KIND};
 
 /// Headline metrics of one bench target, keyed by metric name.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -54,7 +52,7 @@ impl BenchSummary {
     /// Serializes to the summary document.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema", Json::UInt(SUMMARY_SCHEMA)),
+            ("schema", Json::UInt(BENCH_SCHEMA)),
             ("kind", Json::str(SUMMARY_KIND)),
             ("name", Json::str(&self.name)),
             (

@@ -13,6 +13,12 @@ use hypernel::analyze::attribution::{attribute, collapsed_stacks};
 use hypernel::analyze::bench::{read_summaries_dir, today_utc, trajectory_json};
 use hypernel::analyze::compare::compare_reports;
 use hypernel::analyze::forensics::{incidents_to_json, reconstruct_incidents, render_text};
+use hypernel::audit::report::ingest_report;
+use hypernel_campaign::coverage::{diff_atlases, ingest_atlas, render_report};
+use hypernel_campaign::record::{diff_campaigns, ingest_records, read_summary, summary_json};
+use hypernel_campaign::staticcov::{
+    ingest_static, render_diff, render_static, static_dynamic_diff,
+};
 use hypernel_telemetry::json::Json;
 use hypernel_telemetry::reader::read_jsonl_lossy;
 use hypernel_telemetry::Event;
@@ -201,10 +207,6 @@ fn cmd_bench(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_campaign(args: &Args) -> Result<ExitCode, String> {
-    use hypernel::analyze::campaign::{
-        diff_campaigns, ingest_records, rows_from_summary, summary_to_json,
-    };
-
     let records_path = &args.positional()[0];
     let threshold = args.threshold(0.10)?;
     let text = std::fs::read_to_string(records_path)
@@ -214,7 +216,7 @@ fn cmd_campaign(args: &Args) -> Result<ExitCode, String> {
         eprintln!("warning: skipped {skipped} non-record line(s) in `{records_path}`");
     }
 
-    let summary = summary_to_json(&rows);
+    let summary = summary_json(&rows);
     if let Some(path) = args.get("out") {
         write_or_stdout(Some(path), &format!("{summary}\n"), "campaign summary")?;
     }
@@ -222,21 +224,7 @@ fn cmd_campaign(args: &Args) -> Result<ExitCode, String> {
         println!("{summary}");
     } else {
         for row in &rows {
-            println!(
-                "{:<28} runs {:>3}  passed {:>3}  expected-violations {:>3}  unexpected {:>3}{}",
-                row.scenario,
-                row.runs,
-                row.passed,
-                row.expected_violations,
-                row.unexpected_violations,
-                row.max_latency
-                    .map(|l| format!("  max-latency {l}"))
-                    .unwrap_or_default()
-                    + &match row.fault_total() {
-                        0 => String::new(),
-                        n => format!("  fault-hits {n}"),
-                    },
-            );
+            println!("{row}");
         }
     }
 
@@ -247,7 +235,7 @@ fn cmd_campaign(args: &Args) -> Result<ExitCode, String> {
         failed = true;
     }
     if let Some(baseline_path) = args.get("baseline") {
-        let baseline = rows_from_summary(&read_json(baseline_path)?)
+        let baseline = read_summary(&read_json(baseline_path)?)
             .map_err(|e| format!("`{baseline_path}`: {e}"))?;
         let findings = diff_campaigns(&baseline, &rows, threshold);
         for f in &findings {
@@ -306,8 +294,6 @@ fn cmd_timeline(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_coverage(args: &Args) -> Result<ExitCode, String> {
-    use hypernel::analyze::coverage::{diff_atlases, ingest_atlas, render_report};
-
     let atlas_path = &args.positional()[0];
     let atlas =
         ingest_atlas(&read_json(atlas_path)?).map_err(|e| format!("`{atlas_path}`: {e}"))?;
@@ -335,11 +321,6 @@ fn cmd_coverage(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_staticcov(args: &Args) -> Result<ExitCode, String> {
-    use hypernel::analyze::coverage::ingest_atlas;
-    use hypernel::analyze::staticcov::{
-        ingest_static, render_diff, render_static, static_dynamic_diff,
-    };
-
     let static_path = &args.positional()[0];
     let sc =
         ingest_static(&read_json(static_path)?).map_err(|e| format!("`{static_path}`: {e}"))?;
@@ -362,8 +343,6 @@ fn cmd_staticcov(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_audit(args: &Args) -> Result<ExitCode, String> {
-    use hypernel::analyze::audit::ingest_report;
-
     let paths = args.positional();
     let mut dirty = 0usize;
     for path in paths {

@@ -161,23 +161,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     }
 
     for row in &rows {
-        let faults = row.faults.total();
-        eprintln!(
-            "{:<28} runs {:>3}  passed {:>3}  expected-violations {:>3}  unexpected {:>3}{}{}",
-            row.scenario,
-            row.runs,
-            row.passed,
-            row.expected_violations,
-            row.unexpected_violations,
-            row.max_latency
-                .map(|l| format!("  max-latency {l}"))
-                .unwrap_or_default(),
-            if faults > 0 {
-                format!("  fault-hits {faults}")
-            } else {
-                String::new()
-            },
-        );
+        eprintln!("{row}");
     }
     for failure in &outcome.failures {
         eprintln!(

@@ -30,8 +30,8 @@ use crate::scenario::Scenario;
 /// Schema version of the blackbox document.
 pub const BLACKBOX_SCHEMA: u64 = 1;
 
-/// `kind` tag of the blackbox document.
-pub const BLACKBOX_KIND: &str = "hypernel-blackbox";
+/// `kind` tag of the blackbox document, declared by its reader.
+pub use hypernel::analyze::timeline::BLACKBOX_KIND;
 
 /// Telemetry events the engine's always-on flight ring retains.
 pub const FLIGHT_RING_CAPACITY: usize = 512;

@@ -33,18 +33,22 @@
 //!   plan (the scenario shape); actual firings are under
 //!   `machine/fault-site/*`.
 //!
-//! [`known_features`] enumerates the full universe so the analyzer can
-//! list what was *never* reached; the universe is embedded in the atlas
-//! artifact because `hypernel-analyze` deliberately does not link this
-//! crate.
+//! [`known_features`] enumerates the full universe from the same
+//! per-component counter lists [`coverage_of_run`] records, so nothing
+//! is listed twice. The atlas embeds the universe, and [`Atlas`] reads
+//! it back so uncovered features are computed from the artifact alone.
+//! [`render_report`] prints the per-group tables and [`diff_atlases`]
+//! is the CI coverage gate.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use hypernel::{Mode, System};
-use hypernel_hypersec::codes;
-use hypernel_kernel::AttackStep;
+use hypernel_hypersec::{codes, HypersecStats};
+use hypernel_kernel::{AttackStep, ComposeStats, KernelStats};
+use hypernel_machine::machine::MachineStats;
+use hypernel_machine::tlb::TlbStats;
 use hypernel_machine::{FaultHit, FaultKind};
-use hypernel_mbm::Mbm;
+use hypernel_mbm::{Mbm, MbmStats};
 use hypernel_telemetry::json::Json;
 
 use crate::record::{StepRecord, Violation};
@@ -177,6 +181,88 @@ pub fn tuple_keys(
     out
 }
 
+/// Machine trap, IRQ and main-TLB counters, keyed.
+fn machine_counters(m: &MachineStats, tlb: &TlbStats) -> [(&'static str, u64); 9] {
+    [
+        ("machine/trap/hypercall", m.hypercalls),
+        ("machine/trap/sysreg", m.sysreg_traps),
+        ("machine/trap/stage2-fault", m.stage2_faults),
+        ("machine/trap/el1-abort", m.el1_aborts),
+        ("machine/irq/delivered", m.irqs_delivered),
+        ("machine/tlb/hit", tlb.hits),
+        ("machine/tlb/miss", tlb.misses),
+        ("machine/tlb/eviction", tlb.evictions),
+        ("machine/tlb/flush", tlb.flushes),
+    ]
+}
+
+/// MBM pipeline stages, capture split and overflow edges, keyed.
+fn mbm_counters(s: &MbmStats) -> [(&'static str, u64); 11] {
+    [
+        ("mbm/stage/snooped", s.bus_writes_seen),
+        ("mbm/stage/captured", s.captured),
+        ("mbm/stage/translated", s.bitmap_lookups),
+        ("mbm/stage/matched", s.events_matched),
+        ("mbm/stage/irq-raised", s.irqs_raised),
+        ("mbm/capture/matched", s.events_matched),
+        (
+            "mbm/capture/unmatched",
+            s.captured.saturating_sub(s.events_matched),
+        ),
+        ("mbm/edge/fifo-overflow", s.fifo_dropped),
+        ("mbm/edge/ring-overflow", s.ring_overflows),
+        ("mbm/edge/secure-alarm", s.secure_alarms),
+        ("mbm/edge/lookup-divergence", s.lookup_divergences),
+    ]
+}
+
+/// Hypersec allowed/denied verdicts per boundary, keyed.
+fn verdict_counters(s: &HypersecStats) -> [(&'static str, u64); 9] {
+    [
+        ("hypersec/verdict/pt-write-allowed", s.pt_writes),
+        ("hypersec/verdict/pt-write-denied", s.pt_denials),
+        ("hypersec/verdict/table-registered", s.tables_registered),
+        ("hypersec/verdict/sysreg-allowed", s.sysreg_allowed),
+        ("hypersec/verdict/sysreg-denied", s.sysreg_denied),
+        ("hypersec/verdict/event-dispatched", s.events_dispatched),
+        ("hypersec/verdict/stray-event", s.stray_events),
+        ("hypersec/verdict/detection", s.detections),
+        ("hypersec/verdict/emulated-write", s.emulated_writes),
+    ]
+}
+
+/// Kernel events and MBM IRQ service, keyed.
+fn kernel_counters(k: &KernelStats) -> [(&'static str, u64); 6] {
+    [
+        ("kernel/event/context-switch", k.context_switches),
+        ("kernel/event/page-fault", k.page_faults),
+        ("kernel/event/file-create", k.files_created),
+        ("kernel/irq-service/forwarded", k.irqs_forwarded),
+        ("kernel/irq-service/emulated-write", k.emulated_writes),
+        (
+            "kernel/irq-service/monitor-registration",
+            k.monitor_registrations,
+        ),
+    ]
+}
+
+/// Composed-system domains, channels, regions and watch spans, keyed.
+fn compose_counters(c: &ComposeStats) -> [(&'static str, u64); 11] {
+    [
+        ("compose/domain/server", c.server_domains),
+        ("compose/domain/client", c.client_domains),
+        ("compose/domain/task", c.domain_tasks),
+        ("compose/channel/created", c.channels_created),
+        ("compose/channel/message", c.channel_messages),
+        ("compose/region/mapped", c.regions_mapped),
+        ("compose/region/protected", c.protected_regions),
+        ("compose/region/shared-mapping", c.shared_mappings),
+        ("compose/watch/derived-span", c.watch_spans_derived),
+        ("compose/watch/merged-span", c.watch_spans_merged),
+        ("compose/watch/batched-call", c.watch_calls_issued),
+    ]
+}
+
 /// Derives the coverage map of one finished run from the final system
 /// state and the run's own step/violation/fault-log records. Reads only
 /// model-visible counters — never the host-only fast-path statistics —
@@ -189,38 +275,14 @@ pub fn coverage_of_run(
     fault_log: &[FaultHit],
 ) -> CoverageMap {
     let mut cov = CoverageMap::new();
-
-    let machine = sys.machine().stats();
-    cov.record_n("machine/trap/hypercall", machine.hypercalls);
-    cov.record_n("machine/trap/sysreg", machine.sysreg_traps);
-    cov.record_n("machine/trap/stage2-fault", machine.stage2_faults);
-    cov.record_n("machine/trap/el1-abort", machine.el1_aborts);
-    cov.record_n("machine/irq/delivered", machine.irqs_delivered);
-    let tlb = sys.machine().tlb().stats();
-    cov.record_n("machine/tlb/hit", tlb.hits);
-    cov.record_n("machine/tlb/miss", tlb.misses);
-    cov.record_n("machine/tlb/eviction", tlb.evictions);
-    cov.record_n("machine/tlb/flush", tlb.flushes);
+    let machine = sys.machine();
+    let mut counters = machine_counters(&machine.stats(), &machine.tlb().stats()).to_vec();
     for hit in fault_log {
         cov.record(format!("machine/fault-site/{}", hit.kind.name()));
     }
 
-    if let Some(mbm) = sys.machine().bus().snooper::<Mbm>() {
-        let s = mbm.stats();
-        cov.record_n("mbm/stage/snooped", s.bus_writes_seen);
-        cov.record_n("mbm/stage/captured", s.captured);
-        cov.record_n("mbm/stage/translated", s.bitmap_lookups);
-        cov.record_n("mbm/stage/matched", s.events_matched);
-        cov.record_n("mbm/stage/irq-raised", s.irqs_raised);
-        cov.record_n("mbm/capture/matched", s.events_matched);
-        cov.record_n(
-            "mbm/capture/unmatched",
-            s.captured.saturating_sub(s.events_matched),
-        );
-        cov.record_n("mbm/edge/fifo-overflow", s.fifo_dropped);
-        cov.record_n("mbm/edge/ring-overflow", s.ring_overflows);
-        cov.record_n("mbm/edge/secure-alarm", s.secure_alarms);
-        cov.record_n("mbm/edge/lookup-divergence", s.lookup_divergences);
+    if let Some(mbm) = machine.bus().snooper::<Mbm>() {
+        counters.extend(mbm_counters(&mbm.stats()));
         cov.record(format!(
             "mbm/fifo-occupancy/{}",
             mbm.fifo_occupancy_bucket()
@@ -228,16 +290,7 @@ pub fn coverage_of_run(
     }
 
     if let Some(hypersec) = sys.hypersec() {
-        let s = hypersec.stats();
-        cov.record_n("hypersec/verdict/pt-write-allowed", s.pt_writes);
-        cov.record_n("hypersec/verdict/pt-write-denied", s.pt_denials);
-        cov.record_n("hypersec/verdict/table-registered", s.tables_registered);
-        cov.record_n("hypersec/verdict/sysreg-allowed", s.sysreg_allowed);
-        cov.record_n("hypersec/verdict/sysreg-denied", s.sysreg_denied);
-        cov.record_n("hypersec/verdict/event-dispatched", s.events_dispatched);
-        cov.record_n("hypersec/verdict/stray-event", s.stray_events);
-        cov.record_n("hypersec/verdict/detection", s.detections);
-        cov.record_n("hypersec/verdict/emulated-write", s.emulated_writes);
+        counters.extend(verdict_counters(&hypersec.stats()));
         for (code, n) in hypersec.rule_hits() {
             cov.record_n(format!("hypersec/rule/{}", codes::name(code)), n);
         }
@@ -247,28 +300,11 @@ pub fn coverage_of_run(
     for (family, n) in kernel.syscall_families() {
         cov.record_n(format!("kernel/syscall/{family}"), n);
     }
-    cov.record_n("kernel/event/context-switch", kernel.context_switches);
-    cov.record_n("kernel/event/page-fault", kernel.page_faults);
-    cov.record_n("kernel/event/file-create", kernel.files_created);
-    cov.record_n("kernel/irq-service/forwarded", kernel.irqs_forwarded);
-    cov.record_n("kernel/irq-service/emulated-write", kernel.emulated_writes);
-    cov.record_n(
-        "kernel/irq-service/monitor-registration",
-        kernel.monitor_registrations,
-    );
-
-    let compose = sys.kernel().compose_stats();
-    cov.record_n("compose/domain/server", compose.server_domains);
-    cov.record_n("compose/domain/client", compose.client_domains);
-    cov.record_n("compose/domain/task", compose.domain_tasks);
-    cov.record_n("compose/channel/created", compose.channels_created);
-    cov.record_n("compose/channel/message", compose.channel_messages);
-    cov.record_n("compose/region/mapped", compose.regions_mapped);
-    cov.record_n("compose/region/protected", compose.protected_regions);
-    cov.record_n("compose/region/shared-mapping", compose.shared_mappings);
-    cov.record_n("compose/watch/derived-span", compose.watch_spans_derived);
-    cov.record_n("compose/watch/merged-span", compose.watch_spans_merged);
-    cov.record_n("compose/watch/batched-call", compose.watch_calls_issued);
+    counters.extend(kernel_counters(&kernel));
+    counters.extend(compose_counters(&sys.kernel().compose_stats()));
+    for (key, n) in counters {
+        cov.record_n(key, n);
+    }
 
     for step in steps {
         cov.record(format!(
@@ -293,73 +329,30 @@ pub fn coverage_of_run(
 }
 
 /// The full feature universe: every key [`coverage_of_run`] can emit,
-/// sorted. The atlas embeds this list so uncovered features can be
-/// computed from the artifact alone.
+/// sorted. The counter keys are the keys of the per-component lists
+/// `coverage_of_run` records, evaluated on default stats. The atlas
+/// embeds this list so uncovered features can be computed from the
+/// artifact alone.
 pub fn known_features() -> Vec<String> {
     let mut out: BTreeSet<String> = BTreeSet::new();
-    for k in ["hypercall", "sysreg", "stage2-fault", "el1-abort"] {
-        out.insert(format!("machine/trap/{k}"));
-    }
-    out.insert("machine/irq/delivered".to_string());
-    for k in ["hit", "miss", "eviction", "flush"] {
-        out.insert(format!("machine/tlb/{k}"));
-    }
+    let counters = machine_counters(&MachineStats::default(), &TlbStats::default())
+        .into_iter()
+        .chain(mbm_counters(&MbmStats::default()))
+        .chain(verdict_counters(&HypersecStats::default()))
+        .chain(kernel_counters(&KernelStats::default()))
+        .chain(compose_counters(&ComposeStats::default()));
+    out.extend(counters.map(|(key, _)| key.to_string()));
     for kind in FaultKind::ALL {
         out.insert(format!("machine/fault-site/{}", kind.name()));
     }
-    for k in ["snooped", "captured", "translated", "matched", "irq-raised"] {
-        out.insert(format!("mbm/stage/{k}"));
-    }
-    for k in ["matched", "unmatched"] {
-        out.insert(format!("mbm/capture/{k}"));
-    }
-    for k in [
-        "fifo-overflow",
-        "ring-overflow",
-        "secure-alarm",
-        "lookup-divergence",
-    ] {
-        out.insert(format!("mbm/edge/{k}"));
-    }
-    for k in ["empty", "low", "high", "full"] {
-        out.insert(format!("mbm/fifo-occupancy/{k}"));
+    for bucket in Mbm::FIFO_OCCUPANCY_BUCKETS {
+        out.insert(format!("mbm/fifo-occupancy/{bucket}"));
     }
     for rule in codes::METADATA {
         out.insert(format!("hypersec/rule/{}", rule.name));
     }
-    for k in [
-        "pt-write-allowed",
-        "pt-write-denied",
-        "table-registered",
-        "sysreg-allowed",
-        "sysreg-denied",
-        "event-dispatched",
-        "stray-event",
-        "detection",
-        "emulated-write",
-    ] {
-        out.insert(format!("hypersec/verdict/{k}"));
-    }
-    for k in ["fork", "exec", "exit", "other"] {
-        out.insert(format!("kernel/syscall/{k}"));
-    }
-    for k in ["context-switch", "page-fault", "file-create"] {
-        out.insert(format!("kernel/event/{k}"));
-    }
-    for k in ["forwarded", "emulated-write", "monitor-registration"] {
-        out.insert(format!("kernel/irq-service/{k}"));
-    }
-    for k in ["server", "client", "task"] {
-        out.insert(format!("compose/domain/{k}"));
-    }
-    for k in ["created", "message"] {
-        out.insert(format!("compose/channel/{k}"));
-    }
-    for k in ["mapped", "protected", "shared-mapping"] {
-        out.insert(format!("compose/region/{k}"));
-    }
-    for k in ["derived-span", "merged-span", "batched-call"] {
-        out.insert(format!("compose/watch/{k}"));
+    for (family, _) in KernelStats::default().syscall_families() {
+        out.insert(format!("kernel/syscall/{family}"));
     }
     for step in AttackStep::defaults() {
         for outcome in OUTCOMES {
@@ -411,6 +404,259 @@ pub fn atlas_json(map: &CoverageMap, runs: u64) -> Json {
             Json::Array(known_features().iter().map(|k| Json::str(k)).collect()),
         ),
     ])
+}
+
+/// A parsed coverage atlas: the merged feature counts plus the feature
+/// universe they are measured against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Atlas {
+    /// Runs merged into the atlas.
+    pub runs: u64,
+    /// Feature hit counts (uncovered features are absent).
+    pub features: CoverageMap,
+    /// Every feature the instrumentation can emit, sorted.
+    pub universe: Vec<String>,
+}
+
+impl Atlas {
+    /// Universe features never reached, in universe order.
+    pub fn uncovered(&self) -> Vec<&str> {
+        self.universe
+            .iter()
+            .map(String::as_str)
+            .filter(|k| !self.features.covers(k))
+            .collect()
+    }
+}
+
+/// Parses a coverage atlas document.
+///
+/// # Errors
+///
+/// Returns a message when the document is not a coverage atlas or the
+/// `features`/`universe` sections have the wrong shape.
+pub fn ingest_atlas(doc: &Json) -> Result<Atlas, String> {
+    if doc.get("kind").and_then(Json::as_str) != Some(COVERAGE_KIND) {
+        return Err(format!(
+            "not a coverage atlas (kind = {:?})",
+            doc.get("kind").and_then(Json::as_str)
+        ));
+    }
+    let Some(Json::Object(fields)) = doc.get("features") else {
+        return Err("atlas has no `features` object".to_string());
+    };
+    let mut features = CoverageMap::new();
+    for (key, value) in fields {
+        let n = value
+            .as_u64()
+            .ok_or_else(|| format!("feature `{key}` has a non-integer count"))?;
+        features.record_n(key.clone(), n);
+    }
+    Ok(Atlas {
+        runs: doc.get("runs").and_then(Json::as_u64).unwrap_or(0),
+        features,
+        universe: string_array(doc, "universe")?,
+    })
+}
+
+/// The string array `doc.<field>` of an artifact.
+pub(crate) fn string_array(doc: &Json, field: &str) -> Result<Vec<String>, String> {
+    doc.get(field)
+        .and_then(Json::as_array)
+        .ok_or_else(|| format!("artifact has no `{field}` array"))?
+        .iter()
+        .map(|v| {
+            v.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("`{field}` entries must be strings"))
+        })
+        .collect()
+}
+
+/// Coverage rollup for one key group (the first `/`-separated segment:
+/// `machine`, `mbm`, `hypersec`, `kernel`, `oracle`, `tuple`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupCoverage {
+    /// Group name.
+    pub group: String,
+    /// Distinct features reached.
+    pub covered: usize,
+    /// Features the universe defines for this group.
+    pub universe: usize,
+    /// Total hits across the group's features.
+    pub hits: u64,
+}
+
+fn group_of(key: &str) -> &str {
+    key.split('/').next().unwrap_or(key)
+}
+
+/// Rolls the atlas up per key group, in universe order. Features
+/// outside the universe (newer emitter than universe snapshot) still
+/// count toward their group's `covered` and `hits`.
+pub fn per_group(atlas: &Atlas) -> Vec<GroupCoverage> {
+    let mut groups: Vec<GroupCoverage> = Vec::new();
+    let group_mut = |name: &str, groups: &mut Vec<GroupCoverage>| -> usize {
+        if let Some(pos) = groups.iter().position(|g| g.group == name) {
+            return pos;
+        }
+        groups.push(GroupCoverage {
+            group: name.to_string(),
+            covered: 0,
+            universe: 0,
+            hits: 0,
+        });
+        groups.len() - 1
+    };
+    for key in &atlas.universe {
+        let pos = group_mut(group_of(key), &mut groups);
+        groups[pos].universe += 1;
+    }
+    for (key, hits) in atlas.features.iter() {
+        let pos = group_mut(group_of(key), &mut groups);
+        groups[pos].covered += 1;
+        groups[pos].hits += hits;
+    }
+    groups
+}
+
+/// How many uncovered keys a rendered report lists per section before
+/// summarizing the rest by count (never silently).
+const UNCOVERED_LIST_CAP: usize = 40;
+
+/// Renders the atlas as an aligned markdown report: the per-group
+/// rollup table, then the uncovered tuple list and the uncovered
+/// non-tuple features (each capped at [`UNCOVERED_LIST_CAP`] lines with
+/// an explicit remainder count).
+pub fn render_report(atlas: &Atlas) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let groups = per_group(atlas);
+    let covered: usize = groups.iter().map(|g| g.covered).sum();
+    let universe: usize = groups.iter().map(|g| g.universe).sum();
+    let _ = writeln!(out, "coverage atlas: {} run(s) merged", atlas.runs);
+    let _ = writeln!(out);
+    let _ = writeln!(out, "| group    | covered | universe |  pct   | hits |");
+    let _ = writeln!(out, "|----------|--------:|---------:|-------:|-----:|");
+    for g in &groups {
+        let _ = writeln!(
+            out,
+            "| {:<8} | {:>7} | {:>8} | {:>5.1}% | {:>4} |",
+            g.group,
+            g.covered,
+            g.universe,
+            percent(g.covered, g.universe),
+            g.hits,
+        );
+    }
+    let total_hits: u64 = groups.iter().map(|g| g.hits).sum();
+    let _ = writeln!(
+        out,
+        "| total    | {:>7} | {:>8} | {:>5.1}% | {:>4} |",
+        covered,
+        universe,
+        percent(covered, universe),
+        total_hits,
+    );
+    let uncovered = atlas.uncovered();
+    let (tuples, rest): (Vec<&str>, Vec<&str>) =
+        uncovered.iter().partition(|k| k.starts_with("tuple/"));
+    let (unfired_rules, features): (Vec<&str>, Vec<&str>) =
+        rest.iter().partition(|k| k.starts_with("hypersec/rule/"));
+    let _ = writeln!(out);
+    write_unfired_rules(&mut out, atlas, &unfired_rules);
+    write_uncovered(&mut out, "uncovered tuples", &tuples);
+    write_uncovered(&mut out, "uncovered features", &features);
+    out
+}
+
+/// The dedicated unfired-rules table: every `hypersec/rule/*` key the
+/// universe defines but no run fired, one row per rule, with the
+/// fired/total headline. These are the protection surfaces the corpus
+/// never provoked — the static analyzer ranks which of them an attack
+/// step could actually reach (`hypernel staticheck targets`).
+fn write_unfired_rules(out: &mut String, atlas: &Atlas, unfired: &[&str]) {
+    use std::fmt::Write as _;
+    let total = atlas
+        .universe
+        .iter()
+        .filter(|k| k.starts_with("hypersec/rule/"))
+        .count();
+    let _ = writeln!(
+        out,
+        "unfired rules: {} (fired {} of {} in the universe)",
+        unfired.len(),
+        total - unfired.len(),
+        total
+    );
+    if !unfired.is_empty() {
+        let _ = writeln!(
+            out,
+            "| rule                 | key                                  |"
+        );
+        let _ = writeln!(
+            out,
+            "|----------------------|--------------------------------------|"
+        );
+        for key in unfired {
+            let rule = key.rsplit('/').next().unwrap_or(key);
+            let _ = writeln!(out, "| {rule:<20} | {key:<36} |");
+        }
+    }
+    let _ = writeln!(out);
+}
+
+fn percent(covered: usize, universe: usize) -> f64 {
+    if universe == 0 {
+        100.0
+    } else {
+        covered as f64 * 100.0 / universe as f64
+    }
+}
+
+fn write_uncovered(out: &mut String, what: &str, keys: &[&str]) {
+    use std::fmt::Write as _;
+    let _ = writeln!(out, "{what}: {}", keys.len());
+    for key in keys.iter().take(UNCOVERED_LIST_CAP) {
+        let _ = writeln!(out, "  - {key}");
+    }
+    if keys.len() > UNCOVERED_LIST_CAP {
+        let _ = writeln!(out, "  ... and {} more", keys.len() - UNCOVERED_LIST_CAP);
+    }
+}
+
+/// Result of diffing a candidate atlas against a baseline.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CoverageDiff {
+    /// Features covered in the baseline but not in the candidate —
+    /// each one fails the gate.
+    pub regressions: Vec<String>,
+    /// Features the candidate covers that the baseline did not
+    /// (informational).
+    pub newly_covered: Vec<String>,
+}
+
+impl CoverageDiff {
+    /// Whether the candidate lost coverage anywhere.
+    pub fn has_regressions(&self) -> bool {
+        !self.regressions.is_empty()
+    }
+}
+
+/// Diffs `candidate` against `baseline`: every feature reached by the
+/// baseline must still be reached by the candidate.
+pub fn diff_atlases(baseline: &Atlas, candidate: &Atlas) -> CoverageDiff {
+    let missing_from = |a: &Atlas, b: &Atlas| -> Vec<String> {
+        a.features
+            .iter()
+            .filter(|(k, _)| !b.features.covers(k))
+            .map(|(k, _)| k.to_string())
+            .collect()
+    };
+    CoverageDiff {
+        regressions: missing_from(baseline, candidate),
+        newly_covered: missing_from(candidate, baseline),
+    }
 }
 
 #[cfg(test)]
@@ -529,5 +775,118 @@ mod tests {
         assert_eq!(doc.get("runs").and_then(Json::as_u64), Some(2));
         let universe = doc.get("universe").and_then(Json::as_array).expect("u");
         assert_eq!(universe.len(), known_features().len());
+    }
+
+    fn atlas(features: &[(&str, u64)], universe: &[&str]) -> Atlas {
+        let mut map = CoverageMap::new();
+        for (key, n) in features {
+            map.record_n(*key, *n);
+        }
+        Atlas {
+            runs: 8,
+            features: map,
+            universe: universe.iter().map(|k| k.to_string()).collect(),
+        }
+    }
+
+    const SAMPLE_UNIVERSE: &[&str] = &[
+        "machine/tlb/hit",
+        "machine/tlb/miss",
+        "mbm/stage/snooped",
+        "tuple/detected/none/none/hypernel",
+        "tuple/detected/none/none/kvm",
+    ];
+
+    fn sample() -> Atlas {
+        atlas(
+            &[
+                ("machine/tlb/hit", 100),
+                ("mbm/stage/snooped", 40),
+                ("tuple/detected/none/none/hypernel", 8),
+            ],
+            SAMPLE_UNIVERSE,
+        )
+    }
+
+    #[test]
+    fn ingest_round_trips_the_artifact_shape() {
+        let doc = Json::obj(vec![
+            ("schema", Json::UInt(1)),
+            ("kind", Json::str(COVERAGE_KIND)),
+            ("runs", Json::UInt(8)),
+            (
+                "features",
+                Json::obj(vec![("machine/tlb/hit", Json::UInt(100))]),
+            ),
+            (
+                "universe",
+                Json::Array(vec![
+                    Json::str("machine/tlb/hit"),
+                    Json::str("machine/tlb/miss"),
+                ]),
+            ),
+        ]);
+        let parsed = ingest_atlas(&Json::parse(&doc.to_string()).expect("valid")).expect("atlas");
+        assert_eq!(parsed.runs, 8);
+        assert_eq!(parsed.features.count("machine/tlb/hit"), 100);
+        assert!(!parsed.features.covers("machine/tlb/miss"));
+        assert_eq!(parsed.uncovered(), vec!["machine/tlb/miss"]);
+        assert!(ingest_atlas(&Json::obj(vec![("kind", Json::str("nope"))])).is_err());
+    }
+
+    #[test]
+    fn groups_roll_up_covered_universe_and_hits() {
+        let groups = per_group(&sample());
+        let machine = groups.iter().find(|g| g.group == "machine").expect("m");
+        assert_eq!(
+            (machine.covered, machine.universe, machine.hits),
+            (1, 2, 100)
+        );
+        let tuple = groups.iter().find(|g| g.group == "tuple").expect("t");
+        assert_eq!((tuple.covered, tuple.universe), (1, 2));
+        let report = render_report(&sample());
+        assert!(report.contains("machine"), "{report}");
+        assert!(report.contains("tuple/detected/none/none/kvm"), "{report}");
+        assert!(report.contains("uncovered tuples: 1"), "{report}");
+    }
+
+    #[test]
+    fn unfired_rules_get_their_own_table() {
+        let atlas = atlas(
+            &[("hypersec/rule/wxorx", 4), ("oracle/none", 8)],
+            &[
+                "hypersec/rule/wxorx",
+                "hypersec/rule/frozen-sysreg",
+                "hypersec/rule/not-a-table",
+                "oracle/none",
+            ],
+        );
+        let report = render_report(&atlas);
+        assert!(
+            report.contains("unfired rules: 2 (fired 1 of 3 in the universe)"),
+            "{report}"
+        );
+        assert!(report.contains("| frozen-sysreg"), "{report}");
+        assert!(report.contains("| not-a-table"), "{report}");
+        // Rule keys live in their table, not the generic feature list.
+        assert!(report.contains("uncovered features: 0"), "{report}");
+    }
+
+    #[test]
+    fn diff_flags_lost_coverage_only() {
+        let base = sample();
+        let candidate = atlas(
+            &[
+                ("machine/tlb/hit", 100),
+                ("machine/tlb/miss", 3),
+                ("tuple/detected/none/none/hypernel", 8),
+            ],
+            SAMPLE_UNIVERSE,
+        );
+        let diff = diff_atlases(&base, &candidate);
+        assert!(diff.has_regressions());
+        assert_eq!(diff.regressions, vec!["mbm/stage/snooped".to_string()]);
+        assert_eq!(diff.newly_covered, vec!["machine/tlb/miss".to_string()]);
+        assert!(!diff_atlases(&base, &base).has_regressions());
     }
 }

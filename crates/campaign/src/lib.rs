@@ -22,11 +22,16 @@
 //!   minimal repro;
 //! - [`blackbox`] — the always-on flight recorder and the
 //!   `blackbox.json` post-mortem dump a failing run leaves behind;
-//! - [`record`] — `campaign.jsonl` records and summary artifacts that
-//!   `hypernel analyze campaign` consumes;
+//! - [`record`] — `campaign.jsonl` records, the one per-scenario
+//!   summary aggregator, and the summary reader and baseline diff
+//!   behind `hypernel analyze campaign`;
 //! - [`coverage`] — structural coverage of a run (which model behaviors
 //!   it exercised), merged across a sweep into the `coverage.json`
-//!   atlas `hypernel analyze coverage` renders and gates on;
+//!   atlas, plus the atlas reader `hypernel analyze coverage` renders
+//!   and gates with;
+//! - [`staticheck`] — static reachability analysis and the
+//!   `static-coverage.json` writer; [`staticcov`] reads that artifact
+//!   back for `hypernel analyze staticcov`;
 //! - [`explore`] — the coverage-guided mutation loop: corpus mutants
 //!   that reach new `(outcome, fault, oracle, mode)` tuples are emitted
 //!   as ready-to-lint scenario TOMLs;
@@ -53,6 +58,7 @@ pub mod minimize;
 pub mod oracle;
 pub mod record;
 pub mod scenario;
+pub mod staticcov;
 pub mod staticheck;
 pub mod sweep;
 

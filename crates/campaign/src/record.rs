@@ -6,6 +6,12 @@
 //! the same `(scenario, seed)` always serializes to byte-identical
 //! JSON. `campaign.jsonl` is one record per line, sorted by
 //! `(scenario, seed)`.
+//!
+//! One accumulator builds the per-scenario summary, whether it is fed
+//! typed records ([`summarize`], `hypernel campaign run --summary`) or
+//! record lines ([`ingest_records`], `hypernel analyze campaign`);
+//! [`summary_json`] is the one writer and [`read_summary`] the strict
+//! reader [`diff_campaigns`] takes its baseline from.
 
 use hypernel_machine::FaultStats;
 use hypernel_mbm::MbmStats;
@@ -247,42 +253,141 @@ pub struct ScenarioSummary {
     pub faults: FaultStats,
 }
 
-/// Aggregates records (already sorted by scenario) into per-scenario
-/// rows plus campaign totals.
-pub fn summarize(records: &[RunRecord]) -> Vec<ScenarioSummary> {
-    let mut rows: Vec<ScenarioSummary> = Vec::new();
-    for r in records {
-        if rows.last().map(|row| row.scenario.as_str()) != Some(r.scenario.as_str()) {
-            rows.push(ScenarioSummary {
-                scenario: r.scenario.clone(),
-                runs: 0,
-                passed: 0,
-                expected_violations: 0,
-                unexpected_violations: 0,
-                max_latency: None,
-                faults: FaultStats::default(),
-            });
-        }
-        let row = rows.last_mut().expect("pushed above");
-        row.runs += 1;
-        row.passed += u64::from(r.passed);
-        if let Some(f) = &r.faults {
-            row.faults.add(f);
-        }
-        for v in &r.violations {
-            if v.expected {
-                row.expected_violations += 1;
-            } else {
-                row.unexpected_violations += 1;
-            }
-        }
-        for s in &r.steps {
-            if s.detections > 0 {
-                row.max_latency = row.max_latency.max(s.latency);
-            }
+impl ScenarioSummary {
+    /// The one-run row of a typed record.
+    fn of_record(r: &RunRecord) -> Self {
+        let unexpected = r.unexpected_violations().count() as u64;
+        Self {
+            scenario: r.scenario.clone(),
+            runs: 1,
+            passed: u64::from(r.passed),
+            expected_violations: r.violations.len() as u64 - unexpected,
+            unexpected_violations: unexpected,
+            max_latency: r
+                .steps
+                .iter()
+                .filter(|s| s.detections > 0)
+                .filter_map(|s| s.latency)
+                .max(),
+            faults: r.faults.unwrap_or_default(),
         }
     }
+
+    /// The one-run row of a `campaign.jsonl` line: `None` when the
+    /// document is not a run record of this schema (wrong kind, no
+    /// scenario name, or a `faults` object naming a counter
+    /// [`FaultStats`] lacks).
+    fn of_line(doc: &Json) -> Option<Self> {
+        if doc.get("kind").and_then(Json::as_str) != Some(RECORD_KIND) {
+            return None;
+        }
+        let mut faults = FaultStats::default();
+        if let Some(Json::Object(fields)) = doc.get("faults") {
+            for (name, value) in fields {
+                *faults.counter_mut(name)? += value.as_u64().unwrap_or(0);
+            }
+        }
+        let violations = doc
+            .get("violations")
+            .and_then(Json::as_array)
+            .unwrap_or_default();
+        let expected = violations
+            .iter()
+            .filter(|v| v.get("expected") == Some(&Json::Bool(true)))
+            .count() as u64;
+        Some(Self {
+            scenario: doc.get("scenario").and_then(Json::as_str)?.to_string(),
+            runs: 1,
+            passed: u64::from(doc.get("passed") == Some(&Json::Bool(true))),
+            expected_violations: expected,
+            unexpected_violations: violations.len() as u64 - expected,
+            max_latency: doc
+                .get("steps")
+                .and_then(Json::as_array)
+                .unwrap_or_default()
+                .iter()
+                .filter(|s| s.get("detections").and_then(Json::as_u64).unwrap_or(0) > 0)
+                .filter_map(|s| s.get("latency").and_then(Json::as_u64))
+                .max(),
+            faults,
+        })
+    }
+
+    /// Folds another row of the same scenario into this one.
+    fn add(&mut self, other: &Self) {
+        self.runs += other.runs;
+        self.passed += other.passed;
+        self.expected_violations += other.expected_violations;
+        self.unexpected_violations += other.unexpected_violations;
+        self.max_latency = self.max_latency.max(other.max_latency);
+        self.faults.add(&other.faults);
+    }
+}
+
+/// One aligned text line per row, as `hypernel campaign run` and
+/// `hypernel analyze campaign` print it.
+impl std::fmt::Display for ScenarioSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:<28} runs {:>3}  passed {:>3}  expected-violations {:>3}  unexpected {:>3}",
+            self.scenario,
+            self.runs,
+            self.passed,
+            self.expected_violations,
+            self.unexpected_violations
+        )?;
+        if let Some(latency) = self.max_latency {
+            write!(f, "  max-latency {latency}")?;
+        }
+        match self.faults.total() {
+            0 => Ok(()),
+            n => write!(f, "  fault-hits {n}"),
+        }
+    }
+}
+
+/// The one per-row accumulator behind [`summarize`] and
+/// [`ingest_records`]: adds a one-run row to its scenario's row,
+/// appending it the first time the scenario is seen.
+fn accumulate(rows: &mut Vec<ScenarioSummary>, run: ScenarioSummary) {
+    match rows.iter_mut().rfind(|row| row.scenario == run.scenario) {
+        Some(row) => row.add(&run),
+        None => rows.push(run),
+    }
+}
+
+/// Aggregates records into per-scenario rows, in first-seen order.
+pub fn summarize(records: &[RunRecord]) -> Vec<ScenarioSummary> {
+    let mut rows = Vec::new();
+    for r in records {
+        accumulate(&mut rows, ScenarioSummary::of_record(r));
+    }
     rows
+}
+
+/// Aggregates a `campaign.jsonl` document (one run record per line)
+/// into per-scenario rows, in first-seen order, through the same
+/// accumulator as [`summarize`]. Returns the rows and the number of
+/// non-empty lines that are not run records of this schema (skipped).
+///
+/// # Errors
+///
+/// Returns a message when no campaign run record parses at all.
+pub fn ingest_records(text: &str) -> Result<(Vec<ScenarioSummary>, usize), String> {
+    let mut rows = Vec::new();
+    let mut skipped = 0usize;
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        let doc = Json::parse(line).ok();
+        match doc.as_ref().and_then(ScenarioSummary::of_line) {
+            Some(run) => accumulate(&mut rows, run),
+            None => skipped += 1,
+        }
+    }
+    if rows.is_empty() {
+        return Err("no campaign run records found".to_string());
+    }
+    Ok((rows, skipped))
 }
 
 /// Serializes a summary (plus campaign totals) as a deterministic JSON
@@ -316,6 +421,154 @@ pub fn summary_json(rows: &[ScenarioSummary]) -> Json {
             ),
         ),
     ])
+}
+
+/// Reads a summary artifact (as written by [`summary_json`]) back into
+/// rows — the `--baseline` input of `hypernel analyze campaign`.
+///
+/// # Errors
+///
+/// Returns a message when the document is not a campaign summary, or
+/// naming the scenario and the field when a row is malformed: a count
+/// that is missing or not a non-negative integer, a `max_latency` that
+/// is neither an integer nor null, or a `faults` object naming an
+/// unknown counter.
+pub fn read_summary(doc: &Json) -> Result<Vec<ScenarioSummary>, String> {
+    if doc.get("kind").and_then(Json::as_str) != Some(SUMMARY_KIND) {
+        return Err(format!(
+            "not a campaign summary (kind = {:?})",
+            doc.get("kind").and_then(Json::as_str)
+        ));
+    }
+    doc.get("scenarios")
+        .and_then(Json::as_array)
+        .ok_or("summary has no `scenarios` array")?
+        .iter()
+        .map(read_summary_row)
+        .collect()
+}
+
+fn read_summary_row(row: &Json) -> Result<ScenarioSummary, String> {
+    let scenario = row
+        .get("scenario")
+        .and_then(Json::as_str)
+        .ok_or("scenario row without a name")?;
+    let bad = |field: &str, want: &str| format!("scenario `{scenario}`: `{field}` {want}");
+    let count = |field: &str| {
+        row.get(field)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| bad(field, "must be a non-negative integer"))
+    };
+    let max_latency = match row.get("max_latency") {
+        Some(Json::Null) => None,
+        latency => Some(
+            latency
+                .and_then(Json::as_u64)
+                .ok_or_else(|| bad("max_latency", "must be an integer or null"))?,
+        ),
+    };
+    let mut faults = FaultStats::default();
+    match row.get("faults") {
+        None => {}
+        Some(Json::Object(fields)) => {
+            for (name, value) in fields {
+                let field = format!("faults.{name}");
+                let slot = faults
+                    .counter_mut(name)
+                    .ok_or_else(|| bad(&field, "is not a fault counter"))?;
+                *slot += value
+                    .as_u64()
+                    .ok_or_else(|| bad(&field, "must be a non-negative integer"))?;
+            }
+        }
+        Some(_) => return Err(bad("faults", "must be an object")),
+    }
+    Ok(ScenarioSummary {
+        scenario: scenario.to_string(),
+        runs: count("runs")?,
+        passed: count("passed")?,
+        expected_violations: count("expected_violations")?,
+        unexpected_violations: count("unexpected_violations")?,
+        max_latency,
+        faults,
+    })
+}
+
+/// One finding from a baseline diff.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CampaignFinding {
+    /// Scenario the finding is about.
+    pub scenario: String,
+    /// What changed.
+    pub detail: String,
+    /// `true` when the change should fail a gate (new unexpected
+    /// violations, pass-rate drop, latency regression); `false` for
+    /// informational drift (new/removed scenarios, improvements).
+    pub regression: bool,
+}
+
+/// Diffs `current` against `baseline`. `latency_threshold` is the
+/// fractional max-latency growth tolerated before it counts as a
+/// regression (e.g. `0.10` = 10%).
+pub fn diff_campaigns(
+    baseline: &[ScenarioSummary],
+    current: &[ScenarioSummary],
+    latency_threshold: f64,
+) -> Vec<CampaignFinding> {
+    let mut findings = Vec::new();
+    for cur in current {
+        let Some(base) = baseline.iter().find(|b| b.scenario == cur.scenario) else {
+            findings.push(CampaignFinding {
+                scenario: cur.scenario.clone(),
+                detail: "new scenario (absent from baseline)".to_string(),
+                regression: false,
+            });
+            continue;
+        };
+        if cur.unexpected_violations > base.unexpected_violations {
+            findings.push(CampaignFinding {
+                scenario: cur.scenario.clone(),
+                detail: format!(
+                    "unexpected violations {} -> {}",
+                    base.unexpected_violations, cur.unexpected_violations
+                ),
+                regression: true,
+            });
+        }
+        let base_rate = base.passed as f64 / base.runs.max(1) as f64;
+        let cur_rate = cur.passed as f64 / cur.runs.max(1) as f64;
+        if cur_rate < base_rate {
+            findings.push(CampaignFinding {
+                scenario: cur.scenario.clone(),
+                detail: format!("pass rate {base_rate:.2} -> {cur_rate:.2}"),
+                regression: true,
+            });
+        }
+        if let (Some(base_lat), Some(cur_lat)) = (base.max_latency, cur.max_latency) {
+            let limit = base_lat as f64 * (1.0 + latency_threshold);
+            if cur_lat as f64 > limit {
+                findings.push(CampaignFinding {
+                    scenario: cur.scenario.clone(),
+                    detail: format!(
+                        "max detection latency {base_lat} -> {cur_lat} cycles \
+                         (> {:.0}% growth)",
+                        latency_threshold * 100.0
+                    ),
+                    regression: true,
+                });
+            }
+        }
+    }
+    for base in baseline {
+        if !current.iter().any(|c| c.scenario == base.scenario) {
+            findings.push(CampaignFinding {
+                scenario: base.scenario.clone(),
+                detail: "scenario disappeared from the campaign".to_string(),
+                regression: false,
+            });
+        }
+    }
+    findings
 }
 
 #[cfg(test)]
@@ -423,5 +676,158 @@ mod tests {
         let faults = scenarios[0].get("faults").expect("faults object");
         assert_eq!(faults.get("irqs_dropped").and_then(Json::as_u64), Some(3));
         assert_eq!(faults.get("bitmap_desyncs").and_then(Json::as_u64), Some(0));
+    }
+
+    fn record_line(scenario: &str, seed: u64, passed: bool, latency: u64) -> String {
+        Json::obj(vec![
+            ("schema", Json::UInt(1)),
+            ("kind", Json::str(RECORD_KIND)),
+            ("scenario", Json::str(scenario)),
+            ("seed", Json::UInt(seed)),
+            (
+                "steps",
+                Json::Array(vec![Json::obj(vec![
+                    ("detections", Json::UInt(1)),
+                    ("latency", Json::UInt(latency)),
+                ])]),
+            ),
+            (
+                "violations",
+                if passed {
+                    Json::Array(vec![])
+                } else {
+                    Json::Array(vec![Json::obj(vec![
+                        ("oracle", Json::str("detection")),
+                        ("expected", Json::Bool(false)),
+                    ])])
+                },
+            ),
+            ("passed", Json::Bool(passed)),
+        ])
+        .to_string()
+    }
+
+    fn rows(spec: &[(&str, u64, u64, Option<u64>)]) -> Vec<ScenarioSummary> {
+        spec.iter()
+            .map(
+                |(scenario, runs, unexpected, max_latency)| ScenarioSummary {
+                    scenario: (*scenario).to_string(),
+                    runs: *runs,
+                    passed: *runs - u64::from(*unexpected > 0),
+                    expected_violations: 0,
+                    unexpected_violations: *unexpected,
+                    max_latency: *max_latency,
+                    faults: FaultStats::default(),
+                },
+            )
+            .collect()
+    }
+
+    #[test]
+    fn ingest_aggregates_and_counts_skips() {
+        // A record naming a fault counter `FaultStats` lacks is not a
+        // record of this schema: skipped like the garbage line.
+        let unknown_fault = record_line("b", 1, true, 50).replace(
+            "\"passed\":true",
+            "\"faults\":{\"gremlins\":1},\"passed\":true",
+        );
+        let text = format!(
+            "{}\n{}\nnot json\n{}\n{unknown_fault}\n",
+            record_line("a", 0, true, 100),
+            record_line("a", 1, false, 300),
+            record_line("b", 0, true, 50),
+        );
+        let (rows, skipped) = ingest_records(&text).expect("ingests");
+        assert_eq!(skipped, 2);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].scenario, "a");
+        assert_eq!(rows[0].runs, 2);
+        assert_eq!(rows[0].passed, 1);
+        assert_eq!(rows[0].unexpected_violations, 1);
+        assert_eq!(rows[0].max_latency, Some(300));
+        assert_eq!(rows[1].runs, 1);
+    }
+
+    #[test]
+    fn ingest_sums_fault_counters_per_scenario() {
+        let with_faults = |seed: u64, dropped: u64| {
+            Json::obj(vec![
+                ("schema", Json::UInt(1)),
+                ("kind", Json::str(RECORD_KIND)),
+                ("scenario", Json::str("faulty")),
+                ("seed", Json::UInt(seed)),
+                (
+                    "faults",
+                    Json::obj(vec![
+                        ("irqs_dropped", Json::UInt(dropped)),
+                        ("irqs_delayed", Json::UInt(1)),
+                    ]),
+                ),
+                ("passed", Json::Bool(true)),
+            ])
+            .to_string()
+        };
+        let text = format!("{}\n{}\n", with_faults(0, 2), with_faults(1, 3));
+        let (rows, _) = ingest_records(&text).expect("ingests");
+        assert_eq!(rows[0].faults.total(), 7);
+        assert_eq!(rows[0].faults.irqs_dropped, 5);
+        // Round trip through the summary artifact keeps the counters.
+        let doc = Json::parse(&summary_json(&rows).to_string()).expect("valid");
+        let back = read_summary(&doc).expect("summary");
+        assert_eq!(back, rows);
+    }
+
+    #[test]
+    fn summary_round_trips_through_json() {
+        let original = rows(&[("a", 4, 0, Some(120)), ("b", 4, 1, None)]);
+        let doc = summary_json(&original);
+        let parsed = Json::parse(&doc.to_string()).expect("valid");
+        assert_eq!(read_summary(&parsed).expect("summary"), original);
+    }
+
+    #[test]
+    fn diff_flags_regressions_and_tolerates_drift() {
+        let baseline = rows(&[("a", 4, 0, Some(100)), ("gone", 4, 0, None)]);
+        let current = rows(&[("a", 4, 1, Some(200)), ("new", 4, 0, None)]);
+        let findings = diff_campaigns(&baseline, &current, 0.10);
+        let regressions: Vec<_> = findings.iter().filter(|f| f.regression).collect();
+        // unexpected violations, pass-rate drop, latency growth on `a`.
+        assert_eq!(regressions.len(), 3, "{findings:?}");
+        assert!(findings
+            .iter()
+            .any(|f| f.scenario == "new" && !f.regression));
+        assert!(findings
+            .iter()
+            .any(|f| f.scenario == "gone" && !f.regression));
+        assert!(diff_campaigns(&baseline, &baseline, 0.10)
+            .iter()
+            .all(|f| !f.regression));
+    }
+
+    #[test]
+    fn summary_reader_rejects_malformed_rows() {
+        let text = summary_json(&rows(&[("a", 4, 0, Some(120))])).to_string();
+        assert!(read_summary(&Json::parse(&text).expect("valid")).is_ok());
+        // Each edit targets the scenario row, not the campaign totals.
+        for (from, to, field) in [
+            (r#""passed":4,"e"#, r#""e"#, "`passed`"),
+            (r#""passed":4,"e"#, r#""passed":"4","e"#, "`passed`"),
+            (r#""a","runs":4"#, r#""a","runs":-4"#, "`runs`"),
+            (
+                r#""max_latency":120"#,
+                r#""max_latency":"x""#,
+                "`max_latency`",
+            ),
+            (
+                r#""irqs_dropped":0"#,
+                r#""gremlins":0"#,
+                "`faults.gremlins`",
+            ),
+        ] {
+            assert!(text.contains(from), "{from} in {text}");
+            let doc = Json::parse(&text.replacen(from, to, 1)).expect("valid");
+            let err = read_summary(&doc).expect_err(field);
+            assert!(err.contains("scenario `a`") && err.contains(field), "{err}");
+        }
     }
 }

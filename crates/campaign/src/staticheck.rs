@@ -616,15 +616,17 @@ pub fn predict_corpus_jobs(corpus: &[Scenario], jobs: usize) -> Vec<Prediction> 
 // Soundness + steering
 // ---------------------------------------------------------------------
 
-/// Dynamically observed contract keys that the static prediction did
-/// not allow — empty means the run is inside the contract; anything
-/// else is an analyzer soundness bug (or, for the protection-invariant
-/// keys, a real protection bug).
-pub fn soundness_excess(prediction: &Prediction, coverage: &CoverageMap) -> Vec<String> {
+/// Dynamically observed contract keys outside the `possible` set of a
+/// static prediction, sorted — empty means the coverage is inside the
+/// contract; anything else is an analyzer soundness bug (or, for the
+/// protection-invariant keys, a real protection bug). The one
+/// soundness filter: the per-run sweep and the artifact diff
+/// ([`crate::staticcov::static_dynamic_diff`]) both use it.
+pub fn soundness_excess(possible: &BTreeSet<String>, coverage: &CoverageMap) -> Vec<String> {
     coverage
         .iter()
         .map(|(k, _)| k)
-        .filter(|k| contract_key(k) && !prediction.possible.contains(*k))
+        .filter(|k| contract_key(k) && !possible.contains(*k))
         .map(str::to_string)
         .collect()
 }
@@ -700,7 +702,7 @@ pub fn soundness_sweep(corpus: &[Scenario], seeds: u64) -> SoundnessReport {
                     ));
                     continue;
                 };
-                let excess = soundness_excess(&prediction, &coverage);
+                let excess = soundness_excess(&prediction.possible, &coverage);
                 if !excess.is_empty() {
                     report.breaches.push(Breach {
                         scenario: scenario.name.clone(),
@@ -790,8 +792,8 @@ pub fn ranked_targets(fired: &BTreeSet<String>) -> Vec<String> {
 /// Serializes predictions as the self-contained `static-coverage.json`
 /// artifact: schema + kind tags, per-scenario predictions, the merged
 /// possible set, the reachable-rule frontier per mode, rule metadata
-/// (so `hypernel-analyze` renders surfaces without linking this
-/// crate), and the contract-namespace universe.
+/// (so the artifact renders its guarding surfaces on its own), and the
+/// contract-namespace universe. [`crate::staticcov`] reads it back.
 pub fn static_coverage_json(predictions: &[Prediction]) -> Json {
     let mut merged: BTreeSet<String> = BTreeSet::new();
     for p in predictions {
@@ -1027,10 +1029,10 @@ mod tests {
         cov.record("hypersec/rule/rogue-root");
         cov.record("kernel/attack/ttbr-redirect/blocked");
         cov.record("machine/trap/sysreg"); // outside the contract
-        assert!(soundness_excess(&p, &cov).is_empty());
+        assert!(soundness_excess(&p.possible, &cov).is_empty());
 
         let broken = testonly_miswire(&p);
-        let excess = soundness_excess(&broken, &cov);
+        let excess = soundness_excess(&broken.possible, &cov);
         assert_eq!(excess, vec!["hypersec/rule/rogue-root".to_string()]);
     }
 

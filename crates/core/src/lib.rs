@@ -47,7 +47,7 @@ pub mod metrics;
 pub mod report;
 pub mod system;
 
-pub use report::{Latency, RunDelta, RunReport, REPORT_KIND, REPORT_SCHEMA};
+pub use report::{Latency, RunReport, REPORT_KIND, REPORT_SCHEMA};
 pub use system::{Mode, System, SystemBuilder, DEFAULT_TELEMETRY_CAPACITY};
 
 // Re-export the component crates so downstream users need only one

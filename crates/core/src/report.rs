@@ -3,7 +3,6 @@
 
 use hypernel_kernel::kernel::KernelStats;
 use hypernel_machine::cache::CacheStats;
-use hypernel_machine::compiled::PlanStats;
 use hypernel_machine::cost::CostModel;
 use hypernel_machine::fault::FaultStats;
 use hypernel_machine::machine::MachineStats;
@@ -41,12 +40,6 @@ pub struct RunReport {
     pub cache: CacheStats,
     /// MBM statistics (Hypernel mode only).
     pub mbm: Option<MbmStats>,
-    /// Compiled access-plan counters. Host-side only: they describe how
-    /// fast the simulator ran, never what the simulated machine did, and
-    /// are surfaced exclusively through
-    /// [`RunReport::host_fastpath_markdown`] — never `to_json` or
-    /// `to_markdown`.
-    pub plans: PlanStats,
     /// Injected-fault counters (only when the system was built with a
     /// [`crate::system::SystemBuilder::fault_plan`]).
     pub faults: Option<FaultStats>,
@@ -71,7 +64,6 @@ impl RunReport {
             tlb: system.machine().tlb().stats(),
             cache: system.machine().data_cache().stats(),
             mbm: system.mbm_stats(),
-            plans: system.machine().plan_stats(),
             faults: system.fault_stats(),
             telemetry: system.telemetry_snapshot(),
             trace_dropped: system.telemetry_dropped(),
@@ -243,18 +235,13 @@ impl RunReport {
             fields.push(("trace_dropped", Json::UInt(dropped)));
         }
         if let Some(f) = self.faults {
-            fields.push((
-                "faults",
-                Json::obj(vec![
-                    ("irqs_dropped", Json::UInt(f.irqs_dropped)),
-                    ("irqs_delayed", Json::UInt(f.irqs_delayed)),
-                    ("translator_stalls", Json::UInt(f.translator_stalls)),
-                    ("snoop_addr_flips", Json::UInt(f.snoop_addr_flips)),
-                    ("hypercalls_lost", Json::UInt(f.hypercalls_lost)),
-                    ("bitmap_desyncs", Json::UInt(f.bitmap_desyncs)),
-                    ("total", Json::UInt(f.total())),
-                ]),
-            ));
+            let mut counters: Vec<(&str, Json)> = f
+                .counters()
+                .into_iter()
+                .map(|(name, n)| (name, Json::UInt(n)))
+                .collect();
+            counters.push(("total", Json::UInt(f.total())));
+            fields.push(("faults", Json::obj(counters)));
         }
         if let Some(snap) = &self.telemetry {
             let latencies: Vec<Json> = snap
@@ -285,102 +272,6 @@ impl RunReport {
         }
         Json::obj(fields)
     }
-
-    /// Host-side fast-path telemetry: L0 micro-TLB and MBM watch-page
-    /// filter counters, rendered as markdown.
-    ///
-    /// These counters are *deliberately excluded* from
-    /// [`RunReport::to_json`] and [`RunReport::to_markdown`]: they
-    /// describe how fast the simulator ran (and legitimately differ
-    /// under `HYPERNEL_NO_FASTPATH`), not what the simulated machine
-    /// did — and the deterministic run artifacts must stay
-    /// byte-identical with the fast paths on or off.
-    pub fn host_fastpath_markdown(&self) -> String {
-        let mut out = String::from("#### Host fast paths (not part of the run artifact)\n\n");
-        out.push_str("| counter | value |\n|---|---|\n");
-        out.push_str(&format!("| L0 micro-TLB hits | {} |\n", self.tlb.l0_hits));
-        out.push_str(&format!(
-            "| L0 micro-TLB fall-throughs | {} |\n",
-            self.tlb.l0_misses
-        ));
-        if let Some(rate) = self.tlb.l0_hit_rate() {
-            out.push_str(&format!(
-                "| L0 share of all lookups | {:.1}% |\n",
-                rate * 100.0
-            ));
-        }
-        if let Some(mbm) = self.mbm {
-            out.push_str(&format!(
-                "| MBM watch-page filter skips | {} |\n",
-                mbm.page_filter_skips
-            ));
-        }
-        let p = self.plans;
-        out.push_str(&format!(
-            "| compiled plans compiled | {} |\n",
-            p.plans_compiled
-        ));
-        out.push_str(&format!("| compiled plan replays | {} |\n", p.plan_replays));
-        out.push_str(&format!(
-            "| compiled plan replayed words | {} |\n",
-            p.replayed_words
-        ));
-        out.push_str(&format!(
-            "| compiled plan hint repairs | {} |\n",
-            p.hint_repairs
-        ));
-        out.push_str(&format!(
-            "| compiled plan invalidations | {} (tlb {}, ttbr {}, watch {}, tags {}, faults {}) |\n",
-            p.total_invalidations(),
-            p.inval_tlb,
-            p.inval_translation_reg,
-            p.inval_watch_set,
-            p.inval_sanitizer,
-            p.inval_fault_injector
-        ));
-        out.push_str(&format!(
-            "| compiled block-boundary hints | {} |\n",
-            p.block_hints
-        ));
-        out
-    }
-
-    /// Deltas of the headline counters versus an earlier snapshot of the
-    /// same system (for before/after experiment phases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshots come from different modes or `earlier`
-    /// is not actually earlier.
-    pub fn since(&self, earlier: &RunReport) -> RunDelta {
-        assert_eq!(self.mode, earlier.mode, "snapshots from different systems");
-        assert!(self.cycles >= earlier.cycles, "snapshots out of order");
-        RunDelta {
-            cycles: self.cycles - earlier.cycles,
-            hypercalls: self.machine.hypercalls - earlier.machine.hypercalls,
-            sysreg_traps: self.machine.sysreg_traps - earlier.machine.sysreg_traps,
-            stage2_faults: self.machine.stage2_faults - earlier.machine.stage2_faults,
-            mbm_events: match (self.mbm, earlier.mbm) {
-                (Some(a), Some(b)) => a.events_matched - b.events_matched,
-                _ => 0,
-            },
-        }
-    }
-}
-
-/// Headline counter deltas between two [`RunReport`] snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunDelta {
-    /// Cycles elapsed between the snapshots.
-    pub cycles: u64,
-    /// Hypercalls taken.
-    pub hypercalls: u64,
-    /// VM-register traps.
-    pub sysreg_traps: u64,
-    /// Stage-2 faults.
-    pub stage2_faults: u64,
-    /// MBM events matched.
-    pub mbm_events: u64,
 }
 
 /// A measured latency: cycles for `iterations` repetitions of an
@@ -532,20 +423,11 @@ mod tests {
         }
         let report = RunReport::capture(&sys);
 
-        // The host-side surface exposes the L0, MBM filter, and
-        // compiled-plan counters…
-        let host = report.host_fastpath_markdown();
-        assert!(host.contains("| L0 micro-TLB hits |"));
-        assert!(host.contains("| L0 micro-TLB fall-throughs |"));
-        assert!(host.contains("| MBM watch-page filter skips |"));
-        assert!(host.contains("| compiled plans compiled |"));
-        assert!(host.contains("| compiled plan replays |"));
-        assert!(host.contains("| compiled plan invalidations |"));
-
-        // …but the deterministic artifacts must not mention them: they
-        // differ under HYPERNEL_NO_FASTPATH / HYPERNEL_NO_COMPILED, and
-        // the run artifact is required to be byte-identical with fast
-        // paths on or off.
+        // The deterministic artifacts must not mention the host
+        // fast-path counters (L0 micro-TLB, MBM filter, compiled
+        // plans): they differ under HYPERNEL_NO_FASTPATH /
+        // HYPERNEL_NO_COMPILED, and the run artifact is required to be
+        // byte-identical with fast paths on or off.
         let json = report.to_json().to_string();
         assert!(!json.contains("l0_"), "l0 counters leaked into JSON");
         assert!(
@@ -601,24 +483,5 @@ mod tests {
             .unwrap()
             .get("trace_dropped")
             .is_none());
-    }
-
-    #[test]
-    fn delta_between_snapshots() {
-        let mut sys = System::boot(Mode::Hypernel).expect("boot");
-        let before = RunReport::capture(&sys);
-        {
-            let (kernel, machine, hyp) = sys.parts();
-            let child = kernel.sys_fork(machine, hyp).expect("fork");
-            kernel.switch_to(machine, hyp, child).expect("switch");
-            kernel
-                .sys_exit(machine, hyp, child, hypernel_kernel::task::Pid(1))
-                .expect("exit");
-        }
-        let delta = RunReport::capture(&sys).since(&before);
-        assert!(delta.cycles > 0);
-        assert!(delta.hypercalls > 10, "fork routes through hypercalls");
-        assert!(delta.sysreg_traps >= 2);
-        assert_eq!(delta.stage2_faults, 0);
     }
 }

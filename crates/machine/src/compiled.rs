@@ -69,9 +69,10 @@ pub const PAGE_LINES: usize = (PAGE_SIZE / LINE_SIZE) as usize;
 /// out around 150 KiB of host memory.
 const PLAN_SLOTS: usize = 512;
 
-/// Host-side counters for the compiled plan layer. Deliberately kept
-/// out of `RunReport::to_json()`/`to_markdown()` artifacts — they
-/// legitimately differ across `HYPERNEL_NO_COMPILED` configurations.
+/// Host-side counters for the compiled plan layer, read through
+/// [`crate::machine::Machine::plan_stats`] by the host-time benches
+/// only. Never part of a run artifact — they legitimately differ
+/// across `HYPERNEL_NO_COMPILED` configurations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Plans compiled (first execution of a hot page recorded).

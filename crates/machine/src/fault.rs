@@ -228,14 +228,22 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
+    /// Every counter with its artifact field name, in declaration order
+    /// — the one list of fault-counter names.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 6] {
+        [
+            ("irqs_dropped", &mut self.irqs_dropped),
+            ("irqs_delayed", &mut self.irqs_delayed),
+            ("translator_stalls", &mut self.translator_stalls),
+            ("snoop_addr_flips", &mut self.snoop_addr_flips),
+            ("hypercalls_lost", &mut self.hypercalls_lost),
+            ("bitmap_desyncs", &mut self.bitmap_desyncs),
+        ]
+    }
+
     /// Total injections across all kinds.
     pub fn total(&self) -> u64 {
-        self.irqs_dropped
-            + self.irqs_delayed
-            + self.translator_stalls
-            + self.snoop_addr_flips
-            + self.hypercalls_lost
-            + self.bitmap_desyncs
+        self.counters().iter().map(|(_, n)| n).sum()
     }
 
     /// Injections that can hide a watched write from the detection
@@ -245,27 +253,27 @@ impl FaultStats {
     }
 
     /// `(field, count)` pairs for every counter, in declaration order.
-    /// The names are the artifact field names — campaign records and
-    /// summaries serialize through this one list.
+    /// The names are the artifact field names — run reports, campaign
+    /// records and summaries serialize through this one list.
     pub fn counters(&self) -> [(&'static str, u64); 6] {
-        [
-            ("irqs_dropped", self.irqs_dropped),
-            ("irqs_delayed", self.irqs_delayed),
-            ("translator_stalls", self.translator_stalls),
-            ("snoop_addr_flips", self.snoop_addr_flips),
-            ("hypercalls_lost", self.hypercalls_lost),
-            ("bitmap_desyncs", self.bitmap_desyncs),
-        ]
+        let mut copy = *self;
+        copy.fields_mut().map(|(name, n)| (name, *n))
+    }
+
+    /// The counter whose artifact field name is `name`, if any — how a
+    /// summary's `faults` object is read back.
+    pub fn counter_mut(&mut self, name: &str) -> Option<&mut u64> {
+        self.fields_mut()
+            .into_iter()
+            .find(|(field, _)| *field == name)
+            .map(|(_, n)| n)
     }
 
     /// Adds every counter from `other` into `self` (summary rollups).
     pub fn add(&mut self, other: &FaultStats) {
-        self.irqs_dropped += other.irqs_dropped;
-        self.irqs_delayed += other.irqs_delayed;
-        self.translator_stalls += other.translator_stalls;
-        self.snoop_addr_flips += other.snoop_addr_flips;
-        self.hypercalls_lost += other.hypercalls_lost;
-        self.bitmap_desyncs += other.bitmap_desyncs;
+        for ((_, into), (_, n)) in self.fields_mut().into_iter().zip(other.counters()) {
+            *into += n;
+        }
     }
 }
 

@@ -84,13 +84,6 @@ impl TlbStats {
         let total = self.hits + self.misses;
         (total > 0).then(|| self.hits as f64 / total as f64)
     }
-
-    /// Fraction of all lookups served by the L0 micro-TLB; `None`
-    /// before the first lookup.
-    pub fn l0_hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.l0_hits as f64 / total as f64)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

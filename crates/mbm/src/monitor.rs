@@ -418,22 +418,27 @@ impl Mbm {
         self.fifo.high_watermark()
     }
 
+    /// Every bucket [`Mbm::fifo_occupancy_bucket`] returns, in order of
+    /// rising occupancy.
+    pub const FIFO_OCCUPANCY_BUCKETS: [&'static str; 4] = ["empty", "low", "high", "full"];
+
     /// Coarse occupancy bucket of the FIFO's high watermark relative to
     /// its configured capacity: `empty`, `low` (under half), `high`
     /// (half or more), or `full` (capacity reached). Derived from
     /// model-visible state only, so coverage keys built on it are
     /// fastpath-invariant.
     pub fn fifo_occupancy_bucket(&self) -> &'static str {
+        let [empty, low, high, full] = Self::FIFO_OCCUPANCY_BUCKETS;
         let capacity = self.config.fifo_capacity.max(1);
         let peak = self.fifo_high_watermark();
         if peak == 0 {
-            "empty"
+            empty
         } else if peak >= capacity {
-            "full"
+            full
         } else if peak * 2 >= capacity {
-            "high"
+            high
         } else {
-            "low"
+            low
         }
     }
 

@@ -5,8 +5,8 @@
 //! *simulated* quantities — host-side fast-path counters (the L0
 //! micro-TLB, the MBM watch-page filter) are deliberately absent,
 //! because the artifact must be byte-identical with the fast paths on
-//! or off (`HYPERNEL_NO_FASTPATH`). Host counters stay on the
-//! host-only reporting surface (`RunReport::host_fastpath_markdown`).
+//! or off (`HYPERNEL_NO_FASTPATH`). Host counters are read only by the
+//! host-time benches (hbench `--trace 1`, the throughput bench).
 
 use crate::series::SeriesKind;
 

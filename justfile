@@ -74,10 +74,12 @@ bench-throughput-baseline:
 # Determinism gate: the fast paths must be model-invisible. Sweep the
 # corpus with fast paths on (at two worker counts), off, and with
 # compiled plans off (at two worker counts), and demand byte-identical
-# campaign.jsonl artifacts, metrics.jsonl time series AND coverage.json
-# atlases. Then gate the atlas against the committed baseline (any
-# feature covered there but not here exits nonzero) and run the explore
-# smoke (must emit at least one lint-clean novel scenario).
+# campaign.jsonl artifacts, summaries, metrics.jsonl time series AND
+# coverage.json atlases; `analyze campaign` must re-aggregate the same
+# summary byte for byte. Then gate the atlas against the committed
+# baseline (any feature covered there but not here exits nonzero) and
+# run the explore smoke (must emit at least one lint-clean novel
+# scenario).
 determinism:
     rm -rf {{justfile_directory()}}/target/determinism {{justfile_directory()}}/target/coverage
     cargo run -q --release --bin hypernel -- campaign run \
@@ -115,9 +117,15 @@ determinism:
         --coverage {{justfile_directory()}}/target/determinism/nocompiled-j1-coverage.json
     cd {{justfile_directory()}}/target/determinism && for run in fast-j1 slow nocompiled nocompiled-j1; do \
         diff fast.jsonl $run.jsonl && \
+        diff fast-summary.json $run-summary.json && \
         diff -r fast-metrics $run-metrics && \
         diff fast-coverage.json $run-coverage.json || exit 1; \
     done
+    cargo run -q --release --bin hypernel -- analyze campaign \
+        {{justfile_directory()}}/target/determinism/fast.jsonl \
+        --out {{justfile_directory()}}/target/determinism/analyze-summary.json > /dev/null
+    diff {{justfile_directory()}}/target/determinism/fast-summary.json \
+        {{justfile_directory()}}/target/determinism/analyze-summary.json
     cargo run -q --release --bin hypernel -- analyze coverage \
         {{justfile_directory()}}/target/determinism/fast-coverage.json \
         --against {{justfile_directory()}}/benchmarks/coverage-baseline.json
@@ -126,7 +134,7 @@ determinism:
         --out {{justfile_directory()}}/target/coverage/novel
     cargo run -q --release --bin hypernel -- campaign lint \
         {{justfile_directory()}}/target/coverage/novel
-    @echo "determinism: campaign.jsonl + metrics.jsonl + coverage.json byte-identical (fastpath on/off, compiled on/off, jobs 1/4), coverage gate clean, explore emitted a novel scenario"
+    @echo "determinism: campaign.jsonl + summary + metrics.jsonl + coverage.json byte-identical (fastpath on/off, compiled on/off, jobs 1/4), analyze campaign reproduces the summary, coverage gate clean, explore emitted a novel scenario"
 
 # The CI audit gate: lint the scenario corpus and the example
 # scenarios, then run the static whole-system audit (with the

@@ -284,3 +284,59 @@ fn analyze_campaign_rejects_a_non_finite_threshold() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A baseline summary row with a missing or mistyped count is an error
+/// naming the scenario and the field. Read as 0, a missing `passed`
+/// would make the baseline pass rate 0 and switch the pass-rate gate
+/// off.
+#[test]
+fn analyze_campaign_rejects_a_malformed_baseline_row() {
+    use hypernel_campaign::record::{summarize, summary_json};
+
+    let dir = std::env::temp_dir().join(format!("hypernel-baseline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let scenario = find(&load_corpus(), "cred-escalation");
+    let records: Vec<_> = (0..2)
+        .map(|seed| run_one(&scenario, seed).expect("runs"))
+        .collect();
+    let summary = summary_json(&summarize(&records)).to_string();
+    // The current campaign fails one of the two runs.
+    let lines: Vec<String> = records.iter().map(|r| r.to_json().to_string()).collect();
+    let failed = lines[1].replace("\"passed\":true", "\"passed\":false");
+    assert_ne!(failed, lines[1]);
+    let jsonl = dir.join("c.jsonl");
+    std::fs::write(&jsonl, format!("{}\n{failed}\n", lines[0])).expect("written");
+    let gate = |baseline: &str| {
+        let path = dir.join("base.json");
+        std::fs::write(&path, baseline).expect("written");
+        hypernel(&format!(
+            "analyze campaign {} --baseline {}",
+            jsonl.display(),
+            path.display()
+        ))
+    };
+    let (code, stdout, stderr) = gate(&summary);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(
+        stdout.contains("REGRESSION cred-escalation: pass rate 1.00 -> 0.50"),
+        "{stdout}"
+    );
+    let row_passed = "\"expected_violations\"";
+    assert!(summary.contains(&format!("\"passed\":2,{row_passed}")));
+    for edited in [
+        summary.replace(&format!("\"passed\":2,{row_passed}"), row_passed),
+        summary.replace(
+            &format!("\"passed\":2,{row_passed}"),
+            &format!("\"passed\":\"2\",{row_passed}"),
+        ),
+    ] {
+        let (code, stdout, stderr) = gate(&edited);
+        assert_eq!(code, Some(1), "{stdout}{stderr}");
+        assert!(!stdout.contains("no regressions"), "{stdout}");
+        assert!(
+            stderr.contains("scenario `cred-escalation`") && stderr.contains("`passed`"),
+            "{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

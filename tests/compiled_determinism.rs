@@ -75,8 +75,9 @@ proptest! {
         prop_assert_eq!(c_cov, r_cov);
     }
 
-    /// All host fast paths off at once (L0 micro-TLB, compiled plans,
-    /// MBM watch-page filter) against the all-on default.
+    /// All host fast paths off at once (L0 micro-TLB, block-access
+    /// streaming, compiled plans, MBM watch-page filter) against the
+    /// all-on default.
     #[test]
     fn all_fastpaths_off_matches_all_on(seed in 0u64..64) {
         let s = scenario();
@@ -85,6 +86,7 @@ proptest! {
         {
             let (_, machine, _) = sys.parts();
             machine.tlb_mut().set_l0_enabled(false);
+            machine.set_block_fastpath(false);
             machine.set_compiled_enabled(false);
             if let Some(mbm) = machine.bus_mut().snooper_mut::<Mbm>() {
                 mbm.set_filter_enabled(false);

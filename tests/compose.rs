@@ -127,6 +127,9 @@ proptest! {
         }
     }
 
+    /// Every host fast path off (L0 micro-TLB, block-access streaming,
+    /// compiled plans, MBM watch-page filter) against the all-on
+    /// default.
     #[test]
     fn composed_artifacts_survive_fastpath_off(seed in 0u64..64) {
         for scenario in &compose_scenarios() {
@@ -135,6 +138,7 @@ proptest! {
             {
                 let (_, machine, _) = sys.parts();
                 machine.tlb_mut().set_l0_enabled(false);
+                machine.set_block_fastpath(false);
                 machine.set_compiled_enabled(false);
                 if let Some(mbm) = machine.bus_mut().snooper_mut::<Mbm>() {
                     mbm.set_filter_enabled(false);

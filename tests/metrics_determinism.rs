@@ -1,14 +1,15 @@
 //! Determinism properties of the windowed metrics artifact: for any
 //! seed, `metrics.jsonl` must be a pure function of `(scenario, seed)`
 //! — byte-identical whether the system is freshly booted or forked from
-//! a warm template, whether the host fast paths (L0 micro-TLB, MBM
-//! watch-page filter) are on or off, and at any `--jobs` count.
+//! a warm template, whether the host fast paths (L0 micro-TLB,
+//! block-access streaming, compiled plans, MBM watch-page filter) are
+//! on or off, and at any `--jobs` count.
 //!
 //! The fast-path comparison uses the per-structure toggles
-//! (`Tlb::set_l0_enabled`, `Machine::set_compiled_enabled`,
-//! `Mbm::set_filter_enabled`) because the process-wide
-//! `HYPERNEL_NO_FASTPATH` / `HYPERNEL_NO_COMPILED` switches are latched
-//! once per process; the CI determinism gate repeats the same
+//! (`Tlb::set_l0_enabled`, `Machine::set_block_fastpath`,
+//! `Machine::set_compiled_enabled`, `Mbm::set_filter_enabled`) because
+//! the process-wide `HYPERNEL_NO_FASTPATH` / `HYPERNEL_NO_COMPILED`
+//! switches are latched once per process; the CI determinism gate repeats the same
 //! comparison across processes with the environment variables.
 
 use hypernel::Mode;
@@ -50,6 +51,9 @@ proptest! {
         prop_assert_eq!(fresh.to_json().to_string(), forked.to_json().to_string());
     }
 
+    /// Every host fast path off (L0 micro-TLB, block-access streaming,
+    /// compiled plans, MBM watch-page filter) against the all-on
+    /// default.
     #[test]
     fn host_fastpaths_never_leak_into_metrics(seed in 0u64..64) {
         let s = scenario();
@@ -58,6 +62,7 @@ proptest! {
         {
             let (_, machine, _) = sys.parts();
             machine.tlb_mut().set_l0_enabled(false);
+            machine.set_block_fastpath(false);
             machine.set_compiled_enabled(false);
             if let Some(mbm) = machine.bus_mut().snooper_mut::<Mbm>() {
                 mbm.set_filter_enabled(false);

@@ -68,7 +68,7 @@ fn the_miswired_prediction_fails_the_gate() {
     let broken = testonly_miswire(&predict_scenario(base));
     let record = run_one(base, 0).expect("runs");
     let coverage = record.coverage.expect("runs record coverage");
-    let excess = soundness_excess(&broken, &coverage);
+    let excess = soundness_excess(&broken.possible, &coverage);
     assert!(
         excess.iter().any(|k| k == "hypersec/rule/wxorx"),
         "the miswired prediction must expose the dropped rule key, got {excess:?}"
@@ -133,7 +133,7 @@ proptest! {
         // executed runs make soundness claims.
         if let Ok(record) = run_one(&scenario, seed) {
             let coverage = record.coverage.expect("runs record coverage");
-            let excess = soundness_excess(&prediction, &coverage);
+            let excess = soundness_excess(&prediction.possible, &coverage);
             prop_assert!(
                 excess.is_empty(),
                 "`{}` under {:?} seed {seed}: {excess:?}",
