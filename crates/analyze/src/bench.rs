@@ -1,224 +1,424 @@
-//! Aggregation of bench summaries into BENCH trajectory artifacts.
+//! The host-time perf gate: hbench output in, a verdict and a
+//! trajectory point out.
 //!
-//! Each bench target in `crates/bench` can emit a machine-readable
-//! summary (`HYPERNEL_BENCH_DIR=… cargo bench`), one JSON file per
-//! bench:
-//!
-//! ```text
-//! {"schema":1,"kind":<SUMMARY_KIND>,"name":"table1_lmbench",
-//!  "metrics":{"null_syscall_overhead_pct":4.0, …}}
-//! ```
-//!
-//! [`read_summaries_dir`] collects a directory of those and
-//! [`trajectory_json`] folds them into one dated `BENCH_<date>.json`
-//! document whose flattened keys (`benches.<name>.<metric>`) feed the
-//! [`crate::compare`] regression gate — because the simulation is
-//! deterministic, a committed baseline trajectory is portable across
-//! hosts.
+//! `hbench` (the repository benchmark, `hbench/README.md`) prints, for
+//! one `--trace 0` run, a header line naming the workload, seed and
+//! window, a `simulated digest` line and, last, one JSON result line
+//! holding the end-to-end metrics. [`read_run`] reads those three
+//! lines. [`gate`] groups runs by (workload, seed), takes each metric's
+//! median and checks it against a baseline point in the direction and
+//! within the bound `BENCHMARK.json` declares for it ([`read_bounds`]):
+//! the rule the benchmark pipeline applies to a change. It also demands
+//! correct runs and one simulated digest per group, equal to the
+//! baseline's. A point ([`point_json`], committed as
+//! `benchmarks/BENCH_<date>.json`) holds every run, so the next change
+//! gates against it ([`read_point`]).
 
 use hypernel_telemetry::json::Json;
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
-use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Schema version of summary and trajectory documents.
-pub const BENCH_SCHEMA: u64 = 1;
-/// `kind` tag of a single-bench summary file.
-pub const SUMMARY_KIND: &str = "hypernel-bench-summary";
-/// `kind` tag of an aggregated trajectory artifact.
-pub const TRAJECTORY_KIND: &str = "hypernel-bench-trajectory";
+/// Schema version of a trajectory point.
+pub const POINT_SCHEMA: u64 = 2;
+/// `kind` tag of a trajectory point.
+pub const POINT_KIND: &str = "hypernel-bench-point";
 
-/// One bench target's summarized metrics.
+/// One end-to-end metric as `BENCHMARK.json` declares it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// Bench target name (e.g. `table1_lmbench`).
+pub struct Bound {
+    /// Metric name, as hbench reports it.
     pub name: String,
-    /// Metric name → value.
+    /// Unit, for display.
+    pub unit: String,
+    /// Whether a higher value is better.
+    pub higher_is_better: bool,
+    /// The largest relative change in the worse direction that passes.
+    pub bound: f64,
+}
+
+/// Reads the `end_to_end` list of a `BENCHMARK.json` document: the one
+/// definition of a host-time regression.
+///
+/// # Errors
+///
+/// Names the first entry that lacks a field or has a bad one.
+pub fn read_bounds(doc: &Json) -> Result<Vec<Bound>, String> {
+    let list = doc.get("end_to_end").and_then(Json::as_array);
+    let entry = |(m, i): (&Json, usize)| {
+        let bad = |what: &str| format!("end_to_end entry {i}: bad `{what}`");
+        let text = |key| m.get(key).and_then(Json::as_str).ok_or_else(|| bad(key));
+        Ok(Bound {
+            name: text("name")?.to_string(),
+            unit: text("unit")?.to_string(),
+            higher_is_better: match text("better")? {
+                "higher" => true,
+                "lower" => false,
+                _ => return Err(bad("better")),
+            },
+            bound: (m.get("bound").and_then(Json::as_f64))
+                .filter(|b| b.is_finite() && *b >= 0.0)
+                .ok_or_else(|| bad("bound"))?,
+        })
+    };
+    let list = list.ok_or("no `end_to_end` list")?;
+    list.iter().zip(1..).map(entry).collect()
+}
+
+/// One `--trace 0` hbench run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// Workload name (`campaign-corpus`, `untar-steady`, `paper-tables`).
+    pub workload: String,
+    /// Workload seed.
+    pub seed: u64,
+    /// Timed window, host seconds.
+    pub seconds: f64,
+    /// Digest of the simulated counters, as printed (`0x…`).
+    pub digest: String,
+    /// Whether every unit and every check passed.
+    pub correct: bool,
+    /// Units attempted.
+    pub attempted: u64,
+    /// Units that failed.
+    pub failed: u64,
+    /// End-to-end metric name → value.
     pub metrics: BTreeMap<String, f64>,
 }
 
-/// Parses one summary document; `None` when it isn't a bench summary.
-pub fn entry_from_json(doc: &Json) -> Option<BenchEntry> {
-    if doc.get("kind").and_then(Json::as_str) != Some(SUMMARY_KIND) {
-        return None;
+impl Run {
+    fn to_json(&self) -> Json {
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Float(*v)));
+        Json::obj(vec![
+            ("workload", Json::str(&self.workload)),
+            ("seed", Json::UInt(self.seed)),
+            ("seconds", Json::Float(self.seconds)),
+            ("digest", Json::str(&self.digest)),
+            ("correct", Json::Bool(self.correct)),
+            ("attempted", Json::UInt(self.attempted)),
+            ("failed", Json::UInt(self.failed)),
+            ("metrics", Json::Object(metrics.collect())),
+        ])
     }
-    let name = doc.get("name").and_then(Json::as_str)?.to_string();
-    let mut metrics = BTreeMap::new();
-    if let Some(Json::Object(fields)) = doc.get("metrics") {
-        for (key, value) in fields {
-            if let Some(v) = value.as_f64() {
-                metrics.insert(key.clone(), v);
-            }
+
+    /// Reads a run object; `metric` reads one metric's value, which a
+    /// point stores bare and hbench as `{"value": …, "unit": …}`.
+    fn from_json(doc: &Json, metric: fn(&Json) -> Option<f64>) -> Result<Run, String> {
+        let bad = |key: &str| format!("no valid `{key}`");
+        let text = |key| doc.get(key).and_then(Json::as_str).ok_or_else(|| bad(key));
+        let uint = |key| doc.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
+        let Some(Json::Object(fields)) = doc.get("metrics") else {
+            return Err(bad("metrics"));
+        };
+        let mut metrics = BTreeMap::new();
+        for (name, value) in fields {
+            let value = metric(value).filter(|v| v.is_finite());
+            let value = value.ok_or_else(|| format!("metric `{name}` has no finite value"))?;
+            metrics.insert(name.clone(), value);
         }
+        let digest = text("digest")?;
+        let hex = digest.strip_prefix("0x").unwrap_or("");
+        if hex.is_empty() || u64::from_str_radix(hex, 16).is_err() {
+            return Err(format!("digest `{digest}` is not a 0x-prefixed hex word"));
+        }
+        Ok(Run {
+            workload: text("workload")?.to_string(),
+            seed: uint("seed")?,
+            seconds: (doc.get("seconds").and_then(Json::as_f64))
+                .filter(|s| s.is_finite())
+                .ok_or_else(|| bad("seconds"))?,
+            digest: digest.to_string(),
+            correct: (doc.get("correct").and_then(Json::as_bool)).ok_or_else(|| bad("correct"))?,
+            attempted: uint("attempted")?,
+            failed: uint("failed")?,
+            metrics,
+        })
     }
-    Some(BenchEntry { name, metrics })
 }
 
-/// Reads every `*.json` summary in `dir`. Returns the entries sorted by
-/// name plus the file names that were present but not parseable
-/// summaries (skipped, never fatal — mirroring the lossy trace reader).
-pub fn read_summaries_dir(dir: &Path) -> io::Result<(Vec<BenchEntry>, Vec<String>)> {
-    let mut entries = Vec::new();
-    let mut skipped = Vec::new();
-    let mut names: Vec<_> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+/// Reads the standard output of one hbench run: its header line
+/// (`hbench: workload=… seed=… seconds=… trace=0`), its
+/// `simulated digest` line and its last line, the result object.
+///
+/// # Errors
+///
+/// Says what is missing or malformed; a `--trace 1` run is refused,
+/// since it reports per-layer metrics, not the end-to-end ones.
+pub fn read_run(text: &str) -> Result<Run, String> {
+    let header = text
+        .lines()
+        .find(|line| line.starts_with("hbench: workload="))
+        .ok_or("no `hbench: workload=…` header line")?;
+    let fields: BTreeMap<&str, &str> = header
+        .split_whitespace()
+        .filter_map(|token| token.split_once('='))
         .collect();
-    names.sort();
-    for path in names {
-        let display = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let parsed = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .and_then(|doc| entry_from_json(&doc));
-        match parsed {
-            Some(entry) => entries.push(entry),
-            None => skipped.push(display),
-        }
+    let field = |key: &str| match fields.get(key) {
+        Some(v) => Ok(Json::parse(v).unwrap_or_else(|_| Json::str(v))),
+        None => Err(format!("no `{key}=` in the header")),
+    };
+    if field("trace")? != Json::UInt(0) {
+        return Err("a `--trace 1` run has no end-to-end metrics to gate".to_string());
     }
-    entries.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok((entries, skipped))
+    let digest = text
+        .lines()
+        .find_map(|line| line.strip_prefix("hbench: simulated digest "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .ok_or("no `hbench: simulated digest` line")?;
+    let last = text.lines().rev().find(|l| !l.trim().is_empty());
+    let Ok(Json::Object(mut doc)) = Json::parse(last.unwrap_or("")) else {
+        return Err("the last line is not the result object".to_string());
+    };
+    for key in ["workload", "seed", "seconds"] {
+        doc.push((key.to_string(), field(key)?));
+    }
+    doc.push(("digest".to_string(), Json::str(digest)));
+    let value = |metric: &Json| metric.get("value").and_then(Json::as_f64);
+    Run::from_json(&Json::Object(doc), value)
 }
 
-/// Folds bench entries into one trajectory document.
-pub fn trajectory_json(entries: &[BenchEntry], generated: &str) -> Json {
+/// A trajectory point holding `runs`.
+pub fn point_json(runs: &[Run]) -> Json {
     Json::obj(vec![
-        ("schema", Json::UInt(BENCH_SCHEMA)),
-        ("kind", Json::str(TRAJECTORY_KIND)),
-        ("generated", Json::str(generated)),
-        (
-            "benches",
-            Json::Array(
-                entries
-                    .iter()
-                    .map(|entry| {
-                        Json::obj(vec![
-                            ("name", Json::str(&entry.name)),
-                            (
-                                "metrics",
-                                Json::Object(
-                                    entry
-                                        .metrics
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), Json::Float(*v)))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("schema", Json::UInt(POINT_SCHEMA)),
+        ("kind", Json::str(POINT_KIND)),
+        ("runs", Json::Array(runs.iter().map(Run::to_json).collect())),
     ])
 }
 
-/// Today's UTC date as `YYYY-MM-DD` (no external date crate: civil
-/// date via Howard Hinnant's days-from-epoch algorithm).
-pub fn today_utc() -> String {
-    let secs = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let (y, m, d) = civil_from_days((secs / 86_400) as i64);
-    format!("{y:04}-{m:02}-{d:02}")
+/// Reads the runs of a trajectory point.
+///
+/// # Errors
+///
+/// Rejects another kind of document and names the first bad run.
+pub fn read_point(doc: &Json) -> Result<Vec<Run>, String> {
+    if doc.get("kind").and_then(Json::as_str) != Some(POINT_KIND) {
+        return Err(format!("not a `{POINT_KIND}` document"));
+    }
+    let runs = doc.get("runs").and_then(Json::as_array);
+    (runs.ok_or("no `runs` list")?.iter().zip(1..))
+        .map(|(run, i)| Run::from_json(run, Json::as_f64).map_err(|e| format!("run {i}: {e}")))
+        .collect()
 }
 
-/// Converts days since 1970-01-01 to a (year, month, day) civil date.
-pub fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = z - era * 146_097; // [0, 146096]
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365; // [0, 399]
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100); // [0, 365]
-    let mp = (5 * doy + 2) / 153; // [0, 11]
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32; // [1, 31]
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32; // [1, 12]
-    (if m <= 2 { y + 1 } else { y }, m, d)
+/// The gate's verdict over a set of runs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Gate {
+    /// One line per (workload, seed, metric): the median and the spread
+    /// of the runs and, against a baseline, its median, the change and
+    /// the bound.
+    pub lines: Vec<String>,
+    /// Every reason the gate fails; empty means it passes.
+    pub findings: Vec<String>,
+}
+
+/// The median of `values` and their spread, (max − min) / median;
+/// `None` for no values.
+fn median_spread(mut values: Vec<f64>) -> Option<(f64, f64)> {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    let median = (values.get((n.max(1) - 1) / 2)? + values[n / 2]) / 2.0;
+    Some((median, (values[n - 1] - values[0]) / median.abs()))
+}
+
+/// The distinct digests of `runs`, sorted.
+fn digests<'a>(runs: &[&'a Run]) -> Vec<&'a str> {
+    let mut out: Vec<&str> = runs.iter().map(|r| r.digest.as_str()).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Groups `runs` by (workload, seed).
+fn groups(runs: &[Run]) -> BTreeMap<(&str, u64), Vec<&Run>> {
+    let mut out: BTreeMap<_, Vec<_>> = BTreeMap::new();
+    for run in runs {
+        let key = (run.workload.as_str(), run.seed);
+        out.entry(key).or_default().push(run);
+    }
+    out
+}
+
+/// Checks `runs`: every run correct, one digest per (workload, seed)
+/// and, against a `baseline` point, the same digest, a baseline entry
+/// for every group and every metric's median within its bound.
+pub fn gate(bounds: &[Bound], runs: &[Run], baseline: Option<&[Run]>) -> Gate {
+    let mut gate = Gate::default();
+    let base_groups = baseline.map(groups);
+    for ((workload, seed), group) in groups(runs) {
+        let at = format!("{workload} seed {seed}");
+        let mut fail = |finding: String| gate.findings.push(format!("{at}: {finding}"));
+        for run in group.iter().filter(|r| !r.correct || r.failed > 0) {
+            let (failed, attempted) = (run.failed, run.attempted);
+            fail(format!(
+                "a run is not correct ({failed} of {attempted} units failed)"
+            ));
+        }
+        let distinct = digests(&group);
+        let digest = distinct.join(", ");
+        if distinct.len() > 1 {
+            fail(format!("runs disagree on the simulated digest ({digest})"));
+        }
+        let base = base_groups.as_ref().map(|g| g.get(&(workload, seed)));
+        match base {
+            Some(None) => fail("no baseline entry".to_string()),
+            Some(Some(base)) if digests(base).join(", ") != digest => fail(format!(
+                "simulated digest {digest} differs from the baseline's {}",
+                digests(base).join(", ")
+            )),
+            _ => {}
+        }
+        for b in bounds {
+            let values = |g: &[&Run]| {
+                median_spread(
+                    g.iter()
+                        .filter_map(|r| r.metrics.get(&b.name))
+                        .copied()
+                        .collect(),
+                )
+            };
+            let Some((value, spread)) = values(&group) else {
+                fail(format!("no `{}` value", b.name));
+                continue;
+            };
+            let (name, unit, bound) = (&b.name, &b.unit, b.bound * 100.0);
+            let mut line = format!(
+                "{at}: {name} {value:.4} {unit} (spread {:.1}%)",
+                spread * 100.0
+            );
+            let was = base.flatten().and_then(|g| values(g));
+            if let Some((was, _)) = was {
+                let change = 100.0 * (value / was - 1.0);
+                let worse = if b.higher_is_better { -change } else { change };
+                line += &format!(" vs {was:.4}: {change:+.1}%, bound {bound:.0}%");
+                if worse > bound {
+                    fail(format!(
+                        "`{name}` median {value:.4} is {change:+.1}% from the baseline's \
+                         {was:.4}, past its {bound:.0}% bound"
+                    ));
+                }
+            }
+            gate.lines.push(line);
+        }
+    }
+    gate
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::{compare_reports, flatten_metrics};
 
-    fn summary(name: &str, metric: &str, value: f64) -> String {
+    /// One run's hbench output, in hbench's exact line shapes.
+    fn run(seed: u64, digest: &str, correct: bool, rate: f64) -> Run {
+        read_run(&output(seed, digest, correct, rate)).expect("valid output")
+    }
+
+    fn output(seed: u64, digest: &str, correct: bool, rate: f64) -> String {
         format!(
-            r#"{{"schema":1,"kind":"hypernel-bench-summary","name":"{name}",
-                 "metrics":{{"{metric}":{value}}}}}"#
+            "hbench: workload=campaign-corpus seed={seed} held-out-seed=90001 seconds=30 trace=0\n\
+             hbench: simulated digest {digest} over the first 17 units\n\
+             hbench: 255 units in 30.012 s\n\
+             {{\"correct\": {correct}, \"attempted\": 255, \"failed\": {}, \"metrics\": \
+             {{\"runs_per_s\": {{\"value\": {rate}, \"unit\": \"1/s\"}}, \
+             \"peak_rss_mb\": {{\"value\": 150.5, \"unit\": \"MB\"}}}}}}\n",
+            u64::from(!correct)
         )
+    }
+
+    fn gate_of(runs: &[Run], baseline: Option<&[Run]>) -> Gate {
+        let spec = r#"{"end_to_end": [
+            {"name": "runs_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
+            {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.12}]}"#;
+        let bounds = read_bounds(&Json::parse(spec).unwrap()).unwrap();
+        gate(&bounds, runs, baseline)
     }
 
     #[test]
     fn entry_parses_and_rejects_foreign_documents() {
-        let doc = Json::parse(&summary("smoke", "fork_cycles", 1234.0)).unwrap();
-        let entry = entry_from_json(&doc).expect("valid summary");
-        assert_eq!(entry.name, "smoke");
-        assert_eq!(entry.metrics["fork_cycles"], 1234.0);
-        // A run report is not a bench summary.
-        let other = Json::parse(r#"{"schema":1,"kind":"hypernel-run-report"}"#).unwrap();
-        assert!(entry_from_json(&other).is_none());
-    }
-
-    #[test]
-    fn directory_scan_collects_and_skips() {
-        let dir = std::env::temp_dir().join("hypernel-analyze-bench-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("b.json"), summary("beta", "m", 2.0)).unwrap();
-        std::fs::write(dir.join("a.json"), summary("alpha", "m", 1.0)).unwrap();
-        std::fs::write(dir.join("junk.json"), "{not json").unwrap();
-        std::fs::write(dir.join("notes.txt"), "ignored entirely").unwrap();
-        let (entries, skipped) = read_summaries_dir(&dir).unwrap();
+        let r = run(1, "0xc5ca46a455b0facf", true, 143.8);
         assert_eq!(
-            entries.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
-            ["alpha", "beta"]
+            (r.workload.as_str(), r.seed, r.seconds),
+            ("campaign-corpus", 1, 30.0)
         );
-        assert_eq!(skipped, vec!["junk.json".to_string()]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trajectory_flattens_into_comparable_keys() {
-        let entries = vec![
-            BenchEntry {
-                name: "smoke".into(),
-                metrics: [("fork_cycles".to_string(), 1200.0)].into(),
-            },
-            BenchEntry {
-                name: "traps".into(),
-                metrics: [("wp_traps".to_string(), 7.0)].into(),
-            },
-        ];
-        let doc = trajectory_json(&entries, "2026-08-07");
         assert_eq!(
-            doc.get("kind").and_then(Json::as_str),
-            Some(TRAJECTORY_KIND)
+            (r.digest.as_str(), r.attempted, r.failed),
+            ("0xc5ca46a455b0facf", 255, 0)
         );
-        let flat = flatten_metrics(&doc);
-        assert_eq!(flat["benches.smoke.metrics.fork_cycles"], 1200.0);
-        assert_eq!(flat["benches.traps.metrics.wp_traps"], 7.0);
-        // Self-compare of a trajectory is regression-free.
-        let c = compare_reports(&doc, &doc, 0.05);
-        assert!(!c.has_regressions());
-        // Round-trips through text.
-        let reparsed = Json::parse(&doc.to_string()).unwrap();
-        assert_eq!(flatten_metrics(&reparsed), flat);
+        assert_eq!(r.metrics["runs_per_s"], 143.8);
+        let good = output(1, "0x1", true, 1.0);
+        for (broken, why) in [
+            (good.replace("trace=0", "trace=1"), "--trace 1"),
+            (good.replace("hbench: workload=", "hbench: w="), "header"),
+            (
+                good.replace("simulated digest", "digest"),
+                "simulated digest",
+            ),
+            (good.replace("0x1 over", "0xzz over"), "hex"),
+            (good.replace("seed=1", "seed=-1"), "seed"),
+            (format!("{good}trailing words\n"), "result object"),
+            (
+                good.replace("\"value\": 1,", "\"value\": \"1\","),
+                "runs_per_s",
+            ),
+        ] {
+            let err = read_run(&broken).unwrap_err();
+            assert!(err.contains(why), "{why}: {err}");
+        }
+        let report = Json::parse(r#"{"schema":1,"kind":"hypernel-run-report"}"#).unwrap();
+        assert!(read_point(&report).is_err());
+        let spec = r#"{"end_to_end": [{"name": "x", "unit": "s", "better": "up", "bound": 1}]}"#;
+        let err = read_bounds(&Json::parse(spec).unwrap()).unwrap_err();
+        assert_eq!(err, "end_to_end entry 1: bad `better`");
     }
 
     #[test]
-    fn civil_date_known_values() {
-        assert_eq!(civil_from_days(0), (1970, 1, 1));
-        assert_eq!(civil_from_days(19_723), (2024, 1, 1)); // 2024 leap year start
-        assert_eq!(civil_from_days(19_723 + 31 + 29), (2024, 3, 1));
-        assert_eq!(civil_from_days(20_672), (2026, 8, 7));
-        let today = today_utc();
-        assert_eq!(today.len(), 10);
-        assert_eq!(&today[4..5], "-");
+    fn a_point_round_trips_and_passes_against_itself() {
+        let runs = [(1, 140.0), (1, 150.0), (90001, 145.0)].map(|(s, r)| run(s, "0xab", true, r));
+        let text = point_json(&runs).to_string();
+        let back = read_point(&Json::parse(&text).unwrap()).expect("point reads back");
+        assert_eq!(back, runs);
+        let g = gate_of(&runs, Some(&back[..]));
+        assert_eq!(g.findings, Vec::<String>::new());
+        assert_eq!(g.lines.len(), 4);
+        assert_eq!(
+            g.lines[0],
+            "campaign-corpus seed 1: runs_per_s 145.0000 1/s (spread 6.9%) \
+             vs 145.0000: +0.0%, bound 24%"
+        );
+    }
+
+    #[test]
+    fn each_failure_is_a_finding() {
+        let split = [run(1, "0xab", true, 140.0), run(1, "0xac", false, 140.0)];
+        assert_eq!(
+            gate_of(&split, None).findings,
+            [
+                "campaign-corpus seed 1: a run is not correct (1 of 255 units failed)",
+                "campaign-corpus seed 1: runs disagree on the simulated digest (0xab, 0xac)",
+            ]
+        );
+        let base = [run(1, "0xab", true, 100.0)];
+        let moved = [run(1, "0xac", true, 100.0), run(7, "0xab", true, 100.0)];
+        assert_eq!(
+            gate_of(&moved, Some(&base[..])).findings,
+            [
+                "campaign-corpus seed 1: simulated digest 0xac differs from the baseline's 0xab",
+                "campaign-corpus seed 7: no baseline entry",
+            ]
+        );
+        // Medians of 77 (-23%, inside the 24% bound) and 200 (better)
+        // pass; 75 (-25%) fails.
+        let at =
+            |rates: [f64; 3]| gate_of(&rates.map(|r| run(1, "0xab", true, r)), Some(&base[..]));
+        assert!(at([77.0, 50.0, 90.0]).findings.is_empty());
+        assert!(at([200.0, 200.0, 200.0]).findings.is_empty());
+        assert_eq!(
+            at([75.0, 75.0, 120.0]).findings,
+            [
+                "campaign-corpus seed 1: `runs_per_s` median 75.0000 is -25.0% from the \
+              baseline's 100.0000, past its 24% bound"
+            ]
+        );
     }
 }

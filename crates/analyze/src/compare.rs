@@ -1,27 +1,23 @@
 //! Regression comparison of machine-readable run reports.
 //!
-//! `RunReport::to_json()` artifacts (and the BENCH trajectory files
-//! built from bench summaries) are nested JSON. [`flatten_metrics`]
+//! `RunReport::to_json()` artifacts are nested JSON. [`flatten_metrics`]
 //! projects every numeric leaf onto a stable dotted key —
 //! `counters.hypercalls`, `telemetry.latencies.syscall@el1.p95`,
 //! `mbm.events_matched` — and [`compare_reports`] diffs two such maps.
 //! Only *cost-like* metrics (cycles, latency quantiles, miss/drop
-//! counts; see [`is_cost_metric`]) and *throughput* metrics (host-side
-//! `…_mops` rates, where a **drop** is the regression; see
-//! [`is_throughput_metric`]) gate the regression verdict: behavioral
-//! counters like `counters.hypercalls` are reported as changes but a
-//! workload may legitimately shift them, and keys present on only one
-//! side are listed without gating — a baseline predating a new metric
-//! must not fail the gate.
+//! counts; see [`is_cost_metric`]) gate the regression verdict:
+//! behavioral counters like `counters.hypercalls` are reported as
+//! changes but a workload may legitimately shift them, and keys present
+//! on only one side are listed without gating — a baseline predating a
+//! new metric must not fail the gate.
 
 use hypernel_telemetry::json::Json;
 use std::collections::BTreeMap;
 
 /// Flattens a report document into `dotted.key -> value` pairs over
 /// every numeric leaf. Arrays of objects are keyed by their `span`/
-/// `point` + `track` fields (run-report latency tables), or by a `name`
-/// field (bench summaries); other arrays by index. Strings, booleans
-/// and nulls are skipped.
+/// `point` + `track` fields (run-report latency tables), other arrays
+/// by index. Strings, booleans and nulls are skipped.
 pub fn flatten_metrics(doc: &Json) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     flatten_into("", doc, &mut out);
@@ -39,15 +35,11 @@ fn join(prefix: &str, key: &str) -> String {
 /// A label for an array element, when it carries one.
 fn element_label(item: &Json) -> Option<String> {
     let track = item.get("track").and_then(Json::as_str);
-    if let (Some(name), Some(track)) = (
-        item.get("span")
-            .or_else(|| item.get("point"))
-            .and_then(Json::as_str),
-        track,
-    ) {
-        return Some(format!("{name}@{track}"));
-    }
-    item.get("name").and_then(Json::as_str).map(str::to_string)
+    let name = item
+        .get("span")
+        .or_else(|| item.get("point"))
+        .and_then(Json::as_str);
+    Some(format!("{}@{}", name?, track?))
 }
 
 fn flatten_into(prefix: &str, doc: &Json, out: &mut BTreeMap<String, f64>) {
@@ -87,23 +79,12 @@ pub fn is_cost_metric(key: &str) -> bool {
     key == "cycles"
         || key == "micros"
         || key.ends_with(".cycles")
-        || key.ends_with("_cycles")
         || key.ends_with(".micros")
-        || key.ends_with("_us")
-        || key.contains("overhead")
         || key.contains("latenc")
         || key.contains("misses")
         || key.contains("dropped")
         || key.contains("unmatched")
         || key.contains("open_spans")
-}
-
-/// Whether a flattened key measures *throughput* — something where a
-/// **lower** value is the regression (simulated mega-ops per host
-/// second from the `throughput` bench). Throughput keys end in `_mops`
-/// by convention.
-pub fn is_throughput_metric(key: &str) -> bool {
-    key.ends_with("_mops") || key.ends_with(".mops")
 }
 
 /// One metric present in both reports.
@@ -201,7 +182,7 @@ impl Comparison {
         let neutral: Vec<&MetricDelta> = self
             .changed
             .iter()
-            .filter(|d| !is_cost_metric(&d.key) && !is_throughput_metric(&d.key))
+            .filter(|d| !is_cost_metric(&d.key))
             .collect();
         if !neutral.is_empty() {
             out.push_str("other changed metrics (not gated):\n");
@@ -220,7 +201,7 @@ impl Comparison {
         out
     }
 
-    /// Machine-readable rendering (for `BENCH_*` artifacts and CI logs).
+    /// Machine-readable rendering (for CI logs).
     pub fn to_json(&self) -> Json {
         let deltas = |v: &[MetricDelta]| {
             Json::Array(
@@ -282,14 +263,7 @@ pub fn compare_reports(baseline: &Json, current: &Json, threshold: f64) -> Compa
                 if b == c {
                     continue;
                 }
-                if is_throughput_metric(key) && delta.exceeds(threshold) {
-                    // Throughput gates inverted: a drop is the regression.
-                    if c < b {
-                        comparison.regressions.push(delta.clone());
-                    } else {
-                        comparison.improvements.push(delta.clone());
-                    }
-                } else if is_cost_metric(key) && delta.exceeds(threshold) {
+                if is_cost_metric(key) && delta.exceeds(threshold) {
                     if c > b {
                         comparison.regressions.push(delta.clone());
                     } else {
@@ -413,57 +387,14 @@ mod tests {
     }
 
     #[test]
-    fn throughput_drop_gates_but_rise_is_an_improvement() {
-        let base = Json::parse(
-            r#"{"schema":1,"benches":{"throughput":{"metrics":{"untar_sim_mops":30.0}}}}"#,
-        )
-        .unwrap();
-        let slower = Json::parse(
-            r#"{"schema":1,"benches":{"throughput":{"metrics":{"untar_sim_mops":20.0}}}}"#,
-        )
-        .unwrap();
-        let c = compare_reports(&base, &slower, 0.20);
-        assert!(c.has_regressions(), "a -33% throughput drop must gate");
-        assert_eq!(
-            c.regressions[0].key,
-            "benches.throughput.metrics.untar_sim_mops"
-        );
-        assert!(c.render_text().contains("REGRESSIONS"));
-
-        let faster = Json::parse(
-            r#"{"schema":1,"benches":{"throughput":{"metrics":{"untar_sim_mops":90.0}}}}"#,
-        )
-        .unwrap();
-        let c = compare_reports(&base, &faster, 0.20);
-        assert!(!c.has_regressions(), "faster is never a regression");
-        assert_eq!(c.improvements.len(), 1);
-
-        // Within the band: visible, not gated.
-        let drift = Json::parse(
-            r#"{"schema":1,"benches":{"throughput":{"metrics":{"untar_sim_mops":27.0}}}}"#,
-        )
-        .unwrap();
-        let c = compare_reports(&base, &drift, 0.20);
-        assert!(!c.has_regressions());
-        assert_eq!(c.changed.len(), 1);
-    }
-
-    #[test]
     fn new_metrics_are_tolerated_not_gated() {
-        // A baseline predating the throughput bench (or any new metric)
-        // must not fail the gate just because keys were added.
+        // A baseline predating a new metric must not fail the gate
+        // just because keys were added.
         let base = Json::parse(r#"{"schema":1,"cycles":10}"#).unwrap();
-        let cur = Json::parse(
-            r#"{"schema":1,"cycles":10,
-                 "benches":{"throughput":{"metrics":{"untar_sim_mops":30.0}}}}"#,
-        )
-        .unwrap();
+        let cur = Json::parse(r#"{"schema":1,"cycles":10,"mbm":{"fifo_dropped":3}}"#).unwrap();
         let c = compare_reports(&base, &cur, 0.05);
         assert!(!c.has_regressions());
-        assert_eq!(
-            c.added,
-            vec!["benches.throughput.metrics.untar_sim_mops".to_string()]
-        );
+        assert_eq!(c.added, vec!["mbm.fifo_dropped".to_string()]);
         assert!(c.render_text().contains("only in current"));
     }
 
@@ -473,28 +404,10 @@ mod tests {
         assert!(is_cost_metric("telemetry.latencies.syscall@el1.p99"));
         assert!(is_cost_metric("counters.tlb_misses"));
         assert!(is_cost_metric("mbm.fifo_dropped"));
-        // Bench trajectory conventions.
-        assert!(is_cost_metric(
-            "benches.smoke.metrics.fork_exit_hypernel_cycles"
-        ));
-        assert!(is_cost_metric(
-            "benches.table1_lmbench.metrics.fork_exit_native_us"
-        ));
-        assert!(is_cost_metric(
-            "benches.smoke.metrics.fork_exit_hyp_overhead_pct"
-        ));
+        assert!(is_cost_metric("micros"));
+        assert!(is_cost_metric("telemetry.unmatched_ends"));
         assert!(!is_cost_metric("counters.hypercalls"));
         assert!(!is_cost_metric("telemetry.latencies.syscall@el1.count"));
         assert!(!is_cost_metric("mbm.events_matched"));
-        assert!(!is_cost_metric("benches.smoke.metrics.untar_word_events"));
-        // Throughput keys are gated by the inverted rule, not the cost one.
-        assert!(is_throughput_metric(
-            "benches.throughput.metrics.untar_sim_mops"
-        ));
-        assert!(is_throughput_metric(
-            "benches.throughput.metrics.campaign_sweep_sim_mops"
-        ));
-        assert!(!is_throughput_metric("cycles"));
-        assert!(!is_cost_metric("benches.throughput.metrics.untar_sim_mops"));
     }
 }

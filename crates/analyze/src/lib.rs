@@ -3,10 +3,11 @@
 
 //! # hypernel-analyze
 //!
-//! Turns the telemetry artifacts the simulation emits — JSONL event
-//! traces (`hypernel sim run --trace-out t.jsonl --trace-format jsonl`) and
-//! machine-readable run reports (`--report-json r.json`) — into the
-//! analyses the paper's evaluation is built on:
+//! Turns the artifacts the simulation emits — JSONL event traces
+//! (`hypernel sim run --trace-out t.jsonl --trace-format jsonl`),
+//! machine-readable run reports (`--report-json r.json`) and the output
+//! of the `hbench` host-time benchmark — into the analyses the paper's
+//! evaluation and the perf gate are built on:
 //!
 //! * [`attribution`] — per-span self-vs-nested cycle accounting over the
 //!   reconstructed span tree (a poor-man's profiler for the cost model),
@@ -17,10 +18,11 @@
 //!   EL2 verdict, with end-to-end detection latency in cycles (the
 //!   paper's Table 2 shape).
 //! * [`compare`] — structural diff of two run reports with a
-//!   configurable regression threshold over the cost-like metrics, the
-//!   perf gate CI runs on every push.
-//! * [`bench`] — aggregation of `crates/bench` machine-readable
-//!   summaries into dated `BENCH_<date>.json` trajectory artifacts.
+//!   configurable regression threshold over the cost-like metrics.
+//! * [`bench`] — the host-time perf gate: reads hbench's output, checks
+//!   each metric's median against a committed `BENCH_<date>.json` point
+//!   within the bounds `BENCHMARK.json` declares, checks the simulated
+//!   digests exactly, and writes the next point.
 //! * [`timeline`] — rendering and cross-run diffing of windowed
 //!   `metrics.jsonl` time series, including the ones embedded in
 //!   `blackbox.json` flight-recorder dumps.
@@ -37,7 +39,7 @@ pub mod forensics;
 pub mod timeline;
 
 pub use attribution::{attribute, Attribution, AttributionRow};
-pub use bench::{read_summaries_dir, trajectory_json, BenchEntry};
+pub use bench::{gate, point_json, read_bounds, read_point, read_run, Bound, Gate, Run};
 pub use compare::{compare_reports, flatten_metrics, Comparison, MetricDelta};
 pub use forensics::{reconstruct_incidents, Incident, IncidentKind};
 pub use timeline::{

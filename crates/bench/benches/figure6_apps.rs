@@ -15,8 +15,9 @@ use hypernel_bench::{app_on, pct, rule};
 use hypernel_workloads::AppBenchmark;
 
 fn main() {
+    let [paper_kvm, paper_hyp] = AppBenchmark::PAPER_AVG_OVERHEAD.map(pct);
     println!("Figure 6: Application benchmarks — normalized execution time");
-    println!("(1.00 = native; paper reports the averages: KVM +13.5%, Hypernel +3.1%)");
+    println!("(1.00 = native; paper reports the averages: KVM {paper_kvm}, Hypernel {paper_hyp})");
     rule(78);
     println!(
         "{:<11} | {:>12} | {:>8} {:>8} | {:>9} {:>9}",
@@ -56,7 +57,7 @@ fn main() {
         pct(avg(&hyp_overheads)),
     );
     println!();
-    println!("paper:    KVM-guest +13.5%, Hypernel +3.1% (average)");
+    println!("paper:    KVM-guest {paper_kvm}, Hypernel {paper_hyp} (average)");
     println!(
         "measured: KVM-guest {}, Hypernel {}",
         pct(avg(&kvm_overheads)),

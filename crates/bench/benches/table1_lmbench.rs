@@ -8,7 +8,6 @@
 //! Run with `cargo bench -p hypernel-bench --bench table1_lmbench`.
 
 use hypernel::Mode;
-use hypernel_bench::summary::BenchSummary;
 use hypernel_bench::{lmbench_on, pct, rule};
 use hypernel_workloads::LmbenchOp;
 
@@ -36,7 +35,6 @@ fn main() {
     let mut hyp_overheads = Vec::new();
     let mut paper_kvm = Vec::new();
     let mut paper_hyp = Vec::new();
-    let mut summary = BenchSummary::new("table1_lmbench");
 
     for &op in LmbenchOp::ALL {
         let native = lmbench_on(Mode::Native, op).expect("native run");
@@ -51,16 +49,6 @@ fn main() {
         hyp_overheads.push(hyp_ovh);
         paper_kvm.push(p_kvm);
         paper_hyp.push(p_hyp);
-        summary
-            .metric(
-                &format!("{} native_us", op.label()),
-                native.micros_per_iter(),
-            )
-            .metric(
-                &format!("{} hypernel_us", op.label()),
-                hypernel.micros_per_iter(),
-            )
-            .metric(&format!("{} hyp_overhead_pct", op.label()), hyp_ovh * 100.0);
 
         println!(
             "{:<15} | {:>8.2} {:>8.2} {:>8.2} | {:>8.2} {:>8.2} {:>8.2} | {:>9} {:>9} | {:>9} {:>9}",
@@ -98,8 +86,4 @@ fn main() {
         pct(avg(&kvm_overheads)),
         pct(avg(&hyp_overheads))
     );
-    summary
-        .metric("avg_kvm_overhead_pct", avg(&kvm_overheads) * 100.0)
-        .metric("avg_hypernel_overhead_pct", avg(&hyp_overheads) * 100.0);
-    summary.write_if_requested();
 }

@@ -15,39 +15,9 @@
 //!
 //! Run with `cargo bench -p hypernel-bench --bench table2_traps`.
 
-use hypernel::{Mode, System};
-use hypernel_bench::rule;
-use hypernel_bench::summary::BenchSummary;
-use hypernel_kernel::kernel::{MonitorHooks, MonitorMode};
-use hypernel_workloads::{apps, AppBenchmark};
-
-/// Runs one benchmark under the given monitoring mode and returns the
-/// MBM's matched-event count.
-fn trap_events(bench: AppBenchmark, mode: MonitorMode) -> u64 {
-    let mut sys = System::boot(Mode::Hypernel).expect("hypernel boot");
-    {
-        let (kernel, machine, hyp) = sys.parts();
-        apps::prepare(kernel, machine, hyp, bench).expect("prepare");
-    }
-    // The benchmark starts on a quiet system: the security solution
-    // arms now (sweeping existing objects), counters reset now.
-    {
-        let (kernel, machine, hyp) = sys.parts();
-        kernel
-            .arm_monitor_hooks(machine, hyp, MonitorHooks { mode })
-            .expect("arm hooks");
-    }
-    sys.reset_mbm_stats();
-    {
-        let (kernel, machine, hyp) = sys.parts();
-        apps::run(kernel, machine, hyp, bench, 1, 42).expect("run");
-    }
-    let events = sys.mbm_stats().expect("mbm attached").events_matched;
-    // Disarm and drain before teardown.
-    sys.parts().0.set_monitor_hooks(None);
-    let _ = sys.service_interrupts();
-    events
-}
+use hypernel_bench::{rule, trap_events};
+use hypernel_kernel::kernel::MonitorMode;
+use hypernel_workloads::AppBenchmark;
 
 fn main() {
     println!("Table 2: Comparison of the number of trap events");
@@ -61,19 +31,15 @@ fn main() {
 
     let mut ratios = Vec::new();
     let mut paper_ratios = Vec::new();
-    let mut summary = BenchSummary::new("table2_traps");
     for &bench in AppBenchmark::ALL {
-        let page = trap_events(bench, MonitorMode::WholeObject);
-        let word = trap_events(bench, MonitorMode::SensitiveFields);
+        let page = trap_events(bench, MonitorMode::WholeObject).expect("whole-object run");
+        let word = trap_events(bench, MonitorMode::SensitiveFields).expect("sensitive-field run");
         let ratio = word as f64 / page.max(1) as f64;
         let p_page = bench.paper_page_granularity_events();
         let p_word = bench.paper_word_granularity_events();
         let p_ratio = p_word as f64 / p_page as f64;
         ratios.push(ratio);
         paper_ratios.push(p_ratio);
-        summary
-            .metric(&format!("{} page_events", bench.label()), page as f64)
-            .metric(&format!("{} word_events", bench.label()), word as f64);
         println!(
             "{:<11} | {:>12} {:>10} {:>7.1}% | {:>12} {:>10} {:>7.1}% | {:>6.0}x",
             bench.label(),
@@ -93,6 +59,4 @@ fn main() {
         avg(&ratios) * 100.0,
         avg(&paper_ratios) * 100.0
     );
-    summary.metric("avg_word_page_ratio_pct", avg(&ratios) * 100.0);
-    summary.write_if_requested();
 }

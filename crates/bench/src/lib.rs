@@ -5,30 +5,20 @@
 //!
 //! Each `benches/*.rs` target regenerates one table or figure of the
 //! paper; this crate provides the system drivers and table formatting
-//! they share.
+//! they share. The drivers behind Table 1 ([`lmbench_on`]), Figure 6
+//! ([`app_on`]) and Table 2 ([`trap_events`]) are also what
+//! `tests/paper_claims.rs` pins, cell for cell, so the printed tables
+//! and the tier-1 pin measure the same thing.
 
 use hypernel::{Mode, System};
-use hypernel_kernel::kernel::KernelError;
+use hypernel_kernel::kernel::{KernelError, MonitorHooks, MonitorMode};
 use hypernel_workloads::{apps, lmbench, AppBenchmark, LmbenchOp, Measurement};
-
-pub mod summary;
 
 /// Iterations per LMbench operation (LMbench itself repeats and averages;
 /// the simulation is deterministic, so fewer repetitions suffice — the
 /// repetitions still matter because cache, TLB and allocator state evolve
 /// across them).
 pub const LMBENCH_ITERS: u64 = 100;
-
-/// Iterations per LMbench operation, honoring `HYPERNEL_BENCH_ITERS`
-/// when set (the smoke/CI path uses a small count to stay fast); falls
-/// back to [`LMBENCH_ITERS`].
-pub fn lmbench_iters() -> u64 {
-    std::env::var("HYPERNEL_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(LMBENCH_ITERS)
-}
 
 /// Runs one LMbench op on a freshly booted system of the given mode.
 ///
@@ -38,7 +28,7 @@ pub fn lmbench_iters() -> u64 {
 pub fn lmbench_on(mode: Mode, op: LmbenchOp) -> Result<Measurement, KernelError> {
     let mut sys = System::boot(mode)?;
     let (kernel, machine, hyp) = sys.parts();
-    lmbench::run_op(kernel, machine, hyp, op, lmbench_iters())
+    lmbench::run_op(kernel, machine, hyp, op, LMBENCH_ITERS)
 }
 
 /// Runs one application benchmark on a freshly booted system.
@@ -51,6 +41,36 @@ pub fn app_on(mode: Mode, bench: AppBenchmark) -> Result<Measurement, KernelErro
     let (kernel, machine, hyp) = sys.parts();
     apps::prepare(kernel, machine, hyp, bench)?;
     apps::run(kernel, machine, hyp, bench, 1, 42)
+}
+
+/// Runs one application benchmark on Hypernel with the security
+/// solution of the paper's Table 2 monitoring the `cred` and `dentry`
+/// objects at `granularity`, and returns the MBM's matched-event count
+/// (the paper's "number of interrupts generated").
+///
+/// # Errors
+///
+/// Propagates kernel errors.
+pub fn trap_events(bench: AppBenchmark, granularity: MonitorMode) -> Result<u64, KernelError> {
+    let mut sys = System::boot(Mode::Hypernel)?;
+    {
+        let (kernel, machine, hyp) = sys.parts();
+        apps::prepare(kernel, machine, hyp, bench)?;
+        // The benchmark starts on a quiet system: the security solution
+        // arms now (sweeping existing objects), counters reset now.
+        let hooks = MonitorHooks { mode: granularity };
+        kernel.arm_monitor_hooks(machine, hyp, hooks)?;
+    }
+    sys.reset_mbm_stats();
+    {
+        let (kernel, machine, hyp) = sys.parts();
+        apps::run(kernel, machine, hyp, bench, 1, 42)?;
+    }
+    let events = sys.mbm_stats().expect("Hypernel has an MBM").events_matched;
+    // Disarm and drain before teardown.
+    sys.parts().0.set_monitor_hooks(None);
+    let _ = sys.service_interrupts();
+    Ok(events)
 }
 
 /// Formats a signed percentage (`0.155` → `+15.5%`).

@@ -1,16 +1,17 @@
 //! `hypernel analyze` — trace analytics and perf-regression commands.
 //!
-//! `compare` and `bench --baseline` exit nonzero when a cost metric
-//! regressed beyond the threshold, which is what the CI perf gate keys
-//! on; `coverage --against` exits nonzero when any feature covered by
-//! the baseline atlas went uncovered, which is what the CI coverage
-//! gate keys on.
+//! `compare` exits nonzero when a cost metric of a run report regressed
+//! beyond the threshold; `bench` exits nonzero when an hbench run is
+//! wrong, a simulated digest moved or a host-time metric crossed its
+//! `BENCHMARK.json` bound, which is what the CI perf gate keys on;
+//! `coverage --against` exits nonzero when any feature covered by the
+//! baseline atlas went uncovered, which is what the CI coverage gate
+//! keys on.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hypernel::analyze::attribution::{attribute, collapsed_stacks};
-use hypernel::analyze::bench::{read_summaries_dir, today_utc, trajectory_json};
+use hypernel::analyze::bench::{gate, point_json, read_bounds, read_point, read_run};
 use hypernel::analyze::compare::compare_reports;
 use hypernel::analyze::forensics::{incidents_to_json, reconstruct_incidents, render_text};
 use hypernel::audit::report::ingest_report;
@@ -37,10 +38,16 @@ USAGE:
   hypernel analyze compare <baseline.json> <current.json> [--threshold F] [--json]
       Diffs two run reports; exits 1 when a cost metric regressed
       beyond the threshold (default 0.05 = 5%).
-  hypernel analyze bench --dir <summaries> [--out <file> | --out-dir <dir>]
-                         [--baseline <trajectory.json>] [--threshold F]
-      Aggregates bench summaries into a BENCH_<date>.json trajectory;
-      with --baseline also runs the regression gate (default 0.10).
+  hypernel analyze bench <BENCHMARK.json> <hbench-output>...
+                         [--baseline <BENCH_date.json>] [--out <BENCH_date.json>]
+      The host-time perf gate over the standard output of `--trace 0`
+      hbench runs. Groups the runs by (workload, seed) and prints each
+      end-to-end metric's median. Exits 1, listing every finding, when
+      a run is not correct, runs of a group disagree on the simulated
+      digest or, with --baseline (a committed point), a digest differs
+      from the baseline's, a group has no baseline entry, or a median
+      is worse than the baseline's by more than the metric's bound in
+      BENCHMARK.json. --out writes the runs as the next point.
   hypernel analyze selftest
       End-to-end pipeline check over a synthetic trace; exits nonzero
       on any inconsistency.
@@ -86,7 +93,7 @@ pub const COMMANDS: &[Command] = &[
     Command::new("compare", "<baseline.json> <current.json>", cmd_compare)
         .options("threshold")
         .flags("json"),
-    Command::new("bench", "", cmd_bench).options("dir out out-dir baseline threshold"),
+    Command::new("bench", "<BENCHMARK.json> <hbench-output>...", cmd_bench).options("baseline out"),
     Command::new("campaign", "<campaign.jsonl>", cmd_campaign)
         .options("baseline out threshold")
         .flags("json"),
@@ -170,40 +177,38 @@ fn cmd_compare(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_bench(args: &Args) -> Result<ExitCode, String> {
-    let dir = args.required("dir")?;
-    let (entries, skipped) = read_summaries_dir(Path::new(dir))
-        .map_err(|e| format!("cannot read summaries dir `{dir}`: {e}"))?;
-    for name in &skipped {
-        eprintln!("warning: `{dir}/{name}` is not a bench summary, skipped");
+    let (spec_path, outputs) = args.positional().split_first().expect("declared");
+    let bounds = read_bounds(&read_json(spec_path)?).map_err(|e| format!("`{spec_path}`: {e}"))?;
+    let mut runs = Vec::new();
+    for path in outputs {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+        runs.push(read_run(&text).map_err(|e| format!("`{path}`: {e}"))?);
     }
-    if entries.is_empty() {
-        return Err(format!("no bench summaries found in `{dir}`"));
-    }
-    let date = today_utc();
-    let trajectory = trajectory_json(&entries, &date);
-    let out_path: PathBuf = match (args.get("out"), args.get("out-dir")) {
-        (Some(out), _) => PathBuf::from(out),
-        (None, Some(out_dir)) => Path::new(out_dir).join(format!("BENCH_{date}.json")),
-        (None, None) => PathBuf::from(format!("BENCH_{date}.json")),
+    let baseline = match args.get("baseline") {
+        Some(path) => Some(read_point(&read_json(path)?).map_err(|e| format!("`{path}`: {e}"))?),
+        None => None,
     };
-    write_file(&out_path, &format!("{trajectory}\n"))?;
-    println!(
-        "aggregated {} bench(es) into {}",
-        entries.len(),
-        out_path.display()
-    );
-    if let Some(baseline_path) = args.get("baseline") {
-        let threshold = args.threshold(0.10)?;
-        let baseline = read_json(baseline_path)?;
-        let comparison = compare_reports(&baseline, &trajectory, threshold);
-        print!("{}", comparison.render_text());
-        if comparison.has_regressions() {
-            eprintln!("perf gate: FAIL (regressions vs `{baseline_path}`)");
-            return Ok(ExitCode::FAILURE);
-        }
-        println!("perf gate: ok vs `{baseline_path}`");
+    if let Some(out) = args.get("out") {
+        write_file(out, &format!("{}\n", point_json(&runs)))?;
+        println!("wrote {} run(s) to {out}", runs.len());
     }
-    Ok(ExitCode::SUCCESS)
+    let verdict = gate(&bounds, &runs, baseline.as_deref());
+    verdict.lines.iter().for_each(|line| println!("{line}"));
+    for finding in &verdict.findings {
+        println!("FAIL: {finding}");
+    }
+    let against = args
+        .get("baseline")
+        .map_or(String::new(), |p| format!(" vs `{p}`"));
+    let (runs, findings) = (runs.len(), verdict.findings.len());
+    if findings == 0 {
+        println!("perf gate: ok, {runs} run(s){against}");
+        Ok(ExitCode::SUCCESS)
+    } else {
+        eprintln!("perf gate: FAIL, {findings} finding(s){against}");
+        Ok(ExitCode::FAILURE)
+    }
 }
 
 fn cmd_campaign(args: &Args) -> Result<ExitCode, String> {

@@ -39,7 +39,7 @@ TOOLS:
   campaign    adversarial attack/fault campaigns over a scenario corpus
   audit       static whole-system invariant audit of scenario end states
   staticheck  static reachability analysis of scenarios (no execution)
-  analyze     trace, report, campaign, coverage and bench analytics
+  analyze     trace, report, campaign and coverage analytics; the perf gate
   compose     compile and lint declarative system descriptions
 ";
 

@@ -5,7 +5,6 @@
 //! hypernel sim run --mode kvm --app untar
 //! hypernel sim compare --op 'pipe lat'
 //! hypernel sim monitor --app iozone --granularity word
-//! hypernel sim replay --script workload.hsim --mode hypernel
 //! hypernel sim audit
 //! hypernel sim help
 //! ```
@@ -34,7 +33,6 @@ COMMANDS:
     run        run one workload on one configuration, print a report
     compare    run one workload on all three configurations
     monitor    run an app benchmark with kernel-object monitoring armed
-    replay     replay a workload script (see hypernel_workloads::replay)
     audit      boot Hypernel, run a stress mix, audit every invariant
     help       print this message
 
@@ -48,7 +46,6 @@ OPTIONS (each command rejects those it does not use):
                                    untar, iozone, apache
     --iters <N>                    LMbench iterations (default: 100)
     --granularity <word|object>    monitoring policy (default: word)
-    --script <path>                replay script file
     --markdown                     print the machine report as markdown
     --trace-out <path>             write the telemetry event stream to a file
     --trace-format <jsonl|chrome>  trace file format (default: chrome; the
@@ -91,9 +88,6 @@ pub const COMMANDS: &[Command] = &[
     Command::new("monitor", "", cmd_monitor)
         .options("granularity op app iters audit metrics trace-out trace-format report-json")
         .flags("audit sanitize histograms forensics strict-telemetry"),
-    Command::new("replay", "", cmd_replay)
-        .options("script mode metrics trace-out trace-format report-json")
-        .flags("sanitize markdown histograms forensics strict-telemetry"),
     Command::new("audit", "", cmd_audit),
 ];
 
@@ -392,30 +386,6 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         println!("    [sid {}] {}", d.sid, d.reason);
     }
     export(&sys, args, recorder, Mode::Hypernel)
-}
-
-fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
-    use hypernel::workloads::replay;
-    let path = args.required("script")?;
-    let script = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let statements = replay::parse(&script).map_err(|e| format!("{path}: {e}"))?;
-    let mode = args.mode()?.unwrap_or(Mode::Hypernel);
-    let mut sys = boot(mode, args)?;
-    let recorder = new_recorder(&sys, args);
-    let m = {
-        let (kernel, machine, hyp) = sys.parts();
-        replay::replay(kernel, machine, hyp, &statements, 42).map_err(|e| e.to_string())?
-    };
-    println!(
-        "{mode}: {} statements, {} cycles ({:.2} us modeled)",
-        statements.len(),
-        m.total_cycles,
-        m.total_cycles as f64 / CYCLES_PER_US
-    );
-    if args.flag("markdown") {
-        println!("\n{}", RunReport::capture(&sys).to_markdown());
-    }
-    export(&sys, args, recorder, mode)
 }
 
 fn cmd_audit(_: &Args) -> Result<ExitCode, String> {

@@ -8,9 +8,9 @@
 //! modes, a `masked` step with nothing declared that could mask it, an
 //! expectation the static analyzer proves impossible, scenario names
 //! that drift from their file stems (the sweep artifact is keyed by
-//! name), and compose problems: dangling channel endpoints, overlapping
-//! shared regions, and attack steps that target compose entities the
-//! description never declares.
+//! name), and attack steps that target compose entities the description
+//! never declares. Structural compose problems (dangling channel
+//! endpoints, overlapping shared regions) are load errors.
 
 use std::path::Path;
 
@@ -80,11 +80,6 @@ pub fn lint_source(stem: Option<&str>, source: &str) -> Vec<String> {
             "latency-bound is set but no step expects `detected`, so it can never be checked"
                 .to_string(),
         );
-    }
-    if let Some(compose) = &scenario.compose {
-        for problem in compose.validate() {
-            out.push(format!("compose: {problem}"));
-        }
     }
     for (i, spec) in scenario.steps.iter().enumerate() {
         let references: Vec<(&str, &str, &str)> = match &spec.step {

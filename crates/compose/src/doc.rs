@@ -6,8 +6,10 @@
 //! scenario). The loader is strict and is the schema: a key it does
 //! not read, a wrong-typed value or an out-of-range one is a load
 //! error naming its location (``domain 1: unknown key `prio` ``), and one
-//! error lists every such finding. Structural problems (dangling
-//! references, overlaps) are [`ComposeDoc::validate`]'s job.
+//! error lists every such finding. A description whose fields load
+//! is then checked for structural problems (dangling references,
+//! duplicate names, overlaps) by [`ComposeDoc::validate`], and those
+//! join the same error, so every loaded description lowers cleanly.
 //! [`ComposeDoc::to_toml`] is the exact inverse of
 //! [`ComposeDoc::from_doc`], so descriptions round-trip byte-for-byte
 //! through the model.
@@ -104,7 +106,8 @@ impl ComposeDoc {
     /// # Errors
     ///
     /// Returns a [`ComposeError`] listing every missing required field,
-    /// unknown key, wrong-typed value and out-of-range value.
+    /// unknown key, wrong-typed value and out-of-range value, or, when
+    /// there are none, every [`ComposeDoc::validate`] problem.
     pub fn from_doc(doc: &TomlTable) -> Result<Option<Self>, ComposeError> {
         let compose = doc.table("compose");
         let (domains, channels, regions) = (
@@ -155,6 +158,13 @@ impl ComposeDoc {
                 va: f.u64("va"),
             });
             f.finish();
+        }
+        if problems.is_empty() {
+            problems = out
+                .validate()
+                .iter()
+                .map(|p| format!("compose: {p}"))
+                .collect();
         }
         if problems.is_empty() {
             Ok(Some(out))
@@ -242,7 +252,7 @@ impl ComposeDoc {
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if self.domains.is_empty() {
-            problems.push("compose: declares no domains".to_string());
+            problems.push("declares no domains".to_string());
         }
         check_duplicates(
             &mut problems,

@@ -169,9 +169,9 @@ pub fn plan(doc: &ComposeDoc) -> Vec<LowerStep> {
 ///
 /// # Errors
 ///
-/// Propagates the first [`KernelError`] (frame exhaustion, dangling
-/// names, hypercall denials). Run [`ComposeDoc::validate`] first for a
-/// complete structural report.
+/// Propagates the first [`KernelError`] (frame exhaustion, hypercall
+/// denials; dangling names only for a description built by hand, since
+/// the loader rejects them).
 pub fn apply(
     doc: &ComposeDoc,
     kernel: &mut Kernel,

@@ -477,10 +477,10 @@ impl Machine {
         self.plans.invalidate_all(InvalidateCause::WatchSet);
     }
 
-    /// Marks a workload basic-block boundary (replay statements,
-    /// lmbench op loops). Purely host-side observability: the plan
-    /// cache counts hinted blocks so replay density per block can be
-    /// reported; no model state or simulated cycle is touched.
+    /// Marks a workload basic-block boundary (lmbench op loops).
+    /// Purely host-side observability: the plan cache counts hinted
+    /// blocks so replay density per block can be reported; no model
+    /// state or simulated cycle is touched.
     pub fn hint_block_boundary(&mut self) {
         self.plans.note_block_hint();
     }

@@ -6,7 +6,7 @@
 //! micro-TLB, the MBM watch-page filter) are deliberately absent,
 //! because the artifact must be byte-identical with the fast paths on
 //! or off (`HYPERNEL_NO_FASTPATH`). Host counters are read only by the
-//! host-time benches (hbench `--trace 1`, the throughput bench).
+//! host-time benchmark (hbench `--trace 1`).
 
 use crate::series::SeriesKind;
 

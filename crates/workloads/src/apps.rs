@@ -49,6 +49,12 @@ impl AppBenchmark {
         Self::Apache,
     ];
 
+    /// Paper §7.1.2, Figure 6: the average overhead over native of the
+    /// KVM guest and of Hypernel ("13.5% and 3.1% of the performance
+    /// overhead, respectively"). The paper gives no per-application
+    /// values.
+    pub const PAPER_AVG_OVERHEAD: [f64; 2] = [0.135, 0.031];
+
     /// The paper's row label.
     pub fn label(self) -> &'static str {
         match self {

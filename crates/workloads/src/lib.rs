@@ -19,7 +19,6 @@
 pub mod apps;
 pub mod lmbench;
 pub mod measure;
-pub mod replay;
 
 pub use apps::AppBenchmark;
 pub use lmbench::{ExtraOp, LmbenchOp};

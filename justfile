@@ -21,55 +21,29 @@ fmt:
 test:
     cargo test -q
 
-# Fast deterministic bench pass: emit machine-readable summaries,
-# aggregate them into a dated BENCH_<date>.json trajectory, and gate
-# against the committed baseline. This is the CI perf gate.
-bench-smoke:
-    rm -rf {{justfile_directory()}}/target/bench-summaries
-    HYPERNEL_BENCH_DIR={{justfile_directory()}}/target/bench-summaries \
-    HYPERNEL_BENCH_ITERS=20 \
-        cargo bench -q -p hypernel-bench --bench smoke
-    cargo run -q --bin hypernel -- analyze bench \
-        --dir {{justfile_directory()}}/target/bench-summaries \
-        --out-dir {{justfile_directory()}}/target/bench-trajectory \
-        --baseline {{justfile_directory()}}/benchmarks/baseline.json \
-        --threshold 0.10
-
-# Regenerate the committed bench baseline (run after an intentional
-# cost-model change, then commit benchmarks/baseline.json).
-bench-baseline:
-    rm -rf {{justfile_directory()}}/target/bench-summaries
-    HYPERNEL_BENCH_DIR={{justfile_directory()}}/target/bench-summaries \
-    HYPERNEL_BENCH_ITERS=20 \
-        cargo bench -q -p hypernel-bench --bench smoke
-    cargo run -q --bin hypernel -- analyze bench \
-        --dir {{justfile_directory()}}/target/bench-summaries \
-        --out {{justfile_directory()}}/benchmarks/baseline.json
-
-# Host-throughput bench: simulated work retired per host second (the
-# other perf axis — simulated-cycle results are unaffected by design).
-# Gated at ±20% against the committed throughput baseline; `*_mops`
-# metrics regress when they DROP. See docs/PERF.md.
-bench-throughput:
-    rm -rf {{justfile_directory()}}/target/throughput-summaries
-    HYPERNEL_BENCH_DIR={{justfile_directory()}}/target/throughput-summaries \
-        cargo bench -q -p hypernel-bench --bench throughput
-    cargo run -q --bin hypernel -- analyze bench \
-        --dir {{justfile_directory()}}/target/throughput-summaries \
-        --out-dir {{justfile_directory()}}/target/throughput-trajectory \
-        --baseline {{justfile_directory()}}/benchmarks/throughput-baseline.json \
-        --threshold 0.20
-
-# Regenerate the committed host-throughput baseline (run on the
-# reference machine after an intentional fast-path change, then commit
-# benchmarks/throughput-baseline.json).
-bench-throughput-baseline:
-    rm -rf {{justfile_directory()}}/target/throughput-summaries
-    HYPERNEL_BENCH_DIR={{justfile_directory()}}/target/throughput-summaries \
-        cargo bench -q -p hypernel-bench --bench throughput
-    cargo run -q --bin hypernel -- analyze bench \
-        --dir {{justfile_directory()}}/target/throughput-summaries \
-        --out {{justfile_directory()}}/benchmarks/throughput-baseline.json
+# The CI perf gate: hbench (the repository benchmark, BENCHMARK.json)
+# on its three workloads at seeds 1 and 90001, three 30-second runs
+# each (about 11 minutes), gated against the newest committed
+# benchmarks/BENCH_<date>.json point within BENCHMARK.json's bounds and
+# with exact simulated digests. Writes the new point to target/perf/;
+# commit it when a change moves a digest or claims a gain. The
+# simulated-cycle axis needs no recipe: `cargo test` pins it
+# (tests/paper_claims.rs). See docs/PERF.md.
+perf:
+    rm -rf {{justfile_directory()}}/target/perf
+    mkdir -p {{justfile_directory()}}/target/perf
+    cd {{justfile_directory()}} && cargo build --release --offline -q --manifest-path hbench/Cargo.toml
+    cd {{justfile_directory()}} && for workload in campaign-corpus untar-steady paper-tables; do \
+        for seed in 1 90001; do for run in 1 2 3; do \
+            cargo run --release --offline -q --manifest-path hbench/Cargo.toml -- \
+                --workload $workload --seed $seed --seconds 30 --trace 0 \
+                > target/perf/$workload-s$seed-r$run.txt || exit 1; \
+        done; done; \
+    done
+    cd {{justfile_directory()}} && cargo run -q --release --bin hypernel -- analyze bench \
+        BENCHMARK.json target/perf/*.txt \
+        --baseline $(ls benchmarks/BENCH_*.json | sort | tail -n 1) \
+        --out target/perf/BENCH_$(date -u +%F).json
 
 # Determinism gate: the fast paths must be model-invisible. Sweep the
 # corpus with fast paths on (at two worker counts), off, and with
@@ -205,7 +179,8 @@ campaign:
         {{justfile_directory()}}/target/campaign/campaign.jsonl
 
 # The CI campaign gate: a 16-seed corpus sweep; any oracle violation a
-# scenario did not declare exits nonzero.
+# scenario did not declare exits nonzero. Then the analyzer selftest
+# and every example, each of which must exit 0.
 campaign-smoke:
     cargo run -q --release --bin hypernel -- campaign run \
         --corpus {{justfile_directory()}}/corpus \
@@ -215,6 +190,10 @@ campaign-smoke:
     cargo run -q --release --bin hypernel -- campaign minimize \
         --corpus {{justfile_directory()}}/corpus \
         --scenario fault-drop-irq --seed 0
+    cargo run -q --release --bin hypernel -- analyze selftest
+    cd {{justfile_directory()}} && for example in examples/*.rs; do \
+        cargo run -q --release --example $(basename $example .rs) > /dev/null || exit 1; \
+    done
 
 # Regenerate benchmarks/coverage-baseline.json after intentionally
 # extending coverage (new scenario or new instrumentation). Must use the

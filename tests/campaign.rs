@@ -170,6 +170,49 @@ fn run_rejects_an_out_of_range_scenario_with_a_message() {
     );
 }
 
+/// A compose section that `campaign lint` rejects (an unaligned region
+/// `va`, a duplicate domain, a dangling endpoint) is a load error, so
+/// `hypernel campaign run` stops before running anything.
+#[test]
+fn run_rejects_a_compose_description_lint_rejects() {
+    let spoof = std::fs::read_to_string(corpus_dir().join("compose-spoof.toml")).expect("read");
+    let edits = [
+        spoof.replace("[\"server\"]", "[\"server\"]\nva = 0x10000123"),
+        format!("{spoof}\n[[domain]]\nname = \"worker\"\n"),
+        spoof.replace("to = \"worker\"", "to = \"ghost\""),
+    ];
+    let problems = [
+        "region `scratch`: `va` 0x10000123 is not page-aligned",
+        "domain `worker`: duplicate name",
+        "channel `work`: `to` references unknown domain `ghost`",
+    ];
+    for (source, problem) in edits.iter().zip(problems) {
+        let err = Scenario::from_toml(source).expect_err(problem);
+        assert_eq!(err.problems, [format!("compose: {problem}")]);
+    }
+    let dir = std::env::temp_dir().join(format!("hypernel-bad-compose-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("compose-spoof.toml"), &edits[0]).expect("written");
+    let line = format!("campaign run --corpus {} --seeds 2 --jobs 1", dir.display());
+    let (code, stdout, stderr) = hypernel(&line);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(stdout, "", "nothing ran");
+    assert!(stderr.contains("is not page-aligned"), "{stderr}");
+}
+
+/// A deeply nested JSON document is a parse error, not a stack
+/// overflow, for every reader behind `hypernel analyze`.
+#[test]
+fn analyze_reports_deeply_nested_json_as_a_parse_error() {
+    let path = std::env::temp_dir().join(format!("hypernel-deep-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(100_000)).expect("written");
+    let (code, stdout, stderr) = hypernel(&format!("analyze audit {}", path.display()));
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    assert!(stderr.contains("nested too deep"), "{stderr}");
+}
+
 /// Runs `hypernel <line>` (arguments split on whitespace); returns the
 /// exit code, stdout and stderr.
 fn hypernel(line: &str) -> (Option<i32>, String, String) {
