@@ -1,9 +1,9 @@
 //! The snapshot walker: from a paused machine, rebuild the full
 //! stage-1 mapping graph reachable from a set of translation roots.
 //!
-//! The walker reads each table page whole with
-//! `Machine::debug_read_table` (cache coherent, zero simulated cycles,
-//! no architectural effect) and keeps the graph compact:
+//! The walker reads each table page whole through the machine's
+//! [`TableView`] (cache coherent, zero simulated cycles, no
+//! architectural effect) and keeps the graph compact:
 //!
 //! - every table *visit* records its parent link — the `(table, index)`
 //!   entry that led to it — so the *descriptor chain* from the root to
@@ -15,6 +15,13 @@
 //!   thousand runs, and a check whose verdict is the same for a whole
 //!   run looks at each run once.
 //!
+//! Each table page is decoded once into a `TableFragment` — its leaf
+//! runs, child table pointers and leaf-level table pointers, in entry
+//! order — and the fragment is replayed into the graph. A [`WalkMemo`]
+//! keeps the fragments of pages a template family shares, so a fork
+//! re-decodes only the tables it changed (see
+//! [`hypernel_machine::pagememo`] for when a fragment may be replayed).
+//!
 //! The walk is cycle-safe: a table revisited along one root's walk is
 //! not descended into again, so a maliciously self-referencing table
 //! terminates instead of recursing forever, and a chain is the path of
@@ -25,7 +32,8 @@ use std::collections::HashSet;
 
 use hypernel_machine::addr::PhysAddr;
 use hypernel_machine::machine::Machine;
-use hypernel_machine::pagetable::{desc, Descriptor, PagePerms};
+use hypernel_machine::pagememo::{PageMemo, TableView};
+use hypernel_machine::pagetable::{desc, Descriptor, PagePerms, ENTRIES_PER_TABLE};
 
 /// How a root entered the walk — provenance shown in findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,17 +172,107 @@ pub struct MappingGraph {
     pub malformed: Vec<(String, Vec<ChainLink>)>,
 }
 
+/// One entry-order item of a [`TableFragment`].
+#[derive(Clone, Copy, Debug)]
+enum Item {
+    /// A leaf run; its `visit` is filled in on replay.
+    Run(LeafRun),
+    /// Entry `index` points at the next-level table `next`, which maps
+    /// from `va`.
+    Child { index: u64, next: PhysAddr, va: u64 },
+    /// Entry `index` is a table pointer at leaf level, at `va`.
+    LeafLevelTable { index: u64, va: u64 },
+}
+
+/// What one table page contributes to the graph: its leaf runs, child
+/// table pointers and leaf-level table pointers, in entry order. A
+/// function of the page's entries and its [`WalkMemo`] key alone.
+#[derive(Debug)]
+struct TableFragment(Vec<Item>);
+
+impl TableFragment {
+    fn decode(
+        entries: &[u64; ENTRIES_PER_TABLE],
+        level: u32,
+        va_base: u64,
+        kernel_space: bool,
+    ) -> Self {
+        let shift = level_shift(level);
+        let mut items = Vec::new();
+        let mut run: Option<LeafRun> = None;
+        for (i, raw) in (0u64..).zip(entries) {
+            let va = va_base | i << shift;
+            match Descriptor::decode(*raw, level) {
+                Descriptor::Leaf { out, perms } => match &mut run {
+                    Some(r) if r.perms == perms && r.out_end() == out.raw() => r.len += 1,
+                    _ => items.extend(
+                        run.replace(LeafRun {
+                            visit: 0,
+                            first: i,
+                            len: 1,
+                            kernel_space,
+                            va,
+                            out,
+                            span: 1 << shift,
+                            perms,
+                        })
+                        .map(Item::Run),
+                    ),
+                },
+                Descriptor::Invalid => items.extend(run.take().map(Item::Run)),
+                Descriptor::Table { next } => {
+                    items.extend(run.take().map(Item::Run));
+                    items.push(if level >= 3 {
+                        Item::LeafLevelTable { index: i, va }
+                    } else {
+                        Item::Child { index: i, next, va }
+                    });
+                }
+            }
+        }
+        items.extend(run.map(Item::Run));
+        TableFragment(items)
+    }
+}
+
+/// The static walker's memo: a table page's fragment (its leaf runs,
+/// child table pointers and leaf-level table pointers) by page
+/// identity, keyed by (table, level, va base, address space). `Clone`
+/// shares it, so a template and its forks hold one; `Default` is empty,
+/// and walking with an empty memo is a cold walk.
+#[derive(Clone, Debug, Default)]
+pub struct WalkMemo(PageMemo<(u32, u64, bool), TableFragment>);
+
+impl WalkMemo {
+    /// Number of fragments held.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the memo holds no fragment.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 impl MappingGraph {
     /// Walks every root and returns the graph. Deterministic: roots are
-    /// walked in the order given, entries in index order.
-    pub fn walk(m: &mut Machine, roots: &[RootSpec]) -> Self {
+    /// walked in the order given, entries in index order. `memo` only
+    /// saves decoding: the graph is the same with any memo.
+    pub fn walk(m: &Machine, roots: &[RootSpec], memo: &WalkMemo) -> Self {
         let mut graph = MappingGraph {
             roots: roots.to_vec(),
             ..MappingGraph::default()
         };
+        let view = m.table_view();
         for (root, spec) in roots.iter().enumerate() {
-            let mut visited = HashSet::new();
-            graph.walk_table(m, &mut visited, root, spec.pa, 0, 0, None);
+            let mut walk = Walk {
+                view: &view,
+                memo,
+                visited: HashSet::new(),
+                root,
+            };
+            walk.table(&mut graph, spec.pa, 0, 0, None);
         }
         graph.tables = graph.tables_from(|_| true);
         graph
@@ -217,71 +315,64 @@ impl MappingGraph {
         chain.reverse();
         chain
     }
+}
 
-    #[allow(clippy::too_many_arguments)] // internal recursion carries the whole walk state
-    fn walk_table(
+/// One root's walk: the state its recursion carries.
+struct Walk<'v, 'm> {
+    view: &'v TableView<'m>,
+    memo: &'v WalkMemo,
+    /// Tables already walked under this root.
+    visited: HashSet<u64>,
+    root: usize,
+}
+
+impl Walk<'_, '_> {
+    fn table(
         &mut self,
-        m: &mut Machine,
-        visited: &mut HashSet<u64>,
-        root: usize,
+        graph: &mut MappingGraph,
         table: PhysAddr,
         level: u32,
         va_base: u64,
         parent: Option<(usize, u64)>,
     ) {
-        if !visited.insert(table.raw()) {
+        if !self.visited.insert(table.raw()) {
             return; // cycle (or diamond) — already walked under this root
         }
-        let Ok(entries) = m.debug_read_table(table) else {
+        let kernel_space = graph.roots[self.root].kernel_space;
+        let key = (level, va_base, kernel_space);
+        let Ok(fragment) = self.memo.0.fragment(self.view, table, key, |entries| {
+            TableFragment::decode(entries, level, va_base, kernel_space)
+        }) else {
             let (detail, chain) = match parent {
                 None => (format!("root table {table} is outside DRAM"), Vec::new()),
                 Some((visit, index)) => (
                     format!("table pointer outside DRAM ({table}), va {va_base:#x}"),
-                    self.chain(visit, index),
+                    graph.chain(visit, index),
                 ),
             };
-            self.malformed.push((detail, chain));
+            graph.malformed.push((detail, chain));
             return;
         };
-        let visit = self.visits.len();
-        self.visits.push(TableVisit {
+        let visit = graph.visits.len();
+        graph.visits.push(TableVisit {
             table,
-            root,
+            root: self.root,
             parent,
         });
-        let kernel_space = self.roots[root].kernel_space;
-        let shift = level_shift(level);
-        let mut run: Option<LeafRun> = None;
-        for (i, raw) in (0u64..).zip(entries) {
-            let va = va_base | i << shift;
-            match Descriptor::decode(raw, level) {
-                Descriptor::Leaf { out, perms } => match &mut run {
-                    Some(r) if r.perms == perms && r.out_end() == out.raw() => r.len += 1,
-                    _ => self.runs.extend(run.replace(LeafRun {
-                        visit,
-                        first: i,
-                        len: 1,
-                        kernel_space,
-                        va,
-                        out,
-                        span: 1 << shift,
-                        perms,
-                    })),
-                },
-                Descriptor::Invalid => self.runs.extend(run.take()),
-                Descriptor::Table { next } => {
-                    self.runs.extend(run.take());
-                    if level >= 3 {
-                        let chain = self.chain(visit, i);
-                        self.malformed
-                            .push((format!("table pointer at leaf level, va {va:#x}"), chain));
-                    } else {
-                        self.walk_table(m, visited, root, next, level + 1, va, Some((visit, i)));
-                    }
+        for item in &fragment.0 {
+            match *item {
+                Item::Run(run) => graph.runs.push(LeafRun { visit, ..run }),
+                Item::Child { index, next, va } => {
+                    self.table(graph, next, level + 1, va, Some((visit, index)));
+                }
+                Item::LeafLevelTable { index, va } => {
+                    let chain = graph.chain(visit, index);
+                    graph
+                        .malformed
+                        .push((format!("table pointer at leaf level, va {va:#x}"), chain));
                 }
             }
         }
-        self.runs.extend(run);
     }
 }
 
@@ -333,7 +424,7 @@ mod tests {
             kernel_space: true,
             origins: vec![RootOrigin::ActiveTtbr1],
         }];
-        let g = MappingGraph::walk(&mut m, &roots);
+        let g = MappingGraph::walk(&m, &roots, &WalkMemo::default());
         assert_eq!(g.tables.len(), 4);
         assert_eq!(g.visits.len(), 4);
         assert_eq!(g.leaf_count(), 1);
@@ -391,7 +482,7 @@ mod tests {
             kernel_space: false,
             origins: vec![RootOrigin::ActiveTtbr0],
         }];
-        let g = MappingGraph::walk(&mut m, &roots);
+        let g = MappingGraph::walk(&m, &roots, &WalkMemo::default());
         let shape: Vec<(u64, u64, u64)> = g
             .runs
             .iter()
@@ -432,7 +523,7 @@ mod tests {
                 origins: vec![RootOrigin::ActiveTtbr0],
             },
         ];
-        let g = MappingGraph::walk(&mut m, &roots);
+        let g = MappingGraph::walk(&m, &roots, &WalkMemo::default());
         assert_eq!(g.tables, [PhysAddr::new(0x1000)]);
         assert_eq!(g.malformed.len(), 2);
         assert!(g.malformed[0].0.contains("outside DRAM"));
@@ -452,10 +543,53 @@ mod tests {
             kernel_space: false,
             origins: vec![RootOrigin::ActiveTtbr0],
         }];
-        let g = MappingGraph::walk(&mut m, &roots);
+        let g = MappingGraph::walk(&m, &roots, &WalkMemo::default());
         assert_eq!(g.tables.len(), 1);
         assert_eq!(g.visits.len(), 1);
         assert!(g.runs.is_empty());
+    }
+
+    /// One table page reached in two contexts: at level 1 of a
+    /// kernel-half root and at level 2 of a user root. Its leaf is a
+    /// 1 GiB block in the first and a 2 MiB block in the second, so each
+    /// context needs its own memo entry.
+    #[test]
+    fn a_warm_memo_walks_like_a_cold_one_in_every_context() {
+        let mut m = machine();
+        let (a, b, mid, shared) = (0x1000u64, 0x2000, 0x3000, 0x4000);
+        for t in [a, b, mid, shared] {
+            m.debug_zero_page(PhysAddr::new(t));
+        }
+        m.debug_write_phys(PhysAddr::new(a), table_desc(shared));
+        m.debug_write_phys(PhysAddr::new(b + 5 * 8), table_desc(mid));
+        m.debug_write_phys(PhysAddr::new(mid + 2 * 8), table_desc(shared));
+        let leaf = Descriptor::Leaf {
+            out: PhysAddr::new(0),
+            perms: PagePerms::KERNEL_DATA,
+        };
+        m.debug_write_phys(PhysAddr::new(shared + 3 * 8), leaf.encode());
+        let roots = [(a, true), (b, false)].map(|(pa, kernel_space)| RootSpec {
+            pa: PhysAddr::new(pa),
+            kernel_space,
+            origins: vec![RootOrigin::KernelKnown],
+        });
+        let fork = m.clone();
+        let cold = format!(
+            "{:?}",
+            MappingGraph::walk(&fork, &roots, &WalkMemo::default())
+        );
+        let memo = WalkMemo::default();
+        for _ in 0..2 {
+            let warm = format!("{:?}", MappingGraph::walk(&fork, &roots, &memo));
+            assert_eq!(warm, cold);
+        }
+        assert_eq!(memo.len(), 5, "the shared table has an entry per context");
+        let spans: Vec<u64> = MappingGraph::walk(&fork, &roots, &memo)
+            .runs
+            .iter()
+            .map(|r| r.span)
+            .collect();
+        assert_eq!(spans, [1 << 30, 2 << 20]);
     }
 
     #[test]

@@ -45,12 +45,13 @@
 //! and checked against a writer/tag policy on every store.
 //!
 //! The pass walks the graph once ([`MappingGraph::walk`]), reading
-//! every table page whole through `Machine::debug_read_table` — cache
+//! every table page whole through the machine's table view — cache
 //! coherent, zero simulated cycles, no architectural side effects — so
-//! auditing never perturbs the simulation it inspects. Leaves are
-//! checked as runs: a run whose O(1) range tests show that no leaf can
-//! fire is never expanded, and a descriptor chain is rebuilt only for
-//! a finding.
+//! auditing never perturbs the simulation it inspects. A table page a
+//! template family shares is decoded once per family and replayed from
+//! its [`WalkMemo`]. Leaves are checked as runs: a run whose O(1) range
+//! tests show that no leaf can fire is never expanded, and a descriptor
+//! chain is rebuilt only for a finding.
 //!
 //! [paper]: https://doi.org/10.1145/3195970.3196061
 
@@ -59,7 +60,7 @@ pub mod report;
 pub mod sanitizer;
 
 pub use graph::{
-    chain_display, ChainLink, LeafRun, MappingGraph, RootOrigin, RootSpec, TableVisit,
+    chain_display, ChainLink, LeafRun, MappingGraph, RootOrigin, RootSpec, TableVisit, WalkMemo,
 };
 pub use report::{
     CheckKind, DifferentialReport, Finding, SanitizerReport, StaticAuditReport, AUDIT_SCHEMA,
@@ -84,11 +85,14 @@ use hypernel_machine::regs::SysReg;
 /// runtime audit runs once and is returned beside the report, so a
 /// caller that needs it too (the campaign's W⊕X oracle) does not audit
 /// the same state twice. The ownership-sanitizer section is filled in
-/// when shadow tags are enabled on the machine.
+/// when shadow tags are enabled on the machine. `memo` is the walk memo
+/// of the system's template family (an empty one walks cold); the
+/// report is the same with any memo.
 pub fn audit_system(
     m: &mut Machine,
     kernel: &Kernel,
     hypersec: Option<&Hypersec>,
+    memo: &WalkMemo,
 ) -> (StaticAuditReport, Option<AuditReport>) {
     let mut report = StaticAuditReport::default();
     let locked = hypersec.filter(|h| h.is_locked());
@@ -96,7 +100,7 @@ pub fn audit_system(
     let roots = collect_roots(m, kernel, hypersec);
     check_rogue_roots(&roots, kernel, locked, &mut report);
 
-    let graph = MappingGraph::walk(m, &roots);
+    let graph = MappingGraph::walk(m, &roots, memo);
     report.roots_walked = graph.roots.len() as u64;
     report.tables_walked = graph.tables.len() as u64;
     report.leaves_checked = graph.leaf_count();
@@ -468,7 +472,7 @@ mod tests {
             kernel_space: true,
             origins: vec![RootOrigin::KernelKnown],
         }];
-        MappingGraph::walk(&mut m, &roots)
+        MappingGraph::walk(&m, &roots, &WalkMemo::default())
     }
 
     /// The findings, chains and leaf count a per-leaf walk gives for

@@ -40,11 +40,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use hypernel::Mode;
 use hypernel_hypersec::codes;
 use hypernel_kernel::AttackStep;
-use hypernel_machine::FaultKind;
+use hypernel_machine::{fastpath_enabled, FaultKind};
 use hypernel_telemetry::json::Json;
 
 use crate::coverage::{known_features, CoverageMap};
-use crate::engine::run_one;
+use crate::engine::{boot_system, run_one, run_one_on};
 use crate::explore::with_mode;
 use crate::scenario::{Scenario, StepExpect};
 
@@ -682,9 +682,18 @@ pub fn soundness_sweep(corpus: &[Scenario], seeds: u64) -> SoundnessReport {
         for mode in Mode::ALL {
             let scenario = remode(base, mode);
             let prediction = predict_scenario(&scenario);
+            // Booting is seed-independent: like a sweep worker, boot one
+            // template and fork it per seed (its forks share the audit
+            // memos), unless `HYPERNEL_NO_FASTPATH` asks for cold boots.
+            let template = fastpath_enabled().then(|| boot_system(&scenario));
             for seed in 0..seeds {
                 report.runs += 1;
-                let record = match run_one(&scenario, seed) {
+                let ran = match &template {
+                    Some(Ok(t)) => run_one_on(t.fork(), &scenario, seed).map(|(record, _)| record),
+                    Some(Err(e)) => Err(e.clone()),
+                    None => run_one(&scenario, seed),
+                };
+                let record = match ran {
                     Ok(record) => record,
                     Err(e) => {
                         report

@@ -9,6 +9,7 @@
 //! * [`Mode::Hypernel`] — the kernel under Hypersec (no nested paging)
 //!   with the memory bus monitor attached.
 
+use hypernel_audit::WalkMemo;
 use hypernel_hypersec::{
     ComposeMonitor, CredMonitor, DentryMonitor, Hypersec, HypersecConfig, SecurityApp,
 };
@@ -317,6 +318,7 @@ impl SystemBuilder {
             kernel,
             el2,
             telemetry,
+            audit_memo: WalkMemo::default(),
         })
     }
 }
@@ -328,6 +330,8 @@ pub struct System {
     kernel: Kernel,
     el2: El2Software,
     telemetry: Option<TelemetryHandles>,
+    /// The static audit's walk memo, shared by a template and its forks.
+    audit_memo: WalkMemo,
 }
 
 impl std::fmt::Debug for System {
@@ -499,6 +503,12 @@ impl System {
     /// * telemetry sinks are detached on the copy (enable telemetry on
     ///   the fork afterwards if the experiment needs it).
     ///
+    /// Memory is copy-on-write: the copy shares every DRAM chunk and
+    /// page until one side writes it. The audit memos (the static
+    /// walk's and Hypersec's) are shared, not copied: they belong to the
+    /// template family, and page identity keeps them sound for every
+    /// member.
+    ///
     /// A fork taken immediately after boot is observationally identical
     /// to a fresh [`SystemBuilder::build`] with the same settings: the
     /// campaign engine relies on this to boot each scenario once and
@@ -527,6 +537,7 @@ impl System {
             kernel: self.kernel.clone(),
             el2: self.el2.clone(),
             telemetry: None,
+            audit_memo: self.audit_memo.clone(),
         }
     }
 
@@ -537,6 +548,12 @@ impl System {
             El2Software::Hypersec(hs) => Some(hs.audit(&mut self.machine)),
             _ => None,
         }
+    }
+
+    /// The static audit's walk memo, shared with this system's template
+    /// and every fork of it (see [`System::fork`]).
+    pub fn audit_memo(&self) -> &WalkMemo {
+        &self.audit_memo
     }
 
     /// Runs the whole-system static audit pass (`hypernel-audit`): the
@@ -563,7 +580,7 @@ impl System {
             El2Software::Hypersec(h) => Some(h),
             _ => None,
         };
-        hypernel_audit::audit_system(&mut self.machine, &self.kernel, hypersec)
+        hypernel_audit::audit_system(&mut self.machine, &self.kernel, hypersec, &self.audit_memo)
     }
 
     /// Turns on the guest-memory ownership sanitizer: seeds a shadow

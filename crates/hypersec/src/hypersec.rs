@@ -21,12 +21,13 @@
 use std::collections::BTreeMap;
 
 use hypernel_machine::fxhash::FxHashMap;
+use hypernel_machine::pagememo::{PageMemo, TableView};
 
 use hypernel_kernel::abi::Hypercall;
 use hypernel_kernel::layout;
 use hypernel_machine::addr::{IntermAddr, PhysAddr, VirtAddr, PAGE_SIZE, SECTION_SIZE};
 use hypernel_machine::machine::{AccessKind, Hyp, Machine, PolicyViolation, Stage2Outcome};
-use hypernel_machine::pagetable::{self, Descriptor, PagePerms};
+use hypernel_machine::pagetable::{self, Descriptor, PagePerms, ENTRIES_PER_TABLE};
 use hypernel_machine::regs::{hcr, sctlr, ExceptionLevel, SysReg};
 use hypernel_mbm::bitmap::BitmapLayout;
 use hypernel_mbm::ring::RingLayout;
@@ -247,6 +248,46 @@ impl AuditReport {
     }
 }
 
+/// One entry-order item of a [`TableAudit`].
+#[derive(Debug)]
+enum AuditItem {
+    /// An invariant a leaf of the table breaks.
+    Violation(String),
+    /// A next-level table to descend into, mapping from `va`.
+    Child { next: PhysAddr, va: u64 },
+}
+
+/// What one table page contributes to [`Hypersec::audit`]: its leaf
+/// count, the leaf-invariant violations and the child tables, in entry
+/// order. A function of the page's entries and its [`AuditMemo`] key
+/// alone; whether the table is registered is Hypersec state, checked on
+/// every replay instead.
+#[derive(Debug)]
+struct TableAudit {
+    leaves: u64,
+    items: Vec<AuditItem>,
+}
+
+/// [`Hypersec::audit`]'s memo: a table page's fragment (leaf count,
+/// violations, children) by page identity, keyed by (table, level, va base, kernel space, W⊕X check
+/// disabled). `Clone` shares it, so a Hypersec and its clones (a
+/// template and its forks) hold one; `Default` is empty, and auditing
+/// with an empty memo is a cold audit.
+#[derive(Clone, Debug, Default)]
+pub struct AuditMemo(PageMemo<(u32, u64, bool, bool), TableAudit>);
+
+impl AuditMemo {
+    /// Number of fragments held.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the memo holds no fragment.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// Cycle-cost knobs for Hypersec's handlers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HypersecCosts {
@@ -345,7 +386,8 @@ pub struct HypersecStats {
 ///
 /// `Clone` deep-copies the whole EL2 state — table shadows, regions,
 /// security apps (via [`SecurityApp::clone_box`]), detections and stats —
-/// supporting warm-boot forking of a booted system.
+/// supporting warm-boot forking of a booted system. The clones share one
+/// [`AuditMemo`].
 #[derive(Clone)]
 pub struct Hypersec {
     config: HypersecConfig,
@@ -369,6 +411,8 @@ pub struct Hypersec {
     /// verifier bug the *static* auditor must still catch (the
     /// differential check in `hypernel-audit` exists for exactly this).
     wx_check_disabled: bool,
+    /// The memo [`Hypersec::audit`] walks with, shared with every clone.
+    audit_memo: AuditMemo,
 }
 
 impl std::fmt::Debug for Hypersec {
@@ -385,6 +429,65 @@ impl std::fmt::Debug for Hypersec {
 
 fn level_shift(level: u32) -> u32 {
     12 + 9 * (3 - level)
+}
+
+/// Whether `[out, out + span)` overlaps the kernel image (its text).
+fn is_kernel_text(out: PhysAddr, span: u64) -> bool {
+    out.raw() < layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE
+        && out.raw() + span > layout::KERNEL_IMAGE_BASE
+}
+
+/// Decodes the table page at `table` (its `entries`) for
+/// [`Hypersec::audit`]: invariants 2–4 and kernel-text immutability on
+/// every leaf, plus the child tables, in entry order.
+fn audit_table(
+    entries: &[u64; ENTRIES_PER_TABLE],
+    table: PhysAddr,
+    level: u32,
+    va_base: u64,
+    kernel_space: bool,
+    wx_check: bool,
+) -> TableAudit {
+    let mut fragment = TableAudit {
+        leaves: 0,
+        items: Vec::new(),
+    };
+    for (i, raw) in (0u64..).zip(entries) {
+        let va = va_base | i << level_shift(level);
+        match Descriptor::decode(*raw, level) {
+            Descriptor::Invalid => {}
+            Descriptor::Table { next } => fragment.items.push(if level >= 3 {
+                AuditItem::Violation(format!("table pointer at leaf level in {table}"))
+            } else {
+                AuditItem::Child { next, va }
+            }),
+            Descriptor::Leaf { out, perms } => {
+                fragment.leaves += 1;
+                let span = 1u64 << level_shift(level);
+                if out.raw() + span > layout::SECURE_BASE {
+                    fragment.items.push(AuditItem::Violation(format!(
+                        "leaf at va {va:#x} maps secure memory ({out})"
+                    )));
+                }
+                if perms.write && perms.exec && wx_check {
+                    fragment
+                        .items
+                        .push(AuditItem::Violation(format!("W^X violation at va {va:#x}")));
+                }
+                if kernel_space && va != out.raw() {
+                    fragment.items.push(AuditItem::Violation(format!(
+                        "kernel linear leaf not identity: va {va:#x} -> {out}"
+                    )));
+                }
+                if kernel_space && perms.write && is_kernel_text(out, span) {
+                    fragment.items.push(AuditItem::Violation(format!(
+                        "kernel text writable at va {va:#x}"
+                    )));
+                }
+            }
+        }
+    }
+    fragment
 }
 
 impl Hypersec {
@@ -460,6 +563,7 @@ impl Hypersec {
             stats: HypersecStats::default(),
             rule_hits: BTreeMap::new(),
             wx_check_disabled: false,
+            audit_memo: AuditMemo::default(),
         }
     }
 
@@ -544,6 +648,11 @@ impl Hypersec {
         self.kernel_root
     }
 
+    /// The memo [`Hypersec::audit`] walks with, shared with every clone.
+    pub fn audit_memo(&self) -> &AuditMemo {
+        &self.audit_memo
+    }
+
     /// Disables the W⊕X clause in both the incremental verifier and
     /// the runtime auditor — an intentionally-miswired verifier for
     /// differential-audit tests. Never call outside tests.
@@ -568,18 +677,33 @@ impl Hypersec {
     /// verify formally; this runtime auditor is the testable stand-in —
     /// integration tests run it after every adversarial scenario.
     ///
+    /// A table page this Hypersec's family shares is decoded once and
+    /// replayed from the family's [`AuditMemo`]; see
+    /// [`Hypersec::audit_with`].
+    ///
     /// # Panics
     ///
     /// Panics if called before `LOCK` (there is nothing to audit).
     pub fn audit(&self, m: &mut Machine) -> AuditReport {
+        self.audit_with(m, &self.audit_memo)
+    }
+
+    /// [`Hypersec::audit`] walking with `memo`: an empty memo gives a
+    /// cold audit. The report is the same with any memo.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `LOCK` (there is nothing to audit).
+    pub fn audit_with(&self, m: &mut Machine, memo: &AuditMemo) -> AuditReport {
         let kernel_root = self.kernel_root.expect("audit requires the locked state");
         let mut report = AuditReport::default();
         let mut roots: Vec<PhysAddr> = self.roots.keys().map(|r| PhysAddr::new(*r)).collect();
         roots.sort();
         roots.insert(0, kernel_root);
+        let view = m.table_view();
         for (i, root) in roots.iter().enumerate() {
             let kernel_space = i == 0;
-            self.audit_tree(m, *root, 0, 0, kernel_space, &mut report);
+            self.audit_tree(&view, memo, *root, 0, 0, kernel_space, &mut report);
         }
         // Invariant 5: registered tables are read-only to the kernel.
         for table in self.tables.keys() {
@@ -628,9 +752,11 @@ impl Hypersec {
         report
     }
 
+    #[allow(clippy::too_many_arguments)] // internal recursion carries the whole walk state
     fn audit_tree(
         &self,
-        m: &mut Machine,
+        view: &TableView<'_>,
+        memo: &AuditMemo,
         table: PhysAddr,
         level: u32,
         va_base: u64,
@@ -641,43 +767,20 @@ impl Hypersec {
         if !self.tables.contains_key(&table.raw()) {
             report.violation(format!("reachable table {table} is not registered"));
         }
-        let Ok(entries) = m.debug_read_table(table) else {
+        let wx_check = !self.wx_check_disabled;
+        let key = (level, va_base, kernel_space, self.wx_check_disabled);
+        let Ok(fragment) = memo.0.fragment(view, table, key, |entries| {
+            audit_table(entries, table, level, va_base, kernel_space, wx_check)
+        }) else {
             report.violation(format!("reachable table {table} is outside DRAM"));
             return;
         };
-        for (i, raw) in (0u64..).zip(entries) {
-            let va = va_base | i << level_shift(level);
-            match Descriptor::decode(raw, level) {
-                Descriptor::Invalid => {}
-                Descriptor::Table { next } => {
-                    if level >= 3 {
-                        report.violation(format!("table pointer at leaf level in {table}"));
-                    } else {
-                        self.audit_tree(m, next, level + 1, va, kernel_space, report);
-                    }
-                }
-                Descriptor::Leaf { out, perms } => {
-                    report.leaves_checked += 1;
-                    let span = 1u64 << level_shift(level);
-                    if out.raw() + span > layout::SECURE_BASE {
-                        report.violation(format!("leaf at va {va:#x} maps secure memory ({out})"));
-                    }
-                    if perms.write && perms.exec && !self.wx_check_disabled {
-                        report.violation(format!("W^X violation at va {va:#x}"));
-                    }
-                    if kernel_space && va != out.raw() {
-                        report.violation(format!(
-                            "kernel linear leaf not identity: va {va:#x} -> {out}"
-                        ));
-                    }
-                    let image_end = layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE;
-                    if kernel_space
-                        && out.raw() < image_end
-                        && out.raw() + span > layout::KERNEL_IMAGE_BASE
-                        && perms.write
-                    {
-                        report.violation(format!("kernel text writable at va {va:#x}"));
-                    }
+        report.leaves_checked += fragment.leaves;
+        for item in &fragment.items {
+            match item {
+                AuditItem::Violation(v) => report.violation(v.clone()),
+                AuditItem::Child { next, va } => {
+                    self.audit_tree(view, memo, *next, level + 1, *va, kernel_space, report);
                 }
             }
         }
@@ -686,6 +789,11 @@ impl Hypersec {
     // ------------------------------------------------------------------
     // Helpers
     // ------------------------------------------------------------------
+
+    /// Whether `page` is a registered table page, linked or pending.
+    fn is_table(&self, page: u64) -> bool {
+        self.tables.contains_key(&page) || self.pending_tables.contains_key(&page)
+    }
 
     fn deny(code: u32, message: impl Into<String>) -> PolicyViolation {
         PolicyViolation::new(code, message)
@@ -724,10 +832,7 @@ impl Hypersec {
                 // The kernel image is immutable: no writable mapping of
                 // text may ever appear (inline-hook rootkits patch the
                 // image through exactly such a downgrade).
-                let image_end = layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE;
-                let overlaps_image =
-                    out.raw() < image_end && out.raw() + span > layout::KERNEL_IMAGE_BASE;
-                if overlaps_image && perms.write {
+                if is_kernel_text(out, span) && perms.write {
                     return Err(Self::deny(
                         codes::TEXT_IMMUTABLE,
                         format!("writable mapping of kernel text at va {va:#x}"),
@@ -769,7 +874,7 @@ impl Hypersec {
         if perms.write && !adopting {
             for off in (0..span).step_by(PAGE_SIZE as usize) {
                 let page = out.raw() + off;
-                if self.tables.contains_key(&page) || self.pending_tables.contains_key(&page) {
+                if self.is_table(page) {
                     return Err(Self::deny(
                         codes::WRITABLE_TABLE,
                         format!("writable mapping of page-table page {page:#x}"),
@@ -832,21 +937,32 @@ impl Hypersec {
                 format!("bad table address {table}"),
             ));
         }
-        if self.tables.contains_key(&table.raw()) || self.pending_tables.contains_key(&table.raw())
-        {
+        if self.is_table(table.raw()) {
             return Err(Self::deny(
                 codes::BAD_TABLE_REGISTRATION,
                 format!("table {table} already registered"),
             ));
         }
+        // A monitored page is remapped writable (non-cacheable) until its
+        // last region goes; a table page must stay read-only.
+        if self.nc_refcount.contains_key(&table.page_index()) {
+            return Err(Self::deny(
+                codes::BAD_TABLE_REGISTRATION,
+                format!("table {table} is a monitored page"),
+            ));
+        }
         // The page must be zeroed: no pre-seeded descriptors.
-        for i in 0..pagetable::ENTRIES_PER_TABLE as u64 {
-            if m.debug_read_phys(table.add(i * 8)) != 0 {
-                return Err(Self::deny(
-                    codes::BAD_TABLE_REGISTRATION,
-                    format!("table {table} is not zeroed"),
-                ));
-            }
+        let entries = m.debug_read_table(table).map_err(|e| {
+            Self::deny(
+                codes::BAD_TABLE_REGISTRATION,
+                format!("bad table address {table}: {e}"),
+            )
+        })?;
+        if entries.iter().any(|&raw| raw != 0) {
+            return Err(Self::deny(
+                codes::BAD_TABLE_REGISTRATION,
+                format!("table {table} is not zeroed"),
+            ));
         }
         if root {
             self.tables.insert(
@@ -948,8 +1064,8 @@ impl Hypersec {
         };
         self.roots.remove(&table.raw());
         if info.level < 3 {
-            for i in 0..pagetable::ENTRIES_PER_TABLE as u64 {
-                let raw = m.debug_read_phys(table.add(i * 8));
+            let entries = m.debug_read_table(table).unwrap_or([0; ENTRIES_PER_TABLE]);
+            for raw in entries {
                 if let Descriptor::Table { next } = Descriptor::decode(raw, info.level) {
                     self.unregister_tree(m, next);
                 }
@@ -1013,8 +1129,13 @@ impl Hypersec {
                 space,
             },
         );
-        for i in 0..pagetable::ENTRIES_PER_TABLE as u64 {
-            let raw = m.debug_read_phys(table.add(i * 8));
+        let entries = m.debug_read_table(table).map_err(|e| {
+            Self::deny(
+                codes::BAD_TABLE_REGISTRATION,
+                format!("bad table address {table}: {e}"),
+            )
+        })?;
+        for (i, raw) in (0u64..).zip(entries) {
             let va = va_base | i << level_shift(level);
             match Descriptor::decode(raw, level) {
                 Descriptor::Invalid => {}
@@ -1120,7 +1241,7 @@ impl Hypersec {
             ));
         }
         let pa = self.translate_kernel_va(m, base)?;
-        if pa.page_base() != PhysAddr::new(pa.raw() + len - 1).page_base() {
+        if len > PAGE_SIZE - pa.page_offset() {
             return Err(Self::deny(
                 codes::BAD_MONITOR_REQUEST,
                 "monitored regions must not straddle pages (slab objects never do)",
@@ -1130,6 +1251,22 @@ impl Hypersec {
             return Err(Self::deny(
                 codes::SECURE_MAPPING,
                 "cannot monitor secure memory",
+            ));
+        }
+        // Monitoring remaps the page writable (non-cacheable), and
+        // unregistering restores kernel data: only a data page may be
+        // monitored.
+        let page = pa.page_base();
+        if self.is_table(page.raw()) {
+            return Err(Self::deny(
+                codes::WRITABLE_TABLE,
+                format!("cannot monitor page-table page {page}"),
+            ));
+        }
+        if is_kernel_text(page, PAGE_SIZE) {
+            return Err(Self::deny(
+                codes::TEXT_IMMUTABLE,
+                format!("cannot monitor kernel text at {page}"),
             ));
         }
         let region = Region {
@@ -1152,7 +1289,6 @@ impl Hypersec {
         //    bitmap, so stale write-backs cannot raise events.
         // 2. Make the page non-cacheable so every future write is
         //    bus-visible to the MBM (paper §5.3).
-        let page = pa.page_base();
         let refs = self
             .nc_refcount
             .get(&page.page_index())
@@ -1307,9 +1443,7 @@ impl Hypersec {
                 "emulated write into secure region",
             ));
         }
-        if self.tables.contains_key(&pa.page_base().raw())
-            || self.pending_tables.contains_key(&pa.page_base().raw())
-        {
+        if self.is_table(pa.page_base().raw()) {
             return Err(Self::deny(
                 codes::BAD_EMULATED_WRITE,
                 format!("emulated write targets page-table page {pa}"),

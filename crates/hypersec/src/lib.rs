@@ -39,7 +39,8 @@ pub mod hypersec;
 pub mod secapp;
 
 pub use hypersec::{
-    codes, AuditReport, Detection, Hypersec, HypersecConfig, HypersecCosts, HypersecStats,
+    codes, AuditMemo, AuditReport, Detection, Hypersec, HypersecConfig, HypersecCosts,
+    HypersecStats,
 };
 pub use secapp::{
     ComposeMonitor, CredMonitor, DentryMonitor, MonitorEvent, Region, SecurityApp,

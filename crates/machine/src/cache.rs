@@ -473,6 +473,23 @@ impl DataCache {
         self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
     }
 
+    /// The page index of every page with at least one resident line,
+    /// sorted and deduplicated: one pass over the lines. Pure like
+    /// [`DataCache::contains`].
+    pub(crate) fn resident_pages(&self) -> Vec<u64> {
+        let mut pages: Vec<u64> = (0..self.sets.len())
+            .flat_map(|set| {
+                self.sets[set]
+                    .iter()
+                    .filter(|l| l.valid)
+                    .map(move |l| self.reconstruct_addr(set, l.tag).page_index())
+            })
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
+    }
+
     /// The words of the resident line containing `addr`, if any. Pure
     /// like [`DataCache::contains`]: no statistics or recency updates.
     pub(crate) fn resident_line(&self, addr: PhysAddr) -> Option<&[u64; LINE_WORDS]> {

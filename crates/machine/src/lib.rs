@@ -47,6 +47,7 @@ pub mod fxhash;
 pub mod irq;
 pub mod machine;
 pub mod mem;
+pub mod pagememo;
 pub mod pagetable;
 pub mod regs;
 pub mod shadow;

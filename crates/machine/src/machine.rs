@@ -18,6 +18,7 @@ use crate::cost::CostModel;
 use crate::fault::{FaultStats, SharedFaults};
 use crate::irq::IrqController;
 use crate::mem::{AccessOutOfRangeError, PhysMemory};
+use crate::pagememo::TableView;
 use crate::pagetable::{self, PagePerms, WalkFault, ENTRIES_PER_TABLE};
 use crate::regs::{ExceptionLevel, SysReg, SysRegs};
 use crate::shadow::{PageTag, ShadowTags, Writer as ShadowWriter};
@@ -695,20 +696,18 @@ impl Machine {
     ///
     /// Panics if `table` is not page-aligned.
     pub fn debug_read_table(
-        &mut self,
+        &self,
         table: PhysAddr,
     ) -> Result<[u64; ENTRIES_PER_TABLE], AccessOutOfRangeError> {
-        assert!(table.is_page_aligned(), "table {table} is not page-aligned");
-        self.mem.try_check(table, crate::addr::PAGE_SIZE)?;
-        let mut words = [0u64; ENTRIES_PER_TABLE];
-        for (line, out) in (0u64..).zip(words.chunks_exact_mut(LINE_WORDS)) {
-            let addr = table.add(line * LINE_SIZE);
-            match self.cache.resident_line(addr) {
-                Some(data) => out.copy_from_slice(data),
-                None => out.copy_from_slice(&self.mem.read_line(addr)),
-            }
-        }
-        Ok(words)
+        crate::pagememo::read_table(&self.mem, &self.cache, table)
+    }
+
+    /// A read-only view of the translation tables for walkers that
+    /// memoise per-page work by copy-on-write page identity; see
+    /// [`crate::pagememo`]. Taking it makes one pass over the data
+    /// cache's lines.
+    pub fn table_view(&self) -> TableView<'_> {
+        TableView::new(&self.mem, &self.cache)
     }
 
     /// Writes physical memory without cost, translation or bus visibility.

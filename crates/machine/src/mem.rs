@@ -1,22 +1,48 @@
 //! Sparse physical memory backing store.
 //!
 //! [`PhysMemory`] models the DRAM of the simulated platform. It is sparse:
-//! pages are allocated lazily on first touch so a multi-gigabyte address
-//! space costs only what the workload actually uses. Pages live in a
-//! frame-indexed vector (one pointer-sized slot per frame), so the hot
-//! page lookup is an index instead of a hash probe. All accesses are raw —
-//! translation, permissions, caching and bus visibility are handled by the
-//! layers above ([`crate::machine::Machine`]).
+//! a frame nothing has written reads as the shared zero page and costs
+//! nothing, so a multi-gigabyte address space costs only what the
+//! workload writes. Frames live in a two-level directory: one pointer per
+//! 512-page chunk (2 MiB of DRAM), and one slot per page in a
+//! chunk, so the hot page lookup is two indexes instead of a hash probe.
+//! All accesses are raw — translation, permissions, caching and bus
+//! visibility are handled by the layers above
+//! ([`crate::machine::Machine`]).
 //!
-//! Pages are reference-counted and copy-on-write: `Clone` shares every
-//! resident page and the first write through either copy detaches just
-//! that page. This makes snapshotting a booted machine (warm-boot
-//! forking) an O(resident pages) pointer copy instead of a DRAM-sized
-//! memcpy, while reads and unshared writes stay as fast as before.
+//! Both levels are reference-counted and copy-on-write. `Clone` copies
+//! the chunk pointers (1,024 for the platform's 2 GiB) and shares
+//! everything below them; the first write through either copy detaches
+//! its chunk (512 page pointers), then its page (4 KiB). Snapshotting a
+//! booted machine (warm-boot forking) therefore costs a directory copy
+//! instead of a slot per frame, and a fork pays only for the chunks and
+//! pages it writes. Reads never materialise or detach anything.
+//!
+//! Because every write detaches a page that anything else still
+//! references, a `PageRef` handle on a page keeps its bytes immutable
+//! for as long as it lives. Table walkers memoise per-page work on that
+//! guarantee ([`crate::pagememo`]).
 
 use std::rc::Rc;
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
+
+/// Pages per directory chunk: 512 pages, 2 MiB of DRAM.
+const CHUNK_PAGES: usize = 512;
+
+type Page = [u8; PAGE_SIZE as usize];
+type Chunk = [Option<Rc<Page>>; CHUNK_PAGES];
+
+/// What every absent frame reads as.
+static ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
+
+/// The directory position of a frame: its chunk and its slot there.
+fn split(frame: u64) -> (usize, usize) {
+    (
+        (frame / CHUNK_PAGES as u64) as usize,
+        (frame % CHUNK_PAGES as u64) as usize,
+    )
+}
 
 /// Error returned when an access falls outside the populated DRAM range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,6 +65,12 @@ impl std::fmt::Display for AccessOutOfRangeError {
 
 impl std::error::Error for AccessOutOfRangeError {}
 
+/// A handle on one copy-on-write DRAM page, from
+/// [`PhysMemory::shared_page`]. While it lives the page's bytes cannot
+/// change, and the page cannot be freed and reused.
+#[derive(Clone)]
+pub(crate) struct PageRef(Rc<Page>);
+
 /// Sparse byte-addressable physical memory.
 ///
 /// ```
@@ -51,13 +83,7 @@ impl std::error::Error for AccessOutOfRangeError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysMemory {
-    pages: Vec<Option<Rc<[u8; PAGE_SIZE as usize]>>>,
-    /// Shared all-zero page template: materializing an absent frame (or
-    /// zero-filling a whole one) is a refcount bump instead of a fresh
-    /// 4 KiB allocation. Always externally referenced, so `Rc::make_mut`
-    /// detaches a private copy before the first real write.
-    zero: Rc<[u8; PAGE_SIZE as usize]>,
-    resident: usize,
+    chunks: Vec<Option<Rc<Chunk>>>,
     size: u64,
 }
 
@@ -70,10 +96,9 @@ impl PhysMemory {
     pub fn new(size: u64) -> Self {
         assert!(size > 0, "DRAM size must be non-zero");
         let size = (size + PAGE_SIZE - 1) & !(PAGE_SIZE - 1);
+        let chunk_bytes = CHUNK_PAGES as u64 * PAGE_SIZE;
         Self {
-            pages: vec![None; (size / PAGE_SIZE) as usize],
-            zero: Rc::new([0u8; PAGE_SIZE as usize]),
-            resident: 0,
+            chunks: vec![None; size.div_ceil(chunk_bytes) as usize],
             size,
         }
     }
@@ -83,11 +108,6 @@ impl PhysMemory {
         self.size
     }
 
-    /// Number of pages lazily materialized so far.
-    pub fn resident_pages(&self) -> usize {
-        self.resident
-    }
-
     /// Returns `true` if `addr..addr+len` lies inside DRAM.
     pub fn contains(&self, addr: PhysAddr, len: u64) -> bool {
         addr.raw()
@@ -95,28 +115,62 @@ impl PhysMemory {
             .is_some_and(|end| end <= self.size)
     }
 
-    /// Writable view of a frame: materializes the page if absent and —
-    /// when the page is shared with a forked memory — detaches a private
-    /// copy first (copy-on-write).
-    fn page(&mut self, frame: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let slot = &mut self.pages[frame as usize];
-        if slot.is_none() {
-            *slot = Some(Rc::clone(&self.zero));
-            self.resident += 1;
-        }
-        Rc::make_mut(slot.as_mut().expect("just populated"))
+    /// The page backing `frame`, if one is materialised, and whether
+    /// something else also holds it: a fork sharing its chunk (the
+    /// page's own count reads 1 while its whole chunk is shared) or a
+    /// fork or handle sharing the page itself.
+    fn frame_page(&self, frame: u64) -> Option<(&Rc<Page>, bool)> {
+        let (c, p) = split(frame);
+        let chunk = self.chunks.get(c)?.as_ref()?;
+        let page = chunk[p].as_ref()?;
+        Some((
+            page,
+            Rc::strong_count(chunk) > 1 || Rc::strong_count(page) > 1,
+        ))
     }
 
-    /// Read-only view of a frame: materializes absent pages (so resident
-    /// accounting matches the write path) but never detaches a shared
-    /// one — reads through a fork stay zero-copy.
-    fn page_ref(&mut self, frame: u64) -> &[u8; PAGE_SIZE as usize] {
-        let slot = &mut self.pages[frame as usize];
-        if slot.is_none() {
-            *slot = Some(Rc::clone(&self.zero));
-            self.resident += 1;
+    /// Read-only view of a frame: an absent frame reads as the shared
+    /// zero page, so reads never materialise or detach anything.
+    fn page_ref(&self, frame: u64) -> &Page {
+        let (c, p) = split(frame);
+        match &self.chunks[c] {
+            Some(chunk) => chunk[p].as_deref().unwrap_or(&ZERO_PAGE),
+            None => &ZERO_PAGE,
         }
-        slot.as_deref().expect("just populated")
+    }
+
+    /// The slot of a frame in a private chunk: creates the chunk if
+    /// absent and detaches it first if it is shared with a fork.
+    fn slot_mut(&mut self, frame: u64) -> &mut Option<Rc<Page>> {
+        let (c, p) = split(frame);
+        let chunk = self.chunks[c].get_or_insert_with(|| Rc::new([const { None }; CHUNK_PAGES]));
+        &mut Rc::make_mut(chunk)[p]
+    }
+
+    /// Writable view of a frame: materialises the page if absent and
+    /// detaches a private copy of its chunk and of the page itself when
+    /// either is shared (copy-on-write).
+    fn page_mut(&mut self, frame: u64) -> &mut Page {
+        let slot = self.slot_mut(frame);
+        Rc::make_mut(slot.get_or_insert_with(|| Rc::new([0; PAGE_SIZE as usize])))
+    }
+
+    /// Whether `page` backs the frame at `addr`: the very page, not a copy
+    /// of its bytes.
+    pub(crate) fn holds(&self, addr: PhysAddr, page: &PageRef) -> bool {
+        self.frame_page(addr.page_index())
+            .is_some_and(|(held, _)| Rc::ptr_eq(held, &page.0))
+    }
+
+    /// A handle on the page backing the frame at `addr`, if one is
+    /// materialised and something else (a fork, another handle) also
+    /// holds it. A page only this memory holds has no handle to give: a
+    /// handle would turn the owner's next write into a copy.
+    pub(crate) fn shared_page(&self, addr: PhysAddr) -> Option<PageRef> {
+        match self.frame_page(addr.page_index()) {
+            Some((page, true)) => Some(PageRef(Rc::clone(page))),
+            _ => None,
+        }
     }
 
     /// Materializes private zeroed pages for every absent frame in
@@ -132,13 +186,8 @@ impl PhysMemory {
         let first = addr.page_index();
         let last = addr.add(len.saturating_sub(1)).page_index();
         for frame in first..=last {
-            let slot = &mut self.pages[frame as usize];
-            if slot.is_none() {
-                // Deliberately not the shared zero template: the point is
-                // a private, already-touched backing page.
-                *slot = Some(Rc::new([0u8; PAGE_SIZE as usize]));
-                self.resident += 1;
-            }
+            self.slot_mut(frame)
+                .get_or_insert_with(|| Rc::new([0; PAGE_SIZE as usize]));
         }
     }
 
@@ -171,7 +220,7 @@ impl PhysMemory {
     /// # Panics
     ///
     /// Panics if the address is outside DRAM.
-    pub fn read_u8(&mut self, addr: PhysAddr) -> u8 {
+    pub fn read_u8(&self, addr: PhysAddr) -> u8 {
         self.check(addr, 1);
         self.page_ref(addr.page_index())[addr.page_offset() as usize]
     }
@@ -183,7 +232,7 @@ impl PhysMemory {
     /// Panics if the address is outside DRAM.
     pub fn write_u8(&mut self, addr: PhysAddr, value: u8) {
         self.check(addr, 1);
-        self.page(addr.page_index())[addr.page_offset() as usize] = value;
+        self.page_mut(addr.page_index())[addr.page_offset() as usize] = value;
     }
 
     /// Reads a little-endian 64-bit word. The access may straddle a page
@@ -192,7 +241,7 @@ impl PhysMemory {
     /// # Panics
     ///
     /// Panics if any byte of the word is outside DRAM.
-    pub fn read_u64(&mut self, addr: PhysAddr) -> u64 {
+    pub fn read_u64(&self, addr: PhysAddr) -> u64 {
         self.check(addr, 8);
         if addr.page_offset() <= PAGE_SIZE - 8 {
             let page = self.page_ref(addr.page_index());
@@ -217,7 +266,7 @@ impl PhysMemory {
         self.check(addr, 8);
         if addr.page_offset() <= PAGE_SIZE - 8 {
             let off = addr.page_offset() as usize;
-            self.page(addr.page_index())[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            self.page_mut(addr.page_index())[off..off + 8].copy_from_slice(&value.to_le_bytes());
         } else {
             for (i, b) in value.to_le_bytes().iter().enumerate() {
                 self.write_u8(addr.add(i as u64), *b);
@@ -234,7 +283,7 @@ impl PhysMemory {
     ///
     /// Panics if `addr` is not 64-byte aligned or the line is outside
     /// DRAM.
-    pub fn read_line(&mut self, addr: PhysAddr) -> [u64; 8] {
+    pub fn read_line(&self, addr: PhysAddr) -> [u64; 8] {
         assert!(
             addr.raw().is_multiple_of(64),
             "read_line requires line alignment"
@@ -264,7 +313,7 @@ impl PhysMemory {
             "write_line requires line alignment"
         );
         self.check(addr, 64);
-        let page = self.page(addr.page_index());
+        let page = self.page_mut(addr.page_index());
         let off = addr.page_offset() as usize;
         for (i, w) in data.iter().enumerate() {
             let o = off + i * 8;
@@ -277,7 +326,7 @@ impl PhysMemory {
     /// # Panics
     ///
     /// Panics if the range is outside DRAM.
-    pub fn read_bytes(&mut self, addr: PhysAddr, buf: &mut [u8]) {
+    pub fn read_bytes(&self, addr: PhysAddr, buf: &mut [u8]) {
         self.check(addr, buf.len() as u64);
         for (i, b) in buf.iter_mut().enumerate() {
             *b = self.read_u8(addr.add(i as u64));
@@ -308,42 +357,41 @@ impl PhysMemory {
         while cur < end {
             let in_page = (PAGE_SIZE - cur.page_offset()).min(end.offset_from(cur));
             if value == 0 && in_page == PAGE_SIZE {
-                // Whole-page zero fill. Absent or shared frames point at
-                // the shared zero template (no allocation, no copy-on-
-                // write detach); a private frame is memset in place so
-                // its already-faulted backing page stays warm.
-                let slot = &mut self.pages[cur.page_index() as usize];
-                match slot {
-                    None => {
-                        self.resident += 1;
-                        *slot = Some(Rc::clone(&self.zero));
-                    }
-                    Some(p) if Rc::strong_count(p) > 1 => *slot = Some(Rc::clone(&self.zero)),
-                    Some(p) => Rc::make_mut(p).fill(0),
-                }
+                self.zero_page(cur.page_index());
             } else {
-                let page = self.page(cur.page_index());
+                let page = self.page_mut(cur.page_index());
                 let off = cur.page_offset() as usize;
                 page[off..off + in_page as usize].fill(value);
             }
             cur = cur.add(in_page);
         }
     }
+
+    /// Whole-page zero fill. An absent frame already reads as zero and a
+    /// shared one drops its reference (no allocation, no copy-on-write
+    /// detach of the page); a private frame is memset in place so its
+    /// already-faulted backing page stays warm.
+    fn zero_page(&mut self, frame: u64) {
+        if self.frame_page(frame).is_none() {
+            return;
+        }
+        let slot = self.slot_mut(frame);
+        match slot.as_mut().and_then(Rc::get_mut) {
+            Some(page) => page.fill(0),
+            None => *slot = None,
+        }
+    }
 }
 
 impl PartialEq for PhysMemory {
     fn eq(&self, other: &Self) -> bool {
-        // Two memories are equal if every *resident* page matches and absent
-        // pages (implicitly zero) compare equal to zero-filled pages.
-        if self.size != other.size {
-            return false;
-        }
-        let zero = [0u8; PAGE_SIZE as usize];
-        self.pages.iter().zip(&other.pages).all(|(a, b)| {
-            let a = a.as_deref().map_or(&zero[..], |p| &p[..]);
-            let b = b.as_deref().map_or(&zero[..], |p| &p[..]);
-            a == b
-        })
+        // Two memories are equal if every frame reads the same; an absent
+        // frame reads as zero. Shared pages compare by identity first.
+        self.size == other.size
+            && (0..self.size / PAGE_SIZE).all(|frame| {
+                let (a, b) = (self.page_ref(frame), other.page_ref(frame));
+                std::ptr::eq(a, b) || a == b
+            })
     }
 }
 
@@ -353,10 +401,11 @@ mod tests {
 
     #[test]
     fn zero_initialized() {
-        let mut mem = PhysMemory::new(PAGE_SIZE * 4);
+        let mem = PhysMemory::new(PAGE_SIZE * 4);
         assert_eq!(mem.read_u64(PhysAddr::new(0)), 0);
         assert_eq!(mem.read_u8(PhysAddr::new(PAGE_SIZE * 4 - 1)), 0);
-        assert_eq!(mem.resident_pages(), 2);
+        // Reads never materialise a chunk or a page.
+        assert!(mem.chunks.iter().all(Option::is_none));
     }
 
     #[test]
@@ -401,7 +450,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside DRAM")]
     fn out_of_range_panics() {
-        let mut mem = PhysMemory::new(PAGE_SIZE);
+        let mem = PhysMemory::new(PAGE_SIZE);
         mem.read_u64(PhysAddr::new(PAGE_SIZE - 4));
     }
 
@@ -435,6 +484,47 @@ mod tests {
         assert_eq!(b.read_u64(PhysAddr::new(PAGE_SIZE + 8)), 22);
         // Reads alone keep the untouched page shared (no divergence).
         assert_eq!(b.read_u64(PhysAddr::new(PAGE_SIZE + 8)), 22);
+    }
+
+    #[test]
+    fn a_fork_shares_chunks_then_pages_until_it_writes() {
+        let (page, neighbour) = (PhysAddr::new(0x3000), PhysAddr::new(0x5000));
+        let mut a = PhysMemory::new(4 << 20);
+        a.write_u64(page, 7);
+        a.write_u64(neighbour, 8);
+        // A page only one memory holds has no handle to give.
+        assert!(a.shared_page(page).is_none());
+        let mut b = a.clone();
+        // Shared at chunk level: the page's own count still reads 1.
+        let handle = b.shared_page(page).expect("chunk shared with the fork");
+        assert!(a.holds(page, &handle) && b.holds(page, &handle));
+        // A write to another page of the chunk detaches the chunk; the
+        // page stays shared at page level.
+        b.write_u64(neighbour, 9);
+        assert!(b
+            .shared_page(page)
+            .is_some_and(|p| Rc::ptr_eq(&p.0, &handle.0)));
+        // A write to the page itself detaches it.
+        b.write_u64(page, 10);
+        assert!(!b.holds(page, &handle) && a.holds(page, &handle));
+        assert!(b.shared_page(page).is_none());
+    }
+
+    #[test]
+    fn a_handle_keeps_its_page_immutable() {
+        let addr = PhysAddr::new(0x2000);
+        let mut a = PhysMemory::new(1 << 16);
+        a.write_u64(addr, 1);
+        let handle = a.clone().shared_page(addr).expect("shared with the clone");
+        // The clone is gone, but the handle still shares the page: the
+        // owner's write detaches a copy and the handle's bytes stay put.
+        a.write_u64(addr, 2);
+        assert!(!a.holds(addr, &handle));
+        assert_eq!(u64::from_le_bytes(handle.0[..8].try_into().unwrap()), 1);
+        // Zero-filling a shared page drops the reference instead.
+        let mut b = a.clone();
+        b.fill(addr.page_base(), PAGE_SIZE, 0);
+        assert_eq!((a.read_u64(addr), b.read_u64(addr)), (2, 0));
     }
 
     #[test]

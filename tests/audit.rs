@@ -17,16 +17,25 @@
 //!   findings (`linear-identity`, `rogue-root`, `wx-mapping`);
 //! - enabling the sanitizer changes no simulated result;
 //! - the report and every finding are pinned byte for byte over the
-//!   corpus, every primitive in every mode and the miswired verifier.
+//!   corpus, every primitive in every mode and the miswired verifier,
+//!   with cold memos and through a warm template family;
+//! - the audit memos belong to a template family, and a warm memo gives
+//!   the same static and Hypersec reports as a cold one after table
+//!   pages change through every write path.
 
 use std::path::PathBuf;
 
-use hypernel::Mode;
-use hypernel_audit::chain_display;
+use hypernel::{Mode, System};
+use hypernel_audit::{audit_system, chain_display, MappingGraph, RootOrigin, RootSpec, WalkMemo};
 use hypernel_campaign::engine::{boot_system, run_one, run_one_full};
 use hypernel_campaign::scenario::{Scenario, StepExpect};
-use hypernel_kernel::AttackStep;
-use hypernel_machine::FaultSpec;
+use hypernel_hypersec::AuditMemo;
+use hypernel_kernel::abi::call;
+use hypernel_kernel::{layout, AttackStep};
+use hypernel_machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
+use hypernel_machine::fault::{self, FaultPlan};
+use hypernel_machine::pagetable::{self, Descriptor, PagePerms};
+use hypernel_machine::{ExceptionLevel, FaultSpec, Hyp, Machine, SysReg};
 use proptest::prelude::*;
 
 fn arb_attack() -> impl Strategy<Value = AttackStep> {
@@ -237,16 +246,9 @@ fn miswired_scenario() -> Scenario {
     Scenario::new("unit-miswired", Mode::Hypernel).step(AttackStep::CodeInjection, StepExpect::Any)
 }
 
-/// Every observable of the static audit, pinned byte for byte: the
-/// report JSON and each finding's check, detail and descriptor chain,
-/// after every corpus scenario at seed 1, every non-compose primitive
-/// in every mode and the miswired verifier. Runs the engine refuses
-/// (`ttbr-redirect` under KVM faults on some seeds) are skipped; at
-/// seed 1 there are none. The expected values were
-/// produced by the per-leaf walker that preceded the run-based one, so
-/// the walk's representation can change but its output cannot.
-#[test]
-fn audit_reports_and_findings_are_pinned_byte_for_byte() {
+/// The pinned cases: every corpus scenario, every non-compose primitive
+/// in every mode, and the miswired verifier (the `true` case).
+fn pin_cases() -> Vec<(Scenario, bool)> {
     let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
     let mut cases: Vec<(Scenario, bool)> = hypernel_campaign::load_corpus(&corpus)
         .unwrap_or_else(|e| panic!("{e}"))
@@ -270,41 +272,363 @@ fn audit_reports_and_findings_are_pinned_byte_for_byte() {
         }
     }
     cases.push((miswired_scenario(), true));
+    cases
+}
 
-    // FNV-1a over every string, each followed by a separator byte.
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |text: &str| {
+/// A booted system for a pinned case.
+fn pin_boot(scenario: &Scenario, miswired: bool) -> System {
+    let mut sys = boot_system(scenario).expect("boot");
+    if miswired {
+        sys.hypersec_mut()
+            .expect("hypernel mode has hypersec")
+            .testonly_disable_wx_check();
+    }
+    sys
+}
+
+/// The runs audited, findings reported and an FNV-1a digest over every
+/// report JSON and every finding's check, detail and chain.
+struct Pin {
+    runs: u64,
+    findings: u64,
+    digest: u64,
+}
+
+impl Pin {
+    fn new() -> Self {
+        Self {
+            runs: 0,
+            findings: 0,
+            digest: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    /// Feeds `text` and a separator byte.
+    fn feed(&mut self, text: &str) {
         for byte in text.bytes().chain([0xFF]) {
-            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            self.digest = (self.digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
         }
-    };
-    let (mut runs, mut findings) = (0u64, 0u64);
-    for (scenario, miswired) in &cases {
-        let mut sys = boot_system(scenario).expect("boot");
-        if *miswired {
-            sys.hypersec_mut()
-                .expect("hypernel mode has hypersec")
-                .testonly_disable_wx_check();
+    }
+
+    fn audit(&mut self, sys: &mut System) {
+        let report = sys.audit_static();
+        self.feed(&report.to_json().to_string());
+        for finding in &report.findings {
+            self.feed(finding.check.name());
+            self.feed(&finding.detail);
+            self.feed(&chain_display(&finding.chain));
         }
+        self.runs += 1;
+        self.findings += report.findings.len() as u64;
+    }
+
+    fn assert_pinned(&self) {
+        println!(
+            "pinned audit: {} runs, {} findings, digest {:#018x}",
+            self.runs, self.findings, self.digest
+        );
+        assert_eq!(
+            (self.runs, self.findings, self.digest),
+            (PIN_RUNS, PIN_FINDINGS, PIN_DIGEST),
+            "the audit output changed"
+        );
+    }
+}
+
+/// Every observable of the static audit, pinned byte for byte: the
+/// report JSON and each finding's check, detail and descriptor chain,
+/// after every corpus scenario at seed 1, every non-compose primitive
+/// in every mode and the miswired verifier. Runs the engine refuses
+/// (`ttbr-redirect` under KVM faults on some seeds) are skipped; at
+/// seed 1 there are none. The expected values were
+/// produced by the per-leaf walker that preceded the run-based one, so
+/// the walk's representation can change but its output cannot. Every
+/// case boots fresh, so every audit here walks with a cold memo.
+#[test]
+fn audit_reports_and_findings_are_pinned_byte_for_byte() {
+    let mut pin = Pin::new();
+    for (scenario, miswired) in &pin_cases() {
+        let sys = pin_boot(scenario, *miswired);
         let Ok((_, _, mut sys)) = run_one_full(sys, scenario, 1) else {
             continue;
         };
-        let report = sys.audit_static();
-        feed(&report.to_json().to_string());
-        for finding in &report.findings {
-            feed(finding.check.name());
-            feed(&finding.detail);
-            feed(&chain_display(&finding.chain));
-        }
-        runs += 1;
-        findings += report.findings.len() as u64;
+        pin.audit(&mut sys);
     }
-    println!("pinned audit: {runs} runs, {findings} findings, digest {digest:#018x}");
-    assert_eq!(
-        (runs, findings, digest),
-        (PIN_RUNS, PIN_FINDINGS, PIN_DIGEST),
-        "the audit output changed"
+    pin.assert_pinned();
+}
+
+/// The same pin through warm memos: each case forks a template whose
+/// audit memos a run at seed 0 has warmed, then runs seed 1 on a second
+/// fork.
+#[test]
+fn a_warm_template_family_reaches_the_pinned_audit_digest() {
+    let (mut pin, mut warmed) = (Pin::new(), 0);
+    for (scenario, miswired) in &pin_cases() {
+        let template = pin_boot(scenario, *miswired);
+        let _ = run_one_full(template.fork(), scenario, 0);
+        warmed += usize::from(!template.audit_memo().is_empty());
+        let Ok((_, _, mut sys)) = run_one_full(template.fork(), scenario, 1) else {
+            continue;
+        };
+        pin.audit(&mut sys);
+    }
+    assert_eq!(warmed, pin_cases().len(), "every template's memo was warm");
+    pin.assert_pinned();
+}
+
+/// The memos belong to a template family: a fork's audit warms the
+/// template's memos (static and Hypersec's alike), a system audited
+/// alone makes no entry, and another template's family is untouched.
+#[test]
+fn audit_memos_are_shared_by_a_template_family_only() {
+    let mut alone = System::boot(Mode::Hypernel).expect("boot");
+    alone.audit();
+    assert!(alone.audit_memo().is_empty(), "no fork shares its pages");
+    let hypersec_memo = |sys: &System| sys.hypersec().expect("hypernel").audit_memo().len();
+    assert_eq!(hypersec_memo(&alone), 0);
+
+    let template = System::boot(Mode::Hypernel).expect("boot");
+    let other = System::boot(Mode::Hypernel).expect("boot");
+    template.fork().audit();
+    let (walk, hypersec) = (template.audit_memo().len(), hypersec_memo(&template));
+    assert!(
+        walk > 0 && hypersec > 0,
+        "the fork's audit warmed the template"
     );
+    let mut fork = template.fork();
+    assert_eq!(
+        fork.audit_memo().len(),
+        walk,
+        "a new fork inherits the memo"
+    );
+    fork.audit();
+    assert_eq!(
+        template.audit_memo().len(),
+        walk,
+        "a warm audit adds nothing"
+    );
+    assert!(other.audit_memo().is_empty() && hypersec_memo(&other) == 0);
+}
+
+/// A template whose kernel linear map holds a writable+executable leaf
+/// (for a frame past the allocator's watermark) that Hypersec never saw,
+/// written behind its back. No line of the table page stays cached, so
+/// its forks' audits may replay it from the family memo.
+fn wx_template() -> System {
+    let mut template = System::boot(Mode::Hypernel).expect("boot");
+    let root = template.kernel().kernel_root();
+    let va = layout::kva(template.kernel().frames_watermark().add(PAGE_SIZE)).raw();
+    let perms = PagePerms {
+        exec: true,
+        ..PagePerms::KERNEL_DATA
+    };
+    let m = template.machine_mut();
+    let write = pagetable::plan_protect(&mut m.pt_view(), root, va, perms).expect("mapped");
+    pagetable::apply_entry_write(&mut m.pt_view(), write);
+    m.cache_clean_invalidate_page(write.table);
+    template
+}
+
+/// Hypersec's memo key carries the W⊕X switch: a fragment decoded by the
+/// correctly wired verifier is never replayed to a miswired one, so the
+/// differential still convicts it with the family's memo warm.
+#[test]
+fn a_warm_memo_still_convicts_a_miswired_verifier() {
+    let template = wx_template();
+    let report = template.fork().audit_static();
+    let diff = report.differential.expect("locked");
+    assert!(diff.agrees() && !report.findings.is_empty(), "both see W^X");
+    let mut miswired = template.fork();
+    miswired
+        .hypersec_mut()
+        .expect("hypernel")
+        .testonly_disable_wx_check();
+    let diff = miswired.audit_static().differential.expect("locked");
+    assert!(!diff.agrees(), "the blinded verifier is convicted");
+}
+
+/// One way to change a table page on a forked system. `path` picks the
+/// write path, `table` the target among the template's tables, `index`
+/// the entry and `value` the descriptor written.
+#[derive(Debug, Clone)]
+struct TableEdit {
+    path: u8,
+    table: u16,
+    index: u16,
+    value: u8,
+    page: u16,
+}
+
+fn arb_edit() -> impl Strategy<Value = TableEdit> {
+    (
+        any::<u8>(),
+        any::<u16>(),
+        0u16..512,
+        any::<u8>(),
+        any::<u16>(),
+    )
+        .prop_map(|(path, table, index, value, page)| TableEdit {
+            path,
+            table,
+            index,
+            value,
+            page,
+        })
+}
+
+/// A template with audit memos warmed by a fork's audit, and its table
+/// pages.
+struct Warmed {
+    template: System,
+    tables: Vec<PhysAddr>,
+}
+
+fn warmed(mode: Mode) -> Warmed {
+    let template = System::boot(mode).expect("boot");
+    template.fork().audit();
+    let kernel = template.kernel();
+    let roots: Vec<RootSpec> = std::iter::once((kernel.kernel_root(), true))
+        .chain(kernel.user_roots().into_iter().map(|r| (r, false)))
+        .map(|(pa, kernel_space)| RootSpec {
+            pa,
+            kernel_space,
+            origins: vec![RootOrigin::KernelKnown],
+        })
+        .collect();
+    let tables = MappingGraph::walk(template.machine(), &roots, &WalkMemo::default()).tables;
+    Warmed { template, tables }
+}
+
+thread_local! {
+    static WARMED: [Warmed; 2] = [warmed(Mode::Hypernel), warmed(Mode::Native)];
+}
+
+/// Applies one edit. Every path is tried in both modes; a path the mode
+/// refuses (an EL1 store to a read-only table under Hypernel, a
+/// hypercall under Native) simply changes nothing.
+fn apply_edit(sys: &mut System, tables: &[PhysAddr], edit: &TableEdit) {
+    let table = tables[usize::from(edit.table) % tables.len()];
+    let entry = table.add(u64::from(edit.index) * 8);
+    let out = PhysAddr::new(layout::FRAME_POOL_BASE + u64::from(edit.page) * PAGE_SIZE);
+    let value = match edit.value % 5 {
+        0 => 0,
+        1 => Descriptor::Leaf {
+            out,
+            perms: PagePerms::USER_DATA,
+        }
+        .encode(),
+        2 => Descriptor::Leaf {
+            out,
+            perms: PagePerms {
+                exec: true,
+                ..PagePerms::KERNEL_DATA
+            },
+        }
+        .encode(),
+        3 => Descriptor::Table {
+            next: tables[usize::from(edit.page) % tables.len()],
+        }
+        .encode(),
+        _ => Descriptor::Leaf {
+            out: table,
+            perms: PagePerms::KERNEL_DATA,
+        }
+        .encode(),
+    };
+    let kernel_root = sys.kernel().kernel_root();
+    let (_, m, hyp) = sys.parts();
+    let el1_store = |m: &mut Machine, hyp: &mut dyn Hyp, pa: PhysAddr, value: u64| {
+        let _ = m.write_u64(layout::kva(pa), value, hyp);
+    };
+    match edit.path % 9 {
+        0 => {
+            let _ = m.hvc(
+                call::PT_WRITE,
+                [table.raw(), u64::from(edit.index), value, 0],
+                hyp,
+            );
+        }
+        1 => el1_store(m, hyp, entry, value),
+        2 => {
+            // Remap the table's linear alias non-cacheable through the
+            // kernel's own linear map, then store through it.
+            let kva = layout::kva(table);
+            if let Some(w) = pagetable::plan_protect(
+                &mut m.pt_view(),
+                kernel_root,
+                kva.raw(),
+                PagePerms::KERNEL_DATA_NC,
+            ) {
+                el1_store(m, hyp, w.addr(), w.value);
+                m.tlbi_va(kva);
+            }
+            el1_store(m, hyp, entry, value);
+        }
+        3 if m.read_sysreg(SysReg::TTBR0_EL2) != 0 => {
+            let el = m.el();
+            m.set_el(ExceptionLevel::El2);
+            let _ = m.el2_write_u64(VirtAddr::new(entry.raw()), value);
+            m.set_el(el);
+        }
+        4 => m.debug_write_phys(entry, value),
+        5 => m.dma_write_u64(entry, value),
+        6 => m.debug_zero_page(table),
+        7 => m.cache_clean_invalidate_page(table),
+        _ => {
+            // The trap is taken but the fault loses the handler: the
+            // store never reaches the table.
+            let plan = FaultPlan {
+                specs: vec![FaultSpec::lose_hypercall(1, 1, call::PT_WRITE)],
+            };
+            m.set_fault_injector(Some(fault::share(plan)));
+            let _ = m.hvc(
+                call::PT_WRITE,
+                [table.raw(), u64::from(edit.index), value, 0],
+                hyp,
+            );
+            m.set_fault_injector(None);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Both walkers share the page-identity test, so the static ≡
+    /// incremental differential cannot catch a wrong one. This can:
+    /// after table pages change through every write path, a fork of a
+    /// warmed template audits exactly as a cold memo does, for the
+    /// static report and for `Hypersec::audit`.
+    #[test]
+    fn warm_and_cold_memos_give_identical_audits(
+        native in any::<bool>(),
+        edits in prop::collection::vec(arb_edit(), 1..10),
+    ) {
+        WARMED.with(|warmed| {
+            let warmed = &warmed[usize::from(native)];
+            prop_assert!(!warmed.template.audit_memo().is_empty(), "a warm family");
+            let mut sys = warmed.template.fork();
+            for edit in &edits {
+                apply_edit(&mut sys, &warmed.tables, edit);
+            }
+            let warm = sys.audit_static().to_json().to_string();
+            let kernel = sys.kernel().clone();
+            let hypersec = sys.hypersec().cloned();
+            let cold = audit_system(
+                sys.machine_mut(),
+                &kernel,
+                hypersec.as_ref(),
+                &WalkMemo::default(),
+            )
+            .0;
+            prop_assert_eq!(warm, cold.to_json().to_string(), "static audit, edits {:?}", edits);
+            if let Some(hs) = &hypersec {
+                let warm = hs.audit(sys.machine_mut());
+                let cold = hs.audit_with(sys.machine_mut(), &AuditMemo::default());
+                prop_assert_eq!(warm, cold, "Hypersec audit, edits {:?}", edits);
+            }
+        });
+    }
 }
 
 /// Under Native nothing stops a page-table write from pointing a table
