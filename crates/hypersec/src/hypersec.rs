@@ -1269,6 +1269,18 @@ impl Hypersec {
                 format!("cannot monitor kernel text at {page}"),
             ));
         }
+        // The non-cacheable remap rewrites the linear-map leaf covering
+        // the page, so a larger leaf would make its whole block writable,
+        // table pages and text included (the §6.2 granularity gap).
+        if self
+            .linear_leaf_level(m, page)
+            .is_some_and(|level| level < 3)
+        {
+            return Err(Self::deny(
+                codes::BAD_MONITOR_REQUEST,
+                format!("cannot monitor {page}: its linear map leaf is larger than 4 KiB"),
+            ));
+        }
         let region = Region {
             sid,
             base_va: base,

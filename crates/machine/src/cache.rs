@@ -8,8 +8,9 @@
 //! accesses bypass this module entirely.
 //!
 //! Geometry: physically indexed/tagged, 64-byte lines, set-associative with
-//! true-LRU replacement. The defaults approximate a Cortex-A57 L1D
-//! (32 KiB, 2-way in hardware; we use 4-way × 128 sets = 32 KiB).
+//! true-LRU replacement. The platform's cache (`Machine::new`) approximates
+//! a Cortex-A57 L1D (32 KiB, 2-way in hardware; we use 4-way × 128 sets =
+//! 32 KiB).
 
 use crate::addr::PhysAddr;
 use crate::bus::LINE_WORDS;
@@ -93,19 +94,20 @@ impl CacheStats {
     }
 }
 
+/// The tag an invalid way holds. A tag is a line index shifted right by
+/// the set bits, so no resident line can carry it.
+const INVALID_TAG: u64 = u64::MAX;
+
+/// The state of one way beside its tag. Dead while the way is invalid.
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    tag: u64,
-    valid: bool,
     dirty: bool,
     lru: u64,
     data: [u64; LINE_WORDS],
 }
 
 impl Line {
-    const INVALID: Line = Line {
-        tag: 0,
-        valid: false,
+    const EMPTY: Line = Line {
         dirty: false,
         lru: 0,
         data: [0; LINE_WORDS],
@@ -113,6 +115,10 @@ impl Line {
 }
 
 /// Set-associative write-back data cache.
+///
+/// The ways are two flat set-major arrays indexed `set * ways + way`: the
+/// tags, where an invalid way holds `u64::MAX`, and the line state. A
+/// lookup scans one set's slice of tags.
 ///
 /// ```
 /// use hypernel_machine::addr::PhysAddr;
@@ -134,7 +140,9 @@ impl Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DataCache {
-    sets: Vec<Vec<Line>>,
+    tags: Vec<u64>,
+    lines: Vec<Line>,
+    sets: usize,
     ways: usize,
     tick: u64,
     stats: CacheStats,
@@ -153,7 +161,9 @@ impl DataCache {
         );
         assert!(ways > 0, "ways must be non-zero");
         Self {
-            sets: vec![vec![Line::INVALID; ways]; sets],
+            tags: vec![INVALID_TAG; sets * ways],
+            lines: vec![Line::EMPTY; sets * ways],
+            sets,
             ways,
             tick: 0,
             stats: CacheStats::default(),
@@ -162,7 +172,7 @@ impl DataCache {
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        (self.sets.len() * self.ways) as u64 * LINE_SIZE
+        self.tags.len() as u64 * LINE_SIZE
     }
 
     /// Current statistics.
@@ -177,8 +187,8 @@ impl DataCache {
 
     fn index(&self, addr: PhysAddr) -> (usize, u64) {
         let line = addr.raw() >> LINE_SHIFT;
-        let set = (line as usize) & (self.sets.len() - 1);
-        let tag = line >> self.sets.len().trailing_zeros();
+        let set = (line as usize) & (self.sets - 1);
+        let tag = line >> self.sets.trailing_zeros();
         (set, tag)
     }
 
@@ -186,40 +196,59 @@ impl DataCache {
         PhysAddr::new(addr.raw() & !(LINE_SIZE - 1))
     }
 
+    /// The flat index of the way in `set` holding `tag`, if resident.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|way| base + way)
+    }
+
+    /// The flat index of the way holding the line of `addr`.
+    #[inline]
+    fn find_addr(&self, addr: PhysAddr) -> Option<usize> {
+        let (set, tag) = self.index(addr);
+        self.find(set, tag)
+    }
+
+    /// The locator of flat way `i` in `set`.
+    fn hint(&self, set: usize, i: usize) -> LineHint {
+        LineHint::pack(set, i - set * self.ways)
+    }
+
     /// Probes for `addr` (read or write — the plan is the same) and records
     /// a hit or miss. On a miss the caller must perform the returned refill
     /// protocol before retrying the word access.
     pub fn probe(&mut self, addr: PhysAddr) -> CachePlan {
         self.tick += 1;
-        let tick = self.tick;
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = tick;
+        let (set, tag) = self.index(addr);
+        if let Some(i) = self.find(set, tag) {
+            self.lines[i].lru = self.tick;
             self.stats.hits += 1;
             return CachePlan::Hit;
         }
         self.stats.misses += 1;
-        // Choose victim: invalid way first, else LRU.
-        let victim = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
+        // Choose victim: invalid way first, else the first least recent.
+        let victim = self.find(set, INVALID_TAG).unwrap_or_else(|| {
+            let base = set * self.ways;
+            (base..base + self.ways)
+                .min_by_key(|&i| self.lines[i].lru)
                 .expect("ways > 0")
         });
-        let victim_line = set[victim];
-        let evict = if victim_line.valid && victim_line.dirty {
+        let victim_tag = self.tags[victim];
+        let evict = if victim_tag != INVALID_TAG && self.lines[victim].dirty {
             self.stats.writebacks += 1;
             Some(Eviction {
-                addr: self.reconstruct_addr(set_idx, victim_line.tag),
-                data: victim_line.data,
+                addr: self.reconstruct_addr(set, victim_tag),
+                data: self.lines[victim].data,
             })
         } else {
             None
         };
         // Mark the victim way invalid so `install` can find it.
-        self.sets[set_idx][victim] = Line::INVALID;
+        self.tags[victim] = INVALID_TAG;
         CachePlan::Refill {
             line: self.line_base(addr),
             evict,
@@ -227,7 +256,7 @@ impl DataCache {
     }
 
     fn reconstruct_addr(&self, set: usize, tag: u64) -> PhysAddr {
-        let bits = self.sets.len().trailing_zeros();
+        let bits = self.sets.trailing_zeros();
         PhysAddr::new(((tag << bits) | set as u64) << LINE_SHIFT)
     }
 
@@ -241,21 +270,17 @@ impl DataCache {
     /// different line was probed).
     pub fn install(&mut self, line_addr: PhysAddr, data: [u64; LINE_WORDS]) -> LineHint {
         self.tick += 1;
-        let tick = self.tick;
-        let (set_idx, tag) = self.index(line_addr);
-        let set = &mut self.sets[set_idx];
-        let way = set
-            .iter()
-            .position(|l| !l.valid)
+        let (set, tag) = self.index(line_addr);
+        let i = self
+            .find(set, INVALID_TAG)
             .expect("install requires a prior Refill probe that freed a way");
-        set[way] = Line {
-            tag,
-            valid: true,
+        self.tags[i] = tag;
+        self.lines[i] = Line {
             dirty: false,
-            lru: tick,
+            lru: self.tick,
             data,
         };
-        LineHint::pack(set_idx, way)
+        self.hint(set, i)
     }
 
     /// Probes for `addr` and, on a hit, completes the word access in the
@@ -266,16 +291,13 @@ impl DataCache {
     /// stats) is identical to `probe` followed by
     /// [`DataCache::read_word`]/[`DataCache::write_word`].
     pub fn probe_access(&mut self, addr: PhysAddr, write: Option<u64>) -> Option<(u64, LineHint)> {
-        let (set_idx, tag) = self.index(addr);
+        let (set, tag) = self.index(addr);
+        let i = self.find(set, tag)?;
         let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
-        let tick = self.tick + 1;
-        let (way, line) = self.sets[set_idx]
-            .iter_mut()
-            .enumerate()
-            .find(|(_, l)| l.valid && l.tag == tag)?;
-        self.tick = tick;
-        line.lru = tick;
+        self.tick += 1;
         self.stats.hits += 1;
+        let line = &mut self.lines[i];
+        line.lru = self.tick;
         let v = match write {
             Some(v) => {
                 line.data[word] = v;
@@ -284,7 +306,7 @@ impl DataCache {
             }
             None => line.data[word],
         };
-        Some((v, LineHint::pack(set_idx, way)))
+        Some((v, self.hint(set, i)))
     }
 
     /// Completes the word access that follows a [`DataCache::install`]
@@ -298,14 +320,15 @@ impl DataCache {
     /// Panics if the hint does not address the line containing `addr`
     /// (the caller must pass the locator of the line it just installed).
     pub fn word_access(&mut self, hint: LineHint, addr: PhysAddr, write: Option<u64>) -> u64 {
-        let (set_idx, way) = hint.unpack().expect("word_access requires a locator");
+        let (set, way) = hint.unpack().expect("word_access requires a locator");
         let (want_set, want_tag) = self.index(addr);
-        let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
-        let line = &mut self.sets[set_idx][way];
+        let i = set * self.ways + way;
         assert!(
-            set_idx == want_set && line.valid && line.tag == want_tag,
+            set == want_set && way < self.ways && self.tags[i] == want_tag,
             "word_access locator does not match the accessed line"
         );
+        let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
+        let line = &mut self.lines[i];
         match write {
             Some(v) => {
                 line.data[word] = v;
@@ -323,13 +346,10 @@ impl DataCache {
     /// Panics if the line is not resident (callers must `probe`/`install`
     /// first).
     pub fn read_word(&mut self, addr: PhysAddr) -> u64 {
-        let (set_idx, tag) = self.index(addr);
-        let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
-        let line = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
+        let i = self
+            .find_addr(addr)
             .expect("read_word requires a resident line");
-        line.data[word]
+        self.lines[i].data[(addr.raw() >> 3) as usize & (LINE_WORDS - 1)]
     }
 
     /// Writes the word at `addr` and marks the line dirty.
@@ -338,13 +358,11 @@ impl DataCache {
     ///
     /// Panics if the line is not resident.
     pub fn write_word(&mut self, addr: PhysAddr, value: u64) {
-        let (set_idx, tag) = self.index(addr);
-        let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
-        let line = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
+        let i = self
+            .find_addr(addr)
             .expect("write_word requires a resident line");
-        line.data[word] = value;
+        let line = &mut self.lines[i];
+        line.data[(addr.raw() >> 3) as usize & (LINE_WORDS - 1)] = value;
         line.dirty = true;
     }
 
@@ -353,11 +371,8 @@ impl DataCache {
     /// Pure: no statistics, recency or tick updates — this is host-side
     /// bookkeeping for the compiled plan layer, not a modeled access.
     pub fn locate(&self, addr: PhysAddr) -> Option<LineHint> {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx]
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
-            .map(|way| LineHint::pack(set_idx, way))
+        let (set, tag) = self.index(addr);
+        self.find(set, tag).map(|i| self.hint(set, i))
     }
 
     /// Replays `n` consecutive same-line word hits through a recorded
@@ -381,20 +396,18 @@ impl DataCache {
         n: u64,
         write: bool,
     ) -> Option<&mut [u64]> {
-        let (set_idx, way) = hint.unpack()?;
+        let (set, way) = hint.unpack()?;
         let (want_set, want_tag) = self.index(addr);
-        if set_idx != want_set {
-            return None;
-        }
-        let line = self.sets.get_mut(set_idx)?.get_mut(way)?;
-        if !line.valid || line.tag != want_tag {
+        let i = set * self.ways + way;
+        if set != want_set || way >= self.ways || self.tags[i] != want_tag {
             return None;
         }
         let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
         debug_assert!(word as u64 + n <= LINE_WORDS as u64, "run crosses a line");
         self.tick += n;
-        line.lru = self.tick;
         self.stats.hits += n;
+        let line = &mut self.lines[i];
+        line.lru = self.tick;
         if write {
             line.dirty = true;
         }
@@ -402,7 +415,8 @@ impl DataCache {
     }
 
     /// Cleans and invalidates every line inside the 4 KiB page containing
-    /// `page_addr`, returning dirty lines that must be written back.
+    /// `page_addr`, returning dirty lines that must be written back, in
+    /// line-address order (the order their bus writebacks are snooped).
     ///
     /// Hypersec performs this maintenance when it makes a page
     /// non-cacheable so that stale dirty data cannot shadow future
@@ -412,78 +426,76 @@ impl DataCache {
         let mut out = Vec::new();
         for offset in (0..crate::addr::PAGE_SIZE).step_by(LINE_SIZE as usize) {
             let line_addr = base.add(offset);
-            let (set_idx, tag) = self.index(line_addr);
-            if let Some(line) = self.sets[set_idx]
-                .iter_mut()
-                .find(|l| l.valid && l.tag == tag)
-            {
-                if line.dirty {
+            if let Some(i) = self.find_addr(line_addr) {
+                if self.lines[i].dirty {
                     self.stats.writebacks += 1;
                     out.push(Eviction {
                         addr: line_addr,
-                        data: line.data,
+                        data: self.lines[i].data,
                     });
                 }
-                *line = Line::INVALID;
+                self.tags[i] = INVALID_TAG;
             }
         }
         out
     }
 
     /// Invalidates the whole cache, returning all dirty lines for
-    /// write-back.
+    /// write-back in set-major order.
     pub fn clean_invalidate_all(&mut self) -> Vec<Eviction> {
         let mut out = Vec::new();
-        for set_idx in 0..self.sets.len() {
-            for way in 0..self.ways {
-                let line = self.sets[set_idx][way];
-                if line.valid && line.dirty {
-                    self.stats.writebacks += 1;
-                    out.push(Eviction {
-                        addr: self.reconstruct_addr(set_idx, line.tag),
-                        data: line.data,
-                    });
-                }
-                self.sets[set_idx][way] = Line::INVALID;
+        for (i, &tag) in self.tags.iter().enumerate() {
+            if tag != INVALID_TAG && self.lines[i].dirty {
+                out.push(Eviction {
+                    addr: self.reconstruct_addr(i / self.ways, tag),
+                    data: self.lines[i].data,
+                });
             }
         }
+        self.stats.writebacks += out.len() as u64;
+        self.tags.fill(INVALID_TAG);
         out
     }
 
     /// Discards (invalidates without write-back) every line of the 4 KiB
     /// page containing `page_addr`. Used when a frame is recycled and its
     /// old contents are dead — stale dirty lines must not resurface.
+    ///
+    /// The page's lines are consecutive line indices, so they sit in a
+    /// run of consecutive sets (every set, when there are fewer sets than
+    /// lines in a page) under a run of consecutive tags: one pass over
+    /// those sets' tags drops them all.
     pub fn discard_page(&mut self, page_addr: PhysAddr) {
+        const PAGE_LINES: usize = (crate::addr::PAGE_SIZE / LINE_SIZE) as usize;
         let base = page_addr.page_base();
-        for offset in (0..crate::addr::PAGE_SIZE).step_by(LINE_SIZE as usize) {
-            let line_addr = base.add(offset);
-            let (set_idx, tag) = self.index(line_addr);
-            if let Some(line) = self.sets[set_idx]
-                .iter_mut()
-                .find(|l| l.valid && l.tag == tag)
-            {
-                *line = Line::INVALID;
+        let (first_set, first_tag) = self.index(base);
+        let (_, last_tag) = self.index(base.add(crate::addr::PAGE_SIZE - LINE_SIZE));
+        let sets = PAGE_LINES.min(self.sets);
+        // One subtract and one compare per tag (`INVALID_TAG` wraps far
+        // above the span); the store is rare, so it stays a branch.
+        let span = last_tag - first_tag;
+        for tag in &mut self.tags[first_set * self.ways..(first_set + sets) * self.ways] {
+            if tag.wrapping_sub(first_tag) <= span {
+                *tag = INVALID_TAG;
             }
         }
     }
 
     /// Returns `true` if the line containing `addr` is resident.
     pub fn contains(&self, addr: PhysAddr) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        self.find_addr(addr).is_some()
     }
 
     /// The page index of every page with at least one resident line,
-    /// sorted and deduplicated: one pass over the lines. Pure like
+    /// sorted and deduplicated: one pass over the tags. Pure like
     /// [`DataCache::contains`].
     pub(crate) fn resident_pages(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = (0..self.sets.len())
-            .flat_map(|set| {
-                self.sets[set]
-                    .iter()
-                    .filter(|l| l.valid)
-                    .map(move |l| self.reconstruct_addr(set, l.tag).page_index())
-            })
+        let mut pages: Vec<u64> = self
+            .tags
+            .iter()
+            .enumerate()
+            .filter(|&(_, &tag)| tag != INVALID_TAG)
+            .map(|(i, &tag)| self.reconstruct_addr(i / self.ways, tag).page_index())
             .collect();
         pages.sort_unstable();
         pages.dedup();
@@ -493,11 +505,7 @@ impl DataCache {
     /// The words of the resident line containing `addr`, if any. Pure
     /// like [`DataCache::contains`]: no statistics or recency updates.
     pub(crate) fn resident_line(&self, addr: PhysAddr) -> Option<&[u64; LINE_WORDS]> {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx]
-            .iter()
-            .find(|l| l.valid && l.tag == tag)
-            .map(|l| &l.data)
+        self.find_addr(addr).map(|i| &self.lines[i].data)
     }
 }
 

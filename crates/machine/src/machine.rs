@@ -300,14 +300,6 @@ pub struct MachineConfig {
     pub dram_size: u64,
     /// Cycle cost table.
     pub cost: CostModel,
-    /// Main-TLB capacity in entries.
-    pub tlb_entries: usize,
-    /// Stage-2 TLB capacity in entries.
-    pub stage2_tlb_entries: usize,
-    /// Data cache geometry: number of sets.
-    pub cache_sets: usize,
-    /// Data cache geometry: associativity.
-    pub cache_ways: usize,
 }
 
 impl Default for MachineConfig {
@@ -316,10 +308,6 @@ impl Default for MachineConfig {
             // 2 GiB, as in the paper's motherboard-DRAM experiments (§7.1).
             dram_size: 2 << 30,
             cost: CostModel::calibrated(),
-            tlb_entries: 512,
-            stage2_tlb_entries: 512,
-            cache_sets: 128,
-            cache_ways: 4,
         }
     }
 }
@@ -377,14 +365,24 @@ impl std::fmt::Debug for Machine {
 
 const MAX_STAGE2_RETRIES: u32 = 8;
 
+/// Data-cache sets of the platform: with [`CACHE_WAYS`], a 32 KiB L1D.
+const CACHE_SETS: usize = 128;
+/// Data-cache associativity of the platform.
+const CACHE_WAYS: usize = 4;
+/// Main-TLB capacity of the platform, in entries.
+const TLB_ENTRIES: usize = 512;
+/// Stage-2 TLB capacity of the platform, in entries.
+const STAGE2_TLB_ENTRIES: usize = 512;
+
 impl Machine {
-    /// Creates a machine in EL2 (boot state) with the MMU off.
+    /// Creates a machine in EL2 (boot state) with the MMU off, with the
+    /// platform's cache and TLB geometry.
     pub fn new(config: MachineConfig) -> Self {
         Self {
             mem: PhysMemory::new(config.dram_size),
             bus: MemoryBus::new(),
-            cache: DataCache::new(config.cache_sets, config.cache_ways),
-            tlb: Tlb::new(config.tlb_entries, config.stage2_tlb_entries),
+            cache: DataCache::new(CACHE_SETS, CACHE_WAYS),
+            tlb: Tlb::new(TLB_ENTRIES, STAGE2_TLB_ENTRIES),
             regs: SysRegs::new(),
             irq: IrqController::new(),
             el: ExceptionLevel::El2,

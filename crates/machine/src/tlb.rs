@@ -27,11 +27,11 @@
 //! [`Tlb::l0_invalidate`] (which the machine calls on every TLBI and
 //! translation-system-register write).
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::fastpath::fastpath_enabled;
+use crate::fxhash::FxHashMap;
 use crate::pagetable::PagePerms;
 
 /// Translation regime a main-TLB entry belongs to.
@@ -106,10 +106,12 @@ struct Slot<K> {
 
 /// A fixed-capacity LRU map: slab of slots + intrusive doubly-linked
 /// recency list + key index. Hit/re-insert moves the slot to the MRU
-/// head in O(1); eviction pops the LRU tail.
+/// head in O(1); eviction pops the LRU tail. The index hashes with
+/// [`crate::fxhash`]: its keys are simulation state, and nothing
+/// iterates it (`retain` walks the recency list).
 #[derive(Debug, Clone)]
 struct LruMap<K: Eq + Hash + Copy> {
-    index: HashMap<K, usize>,
+    index: FxHashMap<K, usize>,
     slots: Vec<Slot<K>>,
     head: usize,
     tail: usize,
@@ -121,7 +123,7 @@ impl<K: Eq + Hash + Copy> LruMap<K> {
     fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be non-zero");
         Self {
-            index: HashMap::with_capacity(capacity),
+            index: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
             slots: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use hypernel_machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
-use hypernel_machine::cache::{CachePlan, DataCache};
+use hypernel_machine::cache::{CachePlan, DataCache, Eviction};
 use hypernel_machine::machine::{Machine, MachineConfig, NullHyp};
 use hypernel_machine::mem::PhysMemory;
 use hypernel_machine::pagetable::{
@@ -56,6 +56,30 @@ fn arb_op() -> impl Strategy<Value = PtOp> {
         }),
         any::<u8>().prop_map(|slot| PtOp::Unmap { slot }),
         (any::<u8>(), arb_perms()).prop_map(|(slot, perms)| PtOp::Protect { slot, perms }),
+    ]
+}
+
+/// Pages the cache property draws its word addresses from.
+const CACHE_PAGES: u64 = 8;
+
+/// One step of the cache property, at a word address.
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Write(u64, u64),
+    Read(u64),
+    CleanInvalidatePage(u64),
+    DiscardPage(u64),
+}
+
+fn arb_cache_op() -> impl Strategy<Value = CacheOp> {
+    let word = || (0..CACHE_PAGES * PAGE_SIZE / 8).prop_map(|w| w * 8);
+    prop_oneof![
+        (word(), any::<u64>()).prop_map(|(addr, value)| CacheOp::Write(addr, value)),
+        (word(), any::<u64>()).prop_map(|(addr, value)| CacheOp::Write(addr, value)),
+        word().prop_map(CacheOp::Read),
+        word().prop_map(CacheOp::Read),
+        word().prop_map(CacheOp::CleanInvalidatePage),
+        word().prop_map(CacheOp::DiscardPage),
     ]
 }
 
@@ -196,49 +220,78 @@ proptest! {
     }
 
     /// The write-back cache never loses or corrupts data: random probe /
-    /// install / write / maintenance sequences, checked against a model.
+    /// install / read / write / maintenance sequences over eight pages,
+    /// on every geometry from one set to the platform's 128 sets, checked
+    /// against a model.
     #[test]
     fn cache_is_a_faithful_store(
-        ops in prop::collection::vec((0u16..256, any::<u64>(), any::<bool>()), 1..200),
+        sets in prop_oneof![Just(1usize), Just(4), Just(16), Just(64), Just(128)],
+        ways in prop_oneof![Just(1usize), Just(2), Just(4)],
+        ops in prop::collection::vec(arb_cache_op(), 1..200),
     ) {
-        let mut cache = DataCache::new(8, 2);
+        let mut cache = DataCache::new(sets, ways);
         let mut backing: HashMap<u64, u64> = HashMap::new(); // "DRAM"
         let mut model: HashMap<u64, u64> = HashMap::new();   // truth
+        let write_back = |backing: &mut HashMap<u64, u64>, evictions: Vec<Eviction>| {
+            for ev in evictions {
+                for (i, w) in ev.data.iter().enumerate() {
+                    backing.insert(ev.addr.raw() + i as u64 * 8, *w);
+                }
+            }
+        };
 
-        for (word, value, maintain) in ops {
-            let addr = PhysAddr::new(word as u64 * 8);
-            if maintain {
-                for ev in cache.clean_invalidate_page(addr) {
-                    for (i, w) in ev.data.iter().enumerate() {
-                        backing.insert(ev.addr.raw() + i as u64 * 8, *w);
-                    }
-                }
-            } else {
-                match cache.probe(addr) {
-                    CachePlan::Hit => {}
-                    CachePlan::Refill { line, evict } => {
-                        if let Some(ev) = evict {
-                            for (i, w) in ev.data.iter().enumerate() {
-                                backing.insert(ev.addr.raw() + i as u64 * 8, *w);
+        for op in ops {
+            match op {
+                CacheOp::Write(addr, _) | CacheOp::Read(addr) => {
+                    let addr = PhysAddr::new(addr);
+                    match cache.probe(addr) {
+                        CachePlan::Hit => {}
+                        CachePlan::Refill { line, evict } => {
+                            write_back(&mut backing, evict.into_iter().collect());
+                            let mut data = [0u64; 8];
+                            for (i, slot) in data.iter_mut().enumerate() {
+                                *slot = backing.get(&(line.raw() + i as u64 * 8)).copied().unwrap_or(0);
                             }
+                            cache.install(line, data);
                         }
-                        let mut data = [0u64; 8];
-                        for (i, slot) in data.iter_mut().enumerate() {
-                            *slot = backing.get(&(line.raw() + i as u64 * 8)).copied().unwrap_or(0);
-                        }
-                        cache.install(line, data);
+                    }
+                    if let CacheOp::Write(_, value) = op {
+                        cache.write_word(addr, value);
+                        model.insert(addr.raw(), value);
+                    } else {
+                        prop_assert_eq!(
+                            cache.read_word(addr),
+                            model.get(&addr.raw()).copied().unwrap_or(0)
+                        );
                     }
                 }
-                cache.write_word(addr, value);
-                model.insert(addr.raw(), value);
+                CacheOp::CleanInvalidatePage(addr) => {
+                    write_back(&mut backing, cache.clean_invalidate_page(PhysAddr::new(addr)));
+                }
+                CacheOp::DiscardPage(addr) => {
+                    let page = addr & !(PAGE_SIZE - 1);
+                    let resident: Vec<u64> = (0..CACHE_PAGES * PAGE_SIZE)
+                        .step_by(64)
+                        .filter(|&line| cache.contains(PhysAddr::new(line)))
+                        .collect();
+                    cache.discard_page(PhysAddr::new(addr));
+                    for line in (page..page + PAGE_SIZE).step_by(64) {
+                        prop_assert!(!cache.contains(PhysAddr::new(line)), "line {line:#x} survived");
+                    }
+                    for line in resident.into_iter().filter(|line| line & !(PAGE_SIZE - 1) != page) {
+                        prop_assert!(cache.contains(PhysAddr::new(line)), "line {line:#x} was dropped");
+                    }
+                    // A discarded line's unwritten words revert to DRAM's.
+                    for word in (page..page + PAGE_SIZE).step_by(8) {
+                        if let Some(value) = model.get_mut(&word) {
+                            *value = backing.get(&word).copied().unwrap_or(0);
+                        }
+                    }
+                }
             }
         }
         // Flush everything; DRAM must now equal the model.
-        for ev in cache.clean_invalidate_all() {
-            for (i, w) in ev.data.iter().enumerate() {
-                backing.insert(ev.addr.raw() + i as u64 * 8, *w);
-            }
-        }
+        write_back(&mut backing, cache.clean_invalidate_all());
         for (addr, value) in &model {
             prop_assert_eq!(backing.get(addr).copied().unwrap_or(0), *value);
         }

@@ -24,7 +24,7 @@ test:
 # The CI perf gate: hbench (the repository benchmark, BENCHMARK.json)
 # on its three workloads at seeds 1 and 90001, three 30-second runs
 # each (about 11 minutes), gated against the newest committed
-# benchmarks/BENCH_<date>.json point within BENCHMARK.json's bounds and
+# benchmarks/BENCH_*.json point within BENCHMARK.json's bounds and
 # with exact simulated digests. Writes the new point to target/perf/;
 # commit it when a change moves a digest or claims a gain. The
 # simulated-cycle axis needs no recipe: `cargo test` pins it
@@ -43,7 +43,7 @@ perf:
     cd {{justfile_directory()}} && cargo run -q --release --bin hypernel -- analyze bench \
         BENCHMARK.json target/perf/*.txt \
         --baseline $(ls benchmarks/BENCH_*.json | sort | tail -n 1) \
-        --out target/perf/BENCH_$(date -u +%F).json
+        --out target/perf/BENCH_$(date -u +%FT%H%M).json
 
 # Determinism gate: the fast paths must be model-invisible. Sweep the
 # corpus with fast paths on (at two worker counts), off, and with

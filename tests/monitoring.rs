@@ -3,12 +3,13 @@
 //! write → MBM match → ring buffer → interrupt → Hypersec dispatch →
 //! security-application verdict.
 
+use hypernel::hypersec::codes;
 use hypernel::kernel::abi::Hypercall;
-use hypernel::kernel::kernel::{MonitorHooks, MonitorMode};
+use hypernel::kernel::kernel::{KernelError, MonitorHooks, MonitorMode};
 use hypernel::kernel::kobj::{DentryField, ObjectKind};
 use hypernel::kernel::layout;
 use hypernel::machine::machine::Exception;
-use hypernel::{Mode, System};
+use hypernel::{Mode, System, SystemBuilder};
 
 fn armed(mode: MonitorMode) -> System {
     let mut sys = System::boot(Mode::Hypernel).expect("boot");
@@ -107,6 +108,34 @@ fn monitored_pages_become_non_cacheable_and_back() {
     // NOTE: other dentries share the slab page, so the page may stay NC;
     // this only asserts the unregister path ran without violation.
     sys.service_interrupts().expect("drain");
+}
+
+#[test]
+fn monitoring_is_denied_under_the_section_linear_map() {
+    // The non-cacheable remap rewrites the linear-map leaf covering a
+    // monitored page. Under 2 MiB sections that leaf is a whole block,
+    // table pages included, so Hypersec refuses the region instead.
+    let mut sys = SystemBuilder::new(Mode::Hypernel)
+        .section_linear_map(true)
+        .build()
+        .expect("boot");
+    assert!(sys.audit_static().is_clean());
+    {
+        let (kernel, machine, hyp) = sys.parts();
+        let denied = |r: Result<(), KernelError>| {
+            matches!(r, Err(KernelError::Machine(Exception::Denied(v)))
+                if v.code == codes::BAD_MONITOR_REQUEST)
+        };
+        let hooks = MonitorHooks {
+            mode: MonitorMode::SensitiveFields,
+        };
+        assert!(denied(kernel.arm_monitor_hooks(machine, hyp, hooks)));
+        assert!(denied(kernel.sys_create(machine, hyp, "/tmp/watched")));
+    }
+    assert_eq!(sys.hypersec().expect("hypersec").regions().len(), 0);
+    let (audit, hypersec_audit) = sys.audit();
+    assert!(audit.is_clean(), "{:?}", audit.findings);
+    assert!(hypersec_audit.expect("locked").is_clean());
 }
 
 #[test]
