@@ -424,10 +424,10 @@ mod tests {
         let report = RunReport::capture(&sys);
 
         // The deterministic artifacts must not mention the host
-        // fast-path counters (L0 micro-TLB, MBM filter, compiled
-        // plans): they differ under HYPERNEL_NO_FASTPATH /
-        // HYPERNEL_NO_COMPILED, and the run artifact is required to be
-        // byte-identical with fast paths on or off.
+        // fast-path counters (L0 micro-TLB, MBM filter, line runs'
+        // `PlanStats`): they differ under HYPERNEL_NO_FASTPATH, and the
+        // run artifact is required to be byte-identical with fast paths
+        // on or off.
         let json = report.to_json().to_string();
         assert!(!json.contains("l0_"), "l0 counters leaked into JSON");
         assert!(
@@ -436,7 +436,7 @@ mod tests {
         );
         assert!(
             !json.contains("plan") && !json.contains("compiled"),
-            "compiled-plan counters leaked into JSON"
+            "line-run counters leaked into JSON"
         );
         let md = report.to_markdown();
         assert!(!md.contains("L0"), "l0 counters leaked into markdown");
@@ -446,7 +446,7 @@ mod tests {
         );
         assert!(
             !md.contains("compiled plan"),
-            "compiled-plan counters leaked into markdown"
+            "line-run counters leaked into markdown"
         );
     }
 

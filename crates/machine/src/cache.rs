@@ -37,34 +37,13 @@ pub enum CachePlan {
     },
 }
 
-/// A packed `(set, way)` locator for a resident cache line, recorded by
-/// the compiled access-plan layer ([`crate::compiled`]) so replays can
-/// skip the associative set scan. A hint is only ever a *guess*:
-/// [`DataCache::replay_run`] re-validates the tag before trusting it,
-/// so stale hints (after evictions or invalidations) fail closed onto
-/// the reference path.
+/// The locator of a resident cache line (its flat way index), returned
+/// by [`DataCache::install`] so the refilling access can finish — and a
+/// block access stream the rest of the line — without another set
+/// scan. [`DataCache::replay_run`] re-validates it before trusting it,
+/// so a stale locator fails closed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineHint(u32);
-
-impl LineHint {
-    /// The "no hint recorded" sentinel.
-    pub const INVALID: LineHint = LineHint(u32::MAX);
-
-    fn pack(set: usize, way: usize) -> Self {
-        debug_assert!(set < (1 << 24) && way < (1 << 8));
-        LineHint(((way as u32) << 24) | set as u32)
-    }
-
-    fn unpack(self) -> Option<(usize, usize)> {
-        (self != Self::INVALID)
-            .then_some(((self.0 & 0x00FF_FFFF) as usize, (self.0 >> 24) as usize))
-    }
-
-    /// Whether this hint carries a location (it may still be stale).
-    pub fn is_valid(self) -> bool {
-        self != Self::INVALID
-    }
-}
+pub struct LineHint(usize);
 
 /// A dirty line that must be written back to memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,9 +192,12 @@ impl DataCache {
         self.find(set, tag)
     }
 
-    /// The locator of flat way `i` in `set`.
-    fn hint(&self, set: usize, i: usize) -> LineHint {
-        LineHint::pack(set, i - set * self.ways)
+    /// The flat way `hint` names, if it still holds the line of `addr`.
+    #[inline]
+    fn located(&self, hint: LineHint, addr: PhysAddr) -> Option<usize> {
+        let (set, tag) = self.index(addr);
+        let ways = set * self.ways..(set + 1) * self.ways;
+        (ways.contains(&hint.0) && self.tags[hint.0] == tag).then_some(hint.0)
     }
 
     /// Probes for `addr` (read or write — the plan is the same) and records
@@ -262,7 +244,7 @@ impl DataCache {
 
     /// Installs a freshly fetched line. Must follow a `Refill` plan for the
     /// same line. Returns the line's locator so the caller can finish the
-    /// word access (and record a plan hint) without another set scan.
+    /// word access without another set scan.
     ///
     /// # Panics
     ///
@@ -280,33 +262,7 @@ impl DataCache {
             lru: self.tick,
             data,
         };
-        self.hint(set, i)
-    }
-
-    /// Probes for `addr` and, on a hit, completes the word access in the
-    /// same set scan, returning the value and the line's locator. On a
-    /// miss returns `None` with **no** side effects so the caller falls
-    /// back to the reference [`DataCache::probe`] — which then performs
-    /// the miss bookkeeping exactly once. Hit bookkeeping (tick, LRU,
-    /// stats) is identical to `probe` followed by
-    /// [`DataCache::read_word`]/[`DataCache::write_word`].
-    pub fn probe_access(&mut self, addr: PhysAddr, write: Option<u64>) -> Option<(u64, LineHint)> {
-        let (set, tag) = self.index(addr);
-        let i = self.find(set, tag)?;
-        let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
-        self.tick += 1;
-        self.stats.hits += 1;
-        let line = &mut self.lines[i];
-        line.lru = self.tick;
-        let v = match write {
-            Some(v) => {
-                line.data[word] = v;
-                line.dirty = true;
-                v
-            }
-            None => line.data[word],
-        };
-        Some((v, self.hint(set, i)))
+        LineHint(i)
     }
 
     /// Completes the word access that follows a [`DataCache::install`]
@@ -320,13 +276,9 @@ impl DataCache {
     /// Panics if the hint does not address the line containing `addr`
     /// (the caller must pass the locator of the line it just installed).
     pub fn word_access(&mut self, hint: LineHint, addr: PhysAddr, write: Option<u64>) -> u64 {
-        let (set, way) = hint.unpack().expect("word_access requires a locator");
-        let (want_set, want_tag) = self.index(addr);
-        let i = set * self.ways + way;
-        assert!(
-            set == want_set && way < self.ways && self.tags[i] == want_tag,
-            "word_access locator does not match the accessed line"
-        );
+        let i = self
+            .located(hint, addr)
+            .expect("word_access locator does not match the accessed line");
         let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
         let line = &mut self.lines[i];
         match write {
@@ -366,21 +318,38 @@ impl DataCache {
         line.dirty = true;
     }
 
-    /// Locates the resident line containing `addr`, returning a packed
-    /// `(set, way)` hint for later [`DataCache::replay_run`] calls.
-    /// Pure: no statistics, recency or tick updates — this is host-side
-    /// bookkeeping for the compiled plan layer, not a modeled access.
-    pub fn locate(&self, addr: PhysAddr) -> Option<LineHint> {
-        let (set, tag) = self.index(addr);
-        self.find(set, tag).map(|i| self.hint(set, i))
+    /// Accesses `n` consecutive words of one line, starting at `addr`,
+    /// as `n` hits: one tag scan, then the batched bookkeeping of
+    /// [`DataCache::replay_run`]. Returns the line's words from `addr`
+    /// (length `n`) for the caller to read or fill. On a miss returns
+    /// `None` with **no** side effects, so the caller falls back to the
+    /// reference [`DataCache::probe`], which then does the miss
+    /// bookkeeping exactly once. With `n == 1` this is `probe` followed
+    /// by [`DataCache::read_word`]/[`DataCache::write_word`] on a hit.
+    #[inline]
+    pub fn access_run(&mut self, addr: PhysAddr, n: u64, write: bool) -> Option<&mut [u64]> {
+        let i = self.find_addr(addr)?;
+        Some(self.hit_run(i, addr, n, write))
     }
 
-    /// Replays `n` consecutive same-line word hits through a recorded
-    /// hint, batching the bookkeeping the reference path would do one
-    /// access at a time. Returns the line's word slice starting at
-    /// `addr` (length `n`) on success; `None` — with **no** side
-    /// effects — when the hint is stale (line evicted, way reused) so
-    /// the caller can fall back to [`DataCache::probe`].
+    /// Replays `n` consecutive same-line word hits through a locator,
+    /// with the batched bookkeeping of [`DataCache::access_run`] but no
+    /// set scan. Returns the line's words from `addr` (length `n`) on
+    /// success; `None` — with **no** side effects — when the locator is
+    /// stale (line evicted, way reused), so the caller can fall back to
+    /// [`DataCache::probe`].
+    pub fn replay_run(
+        &mut self,
+        hint: LineHint,
+        addr: PhysAddr,
+        n: u64,
+        write: bool,
+    ) -> Option<&mut [u64]> {
+        let i = self.located(hint, addr)?;
+        Some(self.hit_run(i, addr, n, write))
+    }
+
+    /// The bookkeeping of `n` consecutive word hits on flat way `i`.
     ///
     /// Model equivalence: `n` reference hit-probes perform `tick += 1;
     /// line.lru = tick; stats.hits += 1` each plus the word access
@@ -389,19 +358,8 @@ impl DataCache {
     /// `tick += n; lru = final tick; hits += n` leaves every observable
     /// end state identical. The caller guarantees `addr + 8·n` stays
     /// inside one line and charges the batched simulated cycles.
-    pub fn replay_run(
-        &mut self,
-        hint: LineHint,
-        addr: PhysAddr,
-        n: u64,
-        write: bool,
-    ) -> Option<&mut [u64]> {
-        let (set, way) = hint.unpack()?;
-        let (want_set, want_tag) = self.index(addr);
-        let i = set * self.ways + way;
-        if set != want_set || way >= self.ways || self.tags[i] != want_tag {
-            return None;
-        }
+    #[inline]
+    fn hit_run(&mut self, i: usize, addr: PhysAddr, n: u64, write: bool) -> &mut [u64] {
         let word = (addr.raw() >> 3) as usize & (LINE_WORDS - 1);
         debug_assert!(word as u64 + n <= LINE_WORDS as u64, "run crosses a line");
         self.tick += n;
@@ -411,7 +369,7 @@ impl DataCache {
         if write {
             line.dirty = true;
         }
-        Some(&mut line.data[word..word + n as usize])
+        &mut line.data[word..word + n as usize]
     }
 
     /// Cleans and invalidates every line inside the 4 KiB page containing
@@ -513,12 +471,12 @@ impl DataCache {
 mod tests {
     use super::*;
 
-    fn fill(cache: &mut DataCache, addr: PhysAddr) {
+    /// Makes the line of `addr` resident, returning its locator when
+    /// this installed it.
+    fn fill(cache: &mut DataCache, addr: PhysAddr) -> Option<LineHint> {
         match cache.probe(addr) {
-            CachePlan::Hit => {}
-            CachePlan::Refill { line, .. } => {
-                cache.install(line, [0; LINE_WORDS]);
-            }
+            CachePlan::Hit => None,
+            CachePlan::Refill { line, .. } => Some(cache.install(line, [0; LINE_WORDS])),
         }
     }
 
@@ -624,15 +582,19 @@ mod tests {
 
     #[test]
     fn replay_run_matches_the_reference_hit_sequence() {
-        // Reference: probe + read_word per word. Replay: one batched run.
+        // Reference: probe + read_word per word. Replay and stream: one
+        // batched run, through a locator and through a tag scan.
         let mut reference = DataCache::new(16, 2);
         let mut replayed = DataCache::new(16, 2);
+        let mut streamed = DataCache::new(16, 2);
         let base = PhysAddr::new(0x2000);
         fill(&mut reference, base);
-        fill(&mut replayed, base);
-        for w in 0..4u64 {
-            reference.write_word(base.add(w * 8), w + 1);
-            replayed.write_word(base.add(w * 8), w + 1);
+        let hint = fill(&mut replayed, base).expect("cold line installs");
+        fill(&mut streamed, base);
+        for cache in [&mut reference, &mut replayed, &mut streamed] {
+            for w in 0..4u64 {
+                cache.write_word(base.add(w * 8), w + 1);
+            }
         }
         // Reference path: four per-word hit probes.
         let mut ref_last = 0;
@@ -640,28 +602,29 @@ mod tests {
             assert_eq!(reference.probe(base.add(w * 8)), CachePlan::Hit);
             ref_last = reference.read_word(base.add(w * 8));
         }
-        // Replay path: one validated batch.
-        let hint = replayed.locate(base).expect("line is resident");
         let words = replayed
             .replay_run(hint, base, 4, false)
             .expect("fresh hint replays");
-        let rep_last = words[3];
-        assert_eq!(rep_last, ref_last);
-        assert_eq!(replayed.stats(), reference.stats(), "hits batch exactly");
-        assert_eq!(replayed.tick, reference.tick, "tick advances per word");
-        // LRU end state matches too: a subsequent conflict evicts the
-        // same victim on both sides.
-        let probe_r = reference.probe(PhysAddr::new(0x2000 + 16 * 64));
-        let probe_p = replayed.probe(PhysAddr::new(0x2000 + 16 * 64));
-        assert_eq!(probe_r, probe_p);
+        assert_eq!(words[3], ref_last);
+        let words = streamed
+            .access_run(base, 4, false)
+            .expect("resident line streams");
+        assert_eq!(words[3], ref_last);
+        for batched in [&mut replayed, &mut streamed] {
+            assert_eq!(batched.stats(), reference.stats(), "hits batch exactly");
+            assert_eq!(batched.tick, reference.tick, "tick advances per word");
+            // LRU end state matches too: a subsequent conflict evicts
+            // the same victim on both sides.
+            let conflict = PhysAddr::new(0x2000 + 16 * 64);
+            assert_eq!(batched.probe(conflict), reference.clone().probe(conflict));
+        }
     }
 
     #[test]
     fn replay_run_write_sets_dirty() {
         let mut cache = DataCache::new(16, 2);
         let pa = PhysAddr::new(0x1000);
-        fill(&mut cache, pa);
-        let hint = cache.locate(pa).expect("resident");
+        let hint = fill(&mut cache, pa).expect("cold line installs");
         {
             let words = cache.replay_run(hint, pa, 2, true).expect("replay");
             words[0] = 0xA;
@@ -688,20 +651,17 @@ mod tests {
         let mut cache = DataCache::new(1, 1);
         let a = PhysAddr::new(0x0);
         let b = PhysAddr::new(0x40);
-        fill(&mut cache, a);
-        let hint = cache.locate(a).expect("resident");
+        let hint = fill(&mut cache, a).expect("cold line installs");
         // Evict `a` by filling `b` into the only way.
-        fill(&mut cache, b);
+        let reused = fill(&mut cache, b).expect("conflicting line installs");
         let stats_before = cache.stats();
         let tick_before = cache.tick;
         assert!(cache.replay_run(hint, a, 1, false).is_none());
-        assert!(LineHint::INVALID.unpack().is_none());
-        assert!(cache.replay_run(LineHint::INVALID, b, 1, false).is_none());
+        assert!(cache.access_run(a, 1, false).is_none());
         assert_eq!(cache.stats(), stats_before, "failed replay records nothing");
         assert_eq!(cache.tick, tick_before);
         // The hint now points at `b`'s line; tag validation rejects `a`
         // but accepts `b`.
-        let reused = cache.locate(b).expect("resident");
         assert_eq!(reused, hint, "way was reused");
         assert!(cache.replay_run(reused, b, 1, false).is_some());
     }

@@ -83,7 +83,7 @@ impl CostModel {
     }
 
     /// Cycles one cacheable access that hits both the TLB and the L1
-    /// charges: `tlb_lookup + cache_hit`. The compiled plan layer
+    /// charges: `tlb_lookup + cache_hit`. A block access's line run
     /// multiplies this by the run length when batching hit sequences,
     /// so the batched charge stays equal to the per-word reference
     /// accounting by construction.

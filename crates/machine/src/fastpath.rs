@@ -1,20 +1,14 @@
 //! Host-side fast-path switches.
 //!
 //! Several structures keep a *host* fast path in front of their model —
-//! the L0 micro-TLB, the MBM watch-page filter, bulk block accesses,
-//! warm-boot system cloning, and the compiled access-plan layer
-//! ([`crate::compiled`]). All of them are contractually invisible to
-//! the simulation: simulated cycles, statistics that serialize into
-//! artifacts, and every model-visible side effect are byte-identical
-//! with the fast paths on or off. `HYPERNEL_NO_FASTPATH=1` force-
-//! disables all of them at once, which is how CI proves the contract
-//! (`diff` of `campaign.jsonl` with the paths on vs off).
-//!
-//! The compiled access-plan layer additionally honors its own knob,
-//! `HYPERNEL_NO_COMPILED=1`, so it can be switched off *independently*
-//! of the other fast paths (useful for bisecting a determinism diff to
-//! one layer). The effective default for the plan cache is
-//! `fastpath_enabled() && compiled_enabled()`.
+//! the L0 micro-TLB, the MBM watch-page filter, bulk block accesses
+//! with their cache-line runs, and warm-boot system cloning. All of
+//! them are contractually invisible to the simulation: simulated
+//! cycles, statistics that serialize into artifacts, and every
+//! model-visible side effect are byte-identical with the fast paths on
+//! or off. `HYPERNEL_NO_FASTPATH=1` force-disables all of them at once,
+//! which is how CI proves the contract (`diff` of `campaign.jsonl` with
+//! the paths on vs off).
 //!
 //! The environment is read once per process; tests that need both
 //! behaviors in one process use the per-structure setters instead
@@ -29,22 +23,6 @@ use std::sync::OnceLock;
 pub fn fastpath_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| match std::env::var("HYPERNEL_NO_FASTPATH") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    })
-}
-
-/// Whether the compiled access-plan layer is enabled for this process
-/// (the default). Set `HYPERNEL_NO_COMPILED=1` to disable only the
-/// plan cache while keeping the other fast paths; the machine's
-/// effective default is `fastpath_enabled() && compiled_enabled()`.
-///
-/// In-process tests use
-/// [`crate::machine::Machine::set_compiled_enabled`] instead, since
-/// the environment is read once.
-pub fn compiled_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("HYPERNEL_NO_COMPILED") {
         Ok(v) => v.is_empty() || v == "0",
         Err(_) => true,
     })

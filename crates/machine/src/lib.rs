@@ -39,7 +39,6 @@
 pub mod addr;
 pub mod bus;
 pub mod cache;
-pub mod compiled;
 pub mod cost;
 pub mod fastpath;
 pub mod fault;
@@ -54,11 +53,11 @@ pub mod shadow;
 pub mod tlb;
 
 pub use addr::{IntermAddr, PhysAddr, VirtAddr};
-pub use compiled::PlanStats;
-pub use fastpath::{compiled_enabled, fastpath_enabled};
+pub use fastpath::fastpath_enabled;
 pub use fault::{FaultHit, FaultKind, FaultPlan, FaultSpec, FaultStats, IrqFault, SharedFaults};
 pub use machine::{
-    AccessKind, BlockFault, Exception, Hyp, Machine, MachineConfig, NullHyp, PolicyViolation,
+    AccessKind, BlockFault, Exception, Hyp, Machine, MachineConfig, NullHyp, PlanStats,
+    PolicyViolation,
 };
 pub use regs::{ExceptionLevel, SysReg};
 pub use shadow::{PageTag, ShadowStats, ShadowTags, TagPolicy, TagViolation, Writer};

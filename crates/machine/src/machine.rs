@@ -12,8 +12,7 @@
 
 use crate::addr::{IntermAddr, PhysAddr, VirtAddr};
 use crate::bus::{BusTransaction, MemoryBus, LINE_WORDS};
-use crate::cache::{CachePlan, DataCache, LineHint, LINE_SHIFT, LINE_SIZE};
-use crate::compiled::{InvalidateCause, PlanCache, PlanStats};
+use crate::cache::{CachePlan, DataCache, LineHint, LINE_SIZE};
 use crate::cost::CostModel;
 use crate::fault::{FaultStats, SharedFaults};
 use crate::irq::IrqController;
@@ -293,6 +292,28 @@ pub struct MachineStats {
     pub irqs_delivered: u64,
 }
 
+/// Host-side counters of the line runs of [`Machine::read_block`] and
+/// [`Machine::write_block`], read through [`Machine::plan_stats`] by the
+/// host-time benches only. Never part of a run artifact: they differ
+/// with line runs on or off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanStats {
+    /// Words served by line runs: each a cache hit batched with the
+    /// rest of its run instead of a per-word probe.
+    pub replayed_words: u64,
+    /// Always 0. A line run finds its line by one tag scan and keeps
+    /// no locator between runs, so there is no stale hint to repair.
+    pub hint_repairs: u64,
+}
+
+impl PlanStats {
+    /// Always 0: line runs keep no state between accesses, so no event
+    /// has anything to invalidate.
+    pub fn total_invalidations(&self) -> u64 {
+        0
+    }
+}
+
 /// Static configuration of a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -343,14 +364,15 @@ pub struct Machine {
     /// Host-side switch for the block-access streaming path. Model
     /// state is byte-identical either way; see [`crate::fastpath`].
     block_fastpath: bool,
+    /// Host-side switch for the line runs inside that path; off, each
+    /// streamed word takes a per-word `perform`.
+    line_runs: bool,
+    /// Host counters of the line runs.
+    plan_stats: PlanStats,
     /// Ownership sanitizer (off by default; see [`crate::shadow`]).
     /// Checked at the physical-access chokepoint with zero simulated
     /// cycles — enabling it never changes a simulated result.
     shadow: Option<Box<ShadowTags>>,
-    /// Compiled access-plan cache (host fast path; see
-    /// [`crate::compiled`]). Model state is byte-identical with plans
-    /// on or off.
-    plans: PlanCache,
 }
 
 impl std::fmt::Debug for Machine {
@@ -392,21 +414,18 @@ impl Machine {
             sink: None,
             faults: None,
             block_fastpath: crate::fastpath::fastpath_enabled(),
+            line_runs: crate::fastpath::fastpath_enabled(),
+            plan_stats: PlanStats::default(),
             shadow: None,
-            plans: PlanCache::new(
-                crate::fastpath::fastpath_enabled() && crate::fastpath::compiled_enabled(),
-            ),
         }
     }
 
     /// Installs (or, with `None`, removes) the ownership sanitizer.
     /// Tags start as seeded by the caller; the kernel maintains them
     /// at its allocation/mapping sites via [`Machine::tag_page`].
-    /// Compiled plans are invalidated either way: while a sanitizer is
-    /// installed the plan layer stays off entirely, so every store
-    /// reaches the sanitizer chokepoint on the reference path.
+    /// While a sanitizer is installed block accesses take no line runs,
+    /// so every store reaches the sanitizer chokepoint in `perform`.
     pub fn set_shadow_tags(&mut self, shadow: Option<Box<ShadowTags>>) {
-        self.plans.invalidate_all(InvalidateCause::Sanitizer);
         self.shadow = shadow;
     }
 
@@ -453,69 +472,35 @@ impl Machine {
         self.block_fastpath = enabled;
     }
 
-    /// Enables or disables the compiled access-plan layer in-process
+    /// Enables or disables the line runs of block accesses in-process
     /// (testing hook, like [`crate::tlb::Tlb::set_l0_enabled`]; the
-    /// default follows [`crate::fastpath::fastpath_enabled`] combined
-    /// with [`crate::fastpath::compiled_enabled`], i.e. the
-    /// `HYPERNEL_NO_COMPILED=1` env knob). Disabling drops every plan.
+    /// default follows [`crate::fastpath::fastpath_enabled`]). Off, every
+    /// word a block access streams takes a per-word `perform` instead.
     pub fn set_compiled_enabled(&mut self, enabled: bool) {
-        self.plans.set_enabled(enabled);
+        self.line_runs = enabled;
     }
 
-    /// Host-side counters of the compiled plan layer. Never serialized
-    /// into run artifacts — see
-    /// [`crate::compiled`] for the determinism contract.
+    /// Host-side counters of the line runs. Never serialized into run
+    /// artifacts — see [`crate::fastpath`] for the determinism contract.
     pub fn plan_stats(&self) -> PlanStats {
-        self.plans.stats()
+        self.plan_stats
     }
 
-    /// Invalidates every compiled plan because the MBM watch set
-    /// changed (registration or revocation). Called by the EL2 monitor
-    /// around watch-bitmap updates; purely host-side.
-    pub fn note_watch_set_changed(&mut self) {
-        self.plans.invalidate_all(InvalidateCause::WatchSet);
-    }
-
-    /// Marks a workload basic-block boundary (lmbench op loops).
-    /// Purely host-side observability: the plan cache counts hinted
-    /// blocks so replay density per block can be reported; no model
-    /// state or simulated cycle is touched.
-    pub fn hint_block_boundary(&mut self) {
-        self.plans.note_block_hint();
-    }
-
-    /// Whether compiled-plan replay may be used right now: the layer
-    /// is enabled, no sanitizer is watching stores, and no fault
-    /// injector is installed (fault sites always take the reference
-    /// path).
+    /// Whether a block access may stream line runs right now: they are
+    /// enabled, no sanitizer is watching stores, and no fault injector
+    /// is installed (fault sites always take the reference path).
     #[inline]
-    fn plans_active(&self) -> bool {
-        self.plans.enabled() && self.shadow.is_none() && self.faults.is_none()
-    }
-
-    /// Plan-key ASID for `va`. Kernel pages translate identically in
-    /// every address space (the TLB keys them globally), so their
-    /// plans use a reserved ASID and survive context switches the way
-    /// the TLB's global entries do.
-    #[inline]
-    fn plan_asid(&self, va: VirtAddr) -> u16 {
-        const KERNEL_PLAN_ASID: u16 = u16::MAX;
-        if va.is_kernel() {
-            KERNEL_PLAN_ASID
-        } else {
-            self.current_asid()
-        }
+    fn line_runs_active(&self) -> bool {
+        self.line_runs && self.shadow.is_none() && self.faults.is_none()
     }
 
     /// Installs (or removes) the fault injector on the machine's own
     /// fault sites — lost hypercalls here, snoop corruption on the bus.
     /// The same shared injector is typically also handed to bus devices
-    /// (the MBM) so one schedule covers the whole pipeline. Compiled
-    /// plans are invalidated, and while an injector is installed the
-    /// plan layer stays off: fault sites always take the reference
-    /// path.
+    /// (the MBM) so one schedule covers the whole pipeline. While an
+    /// injector is installed block accesses take no line runs: fault
+    /// sites always take the reference path.
     pub fn set_fault_injector(&mut self, faults: Option<SharedFaults>) {
-        self.plans.invalidate_all(InvalidateCause::FaultInjector);
         self.bus.set_fault_injector(faults.clone());
         self.faults = faults;
     }
@@ -819,7 +804,6 @@ impl Machine {
                     self.regs.write(reg, value);
                     if reg.affects_translation() {
                         self.tlb.l0_invalidate();
-                        self.plans.invalidate_all(InvalidateCause::TranslationReg);
                     }
                     Ok(())
                 }
@@ -828,7 +812,6 @@ impl Machine {
                 self.regs.write(reg, value);
                 if reg.affects_translation() {
                     self.tlb.l0_invalidate();
-                    self.plans.invalidate_all(InvalidateCause::TranslationReg);
                 }
                 Ok(())
             }
@@ -851,7 +834,6 @@ impl Machine {
         self.regs.write(reg, value);
         if reg.affects_translation() {
             self.tlb.l0_invalidate();
-            self.plans.invalidate_all(InvalidateCause::TranslationReg);
         }
     }
 
@@ -943,7 +925,6 @@ impl Machine {
         self.emit_mark(PointKind::TlbMaintenance, 0, 0);
         self.cycles += self.cost.tlb_maintenance;
         self.tlb.flush_all();
-        self.plans.invalidate_all(InvalidateCause::TlbMaintenance);
     }
 
     /// `TLBI ASID` — invalidate one address space.
@@ -951,7 +932,6 @@ impl Machine {
         self.emit_mark(PointKind::TlbMaintenance, 0, 0);
         self.cycles += self.cost.tlb_maintenance;
         self.tlb.flush_asid(asid);
-        self.plans.invalidate_asid(asid);
     }
 
     /// `TLBI VAE1` — invalidate one page in all address spaces.
@@ -959,7 +939,6 @@ impl Machine {
         self.emit_mark(PointKind::TlbMaintenance, 0, 0);
         self.cycles += self.cost.tlb_maintenance;
         self.tlb.flush_va(va);
-        self.plans.invalidate_va(va.page_index());
     }
 
     /// Invalidate stage-2 (and combined) entries after a stage-2 table
@@ -968,7 +947,6 @@ impl Machine {
         self.emit_mark(PointKind::TlbMaintenance, 0, 0);
         self.cycles += self.cost.tlb_maintenance;
         self.tlb.flush_stage2();
-        self.plans.invalidate_all(InvalidateCause::TlbMaintenance);
     }
 
     /// Cleans and invalidates every cache line of the physical page
@@ -1076,11 +1054,73 @@ impl Machine {
         words: u64,
         hyp: &mut dyn Hyp,
     ) -> Result<u64, BlockFault> {
+        self.block_access(va, words, hyp, None::<fn(u64) -> u64>)
+    }
+
+    /// Writes `words` consecutive 64-bit words starting at `va`, taking
+    /// the value of word `i` from `value_of(i)`.
+    ///
+    /// Model-equivalent to calling [`Machine::write_u64`] once per word;
+    /// see [`Machine::read_block`] for the fast-path contract. On a
+    /// fault, `value_of` has been consulted for words `0..=completed`.
+    ///
+    /// # Errors
+    ///
+    /// The exception the faulting word raised, with the count of words
+    /// that completed before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va` is not 8-byte aligned or if called at EL2.
+    pub fn write_block(
+        &mut self,
+        va: VirtAddr,
+        words: u64,
+        hyp: &mut dyn Hyp,
+        value_of: impl FnMut(u64) -> u64,
+    ) -> Result<(), BlockFault> {
+        self.block_access(va, words, hyp, Some(value_of))
+            .map(|_| ())
+    }
+
+    /// The walker behind [`Machine::read_block`] (`value_of` is `None`)
+    /// and [`Machine::write_block`]. Returns the last word read.
+    ///
+    /// Each page's first word is a full reference access. With the
+    /// block fast path on, the rest of the page streams through the TLB
+    /// entry that access left, charging the per-word TLB lookup. On a
+    /// cacheable page with line runs active, each run of words within
+    /// one cache line is a unit:
+    ///
+    /// - a hit is one tag scan ([`DataCache::access_run`]) with the
+    ///   batched bookkeeping and cycles of that many hits;
+    /// - a miss refills through the run's first word, then streams the
+    ///   rest of the line through the locator the refill returned
+    ///   ([`DataCache::replay_run`]).
+    ///
+    /// Otherwise every streamed word takes a per-word `perform`.
+    fn block_access<F: FnMut(u64) -> u64>(
+        &mut self,
+        va: VirtAddr,
+        words: u64,
+        hyp: &mut dyn Hyp,
+        mut value_of: Option<F>,
+    ) -> Result<u64, BlockFault> {
+        let write = value_of.is_some();
+        let kind = if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
         let mut last = 0u64;
         let mut i = 0u64;
         while i < words {
             let cur = va.add(i * 8);
-            match self.read_u64(cur, hyp) {
+            let first = match value_of.as_mut() {
+                Some(value_of) => self.write_u64(cur, value_of(i), hyp).map(|()| 0),
+                None => self.read_u64(cur, hyp),
+            };
+            match first {
                 Ok(v) => last = v,
                 Err(exception) => {
                     return Err(BlockFault {
@@ -1106,193 +1146,57 @@ impl Machine {
                 continue;
             };
             self.tlb.record_block_hits(in_page);
-            self.stats.reads += in_page;
-            if entry.perms.cacheable && self.plans_active() {
-                // Compiled path: validate the page's plan once, then
-                // replay it one cache-line run at a time; hint misses
-                // take the reference word and record the line for the
-                // next execution.
-                let asid = self.plan_asid(cur);
-                let va_page = cur.page_index();
-                let hints = self.plans.page_hints(asid, va_page, entry.pa_page);
-                let mut replay_runs = 0u64;
-                let mut replayed = 0u64;
-                let mut left = in_page;
-                while left > 0 {
-                    let word_va = va.add(i * 8);
-                    let pa = entry.pa_page.add(word_va.page_offset());
-                    let line_idx = (word_va.page_offset() >> LINE_SHIFT) as usize;
-                    let word_in_line = (pa.raw() >> 3) & (LINE_WORDS as u64 - 1);
-                    let run = (LINE_WORDS as u64 - word_in_line).min(left);
-                    if let Some(hints) = &hints {
-                        let hint = hints[line_idx];
-                        if hint.is_valid() {
-                            if let Some(words) = self.cache.replay_run(hint, pa, run, false) {
-                                last = words[run as usize - 1];
-                                self.cycles += self.cost.hit_access() * run;
-                                replay_runs += 1;
-                                replayed += run;
-                                i += run;
-                                left -= run;
-                                continue;
-                            }
-                            self.plans.note_repair();
-                        }
-                    }
-                    self.cycles += self.cost.tlb_lookup;
-                    let (v, hint) = self.perform_cached(pa, AccessKind::Read, None);
-                    last = v;
-                    self.plans.set_hint(asid, va_page, line_idx, Some(hint));
-                    i += 1;
-                    left -= 1;
-                    // The reference access left the line resident (and
-                    // located); stream the rest of the run through it
-                    // exactly as the next execution's replay would —
-                    // first-touch pages then cost one reference access
-                    // per line instead of eight.
-                    let tail = run - 1;
-                    if tail > 0 {
-                        if let Some(words) = self.cache.replay_run(hint, pa.add(8), tail, false) {
-                            last = words[tail as usize - 1];
-                            self.cycles += self.cost.hit_access() * tail;
-                            replay_runs += 1;
-                            replayed += tail;
-                            i += tail;
-                            left -= tail;
-                        }
-                    }
-                }
-                self.plans.note_replays(replay_runs, replayed);
+            if write {
+                self.stats.writes += in_page;
             } else {
-                for _ in 0..in_page {
+                self.stats.reads += in_page;
+            }
+            let end = i + in_page;
+            if !(entry.perms.cacheable && self.line_runs_active()) {
+                while i < end {
                     self.cycles += self.cost.tlb_lookup;
                     let pa = entry.pa_page.add(va.add(i * 8).page_offset());
-                    last = self.perform(pa, AccessKind::Read, None, entry.perms.cacheable);
+                    let value = value_of.as_mut().map(|value_of| value_of(i));
+                    last = self.perform(pa, kind, value, entry.perms.cacheable);
                     i += 1;
                 }
+                continue;
+            }
+            while i < end {
+                let pa = entry.pa_page.add(va.add(i * 8).page_offset());
+                let word_in_line = (pa.raw() >> 3) & (LINE_WORDS as u64 - 1);
+                let mut run = (LINE_WORDS as u64 - word_in_line).min(end - i);
+                let line = match self.cache.access_run(pa, run, write) {
+                    Some(line) => line,
+                    None => {
+                        self.cycles += self.cost.tlb_lookup;
+                        let value = value_of.as_mut().map(|value_of| value_of(i));
+                        let (v, hint) = self.refill(pa, value);
+                        last = v;
+                        i += 1;
+                        run -= 1;
+                        if run == 0 {
+                            continue;
+                        }
+                        self.cache
+                            .replay_run(hint, pa.add(8), run, write)
+                            .expect("the line just refilled is resident")
+                    }
+                };
+                match value_of.as_mut() {
+                    Some(value_of) => {
+                        for (k, w) in line.iter_mut().enumerate() {
+                            *w = value_of(i + k as u64);
+                        }
+                    }
+                    None => last = line[run as usize - 1],
+                }
+                self.cycles += self.cost.hit_access() * run;
+                self.plan_stats.replayed_words += run;
+                i += run;
             }
         }
         Ok(last)
-    }
-
-    /// Writes `words` consecutive 64-bit words starting at `va`, taking
-    /// the value of word `i` from `value_of(i)`.
-    ///
-    /// Model-equivalent to calling [`Machine::write_u64`] once per word;
-    /// see [`Machine::read_block`] for the fast-path contract. On a
-    /// fault, `value_of` has been consulted for words `0..=completed`.
-    ///
-    /// # Errors
-    ///
-    /// The exception the faulting word raised, with the count of words
-    /// that completed before it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `va` is not 8-byte aligned or if called at EL2.
-    pub fn write_block(
-        &mut self,
-        va: VirtAddr,
-        words: u64,
-        hyp: &mut dyn Hyp,
-        mut value_of: impl FnMut(u64) -> u64,
-    ) -> Result<(), BlockFault> {
-        let mut i = 0u64;
-        while i < words {
-            let cur = va.add(i * 8);
-            if let Err(exception) = self.write_u64(cur, value_of(i), hyp) {
-                return Err(BlockFault {
-                    completed: i,
-                    exception,
-                });
-            }
-            i += 1;
-            if !self.block_fastpath {
-                continue;
-            }
-            let in_page = ((crate::addr::PAGE_SIZE - cur.page_offset() - 8) / 8).min(words - i);
-            if in_page == 0 {
-                continue;
-            }
-            let regime = Regime::El1 {
-                asid: Some(self.current_asid()),
-            };
-            let Some(entry) = self.tlb.peek(regime, cur) else {
-                continue;
-            };
-            self.tlb.record_block_hits(in_page);
-            self.stats.writes += in_page;
-            if entry.perms.cacheable && self.plans_active() {
-                // Compiled path: see `read_block`. Values are pulled
-                // from `value_of` in the same per-word order as the
-                // reference loop.
-                let asid = self.plan_asid(cur);
-                let va_page = cur.page_index();
-                let hints = self.plans.page_hints(asid, va_page, entry.pa_page);
-                let mut replay_runs = 0u64;
-                let mut replayed = 0u64;
-                let mut left = in_page;
-                while left > 0 {
-                    let word_va = va.add(i * 8);
-                    let pa = entry.pa_page.add(word_va.page_offset());
-                    let line_idx = (word_va.page_offset() >> LINE_SHIFT) as usize;
-                    let word_in_line = (pa.raw() >> 3) & (LINE_WORDS as u64 - 1);
-                    let run = (LINE_WORDS as u64 - word_in_line).min(left);
-                    if let Some(hints) = &hints {
-                        let hint = hints[line_idx];
-                        if hint.is_valid() {
-                            if let Some(words) = self.cache.replay_run(hint, pa, run, true) {
-                                for (k, w) in words.iter_mut().enumerate() {
-                                    *w = value_of(i + k as u64);
-                                }
-                                self.cycles += self.cost.hit_access() * run;
-                                replay_runs += 1;
-                                replayed += run;
-                                i += run;
-                                left -= run;
-                                continue;
-                            }
-                            self.plans.note_repair();
-                        }
-                    }
-                    self.cycles += self.cost.tlb_lookup;
-                    let (_, hint) = self.perform_cached(pa, AccessKind::Write, Some(value_of(i)));
-                    self.plans.set_hint(asid, va_page, line_idx, Some(hint));
-                    i += 1;
-                    left -= 1;
-                    // Stream the rest of the run through the line the
-                    // reference access just made resident; see
-                    // `read_block`.
-                    let tail = run - 1;
-                    if tail > 0 {
-                        if let Some(words) = self.cache.replay_run(hint, pa.add(8), tail, true) {
-                            for (k, w) in words.iter_mut().enumerate() {
-                                *w = value_of(i + k as u64);
-                            }
-                            self.cycles += self.cost.hit_access() * tail;
-                            replay_runs += 1;
-                            replayed += tail;
-                            i += tail;
-                            left -= tail;
-                        }
-                    }
-                }
-                self.plans.note_replays(replay_runs, replayed);
-            } else {
-                for _ in 0..in_page {
-                    self.cycles += self.cost.tlb_lookup;
-                    let pa = entry.pa_page.add(va.add(i * 8).page_offset());
-                    self.perform(
-                        pa,
-                        AccessKind::Write,
-                        Some(value_of(i)),
-                        entry.perms.cacheable,
-                    );
-                    i += 1;
-                }
-            }
-        }
-        Ok(())
     }
 
     fn current_asid(&self) -> u16 {
@@ -1456,15 +1360,8 @@ impl Machine {
                     // Conservative: a permission mismatch on a cached entry
                     // re-walks so stage-1 vs stage-2 can be distinguished.
                     self.tlb.flush_va(va);
-                    self.plans.invalidate_va(va.page_index());
                 } else {
                     let pa = entry.pa_page.add(va.page_offset());
-                    // Single-word accesses take the reference path: the
-                    // cache-hit probe is already one set scan, so plan
-                    // replay has nothing to amortize here. Plans are
-                    // compiled and replayed by the block paths
-                    // (`read_block`/`write_block`), where one hint
-                    // validation covers a whole line run.
                     let v = self.perform(pa, kind, value, entry.perms.cacheable);
                     return Ok(Some(v));
                 }
@@ -1553,60 +1450,64 @@ impl Machine {
                 .issue(txn, &mut self.mem, &mut self.irq, self.cycles);
             return read;
         }
-        self.perform_cached(pa, kind, value).0
+        self.perform_cached(pa, kind, value)
     }
 
-    /// The cacheable half of [`Machine::perform`]: probe, refill on a
-    /// miss, complete the word access. Returns the value and the
-    /// accessed line's locator so plan-recording callers skip a
-    /// redundant set scan (the locator is exactly what
-    /// [`DataCache::locate`] would return). The sanitizer check and
-    /// the non-cacheable path live in `perform`; callers coming here
-    /// directly have already established both don't apply.
-    fn perform_cached(
-        &mut self,
-        pa: PhysAddr,
-        kind: AccessKind,
-        value: Option<u64>,
-    ) -> (u64, LineHint) {
+    /// The cacheable half of [`Machine::perform`]: a hit completes the
+    /// word access in one set scan; a miss takes [`Machine::refill`].
+    /// The sanitizer check and the non-cacheable path live in
+    /// `perform`.
+    fn perform_cached(&mut self, pa: PhysAddr, kind: AccessKind, value: Option<u64>) -> u64 {
         let write = match kind {
             AccessKind::Read => None,
             AccessKind::Write => Some(value.expect("write carries a value")),
         };
-        // Hit: one set scan does the probe bookkeeping and the word
-        // access (reference: `probe` then `read_word`/`write_word`).
-        if let Some((v, hint)) = self.cache.probe_access(pa, write) {
+        // Reference: `probe` then `read_word`/`write_word`.
+        if let Some(line) = self.cache.access_run(pa, 1, write.is_some()) {
             self.cycles += self.cost.cache_hit;
-            return (v, hint);
-        }
-        match self.cache.probe(pa) {
-            CachePlan::Hit => unreachable!("probe_access covers hits"),
-            CachePlan::Refill { line, evict } => {
-                if let Some(ev) = evict {
-                    self.cycles += self.cost.dram_access;
-                    self.bus.issue(
-                        BusTransaction::WriteLine {
-                            addr: ev.addr,
-                            data: ev.data,
-                        },
-                        &mut self.mem,
-                        &mut self.irq,
-                        self.cycles,
-                    );
+            return match write {
+                Some(v) => {
+                    line[0] = v;
+                    v
                 }
-                self.cycles += self.cost.dram_access;
-                self.bus.issue(
-                    BusTransaction::ReadLine { addr: line },
-                    &mut self.mem,
-                    &mut self.irq,
-                    self.cycles,
-                );
-                let data = self.mem.read_line(line);
-                let hint = self.cache.install(line, data);
-                self.cycles += self.cost.cache_hit;
-                (self.cache.word_access(hint, pa, write), hint)
-            }
+                None => line[0],
+            };
         }
+        self.refill(pa, write).0
+    }
+
+    /// Completes a word access that missed the cache: write back the
+    /// victim if dirty, fill the line, install it and access the word
+    /// (`write` carries a store's value). Returns the word and the
+    /// line's locator, so a block access can stream the rest of the
+    /// line without another set scan.
+    fn refill(&mut self, pa: PhysAddr, write: Option<u64>) -> (u64, LineHint) {
+        let CachePlan::Refill { line, evict } = self.cache.probe(pa) else {
+            unreachable!("refill follows a miss");
+        };
+        if let Some(ev) = evict {
+            self.cycles += self.cost.dram_access;
+            self.bus.issue(
+                BusTransaction::WriteLine {
+                    addr: ev.addr,
+                    data: ev.data,
+                },
+                &mut self.mem,
+                &mut self.irq,
+                self.cycles,
+            );
+        }
+        self.cycles += self.cost.dram_access;
+        self.bus.issue(
+            BusTransaction::ReadLine { addr: line },
+            &mut self.mem,
+            &mut self.irq,
+            self.cycles,
+        );
+        let data = self.mem.read_line(line);
+        let hint = self.cache.install(line, data);
+        self.cycles += self.cost.cache_hit;
+        (self.cache.word_access(hint, pa, write), hint)
     }
 
     /// Models an instruction fetch from `va`: translates like a read but

@@ -1,10 +1,13 @@
 //! Property-based tests for the machine substrate: the page-table
 //! walker against a reference model, TLB/translation consistency, cache
-//! write-back correctness, and bus visibility rules.
+//! write-back correctness, bus visibility rules, and block accesses
+//! against per-word accesses.
 
+use std::any::Any;
 use std::collections::HashMap;
 
 use hypernel_machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
+use hypernel_machine::bus::{BusContext, BusSnooper, BusTransaction};
 use hypernel_machine::cache::{CachePlan, DataCache, Eviction};
 use hypernel_machine::machine::{Machine, MachineConfig, NullHyp};
 use hypernel_machine::mem::PhysMemory;
@@ -81,6 +84,110 @@ fn arb_cache_op() -> impl Strategy<Value = CacheOp> {
         word().prop_map(CacheOp::CleanInvalidatePage),
         word().prop_map(CacheOp::DiscardPage),
     ]
+}
+
+/// Where [`mapped_machine`] maps its first page.
+const MAPPED_VA: u64 = 0x10_0000;
+/// Pages the block property maps. The page after them is unmapped, so a
+/// run past the end faults.
+const BLOCK_PAGES: u64 = 12;
+
+/// One step of the block property. Word indices count from `MAPPED_VA`.
+#[derive(Debug, Clone, Copy)]
+enum BlockOp {
+    Read {
+        word: u64,
+        len: u64,
+    },
+    Write {
+        word: u64,
+        len: u64,
+        seed: u64,
+    },
+    /// One word in the first four lines of a page. Those lines of the
+    /// even (odd) pages share four sets, six lines to four ways, so
+    /// these accesses evict each other, dirty lines included.
+    Single {
+        page: u64,
+        word: u64,
+        store: Option<u64>,
+    },
+    Clean {
+        page: u64,
+    },
+}
+
+fn arb_block_op() -> impl Strategy<Value = BlockOp> {
+    let word = || 0..BLOCK_PAGES * PAGE_SIZE / 8;
+    prop_oneof![
+        (word(), 0u64..1101).prop_map(|(word, len)| BlockOp::Read { word, len }),
+        (word(), 0u64..1101, any::<u64>()).prop_map(|(word, len, seed)| BlockOp::Write {
+            word,
+            len,
+            seed
+        }),
+        (0..BLOCK_PAGES, 0u64..32, any::<bool>(), any::<u64>()).prop_map(
+            |(page, word, write, value)| BlockOp::Single {
+                page,
+                word,
+                store: write.then_some(value),
+            }
+        ),
+        (0..BLOCK_PAGES).prop_map(|page| BlockOp::Clean { page }),
+    ]
+}
+
+/// Records every bus transaction with the cycle count it was issued at.
+#[derive(Debug, Clone, Default)]
+struct Recorder(Vec<(BusTransaction, u64)>);
+
+impl BusSnooper for Recorder {
+    fn on_transaction(&mut self, txn: &BusTransaction, ctx: &mut BusContext<'_>) {
+        self.0.push((*txn, ctx.cycles));
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn clone_box(&self) -> Box<dyn BusSnooper> {
+        Box::new(self.clone())
+    }
+}
+
+/// A machine at EL1 with one page mapped per entry of `perms`, from VA
+/// `MAPPED_VA` onto consecutive frames from `FRAME_POOL`.
+fn mapped_machine(perms: impl IntoIterator<Item = PagePerms>) -> Machine {
+    let mut m = Machine::new(MachineConfig {
+        dram_size: 64 << 20,
+        ..MachineConfig::default()
+    });
+    let mut next_table = TABLE_POOL;
+    for (page, perms) in perms.into_iter().enumerate() {
+        let plan = plan_map(
+            m.mem_mut(),
+            PhysAddr::new(ROOT),
+            MAPPED_VA + page as u64 * PAGE_SIZE,
+            PhysAddr::new(FRAME_POOL + page as u64 * PAGE_SIZE),
+            perms,
+            3,
+            &mut || {
+                let t = next_table;
+                next_table += PAGE_SIZE;
+                Some(PhysAddr::new(t))
+            },
+        )
+        .expect("plan");
+        for w in &plan.writes {
+            apply_entry_write(m.mem_mut(), *w);
+        }
+    }
+    m.el2_write_sysreg(SysReg::TTBR0_EL1, ROOT);
+    m.el2_write_sysreg(SysReg::TTBR1_EL1, ROOT);
+    m.el2_write_sysreg(SysReg::SCTLR_EL1, sctlr::M);
+    m.set_el(ExceptionLevel::El1);
+    m
 }
 
 fn slot_va(slot: u8) -> u64 {
@@ -165,40 +272,15 @@ proptest! {
         writes in prop::collection::vec((0u8..32, any::<u64>()), 1..64),
         flush_points in prop::collection::vec(any::<bool>(), 64),
     ) {
-        let mut m = Machine::new(MachineConfig {
-            dram_size: 64 << 20,
-            ..MachineConfig::default()
-        });
-        let root = PhysAddr::new(ROOT);
-        let mut next_table = TABLE_POOL;
-        for page in 0..32u64 {
-            let plan = plan_map(
-                m.mem_mut(),
-                root,
-                0x10_0000 + page * PAGE_SIZE,
-                PhysAddr::new(FRAME_POOL + page * PAGE_SIZE),
-                // Odd pages non-cacheable: both paths must stay coherent.
-                if page % 2 == 0 { PagePerms::KERNEL_DATA } else { PagePerms::KERNEL_DATA_NC },
-                3,
-                &mut || {
-                    let t = next_table;
-                    next_table += PAGE_SIZE;
-                    Some(PhysAddr::new(t))
-                },
-            ).expect("plan");
-            for w in &plan.writes {
-                apply_entry_write(m.mem_mut(), *w);
-            }
-        }
-        m.el2_write_sysreg(SysReg::TTBR0_EL1, ROOT);
-        m.el2_write_sysreg(SysReg::TTBR1_EL1, ROOT);
-        m.el2_write_sysreg(SysReg::SCTLR_EL1, sctlr::M);
-        m.set_el(ExceptionLevel::El1);
+        // Odd pages non-cacheable: both paths must stay coherent.
+        let mut m = mapped_machine((0..32).map(|page| {
+            if page % 2 == 0 { PagePerms::KERNEL_DATA } else { PagePerms::KERNEL_DATA_NC }
+        }));
         let mut hyp = NullHyp;
 
         let mut model: HashMap<u64, u64> = HashMap::new();
         for (i, (page, value)) in writes.iter().enumerate() {
-            let va = VirtAddr::new(0x10_0000 + *page as u64 * PAGE_SIZE + 0x18);
+            let va = VirtAddr::new(MAPPED_VA + *page as u64 * PAGE_SIZE + 0x18);
             m.write_u64(va, *value, &mut hyp).expect("write");
             model.insert(va.raw(), *value);
             if flush_points[i % flush_points.len()] {
@@ -214,7 +296,7 @@ proptest! {
                 *value
             );
             // The debug (cache-coherent physical) view agrees.
-            let pa = PhysAddr::new(FRAME_POOL + (*va - 0x10_0000));
+            let pa = PhysAddr::new(FRAME_POOL + (*va - MAPPED_VA));
             prop_assert_eq!(m.debug_read_phys(pa), *value);
         }
     }
@@ -301,38 +383,13 @@ proptest! {
     /// stores never are (until eviction).
     #[test]
     fn bus_visibility_follows_cacheability(pages in prop::collection::vec(any::<bool>(), 1..40)) {
-        let mut m = Machine::new(MachineConfig {
-            dram_size: 64 << 20,
-            ..MachineConfig::default()
-        });
-        let root = PhysAddr::new(ROOT);
-        let mut next_table = TABLE_POOL;
-        for (i, nc) in pages.iter().enumerate() {
-            let plan = plan_map(
-                m.mem_mut(),
-                root,
-                0x10_0000 + i as u64 * PAGE_SIZE,
-                PhysAddr::new(FRAME_POOL + i as u64 * PAGE_SIZE),
-                if *nc { PagePerms::KERNEL_DATA_NC } else { PagePerms::KERNEL_DATA },
-                3,
-                &mut || {
-                    let t = next_table;
-                    next_table += PAGE_SIZE;
-                    Some(PhysAddr::new(t))
-                },
-            ).expect("plan");
-            for w in &plan.writes {
-                apply_entry_write(m.mem_mut(), *w);
-            }
-        }
-        m.el2_write_sysreg(SysReg::TTBR0_EL1, ROOT);
-        m.el2_write_sysreg(SysReg::TTBR1_EL1, ROOT);
-        m.el2_write_sysreg(SysReg::SCTLR_EL1, sctlr::M);
-        m.set_el(ExceptionLevel::El1);
+        let mut m = mapped_machine(pages.iter().map(|nc| {
+            if *nc { PagePerms::KERNEL_DATA_NC } else { PagePerms::KERNEL_DATA }
+        }));
         let mut hyp = NullHyp;
 
         for (i, nc) in pages.iter().enumerate() {
-            let va = VirtAddr::new(0x10_0000 + i as u64 * PAGE_SIZE);
+            let va = VirtAddr::new(MAPPED_VA + i as u64 * PAGE_SIZE);
             // Warm the line so cacheable writes are pure hits.
             m.read_u64(va, &mut hyp).expect("warm");
             let writes_before = m.bus().writes();
@@ -344,5 +401,93 @@ proptest! {
                 prop_assert_eq!(delta, 0, "cached store must stay silent");
             }
         }
+    }
+
+    /// `read_block`/`write_block` with line runs are model-equivalent to
+    /// the per-word reference: two clones of one machine run the same
+    /// mix of block accesses (any start, any length up to two pages and
+    /// more, so runs start mid-line, cross lines and pages of either
+    /// cacheability, and may fault past the end), conflicting single
+    /// words and page cleans, and must agree on every return value, the
+    /// order `value_of` is called in, cycles, statistics and bus
+    /// traffic.
+    #[test]
+    fn block_accesses_match_per_word_reference(
+        kinds in prop::collection::vec(0u8..4, BLOCK_PAGES as usize),
+        ops in prop::collection::vec(arb_block_op(), 1..40),
+    ) {
+        // One page in four non-cacheable.
+        let mut base = mapped_machine(kinds.iter().map(|kind| {
+            if *kind == 0 { PagePerms::KERNEL_DATA_NC } else { PagePerms::KERNEL_DATA }
+        }));
+        base.bus_mut().attach(Box::new(Recorder::default()));
+        let mut fast = base.clone();
+        fast.set_block_fastpath(true);
+        fast.set_compiled_enabled(true);
+        let mut reference = base;
+        reference.set_block_fastpath(false);
+        let mut hyp = NullHyp;
+        let frame = |page: u64| PhysAddr::new(FRAME_POOL + page * PAGE_SIZE);
+
+        for op in &ops {
+            match *op {
+                BlockOp::Read { word, len } => {
+                    let va = VirtAddr::new(MAPPED_VA + word * 8);
+                    prop_assert_eq!(
+                        fast.read_block(va, len, &mut hyp),
+                        reference.read_block(va, len, &mut hyp)
+                    );
+                }
+                BlockOp::Write { word, len, seed } => {
+                    let va = VirtAddr::new(MAPPED_VA + word * 8);
+                    let value = |i: u64| seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let (mut fast_calls, mut reference_calls) = (Vec::new(), Vec::new());
+                    prop_assert_eq!(
+                        fast.write_block(va, len, &mut hyp, |i| {
+                            fast_calls.push(i);
+                            value(i)
+                        }),
+                        reference.write_block(va, len, &mut hyp, |i| {
+                            reference_calls.push(i);
+                            value(i)
+                        })
+                    );
+                    prop_assert_eq!(fast_calls, reference_calls);
+                }
+                BlockOp::Single { page, word, store } => {
+                    let va = VirtAddr::new(MAPPED_VA + page * PAGE_SIZE + word * 8);
+                    match store {
+                        Some(v) => prop_assert_eq!(
+                            fast.write_u64(va, v, &mut hyp),
+                            reference.write_u64(va, v, &mut hyp)
+                        ),
+                        None => prop_assert_eq!(
+                            fast.read_u64(va, &mut hyp),
+                            reference.read_u64(va, &mut hyp)
+                        ),
+                    }
+                }
+                BlockOp::Clean { page } => {
+                    fast.cache_clean_invalidate_page(frame(page));
+                    reference.cache_clean_invalidate_page(frame(page));
+                }
+            }
+            prop_assert_eq!(fast.cycles(), reference.cycles(), "cycles after {:?}", op);
+            prop_assert_eq!(fast.stats(), reference.stats(), "stats after {:?}", op);
+            prop_assert_eq!(fast.data_cache().stats(), reference.data_cache().stats());
+            let (f, r) = (fast.tlb().stats(), reference.tlb().stats());
+            prop_assert_eq!(
+                (f.hits, f.misses, f.evictions, f.flushes),
+                (r.hits, r.misses, r.evictions, r.flushes),
+                "TLB after {:?}", op
+            );
+        }
+        for page in 0..BLOCK_PAGES {
+            fast.cache_clean_invalidate_page(frame(page));
+            reference.cache_clean_invalidate_page(frame(page));
+        }
+        let traffic = |m: &Machine| m.bus().snooper::<Recorder>().expect("attached").0.clone();
+        prop_assert_eq!(traffic(&fast), traffic(&reference));
+        prop_assert!(*fast.mem_mut() == *reference.mem_mut(), "DRAM differs after cleaning");
     }
 }

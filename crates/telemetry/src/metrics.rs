@@ -113,8 +113,10 @@ pub struct MetricsConfig {
     /// Window width in simulated cycles (must be non-zero).
     pub window_cycles: u64,
     /// Series to record, or `None` for the full standard catalog.
-    /// Unknown names are ignored (`hypernel campaign lint` flags them);
-    /// column order always follows [`STANDARD_METRICS`].
+    /// A scenario naming an unknown series fails to load
+    /// (`Scenario::from_toml`); [`crate::MetricsRecorder::new`] itself
+    /// skips unknown names. Column order always follows
+    /// [`STANDARD_METRICS`].
     pub enabled: Option<Vec<String>>,
 }
 

@@ -242,10 +242,6 @@ pub fn run_op(
     op: LmbenchOp,
     iterations: u64,
 ) -> Result<Measurement, KernelError> {
-    // Each op is one plan-friendly basic block repeated `iterations`
-    // times; announce the boundary so compiled-plan telemetry can
-    // correlate replays with block starts (host-only, model-invisible).
-    m.hint_block_boundary();
     match op {
         LmbenchOp::SyscallStat => {
             kernel.sys_stat(m, hyp, "/bin/sh")?; // warm the path

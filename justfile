@@ -46,14 +46,13 @@ perf:
         --out target/perf/BENCH_$(date -u +%FT%H%M).json
 
 # Determinism gate: the fast paths must be model-invisible. Sweep the
-# corpus with fast paths on (at two worker counts), off, and with
-# compiled plans off (at two worker counts), and demand byte-identical
-# campaign.jsonl artifacts, summaries, metrics.jsonl time series AND
-# coverage.json atlases; `analyze campaign` must re-aggregate the same
-# summary byte for byte. Then gate the atlas against the committed
-# baseline (any feature covered there but not here exits nonzero) and
-# run the explore smoke (must emit at least one lint-clean novel
-# scenario).
+# corpus with fast paths on (at two worker counts) and off (line runs
+# included), and demand byte-identical campaign.jsonl artifacts,
+# summaries, metrics.jsonl time series AND coverage.json atlases;
+# `analyze campaign` must re-aggregate the same summary byte for byte.
+# Then gate the atlas against the committed baseline (any feature
+# covered there but not here exits nonzero) and run the explore smoke
+# (must emit at least one lint-clean novel scenario).
 determinism:
     rm -rf {{justfile_directory()}}/target/determinism {{justfile_directory()}}/target/coverage
     cargo run -q --release --bin hypernel -- campaign run \
@@ -75,21 +74,7 @@ determinism:
         --summary {{justfile_directory()}}/target/determinism/slow-summary.json \
         --metrics {{justfile_directory()}}/target/determinism/slow-metrics \
         --coverage {{justfile_directory()}}/target/determinism/slow-coverage.json
-    HYPERNEL_NO_COMPILED=1 \
-        cargo run -q --release --bin hypernel -- campaign run \
-        --corpus {{justfile_directory()}}/corpus --seeds 8 --jobs 4 \
-        --out {{justfile_directory()}}/target/determinism/nocompiled.jsonl \
-        --summary {{justfile_directory()}}/target/determinism/nocompiled-summary.json \
-        --metrics {{justfile_directory()}}/target/determinism/nocompiled-metrics \
-        --coverage {{justfile_directory()}}/target/determinism/nocompiled-coverage.json
-    HYPERNEL_NO_COMPILED=1 \
-        cargo run -q --release --bin hypernel -- campaign run \
-        --corpus {{justfile_directory()}}/corpus --seeds 8 --jobs 1 \
-        --out {{justfile_directory()}}/target/determinism/nocompiled-j1.jsonl \
-        --summary {{justfile_directory()}}/target/determinism/nocompiled-j1-summary.json \
-        --metrics {{justfile_directory()}}/target/determinism/nocompiled-j1-metrics \
-        --coverage {{justfile_directory()}}/target/determinism/nocompiled-j1-coverage.json
-    cd {{justfile_directory()}}/target/determinism && for run in fast-j1 slow nocompiled nocompiled-j1; do \
+    cd {{justfile_directory()}}/target/determinism && for run in fast-j1 slow; do \
         diff fast.jsonl $run.jsonl && \
         diff fast-summary.json $run-summary.json && \
         diff -r fast-metrics $run-metrics && \
@@ -108,7 +93,7 @@ determinism:
         --out {{justfile_directory()}}/target/coverage/novel
     cargo run -q --release --bin hypernel -- campaign lint \
         {{justfile_directory()}}/target/coverage/novel
-    @echo "determinism: campaign.jsonl + summary + metrics.jsonl + coverage.json byte-identical (fastpath on/off, compiled on/off, jobs 1/4), analyze campaign reproduces the summary, coverage gate clean, explore emitted a novel scenario"
+    @echo "determinism: campaign.jsonl + summary + metrics.jsonl + coverage.json byte-identical (fastpath on/off, jobs 1/4), analyze campaign reproduces the summary, coverage gate clean, explore emitted a novel scenario"
 
 # The CI audit gate: lint the scenario corpus and the example
 # scenarios, then run the static whole-system audit (with the
@@ -144,7 +129,7 @@ staticheck:
     cargo run -q --release --bin hypernel -- staticheck corpus \
         --corpus {{justfile_directory()}}/corpus --jobs 1 \
         --out {{justfile_directory()}}/target/staticheck/static-coverage-j1.json
-    HYPERNEL_NO_FASTPATH=1 HYPERNEL_NO_COMPILED=1 \
+    HYPERNEL_NO_FASTPATH=1 \
         cargo run -q --release --bin hypernel -- staticheck corpus \
         --corpus {{justfile_directory()}}/corpus --jobs 4 \
         --out {{justfile_directory()}}/target/staticheck/static-coverage-slow.json

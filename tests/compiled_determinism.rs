@@ -1,16 +1,16 @@
-//! Determinism properties of the compiled access-plan layer: every
-//! run artifact — the `campaign.jsonl` record, the `metrics.jsonl`
-//! windows and the coverage map — must be a pure function of
-//! `(scenario, seed)`, byte-identical whether plans are compiled and
-//! replayed or every access takes the reference interpreter path, and
-//! whether the plan cache starts cold (fresh boot) or warm (forked
-//! from a template whose boot already compiled plans).
+//! Determinism properties of the line runs of block accesses (the
+//! tests keep the names of the access-plan layer the runs replaced):
+//! every run artifact — the `campaign.jsonl` record, the
+//! `metrics.jsonl` windows and the coverage map — must be a pure
+//! function of `(scenario, seed)`, byte-identical whether block
+//! accesses stream cache-line runs or take a per-word access for every
+//! word, and whether the system is forked from a warm template or
+//! booted afresh.
 //!
 //! The comparison uses the per-machine toggle
-//! (`Machine::set_compiled_enabled`) because the process-wide
-//! `HYPERNEL_NO_COMPILED` switch is latched once per process; the CI
-//! determinism gate repeats the same comparison across processes with
-//! the environment variable.
+//! (`Machine::set_compiled_enabled`); the CI determinism gate turns
+//! line runs off across processes with `HYPERNEL_NO_FASTPATH=1`, with
+//! every other fast path.
 
 use std::path::Path;
 
@@ -56,8 +56,8 @@ fn artifacts(record: &RunRecord) -> (String, String, &CoverageMap) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Compiled plans on vs off: identical campaign.jsonl,
-    /// metrics.jsonl and coverage.
+    /// Line runs on vs off: identical campaign.jsonl, metrics.jsonl
+    /// and coverage.
     #[test]
     fn compiled_plans_never_leak_into_artifacts(seed in 0u64..64) {
         let s = scenario();
@@ -76,7 +76,7 @@ proptest! {
     }
 
     /// All host fast paths off at once (L0 micro-TLB, block-access
-    /// streaming, compiled plans, MBM watch-page filter) against the
+    /// streaming and its line runs, MBM watch-page filter) against the
     /// all-on default.
     #[test]
     fn all_fastpaths_off_matches_all_on(seed in 0u64..64) {
@@ -100,10 +100,9 @@ proptest! {
         prop_assert_eq!(f_cov, s_cov);
     }
 
-    /// The crossed legs: a fork inheriting the template's warm plan
-    /// cache (plans enabled) against a fresh boot that never compiles
-    /// a plan at all. Warm inherited plans must be exactly as
-    /// invisible as no plans.
+    /// The crossed legs: a fork inheriting the template's warm cache
+    /// and TLB (line runs on) against a fresh boot that never streams a
+    /// line run.
     #[test]
     fn warm_forked_plans_match_cold_referenced_boot(seed in 0u64..64) {
         let s = scenario();
@@ -124,9 +123,9 @@ proptest! {
 }
 
 /// Every compose scenario shipped in the corpus, by file stem —
-/// mirrors `tests/compose.rs`, here exercised against the compiled
-/// plan toggle (composed systems register watch sets at boot, which
-/// drives the plan invalidation paths).
+/// mirrors `tests/compose.rs`, here exercised against the line-run
+/// toggle (composed systems register watch sets at boot, which turns
+/// pages non-cacheable under running block accesses).
 const COMPOSE_CORPUS: &[&str] = &[
     "compose-cred-theft",
     "compose-cross-kvm",
@@ -153,11 +152,11 @@ fn compose_scenarios_survive_compiled_off() {
             assert_eq!(
                 format!("{}\n", compiled.to_json()),
                 format!("{}\n", reference.to_json()),
-                "{stem} seed {seed}: compiled plans leaked into the record"
+                "{stem} seed {seed}: line runs leaked into the record"
             );
             assert_eq!(
                 compiled.coverage, reference.coverage,
-                "{stem} seed {seed}: compiled plans leaked into coverage"
+                "{stem} seed {seed}: line runs leaked into coverage"
             );
         }
     }

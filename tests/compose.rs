@@ -127,8 +127,8 @@ proptest! {
         }
     }
 
-    /// Every host fast path off (L0 micro-TLB, block-access streaming,
-    /// compiled plans, MBM watch-page filter) against the all-on
+    /// Every host fast path off (L0 micro-TLB, block-access streaming
+    /// and its line runs, MBM watch-page filter) against the all-on
     /// default.
     #[test]
     fn composed_artifacts_survive_fastpath_off(seed in 0u64..64) {

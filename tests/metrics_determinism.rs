@@ -2,15 +2,15 @@
 //! seed, `metrics.jsonl` must be a pure function of `(scenario, seed)`
 //! — byte-identical whether the system is freshly booted or forked from
 //! a warm template, whether the host fast paths (L0 micro-TLB,
-//! block-access streaming, compiled plans, MBM watch-page filter) are
+//! block-access streaming and its line runs, MBM watch-page filter) are
 //! on or off, and at any `--jobs` count.
 //!
 //! The fast-path comparison uses the per-structure toggles
 //! (`Tlb::set_l0_enabled`, `Machine::set_block_fastpath`,
 //! `Machine::set_compiled_enabled`, `Mbm::set_filter_enabled`) because
-//! the process-wide `HYPERNEL_NO_FASTPATH` / `HYPERNEL_NO_COMPILED`
-//! switches are latched once per process; the CI determinism gate repeats the same
-//! comparison across processes with the environment variables.
+//! the process-wide `HYPERNEL_NO_FASTPATH` switch is latched once per
+//! process; the CI determinism gate repeats the same comparison across
+//! processes with the environment variable.
 
 use hypernel::Mode;
 use hypernel_campaign::engine::{boot_system, run_one, run_one_on};
@@ -51,8 +51,8 @@ proptest! {
         prop_assert_eq!(fresh.to_json().to_string(), forked.to_json().to_string());
     }
 
-    /// Every host fast path off (L0 micro-TLB, block-access streaming,
-    /// compiled plans, MBM watch-page filter) against the all-on
+    /// Every host fast path off (L0 micro-TLB, block-access streaming
+    /// and its line runs, MBM watch-page filter) against the all-on
     /// default.
     #[test]
     fn host_fastpaths_never_leak_into_metrics(seed in 0u64..64) {

@@ -11,10 +11,10 @@
 //!
 //! The artifact side: `static-coverage.json` must be a pure function of
 //! the corpus — byte-identical at any `--jobs` shard count and
-//! indifferent to the dynamic engine's `HYPERNEL_NO_FASTPATH` /
-//! `HYPERNEL_NO_COMPILED` switches (the analyzer never executes, so
-//! execution-path toggles cannot reach it; checked through the
-//! `hypernel staticheck` CLI, one process per setting).
+//! indifferent to the dynamic engine's `HYPERNEL_NO_FASTPATH` switch
+//! (the analyzer never executes, so execution-path toggles cannot reach
+//! it; checked through the `hypernel staticheck` CLI, one process per
+//! setting).
 
 use std::path::Path;
 
@@ -91,20 +91,18 @@ fn static_coverage_artifact_is_deterministic() {
 }
 
 /// Execution-path toggles: the analyzer never executes anything, so
-/// the artifact cannot depend on them. The engine reads both switches
+/// the artifact cannot depend on them. The engine reads the switch
 /// once per process, so each setting needs a process of its own: the
-/// CLI must print the in-process artifact with and without them.
+/// CLI must print the in-process artifact with and without it.
 #[test]
 fn static_coverage_artifact_ignores_the_engine_toggles() {
     let reference = static_coverage_json(&predict_corpus_jobs(&corpus(), 4)).to_string();
     for set in [false, true] {
         let mut cli = std::process::Command::new(env!("CARGO_BIN_EXE_hypernel"));
         cli.args(["staticheck", "corpus", "--jobs", "4", "--corpus", CORPUS]);
-        for var in ["HYPERNEL_NO_FASTPATH", "HYPERNEL_NO_COMPILED"] {
-            cli.env_remove(var);
-            if set {
-                cli.env(var, "1");
-            }
+        cli.env_remove("HYPERNEL_NO_FASTPATH");
+        if set {
+            cli.env("HYPERNEL_NO_FASTPATH", "1");
         }
         let out = cli.output().expect("runs");
         assert!(out.status.success(), "{out:?}");
