@@ -28,9 +28,8 @@
 //! the table's first visit under its root. A root or table pointer
 //! outside DRAM is recorded as malformed and not descended into.
 
-use std::collections::HashSet;
-
 use hypernel_machine::addr::PhysAddr;
+use hypernel_machine::fxhash::FxHashSet;
 use hypernel_machine::machine::Machine;
 use hypernel_machine::pagememo::{PageMemo, TableView};
 use hypernel_machine::pagetable::{desc, Descriptor, PagePerms, ENTRIES_PER_TABLE};
@@ -269,12 +268,14 @@ impl MappingGraph {
             let mut walk = Walk {
                 view: &view,
                 memo,
-                visited: HashSet::new(),
+                visited: FxHashSet::default(),
                 root,
             };
             walk.table(&mut graph, spec.pa, 0, 0, None);
         }
-        graph.tables = graph.tables_from(|_| true);
+        graph.tables = graph.visits.iter().map(|v| v.table).collect();
+        graph.tables.sort_unstable();
+        graph.tables.dedup();
         graph
     }
 
@@ -282,20 +283,6 @@ impl MappingGraph {
     /// them.
     pub fn leaf_count(&self) -> u64 {
         self.runs.iter().map(|r| r.len).sum()
-    }
-
-    /// The distinct table pages visited from the roots `pick` accepts,
-    /// sorted.
-    pub fn tables_from(&self, pick: impl Fn(&RootSpec) -> bool) -> Vec<PhysAddr> {
-        let mut tables: Vec<PhysAddr> = self
-            .visits
-            .iter()
-            .filter(|v| pick(&self.roots[v.root]))
-            .map(|v| v.table)
-            .collect();
-        tables.sort_unstable();
-        tables.dedup();
-        tables
     }
 
     /// The descriptor chain from the root to entry `entry` of `visit`.
@@ -322,7 +309,7 @@ struct Walk<'v, 'm> {
     view: &'v TableView<'m>,
     memo: &'v WalkMemo,
     /// Tables already walked under this root.
-    visited: HashSet<u64>,
+    visited: FxHashSet<u64>,
     root: usize,
 }
 

@@ -68,11 +68,10 @@ pub use report::{
 };
 pub use sanitizer::seed_shadow;
 
-use std::collections::HashSet;
-
 use hypernel_hypersec::{AuditReport, Hypersec};
 use hypernel_kernel::{layout, Kernel};
 use hypernel_machine::addr::PhysAddr;
+use hypernel_machine::fxhash::FxHashSet;
 use hypernel_machine::machine::Machine;
 use hypernel_machine::regs::SysReg;
 
@@ -109,14 +108,15 @@ pub fn audit_system(
         report.finding(CheckKind::Malformed, detail.clone(), chain.clone());
     }
     check_leaves(&graph, &mut report);
-    if let Some(hyp) = locked {
-        check_tables_ro(&graph, &hyp.verified_tables(), &mut report);
-        check_verified_pool(&graph, hyp, &mut report);
+    let verified = locked.map(Hypersec::verified_tables).unwrap_or_default();
+    if locked.is_some() {
+        check_tables_ro(&graph, &verified, &mut report);
+        check_verified_pool(&graph, &verified, &mut report);
     }
     if let Some(hyp) = hypersec {
         check_watch_coverage(m, hyp, &graph, &mut report);
     }
-    let incremental = locked.map(|hyp| hyp.audit(m));
+    let incremental = locked.map(|hyp| hyp.audit_with_tables(m, &verified));
     if let Some(incremental) = &incremental {
         report.differential = Some(differential(&report, incremental));
     }
@@ -200,7 +200,7 @@ fn check_rogue_roots(
     locked: Option<&Hypersec>,
     report: &mut StaticAuditReport,
 ) {
-    let trusted: HashSet<u64> = match locked {
+    let trusted: FxHashSet<u64> = match locked {
         Some(hyp) => hyp
             .kernel_root()
             .into_iter()
@@ -300,7 +300,8 @@ fn check_tables_ro(graph: &MappingGraph, verified: &[PhysAddr], report: &mut Sta
         .chain(verified)
         .map(|t| t.raw())
         .collect();
-    tables.sort_unstable();
+    // Two ascending runs, which the stable sort merges in one pass.
+    tables.sort();
     tables.dedup();
     for run in graph.runs.iter().filter(|r| r.perms.write) {
         let start = tables.partition_point(|&t| t < run.out.raw());
@@ -320,23 +321,35 @@ fn check_tables_ro(graph: &MappingGraph, verified: &[PhysAddr], report: &mut Sta
 }
 
 /// Every table reachable from Hypersec's registered roots must be in
-/// its verified pool — the exact invariant the incremental runtime
-/// audit re-checks, so both sides flag the same tables. Every Hypersec
-/// root is among the walked roots, tagged
-/// [`RootOrigin::HypervisorVerified`], so the walk already holds the
-/// tables they reach.
-fn check_verified_pool(graph: &MappingGraph, hyp: &Hypersec, report: &mut StaticAuditReport) {
-    let verified: HashSet<u64> = hyp.verified_tables().iter().map(|t| t.raw()).collect();
-    let reachable =
-        graph.tables_from(|root| root.origins.contains(&RootOrigin::HypervisorVerified));
-    for table in reachable {
-        if !verified.contains(&table.raw()) {
-            report.finding(
-                CheckKind::UnverifiedTable,
-                format!("reachable table {table} is not in the verified pool"),
-                Vec::new(),
-            );
-        }
+/// its verified pool (`verified`, sorted) — the exact invariant the
+/// incremental runtime audit re-checks, so both sides flag the same
+/// tables, ascending. Every Hypersec root is among the walked roots,
+/// tagged [`RootOrigin::HypervisorVerified`], so the walk already holds
+/// the tables they reach.
+fn check_verified_pool(
+    graph: &MappingGraph,
+    verified: &[PhysAddr],
+    report: &mut StaticAuditReport,
+) {
+    let mut unverified: Vec<PhysAddr> = graph
+        .visits
+        .iter()
+        .filter(|v| {
+            graph.roots[v.root]
+                .origins
+                .contains(&RootOrigin::HypervisorVerified)
+        })
+        .map(|v| v.table)
+        .filter(|table| verified.binary_search(table).is_err())
+        .collect();
+    unverified.sort_unstable();
+    unverified.dedup();
+    for table in unverified {
+        report.finding(
+            CheckKind::UnverifiedTable,
+            format!("reachable table {table} is not in the verified pool"),
+            Vec::new(),
+        );
     }
 }
 

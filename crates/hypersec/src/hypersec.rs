@@ -25,9 +25,11 @@ use hypernel_machine::pagememo::{PageMemo, TableView};
 
 use hypernel_kernel::abi::Hypercall;
 use hypernel_kernel::layout;
-use hypernel_machine::addr::{IntermAddr, PhysAddr, VirtAddr, PAGE_SIZE, SECTION_SIZE};
+use hypernel_machine::addr::{
+    IntermAddr, PhysAddr, VirtAddr, PAGE_SIZE, SECTION_SHIFT, SECTION_SIZE,
+};
 use hypernel_machine::machine::{AccessKind, Hyp, Machine, PolicyViolation, Stage2Outcome};
-use hypernel_machine::pagetable::{self, Descriptor, PagePerms, ENTRIES_PER_TABLE};
+use hypernel_machine::pagetable::{self, Descriptor, PagePerms, PtMemory, ENTRIES_PER_TABLE};
 use hypernel_machine::regs::{hcr, sctlr, ExceptionLevel, SysReg};
 use hypernel_mbm::bitmap::BitmapLayout;
 use hypernel_mbm::ring::RingLayout;
@@ -437,6 +439,30 @@ fn is_kernel_text(out: PhysAddr, span: u64) -> bool {
         && out.raw() + span > layout::KERNEL_IMAGE_BASE
 }
 
+/// Where `input`'s walk from `root` leaves level 2: `Ok` with the
+/// level-3 table when levels 0–2 all hold table descriptors, else `Err`
+/// with the walk's verdict — `Some` with a block leaf's permissions,
+/// `None` for an invalid descriptor. Reads the same entries, in the same
+/// order, as the first three steps of `pagetable::walk`.
+fn level3_table(
+    mem: &mut impl PtMemory,
+    root: PhysAddr,
+    input: u64,
+) -> Result<PhysAddr, Option<PagePerms>> {
+    let mut table = root;
+    for level in 0..3 {
+        match Descriptor::decode(
+            mem.read_pt(pagetable::entry_addr(table, input, level)),
+            level,
+        ) {
+            Descriptor::Table { next } => table = next,
+            Descriptor::Leaf { perms, .. } => return Err(Some(perms)),
+            Descriptor::Invalid => return Err(None),
+        }
+    }
+    Ok(table)
+}
+
 /// Decodes the table page at `table` (its `entries`) for
 /// [`Hypersec::audit`]: invariants 2–4 and kernel-text immutability on
 /// every leaf, plus the child tables, in entry order.
@@ -695,6 +721,28 @@ impl Hypersec {
     ///
     /// Panics if called before `LOCK` (there is nothing to audit).
     pub fn audit_with(&self, m: &mut Machine, memo: &AuditMemo) -> AuditReport {
+        self.audit_inner(m, memo, &self.verified_tables())
+    }
+
+    /// [`Hypersec::audit`] for a caller that already holds `verified`,
+    /// the [`Hypersec::verified_tables`] list, so the audit does not
+    /// collect and sort the pool again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `LOCK`, and in debug builds if `verified`
+    /// is not exactly the verified pool in ascending order.
+    pub fn audit_with_tables(&self, m: &mut Machine, verified: &[PhysAddr]) -> AuditReport {
+        debug_assert!(
+            verified.len() == self.tables.len()
+                && verified.windows(2).all(|w| w[0] < w[1])
+                && verified.iter().all(|t| self.tables.contains_key(&t.raw())),
+            "`verified` must be the verified pool, ascending"
+        );
+        self.audit_inner(m, &self.audit_memo, verified)
+    }
+
+    fn audit_inner(&self, m: &mut Machine, memo: &AuditMemo, verified: &[PhysAddr]) -> AuditReport {
         let kernel_root = self.kernel_root.expect("audit requires the locked state");
         let mut report = AuditReport::default();
         let mut roots: Vec<PhysAddr> = self.roots.keys().map(|r| PhysAddr::new(*r)).collect();
@@ -706,20 +754,7 @@ impl Hypersec {
             self.audit_tree(&view, memo, *root, 0, 0, kernel_space, &mut report);
         }
         // Invariant 5: registered tables are read-only to the kernel.
-        for table in self.tables.keys() {
-            let table = PhysAddr::new(*table);
-            let walked = {
-                let mut view = m.pt_view();
-                pagetable::walk(&mut view, kernel_root, layout::kva(table).raw())
-            };
-            match walked {
-                Ok(res) if res.perms.write => {
-                    report.violation(format!("table page {table} is writable in the kernel view"))
-                }
-                Ok(_) => {}
-                Err(_) => report.violation(format!("table page {table} has no kernel mapping")),
-            }
-        }
+        Self::audit_tables_read_only(m, kernel_root, verified, &mut report);
         // Invariant 6: monitored regions are non-cacheable and armed.
         for region in &self.regions {
             let walked = {
@@ -750,6 +785,54 @@ impl Hypersec {
             report.regions_checked += 1;
         }
         report
+    }
+
+    /// Invariant 5 of [`Hypersec::audit`] over `verified` (the sorted
+    /// [`Hypersec::verified_tables`]), in ascending table order: each
+    /// registered table page's kernel linear mapping must exist and be
+    /// read-only. The verdict is that of one `pagetable::walk` of the
+    /// page's linear address from `kernel_root`, with levels 0–2
+    /// resolved once per 2 MiB region: they index by VA bits 21 and up,
+    /// so every table of one region shares that path. A path that ends
+    /// in a block or an invalid entry gives the whole region its
+    /// verdict; otherwise each table reads one level-3 entry.
+    fn audit_tables_read_only(
+        m: &mut Machine,
+        kernel_root: PhysAddr,
+        verified: &[PhysAddr],
+        report: &mut AuditReport,
+    ) {
+        let mut view = m.pt_view();
+        // The last region resolved: its VA above the section bits, and
+        // where its path leaves level 2.
+        let mut region: Option<(u64, Result<PhysAddr, Option<PagePerms>>)> = None;
+        for &table in verified {
+            let va = layout::kva(table).raw();
+            let path = match region {
+                Some((section, path)) if section == va >> SECTION_SHIFT => path,
+                _ => {
+                    let path = level3_table(&mut view, kernel_root, va);
+                    region = Some((va >> SECTION_SHIFT, path));
+                    path
+                }
+            };
+            let perms = match path {
+                Ok(l3) => {
+                    match Descriptor::decode(view.read_pt(pagetable::entry_addr(l3, va, 3)), 3) {
+                        Descriptor::Leaf { perms, .. } => Some(perms),
+                        _ => None, // invalid: level 3 holds no table descriptor
+                    }
+                }
+                Err(verdict) => verdict,
+            };
+            match perms {
+                Some(perms) if perms.write => {
+                    report.violation(format!("table page {table} is writable in the kernel view"))
+                }
+                Some(_) => {}
+                None => report.violation(format!("table page {table} has no kernel mapping")),
+            }
+        }
     }
 
     #[allow(clippy::too_many_arguments)] // internal recursion carries the whole walk state

@@ -6,13 +6,18 @@ use hypernel_hypersec::{codes, CredMonitor, DentryMonitor, Hypersec, HypersecCon
 use hypernel_kernel::abi::Hypercall;
 use hypernel_kernel::kernel::{Kernel, KernelConfig};
 use hypernel_kernel::layout;
+use hypernel_kernel::pgtable::LinearMapMode;
 use hypernel_kernel::task::Pid;
-use hypernel_machine::addr::{PhysAddr, VirtAddr};
+use hypernel_machine::addr::{PhysAddr, VirtAddr, SECTION_SIZE};
 use hypernel_machine::machine::{Exception, Machine, MachineConfig};
-use hypernel_machine::pagetable::{Descriptor, PagePerms};
+use hypernel_machine::pagetable::{self, desc, Descriptor, PagePerms};
 use hypernel_machine::regs::SysReg;
 
 fn boot() -> (Machine, Hypersec, Kernel) {
+    boot_with(KernelConfig::hypernel())
+}
+
+fn boot_with(config: KernelConfig) -> (Machine, Hypersec, Kernel) {
     let mut m = Machine::new(MachineConfig {
         dram_size: layout::DRAM_SIZE,
         ..MachineConfig::default()
@@ -30,7 +35,7 @@ fn boot() -> (Machine, Hypersec, Kernel) {
     let mut hs = Hypersec::install(&mut m, HypersecConfig::standard());
     hs.install_app(Box::new(CredMonitor::new()));
     hs.install_app(Box::new(DentryMonitor::new()));
-    let k = Kernel::boot(&mut m, &mut hs, KernelConfig::hypernel()).expect("boot");
+    let k = Kernel::boot(&mut m, &mut hs, config).expect("boot");
     (m, hs, k)
 }
 
@@ -153,6 +158,112 @@ fn audit_catches_rewritable_table_page() {
         .any(|v| v.contains("writable in the kernel view")));
 }
 
+/// Invariant 5 as one `pagetable::walk` per registered table, in
+/// ascending table order: the reference `Hypersec::audit` must match.
+fn read_only_reference(m: &mut Machine, hs: &Hypersec) -> Vec<String> {
+    let root = hs.kernel_root().expect("locked");
+    let mut view = m.pt_view();
+    hs.verified_tables()
+        .into_iter()
+        .filter_map(
+            |table| match pagetable::walk(&mut view, root, layout::kva(table).raw()) {
+                Ok(res) if res.perms.write => {
+                    Some(format!("table page {table} is writable in the kernel view"))
+                }
+                Ok(_) => None,
+                Err(_) => Some(format!("table page {table} has no kernel mapping")),
+            },
+        )
+        .collect()
+}
+
+/// Registers zeroed root tables at pages of the guest's choosing, above
+/// the boot allocations: two in each of three consecutive 2 MiB regions.
+/// Tables then span several regions of one 1 GiB region under either
+/// linear map (the section map's boot tables share one region).
+fn register_spread_roots(m: &mut Machine, hs: &mut Hypersec, k: &Kernel) {
+    let base = (k.frames_watermark().raw() + 2 * SECTION_SIZE) & !(SECTION_SIZE - 1);
+    for region in 0..3 {
+        for page in [0x3000, 0x1f_d000] {
+            let table = PhysAddr::new(base + region * SECTION_SIZE + page);
+            m.debug_zero_page(table);
+            let (nr, args) = Hypercall::PtRegisterTable { table, root: true }.encode();
+            m.hvc(nr, args, hs).expect("register a root table");
+        }
+    }
+}
+
+/// Corrupts the kernel linear map behind Hypersec's back: in each
+/// 2 MiB region of the first table's 1 GiB region that holds registered
+/// tables, the leaf over the first and the last of them turns writable,
+/// and the leaf over the middle table of the last region is unmapped.
+/// Under the section map a leaf is the region's whole block. Hypersec's
+/// invariant-5 violations must equal the reference walk's, in order.
+fn invariant_5_matches_the_per_table_walk(config: KernelConfig) {
+    let (mut m, mut hs, k) = boot_with(config);
+    register_spread_roots(&mut m, &mut hs, &k);
+    let root = k.kernel_root();
+    let tables = hs.verified_tables();
+    let gib = layout::kva(tables[0]).raw() >> 30;
+    let mut regions: Vec<Vec<PhysAddr>> = Vec::new();
+    for table in tables {
+        let va = layout::kva(table).raw();
+        if va >> 30 != gib {
+            continue;
+        }
+        match regions.last_mut() {
+            Some(region) if layout::kva(region[0]).raw() >> 21 == va >> 21 => region.push(table),
+            _ => regions.push(vec![table]),
+        }
+    }
+    assert!(regions.len() >= 3, "tables in {} region(s)", regions.len());
+    let mut leaf_of = |table: PhysAddr| {
+        let mut view = m.pt_view();
+        let walked = pagetable::walk(&mut view, root, layout::kva(table).raw()).expect("mapped");
+        *walked.accesses.last().expect("a walk reads its leaf")
+    };
+    let mut writable = Vec::new();
+    for region in &regions {
+        writable.push(leaf_of(region[0]));
+        writable.push(leaf_of(region[region.len() - 1]));
+    }
+    let last = regions.last().expect("three regions");
+    let unmapped = leaf_of(last[last.len() / 2]);
+    for leaf in writable {
+        let raw = m.debug_read_phys(leaf);
+        m.debug_write_phys(leaf, raw & !desc::RO);
+    }
+    m.debug_write_phys(unmapped, 0);
+
+    let expected = read_only_reference(&mut m, &hs);
+    assert!(expected
+        .iter()
+        .any(|v| v.ends_with("writable in the kernel view")));
+    assert!(expected
+        .iter()
+        .any(|v| v.ends_with("has no kernel mapping")));
+    let report = hs.audit(&mut m);
+    let invariant_5: Vec<String> = report
+        .violations
+        .into_iter()
+        .filter(|v| v.starts_with("table page "))
+        .collect();
+    assert_eq!(invariant_5, expected);
+}
+
+#[test]
+fn invariant_5_matches_the_per_table_walk_under_the_page_map() {
+    invariant_5_matches_the_per_table_walk(KernelConfig::hypernel());
+}
+
+#[test]
+fn invariant_5_matches_the_per_table_walk_under_the_section_map() {
+    invariant_5_matches_the_per_table_walk(KernelConfig {
+        linear_map: LinearMapMode::Sections,
+        ..KernelConfig::hypernel()
+    });
+}
+
 #[test]
 fn audit_catches_disarmed_watch_bits() {
     use hypernel_kernel::kernel::{MonitorHooks, MonitorMode};
@@ -179,6 +290,40 @@ fn audit_catches_disarmed_watch_bits() {
         .violations
         .iter()
         .any(|v| v.contains("watch bit missing")));
+}
+
+/// Arming the monitor hooks registers the cached dentries in ascending
+/// address order, as it does the creds: the order of the
+/// `MONITOR_REGISTER` calls, and through it the model's cache state,
+/// must not follow the host's hash order of the dentry cache.
+#[test]
+fn arming_registers_cached_dentries_in_address_order() {
+    use hypernel_kernel::abi::sid;
+    use hypernel_kernel::kernel::{MonitorHooks, MonitorMode};
+    let (mut m, mut hs, mut k) = boot();
+    for i in 0..16 {
+        k.sys_create(&mut m, &mut hs, &format!("/tmp/f{i}"))
+            .expect("create");
+    }
+    k.arm_monitor_hooks(
+        &mut m,
+        &mut hs,
+        MonitorHooks {
+            mode: MonitorMode::SensitiveFields,
+        },
+    )
+    .expect("arm");
+    let dentries: Vec<PhysAddr> = hs
+        .regions()
+        .iter()
+        .filter(|r| r.sid == sid::DENTRY_MONITOR)
+        .map(|r| r.pa)
+        .collect();
+    assert!(dentries.len() >= 16, "{} dentry regions", dentries.len());
+    assert!(
+        dentries.windows(2).all(|w| w[0] < w[1]),
+        "registered out of address order: {dentries:?}"
+    );
 }
 
 #[test]

@@ -496,7 +496,8 @@ impl Kernel {
         hooks: MonitorHooks,
     ) -> Result<(), KernelError> {
         self.config.monitor_hooks = Some(hooks);
-        let dentries: Vec<PhysAddr> = self.dcache.values().copied().collect();
+        let mut dentries: Vec<PhysAddr> = self.dcache.values().copied().collect();
+        dentries.sort();
         for d in dentries {
             self.hook_register_object(m, hyp, ObjectKind::Dentry, d, true)?;
         }

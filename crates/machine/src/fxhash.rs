@@ -4,22 +4,42 @@
 //! syscall (the kernel's dentry cache and heat counters, the MBM's
 //! bitmap cache). `std`'s default SipHash is DoS-hardened and *seeded
 //! per process*, which costs tens of nanoseconds per probe and makes
-//! iteration order vary run to run. These maps hold no
-//! attacker-controlled keys — physical addresses, PIDs and kernel path
-//! strings of a simulation — so the multiply-xor scheme popularized by
-//! rustc's `FxHasher` is the right trade: a few cycles per word and a
-//! *fixed* seed, so any accidental dependence on iteration order is at
-//! least reproducible instead of per-process random.
+//! iteration order vary run to run. These maps are keyed by simulation
+//! state — physical addresses, PIDs and kernel path strings — so the
+//! multiply-xor scheme popularized by rustc's `FxHasher` is the right
+//! trade: a few cycles per word and a *fixed* seed, so any accidental
+//! dependence on iteration order is at least reproducible instead of
+//! per-process random. Some keys are the guest's choice (a table PA
+//! reaches Hypersec's maps through `PT_REGISTER_TABLE`), so a hostile
+//! guest could pick colliding keys; that costs host time only, never a
+//! simulated result.
 //!
-//! Host-side only: which hasher a map uses can never change simulated
-//! cycles, statistics or bus traffic — those are driven by map
-//! *contents*, not probe cost.
+//! **`finish` mixes.** The multiply makes the product's low bits a
+//! function of the key's low bits alone, so every page-aligned key (a
+//! table PA) hashes to a product whose low 12 bits are zero. hashbrown
+//! picks a bucket from exactly those low bits, so a map of table pages
+//! would probe one bucket group for every key. `finish` rotates the
+//! state left by 26, as rustc-hash 2 does, which brings the product's
+//! well-mixed high bits down to where the bucket index is taken.
+//!
+//! **Host-side only.** Which hasher a map uses changes no simulated
+//! cycle, statistic or bus transfer — those follow a map's *contents*,
+//! not its probe cost — as long as its iteration order stays out of the
+//! model. So a host map is iterated only into a sorted collection (or
+//! an order-free fold such as a count); its `keys()`, `values()` or
+//! `iter()` order never drives anything that touches simulated state.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The `FxHasher` multiplier (64-bit golden-ratio constant).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// How far [`FxHasher::finish`] rotates the state: it brings the
+/// product's high bits, which every key bit reaches, down into the low
+/// bits a table indexes by (rustc-hash 2's choice, good up to 2^26
+/// buckets).
+const FINISH_ROTATE: u32 = 26;
 
 /// Multiply-xor hasher with a fixed seed; see the module docs for why
 /// this is safe and desirable here.
@@ -38,7 +58,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATE)
     }
 
     #[inline]
@@ -112,6 +132,28 @@ mod tests {
     fn distinguishes_tail_lengths() {
         assert_ne!(hash_of(b"ab"), hash_of(b"ab\0"));
         assert_ne!(hash_of(b""), hash_of(b"\0"));
+    }
+
+    /// Aligned keys must spread over a table's bucket bits: at every
+    /// stride a map sees (a table page, a dentry, a cache line, a word),
+    /// the low 10 bits of 1,024 keys' hashes take at least 256 values
+    /// (an unmixed product takes 1, 16, 16 and 128).
+    #[test]
+    fn aligned_keys_spread_over_the_low_bits() {
+        for stride in [4096u64, 192, 64, 8] {
+            let buckets: FxHashSet<u64> = (1..=1024u64)
+                .map(|i| {
+                    let mut h = FxHasher::default();
+                    h.write_u64(i * stride);
+                    h.finish() & 0x3ff
+                })
+                .collect();
+            assert!(
+                buckets.len() >= 256,
+                "stride {stride}: {} distinct low-10-bit values",
+                buckets.len()
+            );
+        }
     }
 
     #[test]
