@@ -15,12 +15,22 @@
 //!   thousand runs, and a check whose verdict is the same for a whole
 //!   run looks at each run once.
 //!
-//! Each table page is decoded once into a `TableFragment` — its leaf
-//! runs, child table pointers and leaf-level table pointers, in entry
-//! order — and the fragment is replayed into the graph. A [`WalkMemo`]
-//! keeps the fragments of pages a template family shares, so a fork
-//! re-decodes only the tables it changed (see
-//! [`hypernel_machine::pagememo`] for when a fragment may be replayed).
+//! A fork's walk reads little. Its family keeps a [`WalkBaseline`]: a
+//! cold walk of the snapshot its template recorded at its first fork
+//! (see [`hypernel_machine::snapshot`]), flat in depth-first order, so
+//! each visit's subtree is one contiguous range of visits, of runs and
+//! of malformed descriptors. The fork decodes only the tables of its
+//! dirty set D that it reaches (and any table the baseline does not
+//! hold at the same place). An unchanged table on the path to one is
+//! replayed from the baseline, and every other subtree, and each
+//! stretch of unchanged siblings, is copied as one block with visit
+//! indexes and parent links rebased. A block is copied only when the
+//! copy is what decoding would give: its table is reached at the
+//! baseline's level and address, no page of the block is in D, the walk
+//! has not yet reached any of its tables under this root, and no
+//! pointer inside it was skipped as a revisit of a table outside it. A
+//! table reached afterwards inside a copied block counts as a revisit,
+//! as the cold walk's visited set would count it.
 //!
 //! The walk is cycle-safe: a table revisited along one root's walk is
 //! not descended into again, so a maliciously self-referencing table
@@ -28,11 +38,14 @@
 //! the table's first visit under its root. A root or table pointer
 //! outside DRAM is recorded as malformed and not descended into.
 
-use hypernel_machine::addr::PhysAddr;
-use hypernel_machine::fxhash::FxHashSet;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use hypernel_machine::addr::{PhysAddr, PAGE_SHIFT};
+use hypernel_machine::fxhash::FxHashMap;
 use hypernel_machine::machine::Machine;
-use hypernel_machine::pagememo::{PageMemo, TableView};
-use hypernel_machine::pagetable::{desc, Descriptor, PagePerms, ENTRIES_PER_TABLE};
+use hypernel_machine::pagetable::{desc, Descriptor, PagePerms};
+use hypernel_machine::snapshot::{Snapshot, TableView};
 
 /// How a root entered the walk — provenance shown in findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -171,108 +184,157 @@ pub struct MappingGraph {
     pub malformed: Vec<(String, Vec<ChainLink>)>,
 }
 
-/// One entry-order item of a [`TableFragment`].
+/// A malformed descriptor and the entry that holds it (`None` for a
+/// root outside DRAM). Its chain is rebuilt from the parent links once
+/// the walk is done, so a copied block needs only its links rebased.
+type Malformed = (String, Option<(usize, u64)>);
+
+/// A walk's output, flat in depth-first order: each visit's subtree is
+/// one contiguous range of `visits`, one of `runs` and one of
+/// `malformed`.
+#[derive(Debug, Default)]
+struct Flat {
+    visits: Vec<TableVisit>,
+    runs: Vec<LeafRun>,
+    malformed: Vec<Malformed>,
+}
+
+/// A position in a flat walk: an index into its visits, its runs and
+/// its malformed descriptors. Whole sibling subtrees lie between two.
+type Pos = (usize, usize, usize);
+
+impl Flat {
+    /// The position where the next visit, run or descriptor goes.
+    fn end(&self) -> Pos {
+        (self.visits.len(), self.runs.len(), self.malformed.len())
+    }
+}
+
+/// Where one baseline visit's subtree lies, and what reading it took.
 #[derive(Clone, Copy, Debug)]
-enum Item {
-    /// A leaf run; its `visit` is filled in on replay.
-    Run(LeafRun),
-    /// Entry `index` points at the next-level table `next`, which maps
-    /// from `va`.
-    Child { index: u64, next: PhysAddr, va: u64 },
-    /// Entry `index` is a table pointer at leaf level, at `va`.
-    LeafLevelTable { index: u64, va: u64 },
+struct Subtree {
+    level: u32,
+    va_base: u64,
+    /// Where the subtree begins (at its own visit) and ends.
+    start: Pos,
+    end: Pos,
+    /// Whether a pointer inside the subtree was skipped as a revisit of
+    /// a table reached before the subtree began: a copy of the subtree
+    /// alone would skip it too, where the walk copying it need not.
+    open: bool,
+    /// Whether the table's own entries are only leaves, invalid entries
+    /// and pointers to its children: then its own runs and its children
+    /// are all it adds, and a walk may replay them without decoding it.
+    plain: bool,
 }
 
-/// What one table page contributes to the graph: its leaf runs, child
-/// table pointers and leaf-level table pointers, in entry order. A
-/// function of the page's entries and its [`WalkMemo`] key alone.
+/// A cold walk of one root in the family snapshot.
 #[derive(Debug)]
-struct TableFragment(Vec<Item>);
+struct RootBaseline {
+    flat: Flat,
+    subtrees: Vec<Subtree>,
+    /// Each table's visit: a walk visits a table at most once per root.
+    index: FxHashMap<u64, usize>,
+}
 
-impl TableFragment {
-    fn decode(
-        entries: &[u64; ENTRIES_PER_TABLE],
-        level: u32,
-        va_base: u64,
-        kernel_space: bool,
-    ) -> Self {
-        let shift = level_shift(level);
-        let mut items = Vec::new();
-        let mut run: Option<LeafRun> = None;
-        for (i, raw) in (0u64..).zip(entries) {
-            let va = va_base | i << shift;
-            match Descriptor::decode(*raw, level) {
-                Descriptor::Leaf { out, perms } => match &mut run {
-                    Some(r) if r.perms == perms && r.out_end() == out.raw() => r.len += 1,
-                    _ => items.extend(
-                        run.replace(LeafRun {
-                            visit: 0,
-                            first: i,
-                            len: 1,
-                            kernel_space,
-                            va,
-                            out,
-                            span: 1 << shift,
-                            perms,
-                        })
-                        .map(Item::Run),
-                    ),
-                },
-                Descriptor::Invalid => items.extend(run.take().map(Item::Run)),
-                Descriptor::Table { next } => {
-                    items.extend(run.take().map(Item::Run));
-                    items.push(if level >= 3 {
-                        Item::LeafLevelTable { index: i, va }
-                    } else {
-                        Item::Child { index: i, next, va }
-                    });
-                }
-            }
+impl RootBaseline {
+    fn walk(view: &TableView<'_>, spec: &RootSpec) -> Self {
+        let mut flat = Flat::default();
+        let mut walk = Walk::new(view, &mut flat, 0, spec.kernel_space, None);
+        walk.subtrees = Some(Vec::new());
+        walk.table(spec.pa, 0, 0, None, None);
+        let subtrees = walk.subtrees.take().unwrap_or_default();
+        let index = (0..)
+            .zip(&flat.visits)
+            .map(|(visit, v)| (v.table.raw(), visit))
+            .collect();
+        Self {
+            flat,
+            subtrees,
+            index,
         }
-        items.extend(run.map(Item::Run));
-        TableFragment(items)
     }
 }
 
-/// The static walker's memo: a table page's fragment (its leaf runs,
-/// child table pointers and leaf-level table pointers) by page
-/// identity, keyed by (table, level, va base, address space). `Clone`
-/// shares it, so a template and its forks hold one; `Default` is empty,
-/// and walking with an empty memo is a cold walk.
+/// The static walk's baseline for a template family: per root (its
+/// address and half), a cold walk of the family snapshot (see
+/// [`hypernel_machine::snapshot`]), made when a fork's audit first
+/// meets the root. A fork's walk decodes only the tables its run
+/// changed and takes everything else from the baseline. `Clone` shares it, so a template and its forks hold one;
+/// `Default` is empty.
 #[derive(Clone, Debug, Default)]
-pub struct WalkMemo(PageMemo<(u32, u64, bool), TableFragment>);
+pub struct WalkBaseline(Rc<RefCell<Baselines>>);
 
-impl WalkMemo {
-    /// Number of fragments held.
+#[derive(Debug, Default)]
+struct Baselines {
+    /// The snapshot the walks read; another snapshot starts afresh.
+    snapshot: Option<Rc<Snapshot>>,
+    roots: FxHashMap<(u64, bool), Rc<RootBaseline>>,
+}
+
+impl WalkBaseline {
+    /// Number of root walks held.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.borrow().roots.len()
     }
 
-    /// Whether the memo holds no fragment.
+    /// Whether no root walk is held.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+
+    /// The baseline of `spec` in `snapshot`, walked on first use.
+    fn root(&self, snapshot: &Rc<Snapshot>, spec: &RootSpec) -> Rc<RootBaseline> {
+        let mut baselines = self.0.borrow_mut();
+        if !baselines
+            .snapshot
+            .as_ref()
+            .is_some_and(|s| Rc::ptr_eq(s, snapshot))
+        {
+            *baselines = Baselines {
+                snapshot: Some(Rc::clone(snapshot)),
+                roots: FxHashMap::default(),
+            };
+        }
+        let key = (spec.pa.raw(), spec.kernel_space);
+        let base = baselines
+            .roots
+            .entry(key)
+            .or_insert_with(|| Rc::new(RootBaseline::walk(&snapshot.view(), spec)));
+        Rc::clone(base)
     }
 }
 
 impl MappingGraph {
     /// Walks every root and returns the graph. Deterministic: roots are
-    /// walked in the order given, entries in index order. `memo` only
-    /// saves decoding: the graph is the same with any memo.
-    pub fn walk(m: &Machine, roots: &[RootSpec], memo: &WalkMemo) -> Self {
+    /// walked in order, entries in index order. With a `baseline` and a
+    /// machine whose family was forked, a subtree the run left unchanged
+    /// is copied from the baseline instead of decoded; the graph is the
+    /// same either way.
+    pub fn walk(m: &Machine, roots: &[RootSpec], baseline: Option<&WalkBaseline>) -> Self {
+        let view = m.table_view();
+        let mut flat = Flat::default();
+        for (root, spec) in roots.iter().enumerate() {
+            let base = baseline
+                .zip(view.snapshot())
+                .map(|(baseline, snapshot)| baseline.root(snapshot, spec));
+            let mut walk = Walk::new(&view, &mut flat, root, spec.kernel_space, base.as_deref());
+            walk.table(spec.pa, 0, 0, None, None);
+        }
         let mut graph = MappingGraph {
             roots: roots.to_vec(),
+            visits: flat.visits,
+            runs: flat.runs,
             ..MappingGraph::default()
         };
-        let view = m.table_view();
-        for (root, spec) in roots.iter().enumerate() {
-            let mut walk = Walk {
-                view: &view,
-                memo,
-                visited: FxHashSet::default(),
-                root,
-            };
-            walk.table(&mut graph, spec.pa, 0, 0, None);
-        }
+        graph.malformed = flat
+            .malformed
+            .into_iter()
+            .map(|(detail, at)| {
+                let chain = at.map_or_else(Vec::new, |(visit, index)| graph.chain(visit, index));
+                (detail, chain)
+            })
+            .collect();
         graph.tables = graph.visits.iter().map(|v| v.table).collect();
         graph.tables.sort_unstable();
         graph.tables.dedup();
@@ -305,61 +367,280 @@ impl MappingGraph {
 }
 
 /// One root's walk: the state its recursion carries.
-struct Walk<'v, 'm> {
-    view: &'v TableView<'m>,
-    memo: &'v WalkMemo,
-    /// Tables already walked under this root.
-    visited: FxHashSet<u64>,
+struct Walk<'w> {
+    view: &'w TableView<'w>,
+    out: &'w mut Flat,
     root: usize,
+    kernel_space: bool,
+    /// Tables walked under this root that have no baseline visit, each
+    /// with the first visit that reached it: its own, or for a table
+    /// outside DRAM the visit holding the pointer.
+    seen: FxHashMap<u64, usize>,
+    /// The subtrees, recorded while walking a baseline.
+    subtrees: Option<Vec<Subtree>>,
+    base: Option<&'w RootBaseline>,
+    /// Per baseline visit: whether its subtree holds a page of D.
+    hot: Vec<bool>,
+    /// Per baseline visit: whether this walk has reached its table.
+    reached: Vec<bool>,
 }
 
-impl Walk<'_, '_> {
+impl<'w> Walk<'w> {
+    fn new(
+        view: &'w TableView<'w>,
+        out: &'w mut Flat,
+        root: usize,
+        kernel_space: bool,
+        base: Option<&'w RootBaseline>,
+    ) -> Self {
+        let visits = base.map_or(0, |b| b.flat.visits.len());
+        let mut hot = vec![false; visits];
+        if let Some(base) = base {
+            for page in view.dirty() {
+                let mut visit = base.index.get(&(page << PAGE_SHIFT)).copied();
+                while let Some(v) = visit.filter(|&v| !hot[v]) {
+                    hot[v] = true;
+                    visit = base.flat.visits[v].parent.map(|(p, _)| p);
+                }
+            }
+        }
+        Self {
+            view,
+            out,
+            root,
+            kernel_space,
+            seen: FxHashMap::default(),
+            subtrees: None,
+            base,
+            hot,
+            reached: vec![false; visits],
+        }
+    }
+
+    /// Walks the table at `table`, reached through `parent`. `hint` is
+    /// its baseline visit when the caller already knows it.
     fn table(
         &mut self,
-        graph: &mut MappingGraph,
         table: PhysAddr,
         level: u32,
         va_base: u64,
         parent: Option<(usize, u64)>,
+        hint: Option<usize>,
     ) {
-        if !self.visited.insert(table.raw()) {
-            return; // cycle (or diamond) — already walked under this root
+        let base = self.base;
+        let at = hint.or_else(|| base.and_then(|b| b.index.get(&table.raw()).copied()));
+        match (base, at) {
+            (_, Some(u)) if self.reached[u] => return, // walked under this root
+            (Some(b), Some(u)) => {
+                let sub = &b.subtrees[u];
+                if self.copyable(u, level, va_base) {
+                    self.copy((sub.start, sub.end), parent.map(|(visit, _)| visit));
+                    return;
+                }
+                if sub.plain
+                    && (sub.level, sub.va_base) == (level, va_base)
+                    && !self.view.is_dirty(table)
+                {
+                    self.expand(b, u, parent);
+                    return;
+                }
+                self.reached[u] = true;
+            }
+            _ => {
+                if let Some(&first) = self.seen.get(&table.raw()) {
+                    self.revisit(first, parent);
+                    return;
+                }
+                self.seen.insert(table.raw(), self.out.visits.len());
+            }
         }
-        let kernel_space = graph.roots[self.root].kernel_space;
-        let key = (level, va_base, kernel_space);
-        let Ok(fragment) = self.memo.0.fragment(self.view, table, key, |entries| {
-            TableFragment::decode(entries, level, va_base, kernel_space)
-        }) else {
-            let (detail, chain) = match parent {
-                None => (format!("root table {table} is outside DRAM"), Vec::new()),
-                Some((visit, index)) => (
-                    format!("table pointer outside DRAM ({table}), va {va_base:#x}"),
-                    graph.chain(visit, index),
-                ),
+        let Ok(entries) = self.view.read(table) else {
+            let detail = match parent {
+                None => format!("root table {table} is outside DRAM"),
+                Some(_) => format!("table pointer outside DRAM ({table}), va {va_base:#x}"),
             };
-            graph.malformed.push((detail, chain));
+            self.out.malformed.push((detail, parent));
+            self.seen
+                .insert(table.raw(), parent.map_or(0, |(visit, _)| visit));
+            if let (Some(subtrees), Some((holder, _))) = (&mut self.subtrees, parent) {
+                subtrees[holder].plain = false;
+            }
             return;
         };
-        let visit = graph.visits.len();
-        graph.visits.push(TableVisit {
+        let visit = self.out.visits.len();
+        self.out.visits.push(TableVisit {
             table,
             root: self.root,
             parent,
         });
-        for item in &fragment.0 {
-            match *item {
-                Item::Run(run) => graph.runs.push(LeafRun { visit, ..run }),
-                Item::Child { index, next, va } => {
-                    self.table(graph, next, level + 1, va, Some((visit, index)));
+        if let Some(subtrees) = &mut self.subtrees {
+            let start = (visit, self.out.runs.len(), self.out.malformed.len());
+            subtrees.push(Subtree {
+                level,
+                va_base,
+                start,
+                end: start,
+                open: false,
+                plain: true,
+            });
+        }
+        let shift = level_shift(level);
+        let mut run: Option<LeafRun> = None;
+        // The raw descriptor of the open run's last leaf.
+        let mut last = 0u64;
+        for (i, &raw) in (0u64..).zip(&entries) {
+            if let Some(r) = &mut run {
+                // The same attributes one leaf further on: no decode.
+                if raw == last.wrapping_add(1 << shift) && (raw ^ last) & !desc::ADDR_MASK == 0 {
+                    r.len += 1;
+                    last = raw;
+                    continue;
                 }
-                Item::LeafLevelTable { index, va } => {
-                    let chain = graph.chain(visit, index);
-                    graph
-                        .malformed
-                        .push((format!("table pointer at leaf level, va {va:#x}"), chain));
+            }
+            let va = va_base | i << shift;
+            match Descriptor::decode(raw, level) {
+                Descriptor::Leaf { out, perms } => {
+                    last = raw;
+                    match &mut run {
+                        Some(r) if r.perms == perms && r.out_end() == out.raw() => r.len += 1,
+                        _ => self.out.runs.extend(run.replace(LeafRun {
+                            visit,
+                            first: i,
+                            len: 1,
+                            kernel_space: self.kernel_space,
+                            va,
+                            out,
+                            span: 1 << shift,
+                            perms,
+                        })),
+                    }
+                }
+                Descriptor::Invalid => self.out.runs.extend(run.take()),
+                Descriptor::Table { next } => {
+                    self.out.runs.extend(run.take());
+                    if level >= 3 {
+                        let detail = format!("table pointer at leaf level, va {va:#x}");
+                        self.out.malformed.push((detail, Some((visit, i))));
+                        if let Some(subtrees) = &mut self.subtrees {
+                            subtrees[visit].plain = false;
+                        }
+                        continue;
+                    }
+                    self.table(next, level + 1, va, Some((visit, i)), None);
                 }
             }
         }
+        self.out.runs.extend(run);
+        if let Some(subtrees) = &mut self.subtrees {
+            subtrees[visit].end = self.out.end();
+        }
+    }
+
+    /// A pointer from `parent` to a table first reached at visit
+    /// `first`: the cold walk skips it. While recording a baseline, it
+    /// makes the holder not plain and opens every subtree on the way up
+    /// that begins after `first`.
+    fn revisit(&mut self, first: usize, parent: Option<(usize, u64)>) {
+        let Some(subtrees) = &mut self.subtrees else {
+            return;
+        };
+        let mut visit = parent.map(|(v, _)| v);
+        if let Some(holder) = visit {
+            subtrees[holder].plain = false;
+        }
+        while let Some(v) = visit.filter(|&v| v > first) {
+            subtrees[v].open = true;
+            visit = self.out.visits[v].parent.map(|(p, _)| p);
+        }
+    }
+
+    /// Whether baseline visit `u`'s subtree, its table reached at
+    /// `level` and `va_base`, is what decoding it would give: reached at
+    /// the baseline's level and address, with no page of D, no table
+    /// this walk has reached, and no revisit of a table outside it.
+    fn copyable(&self, u: usize, level: u32, va_base: u64) -> bool {
+        let Some(base) = self.base else {
+            return false;
+        };
+        let sub = &base.subtrees[u];
+        (sub.level, sub.va_base) == (level, va_base)
+            && !sub.open
+            && !self.hot[u]
+            && !self.reached[u..sub.end.0].contains(&true)
+    }
+
+    /// Walks baseline visit `u`, a plain table the run left unchanged and
+    /// reached at the baseline's level and address, without decoding it:
+    /// its own runs and the children that may be copied go in blocks,
+    /// and each other child is walked, or skipped if this walk has
+    /// reached it already.
+    fn expand(&mut self, b: &'w RootBaseline, u: usize, parent: Option<(usize, u64)>) {
+        self.reached[u] = true;
+        let visit = self.out.visits.len();
+        self.out.visits.push(TableVisit {
+            table: b.flat.visits[u].table,
+            root: self.root,
+            parent,
+        });
+        let sub = b.subtrees[u];
+        // Where the stretch still to copy begins.
+        let mut from = (u + 1, sub.start.1, sub.start.2);
+        let mut c = u + 1;
+        while c < sub.end.0 {
+            let child = b.subtrees[c];
+            if !self.copyable(c, child.level, child.va_base) {
+                self.copy((from, child.start), Some(visit));
+                if !self.reached[c] {
+                    let link = b.flat.visits[c].parent.expect("a child");
+                    let table = b.flat.visits[c].table;
+                    let va = child.va_base;
+                    self.table(table, child.level, va, Some((visit, link.1)), Some(c));
+                }
+                from = child.end;
+            }
+            c = child.end.0;
+        }
+        self.copy((from, sub.end), Some(visit));
+    }
+
+    /// Appends the baseline between `from` and `to` as the walk of its
+    /// tables (whole sibling subtrees, and runs of their parent): visit
+    /// indexes rebased, and a link or run of a table outside the block
+    /// (its parent) moved to visit `parent`, with the same entry index,
+    /// as the level and address match. Chains are rebuilt at the end.
+    fn copy(&mut self, (from, to): (Pos, Pos), parent: Option<usize>) {
+        let base = self.base.expect("copies come from a baseline");
+        let (start, end) = (from.0, to.0);
+        let new = self.out.visits.len();
+        let rebase = |v: usize| {
+            if v < start {
+                parent.expect("a parent outside the block")
+            } else {
+                v + new - start
+            }
+        };
+        let link = |(p, i): (usize, u64)| (rebase(p), i);
+        let root = self.root;
+        self.out
+            .visits
+            .extend(base.flat.visits[start..end].iter().map(|v| TableVisit {
+                table: v.table,
+                root,
+                parent: v.parent.map(link),
+            }));
+        let (runs, malformed) = (&base.flat.runs, &base.flat.malformed);
+        self.out
+            .runs
+            .extend(runs[from.1..to.1].iter().map(|r| LeafRun {
+                visit: rebase(r.visit),
+                ..*r
+            }));
+        self.out.malformed.extend(
+            malformed[from.2..to.2]
+                .iter()
+                .map(|(detail, at)| (detail.clone(), at.map(link))),
+        );
+        self.reached[start..end].fill(true);
     }
 }
 
@@ -411,7 +692,7 @@ mod tests {
             kernel_space: true,
             origins: vec![RootOrigin::ActiveTtbr1],
         }];
-        let g = MappingGraph::walk(&m, &roots, &WalkMemo::default());
+        let g = MappingGraph::walk(&m, &roots, None);
         assert_eq!(g.tables.len(), 4);
         assert_eq!(g.visits.len(), 4);
         assert_eq!(g.leaf_count(), 1);
@@ -469,7 +750,7 @@ mod tests {
             kernel_space: false,
             origins: vec![RootOrigin::ActiveTtbr0],
         }];
-        let g = MappingGraph::walk(&m, &roots, &WalkMemo::default());
+        let g = MappingGraph::walk(&m, &roots, None);
         let shape: Vec<(u64, u64, u64)> = g
             .runs
             .iter()
@@ -510,7 +791,7 @@ mod tests {
                 origins: vec![RootOrigin::ActiveTtbr0],
             },
         ];
-        let g = MappingGraph::walk(&m, &roots, &WalkMemo::default());
+        let g = MappingGraph::walk(&m, &roots, None);
         assert_eq!(g.tables, [PhysAddr::new(0x1000)]);
         assert_eq!(g.malformed.len(), 2);
         assert!(g.malformed[0].0.contains("outside DRAM"));
@@ -530,18 +811,17 @@ mod tests {
             kernel_space: false,
             origins: vec![RootOrigin::ActiveTtbr0],
         }];
-        let g = MappingGraph::walk(&m, &roots, &WalkMemo::default());
+        let g = MappingGraph::walk(&m, &roots, None);
         assert_eq!(g.tables.len(), 1);
         assert_eq!(g.visits.len(), 1);
         assert!(g.runs.is_empty());
     }
 
-    /// One table page reached in two contexts: at level 1 of a
-    /// kernel-half root and at level 2 of a user root. Its leaf is a
-    /// 1 GiB block in the first and a 2 MiB block in the second, so each
-    /// context needs its own memo entry.
-    #[test]
-    fn a_warm_memo_walks_like_a_cold_one_in_every_context() {
+    /// A machine where one table page is reached in two contexts: at
+    /// level 1 of a kernel-half root and at level 2 of a user root. Its
+    /// leaf is a 1 GiB block in the first and a 2 MiB block in the
+    /// second.
+    fn two_contexts() -> (Machine, [RootSpec; 2]) {
         let mut m = machine();
         let (a, b, mid, shared) = (0x1000u64, 0x2000, 0x3000, 0x4000);
         for t in [a, b, mid, shared] {
@@ -560,23 +840,85 @@ mod tests {
             kernel_space,
             origins: vec![RootOrigin::KernelKnown],
         });
-        let fork = m.clone();
-        let cold = format!(
-            "{:?}",
-            MappingGraph::walk(&fork, &roots, &WalkMemo::default())
-        );
-        let memo = WalkMemo::default();
+        (m, roots)
+    }
+
+    /// A fork walked against its family's baseline (the warm memo of its
+    /// template's walk) gives the graph a machine never forked in the
+    /// same state gives (a cold walk), in every context and after its
+    /// run changes a table; each root has one baseline.
+    #[test]
+    fn a_warm_memo_walks_like_a_cold_one_in_every_context() {
+        let (template, roots) = two_contexts();
+        let (cold, _) = two_contexts();
+        let cold = format!("{:?}", MappingGraph::walk(&cold, &roots, None));
+        let baseline = WalkBaseline::default();
+        let fork = template.fork();
         for _ in 0..2 {
-            let warm = format!("{:?}", MappingGraph::walk(&fork, &roots, &memo));
-            assert_eq!(warm, cold);
+            let warm = MappingGraph::walk(&fork, &roots, Some(&baseline));
+            assert_eq!(format!("{warm:?}"), cold);
         }
-        assert_eq!(memo.len(), 5, "the shared table has an entry per context");
-        let spans: Vec<u64> = MappingGraph::walk(&fork, &roots, &memo)
+        assert_eq!(baseline.len(), 2, "one baseline per root");
+        let spans: Vec<u64> = MappingGraph::walk(&fork, &roots, Some(&baseline))
             .runs
             .iter()
             .map(|r| r.span)
             .collect();
         assert_eq!(spans, [1 << 30, 2 << 20]);
+        // The run rewrites the middle table: the user root's walk decodes
+        // it and the kernel root's copies its whole subtree.
+        let (mut cold, _) = two_contexts();
+        let mut fork = template.fork();
+        for m in [&mut cold, &mut fork] {
+            m.debug_write_phys(PhysAddr::new(0x3000 + 9 * 8), table_desc(0x4000));
+        }
+        let warm = MappingGraph::walk(&fork, &roots, Some(&baseline));
+        assert_eq!(
+            format!("{warm:?}"),
+            format!("{:?}", MappingGraph::walk(&cold, &roots, None))
+        );
+        assert_eq!(warm.leaf_count(), 2, "the second pointer is a revisit");
+    }
+
+    /// Root entries 0 and 1 point at tables A and B, and both point at
+    /// C: in the template's walk, B's pointer to C is a revisit. A fork
+    /// that drops A's pointer reaches C through B, so B's subtree, which
+    /// skipped C in the baseline, must be walked, not copied.
+    #[test]
+    fn a_subtree_that_skipped_a_revisit_is_not_copied() {
+        let (root, a, b, c) = (0x1000u64, 0x2000, 0x3000, 0x4000);
+        let template = || {
+            let mut m = machine();
+            for t in [root, a, b, c] {
+                m.debug_zero_page(PhysAddr::new(t));
+            }
+            m.debug_write_phys(PhysAddr::new(root), table_desc(a));
+            m.debug_write_phys(PhysAddr::new(root + 8), table_desc(b));
+            m.debug_write_phys(PhysAddr::new(a), table_desc(c));
+            m.debug_write_phys(PhysAddr::new(b), table_desc(c));
+            let leaf = Descriptor::Leaf {
+                out: PhysAddr::new(0x40_0000),
+                perms: PagePerms::USER_DATA,
+            };
+            m.debug_write_phys(PhysAddr::new(c + 3 * 8), leaf.encode());
+            m
+        };
+        let roots = [RootSpec {
+            pa: PhysAddr::new(root),
+            kernel_space: false,
+            origins: vec![RootOrigin::KernelKnown],
+        }];
+        let baseline = WalkBaseline::default();
+        let family = template();
+        MappingGraph::walk(&family.fork(), &roots, Some(&baseline));
+        let (mut fork, mut cold) = (family.fork(), template());
+        for m in [&mut fork, &mut cold] {
+            m.debug_write_phys(PhysAddr::new(a), 0);
+        }
+        let warm = MappingGraph::walk(&fork, &roots, Some(&baseline));
+        let cold = MappingGraph::walk(&cold, &roots, None);
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+        assert_eq!(warm.leaf_count(), 1, "C is reached through B");
     }
 
     #[test]

@@ -47,9 +47,10 @@
 //! The pass walks the graph once ([`MappingGraph::walk`]), reading
 //! every table page whole through the machine's table view — cache
 //! coherent, zero simulated cycles, no architectural side effects — so
-//! auditing never perturbs the simulation it inspects. A table page a
-//! template family shares is decoded once per family and replayed from
-//! its [`WalkMemo`]. Leaves are checked as runs: a run whose O(1) range
+//! auditing never perturbs the simulation it inspects. A fork of a
+//! template decodes only the tables its run changed, and their
+//! ancestors, and copies every other subtree from its family's
+//! [`WalkBaseline`]. Leaves are checked as runs: a run whose O(1) range
 //! tests show that no leaf can fire is never expanded, and a descriptor
 //! chain is rebuilt only for a finding.
 //!
@@ -60,7 +61,7 @@ pub mod report;
 pub mod sanitizer;
 
 pub use graph::{
-    chain_display, ChainLink, LeafRun, MappingGraph, RootOrigin, RootSpec, TableVisit, WalkMemo,
+    chain_display, ChainLink, LeafRun, MappingGraph, RootOrigin, RootSpec, TableVisit, WalkBaseline,
 };
 pub use report::{
     CheckKind, DifferentialReport, Finding, SanitizerReport, StaticAuditReport, AUDIT_SCHEMA,
@@ -84,14 +85,14 @@ use hypernel_machine::regs::SysReg;
 /// runtime audit runs once and is returned beside the report, so a
 /// caller that needs it too (the campaign's W⊕X oracle) does not audit
 /// the same state twice. The ownership-sanitizer section is filled in
-/// when shadow tags are enabled on the machine. `memo` is the walk memo
-/// of the system's template family (an empty one walks cold); the
-/// report is the same with any memo.
+/// when shadow tags are enabled on the machine. `baseline` is the walk
+/// baseline of the system's template family; the report is the same
+/// with any baseline, and a machine never forked walks cold.
 pub fn audit_system(
     m: &mut Machine,
     kernel: &Kernel,
     hypersec: Option<&Hypersec>,
-    memo: &WalkMemo,
+    baseline: &WalkBaseline,
 ) -> (StaticAuditReport, Option<AuditReport>) {
     let mut report = StaticAuditReport::default();
     let locked = hypersec.filter(|h| h.is_locked());
@@ -99,7 +100,7 @@ pub fn audit_system(
     let roots = collect_roots(m, kernel, hypersec);
     check_rogue_roots(&roots, kernel, locked, &mut report);
 
-    let graph = MappingGraph::walk(m, &roots, memo);
+    let graph = MappingGraph::walk(m, &roots, Some(baseline));
     report.roots_walked = graph.roots.len() as u64;
     report.tables_walked = graph.tables.len() as u64;
     report.leaves_checked = graph.leaf_count();
@@ -108,15 +109,14 @@ pub fn audit_system(
         report.finding(CheckKind::Malformed, detail.clone(), chain.clone());
     }
     check_leaves(&graph, &mut report);
-    let verified = locked.map(Hypersec::verified_tables).unwrap_or_default();
-    if locked.is_some() {
-        check_tables_ro(&graph, &verified, &mut report);
-        check_verified_pool(&graph, &verified, &mut report);
+    if let Some(hyp) = locked {
+        check_tables_ro(&graph, hyp.verified_tables(), &mut report);
+        check_verified_pool(&graph, hyp.verified_tables(), &mut report);
     }
     if let Some(hyp) = hypersec {
         check_watch_coverage(m, hyp, &graph, &mut report);
     }
-    let incremental = locked.map(|hyp| hyp.audit_with_tables(m, &verified));
+    let incremental = locked.map(|hyp| hyp.audit(m));
     if let Some(incremental) = &incremental {
         report.differential = Some(differential(&report, incremental));
     }
@@ -485,7 +485,7 @@ mod tests {
             kernel_space: true,
             origins: vec![RootOrigin::KernelKnown],
         }];
-        MappingGraph::walk(&m, &roots, &WalkMemo::default())
+        MappingGraph::walk(&m, &roots, None)
     }
 
     /// The findings, chains and leaf count a per-leaf walk gives for

@@ -16,7 +16,7 @@ use hypernel_machine::machine::Machine;
 use hypernel_machine::shadow::{PageTag, ShadowTags, TagPolicy};
 use hypernel_mbm::monitor::MbmConfig;
 
-use crate::graph::{MappingGraph, RootOrigin, RootSpec, WalkMemo};
+use crate::graph::{MappingGraph, RootOrigin, RootSpec};
 
 /// Classifies every DRAM page of a paused system and returns the
 /// seeded shadow-tag store, ready for
@@ -79,7 +79,7 @@ pub fn seed_shadow(
             origins: vec![RootOrigin::KernelKnown],
         });
     }
-    let graph = MappingGraph::walk(m, &roots, &WalkMemo::default());
+    let graph = MappingGraph::walk(m, &roots, None);
     for table in &graph.tables {
         tags.tag_page(*table, PageTag::PageTable);
     }

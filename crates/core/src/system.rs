@@ -9,7 +9,7 @@
 //! * [`Mode::Hypernel`] — the kernel under Hypersec (no nested paging)
 //!   with the memory bus monitor attached.
 
-use hypernel_audit::WalkMemo;
+use hypernel_audit::WalkBaseline;
 use hypernel_hypersec::{
     ComposeMonitor, CredMonitor, DentryMonitor, Hypersec, HypersecConfig, SecurityApp,
 };
@@ -318,7 +318,7 @@ impl SystemBuilder {
             kernel,
             el2,
             telemetry,
-            audit_memo: WalkMemo::default(),
+            audit_baseline: WalkBaseline::default(),
         })
     }
 }
@@ -330,8 +330,9 @@ pub struct System {
     kernel: Kernel,
     el2: El2Software,
     telemetry: Option<TelemetryHandles>,
-    /// The static audit's walk memo, shared by a template and its forks.
-    audit_memo: WalkMemo,
+    /// The static audit's walk baseline, shared by a template and its
+    /// forks.
+    audit_baseline: WalkBaseline,
 }
 
 impl std::fmt::Debug for System {
@@ -504,17 +505,17 @@ impl System {
     ///   the fork afterwards if the experiment needs it).
     ///
     /// Memory is copy-on-write: the copy shares every DRAM chunk and
-    /// page until one side writes it. The audit memos (the static
-    /// walk's and Hypersec's) are shared, not copied: they belong to the
-    /// template family, and page identity keeps them sound for every
-    /// member.
+    /// page until one side writes it. The first fork records the
+    /// family's snapshot ([`Machine::fork`]), and the audit baselines
+    /// (the static walk's and Hypersec's) are shared, not copied: they
+    /// belong to the template family and are walks of its snapshot.
     ///
     /// A fork taken immediately after boot is observationally identical
     /// to a fresh [`SystemBuilder::build`] with the same settings: the
     /// campaign engine relies on this to boot each scenario once and
     /// fork per seed.
     pub fn fork(&self) -> System {
-        let mut machine = self.machine.clone();
+        let mut machine = self.machine.fork();
         // The clone shares the original's telemetry fan-out (an `Rc`);
         // detach it so the fork cannot feed the original's ring.
         machine.set_telemetry_sink(None);
@@ -537,7 +538,7 @@ impl System {
             kernel: self.kernel.clone(),
             el2: self.el2.clone(),
             telemetry: None,
-            audit_memo: self.audit_memo.clone(),
+            audit_baseline: self.audit_baseline.clone(),
         }
     }
 
@@ -550,10 +551,10 @@ impl System {
         }
     }
 
-    /// The static audit's walk memo, shared with this system's template
-    /// and every fork of it (see [`System::fork`]).
-    pub fn audit_memo(&self) -> &WalkMemo {
-        &self.audit_memo
+    /// The static audit's walk baseline, shared with this system's
+    /// template and every fork of it (see [`System::fork`]).
+    pub fn audit_baseline(&self) -> &WalkBaseline {
+        &self.audit_baseline
     }
 
     /// Runs the whole-system static audit pass (`hypernel-audit`): the
@@ -580,7 +581,12 @@ impl System {
             El2Software::Hypersec(h) => Some(h),
             _ => None,
         };
-        hypernel_audit::audit_system(&mut self.machine, &self.kernel, hypersec, &self.audit_memo)
+        hypernel_audit::audit_system(
+            &mut self.machine,
+            &self.kernel,
+            hypersec,
+            &self.audit_baseline,
+        )
     }
 
     /// Turns on the guest-memory ownership sanitizer: seeds a shadow

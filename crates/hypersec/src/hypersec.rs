@@ -19,9 +19,9 @@
 //!   event dispatch — §5.3, Fig. 4.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use hypernel_machine::fxhash::FxHashMap;
-use hypernel_machine::pagememo::{PageMemo, TableView};
 
 use hypernel_kernel::abi::Hypercall;
 use hypernel_kernel::layout;
@@ -35,6 +35,7 @@ use hypernel_mbm::bitmap::BitmapLayout;
 use hypernel_mbm::ring::RingLayout;
 use hypernel_telemetry::SpanKind;
 
+use crate::audit::{self, AuditBaseline, Ctx};
 use crate::secapp::{MonitorEvent, Region, SecurityApp, Verdict};
 
 /// Violation codes reported by Hypersec.
@@ -209,10 +210,75 @@ enum Space {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct TableInfo {
+pub(crate) struct TableInfo {
     level: u32,
     va_base: u64,
     space: Space,
+}
+
+/// The verified pool: every registered table page, ascending, beside
+/// its place in the tree. Shared copy-on-write, so a clone (a fork)
+/// copies one pointer and the audit borrows the sorted list; a lookup is
+/// a binary search.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pool {
+    tables: Vec<PhysAddr>,
+    info: Vec<TableInfo>,
+}
+
+impl Pool {
+    fn get(&self, table: PhysAddr) -> Option<&TableInfo> {
+        let i = self.tables.binary_search(&table).ok()?;
+        Some(&self.info[i])
+    }
+
+    pub(crate) fn contains(&self, table: PhysAddr) -> bool {
+        self.tables.binary_search(&table).is_ok()
+    }
+
+    fn insert(&mut self, table: PhysAddr, info: TableInfo) {
+        match self.tables.binary_search(&table) {
+            Ok(i) => self.info[i] = info,
+            Err(i) => {
+                self.tables.insert(i, table);
+                self.info.insert(i, info);
+            }
+        }
+    }
+
+    fn remove(&mut self, table: PhysAddr) -> Option<TableInfo> {
+        let i = self.tables.binary_search(&table).ok()?;
+        self.tables.remove(i);
+        Some(self.info.remove(i))
+    }
+
+    /// The tables exactly one of the two pools holds, ascending: one
+    /// merge of the sorted lists, and nothing to do when both are one
+    /// pool.
+    pub(crate) fn difference(&self, other: &Pool) -> Vec<PhysAddr> {
+        let mut out = Vec::new();
+        if std::ptr::eq(self, other) {
+            return out;
+        }
+        let (a, b) = (&self.tables, &other.tables);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => (i, j) = (i + 1, j + 1),
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        out
+    }
 }
 
 /// One detected integrity violation.
@@ -245,48 +311,8 @@ impl AuditReport {
         self.violations.is_empty()
     }
 
-    fn violation(&mut self, message: String) {
+    pub(crate) fn violation(&mut self, message: String) {
         self.violations.push(message);
-    }
-}
-
-/// One entry-order item of a [`TableAudit`].
-#[derive(Debug)]
-enum AuditItem {
-    /// An invariant a leaf of the table breaks.
-    Violation(String),
-    /// A next-level table to descend into, mapping from `va`.
-    Child { next: PhysAddr, va: u64 },
-}
-
-/// What one table page contributes to [`Hypersec::audit`]: its leaf
-/// count, the leaf-invariant violations and the child tables, in entry
-/// order. A function of the page's entries and its [`AuditMemo`] key
-/// alone; whether the table is registered is Hypersec state, checked on
-/// every replay instead.
-#[derive(Debug)]
-struct TableAudit {
-    leaves: u64,
-    items: Vec<AuditItem>,
-}
-
-/// [`Hypersec::audit`]'s memo: a table page's fragment (leaf count,
-/// violations, children) by page identity, keyed by (table, level, va base, kernel space, W⊕X check
-/// disabled). `Clone` shares it, so a Hypersec and its clones (a
-/// template and its forks) hold one; `Default` is empty, and auditing
-/// with an empty memo is a cold audit.
-#[derive(Clone, Debug, Default)]
-pub struct AuditMemo(PageMemo<(u32, u64, bool, bool), TableAudit>);
-
-impl AuditMemo {
-    /// Number of fragments held.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the memo holds no fragment.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -388,12 +414,12 @@ pub struct HypersecStats {
 ///
 /// `Clone` deep-copies the whole EL2 state — table shadows, regions,
 /// security apps (via [`SecurityApp::clone_box`]), detections and stats —
-/// supporting warm-boot forking of a booted system. The clones share one
-/// [`AuditMemo`].
+/// supporting warm-boot forking of a booted system. The clones share the
+/// verified pool until one changes it, and share one [`AuditBaseline`].
 #[derive(Clone)]
 pub struct Hypersec {
     config: HypersecConfig,
-    tables: FxHashMap<u64, TableInfo>,
+    tables: Rc<Pool>,
     pending_tables: FxHashMap<u64, ()>,
     roots: FxHashMap<u64, ()>,
     kernel_root: Option<PhysAddr>,
@@ -413,15 +439,16 @@ pub struct Hypersec {
     /// verifier bug the *static* auditor must still catch (the
     /// differential check in `hypernel-audit` exists for exactly this).
     wx_check_disabled: bool,
-    /// The memo [`Hypersec::audit`] walks with, shared with every clone.
-    audit_memo: AuditMemo,
+    /// The baseline [`Hypersec::audit`] walks against, shared with
+    /// every clone.
+    audit_baseline: AuditBaseline,
 }
 
 impl std::fmt::Debug for Hypersec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hypersec")
             .field("locked", &self.locked)
-            .field("tables", &self.tables.len())
+            .field("tables", &self.tables.tables.len())
             .field("regions", &self.regions.len())
             .field("apps", &self.apps.len())
             .field("stats", &self.stats)
@@ -429,12 +456,12 @@ impl std::fmt::Debug for Hypersec {
     }
 }
 
-fn level_shift(level: u32) -> u32 {
+pub(crate) fn level_shift(level: u32) -> u32 {
     12 + 9 * (3 - level)
 }
 
 /// Whether `[out, out + span)` overlaps the kernel image (its text).
-fn is_kernel_text(out: PhysAddr, span: u64) -> bool {
+pub(crate) fn is_kernel_text(out: PhysAddr, span: u64) -> bool {
     out.raw() < layout::KERNEL_IMAGE_BASE + layout::KERNEL_IMAGE_SIZE
         && out.raw() + span > layout::KERNEL_IMAGE_BASE
 }
@@ -461,59 +488,6 @@ fn level3_table(
         }
     }
     Ok(table)
-}
-
-/// Decodes the table page at `table` (its `entries`) for
-/// [`Hypersec::audit`]: invariants 2–4 and kernel-text immutability on
-/// every leaf, plus the child tables, in entry order.
-fn audit_table(
-    entries: &[u64; ENTRIES_PER_TABLE],
-    table: PhysAddr,
-    level: u32,
-    va_base: u64,
-    kernel_space: bool,
-    wx_check: bool,
-) -> TableAudit {
-    let mut fragment = TableAudit {
-        leaves: 0,
-        items: Vec::new(),
-    };
-    for (i, raw) in (0u64..).zip(entries) {
-        let va = va_base | i << level_shift(level);
-        match Descriptor::decode(*raw, level) {
-            Descriptor::Invalid => {}
-            Descriptor::Table { next } => fragment.items.push(if level >= 3 {
-                AuditItem::Violation(format!("table pointer at leaf level in {table}"))
-            } else {
-                AuditItem::Child { next, va }
-            }),
-            Descriptor::Leaf { out, perms } => {
-                fragment.leaves += 1;
-                let span = 1u64 << level_shift(level);
-                if out.raw() + span > layout::SECURE_BASE {
-                    fragment.items.push(AuditItem::Violation(format!(
-                        "leaf at va {va:#x} maps secure memory ({out})"
-                    )));
-                }
-                if perms.write && perms.exec && wx_check {
-                    fragment
-                        .items
-                        .push(AuditItem::Violation(format!("W^X violation at va {va:#x}")));
-                }
-                if kernel_space && va != out.raw() {
-                    fragment.items.push(AuditItem::Violation(format!(
-                        "kernel linear leaf not identity: va {va:#x} -> {out}"
-                    )));
-                }
-                if kernel_space && perms.write && is_kernel_text(out, span) {
-                    fragment.items.push(AuditItem::Violation(format!(
-                        "kernel text writable at va {va:#x}"
-                    )));
-                }
-            }
-        }
-    }
-    fragment
 }
 
 impl Hypersec {
@@ -577,7 +551,7 @@ impl Hypersec {
         m.el2_write_sysreg(SysReg::HCR_EL2, hcr::TVM);
         Self {
             config,
-            tables: FxHashMap::default(),
+            tables: Rc::default(),
             pending_tables: FxHashMap::default(),
             roots: FxHashMap::default(),
             kernel_root: None,
@@ -589,7 +563,7 @@ impl Hypersec {
             stats: HypersecStats::default(),
             rule_hits: BTreeMap::new(),
             wx_check_disabled: false,
-            audit_memo: AuditMemo::default(),
+            audit_baseline: AuditBaseline::default(),
         }
     }
 
@@ -640,12 +614,10 @@ impl Hypersec {
     }
 
     /// Physical addresses of every verified (registered) table page,
-    /// sorted — the Hypersec-verified pool a static auditor compares
-    /// reachable tables against.
-    pub fn verified_tables(&self) -> Vec<PhysAddr> {
-        let mut tables: Vec<PhysAddr> = self.tables.keys().map(|t| PhysAddr::new(*t)).collect();
-        tables.sort();
-        tables
+    /// ascending — the Hypersec-verified pool a static auditor compares
+    /// reachable tables against. Kept sorted, so this borrows it.
+    pub fn verified_tables(&self) -> &[PhysAddr] {
+        &self.tables.tables
     }
 
     /// Physical addresses of tables registered but not yet adopted into
@@ -674,9 +646,10 @@ impl Hypersec {
         self.kernel_root
     }
 
-    /// The memo [`Hypersec::audit`] walks with, shared with every clone.
-    pub fn audit_memo(&self) -> &AuditMemo {
-        &self.audit_memo
+    /// The baseline [`Hypersec::audit`] walks against, shared with
+    /// every clone.
+    pub fn audit_baseline(&self) -> &AuditBaseline {
+        &self.audit_baseline
     }
 
     /// Disables the W⊕X clause in both the incremental verifier and
@@ -703,58 +676,37 @@ impl Hypersec {
     /// verify formally; this runtime auditor is the testable stand-in —
     /// integration tests run it after every adversarial scenario.
     ///
-    /// A table page this Hypersec's family shares is decoded once and
-    /// replayed from the family's [`AuditMemo`]; see
-    /// [`Hypersec::audit_with`].
+    /// A fork of a template walks only the tables its run changed
+    /// (and their ancestors) and copies the rest from the family's
+    /// [`AuditBaseline`]; the report is the same as a cold walk's.
     ///
     /// # Panics
     ///
     /// Panics if called before `LOCK` (there is nothing to audit).
     pub fn audit(&self, m: &mut Machine) -> AuditReport {
-        self.audit_with(m, &self.audit_memo)
-    }
-
-    /// [`Hypersec::audit`] walking with `memo`: an empty memo gives a
-    /// cold audit. The report is the same with any memo.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `LOCK` (there is nothing to audit).
-    pub fn audit_with(&self, m: &mut Machine, memo: &AuditMemo) -> AuditReport {
-        self.audit_inner(m, memo, &self.verified_tables())
-    }
-
-    /// [`Hypersec::audit`] for a caller that already holds `verified`,
-    /// the [`Hypersec::verified_tables`] list, so the audit does not
-    /// collect and sort the pool again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `LOCK`, and in debug builds if `verified`
-    /// is not exactly the verified pool in ascending order.
-    pub fn audit_with_tables(&self, m: &mut Machine, verified: &[PhysAddr]) -> AuditReport {
-        debug_assert!(
-            verified.len() == self.tables.len()
-                && verified.windows(2).all(|w| w[0] < w[1])
-                && verified.iter().all(|t| self.tables.contains_key(&t.raw())),
-            "`verified` must be the verified pool, ascending"
-        );
-        self.audit_inner(m, &self.audit_memo, verified)
-    }
-
-    fn audit_inner(&self, m: &mut Machine, memo: &AuditMemo, verified: &[PhysAddr]) -> AuditReport {
         let kernel_root = self.kernel_root.expect("audit requires the locked state");
         let mut report = AuditReport::default();
         let mut roots: Vec<PhysAddr> = self.roots.keys().map(|r| PhysAddr::new(*r)).collect();
         roots.sort();
         roots.insert(0, kernel_root);
+        let roots: Vec<Ctx> = (0..)
+            .zip(roots)
+            .map(|(i, root)| Ctx {
+                root,
+                kernel_space: i == 0,
+                wx_check: !self.wx_check_disabled,
+            })
+            .collect();
         let view = m.table_view();
-        for (i, root) in roots.iter().enumerate() {
-            let kernel_space = i == 0;
-            self.audit_tree(&view, memo, *root, 0, 0, kernel_space, &mut report);
-        }
+        audit::walk_roots(
+            &view,
+            &self.tables,
+            &self.audit_baseline,
+            &roots,
+            &mut report,
+        );
         // Invariant 5: registered tables are read-only to the kernel.
-        Self::audit_tables_read_only(m, kernel_root, verified, &mut report);
+        Self::audit_tables_read_only(m, kernel_root, self.verified_tables(), &mut report);
         // Invariant 6: monitored regions are non-cacheable and armed.
         for region in &self.regions {
             let walked = {
@@ -835,47 +787,18 @@ impl Hypersec {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal recursion carries the whole walk state
-    fn audit_tree(
-        &self,
-        view: &TableView<'_>,
-        memo: &AuditMemo,
-        table: PhysAddr,
-        level: u32,
-        va_base: u64,
-        kernel_space: bool,
-        report: &mut AuditReport,
-    ) {
-        report.tables_checked += 1;
-        if !self.tables.contains_key(&table.raw()) {
-            report.violation(format!("reachable table {table} is not registered"));
-        }
-        let wx_check = !self.wx_check_disabled;
-        let key = (level, va_base, kernel_space, self.wx_check_disabled);
-        let Ok(fragment) = memo.0.fragment(view, table, key, |entries| {
-            audit_table(entries, table, level, va_base, kernel_space, wx_check)
-        }) else {
-            report.violation(format!("reachable table {table} is outside DRAM"));
-            return;
-        };
-        report.leaves_checked += fragment.leaves;
-        for item in &fragment.items {
-            match item {
-                AuditItem::Violation(v) => report.violation(v.clone()),
-                AuditItem::Child { next, va } => {
-                    self.audit_tree(view, memo, *next, level + 1, *va, kernel_space, report);
-                }
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Helpers
     // ------------------------------------------------------------------
 
     /// Whether `page` is a registered table page, linked or pending.
     fn is_table(&self, page: u64) -> bool {
-        self.tables.contains_key(&page) || self.pending_tables.contains_key(&page)
+        self.tables.contains(PhysAddr::new(page)) || self.pending_tables.contains_key(&page)
+    }
+
+    /// The verified pool, copied first if a clone still shares it.
+    fn pool_mut(&mut self) -> &mut Pool {
+        Rc::make_mut(&mut self.tables)
     }
 
     fn deny(code: u32, message: impl Into<String>) -> PolicyViolation {
@@ -1048,8 +971,8 @@ impl Hypersec {
             ));
         }
         if root {
-            self.tables.insert(
-                table.raw(),
+            self.pool_mut().insert(
+                table,
                 TableInfo {
                     level: 0,
                     va_base: 0,
@@ -1078,7 +1001,7 @@ impl Hypersec {
         if index >= pagetable::ENTRIES_PER_TABLE {
             return Err(Self::deny(codes::NOT_A_TABLE, "entry index out of range"));
         }
-        let info = *self.tables.get(&table.raw()).ok_or_else(|| {
+        let info = *self.tables.get(table).ok_or_else(|| {
             Self::deny(
                 codes::NOT_A_TABLE,
                 format!("{table} is not a linked page-table page"),
@@ -1094,7 +1017,7 @@ impl Hypersec {
                         "table pointer at leaf level",
                     ));
                 }
-                if self.tables.contains_key(&next.raw()) {
+                if self.tables.contains(next) {
                     return Err(Self::deny(
                         codes::BAD_TABLE_REGISTRATION,
                         format!("table {next} already linked (aliasing)"),
@@ -1106,8 +1029,8 @@ impl Hypersec {
                         format!("descriptor points at unregistered table {next}"),
                     ));
                 }
-                self.tables.insert(
-                    next.raw(),
+                self.pool_mut().insert(
+                    next,
                     TableInfo {
                         level: info.level + 1,
                         va_base: va,
@@ -1142,7 +1065,10 @@ impl Hypersec {
     }
 
     fn unregister_tree(&mut self, m: &mut Machine, table: PhysAddr) {
-        let Some(info) = self.tables.remove(&table.raw()) else {
+        if !self.tables.contains(table) {
+            return;
+        }
+        let Some(info) = self.pool_mut().remove(table) else {
             return;
         };
         self.roots.remove(&table.raw());
@@ -1173,7 +1099,7 @@ impl Hypersec {
             let _ = self.set_linear_perms(m, table, PagePerms::KERNEL_DATA);
             return Ok(0);
         }
-        match self.tables.get(&table.raw()) {
+        match self.tables.get(table) {
             Some(info) if info.space == Space::Kernel => Err(Self::deny(
                 codes::BAD_TABLE_REGISTRATION,
                 "kernel-space tables cannot be retired",
@@ -1204,8 +1130,8 @@ impl Hypersec {
         space: Space,
     ) -> Result<Vec<PhysAddr>, PolicyViolation> {
         let mut pages = vec![table];
-        self.tables.insert(
-            table.raw(),
+        self.pool_mut().insert(
+            table,
             TableInfo {
                 level,
                 va_base,

@@ -35,12 +35,13 @@
 //!
 //! [paper]: https://doi.org/10.1145/3195970.3196061
 
+pub mod audit;
 pub mod hypersec;
 pub mod secapp;
 
+pub use audit::AuditBaseline;
 pub use hypersec::{
-    codes, AuditMemo, AuditReport, Detection, Hypersec, HypersecConfig, HypersecCosts,
-    HypersecStats,
+    codes, AuditReport, Detection, Hypersec, HypersecConfig, HypersecCosts, HypersecStats,
 };
 pub use secapp::{
     ComposeMonitor, CredMonitor, DentryMonitor, MonitorEvent, Region, SecurityApp,

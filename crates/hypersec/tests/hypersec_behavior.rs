@@ -164,7 +164,8 @@ fn read_only_reference(m: &mut Machine, hs: &Hypersec) -> Vec<String> {
     let root = hs.kernel_root().expect("locked");
     let mut view = m.pt_view();
     hs.verified_tables()
-        .into_iter()
+        .iter()
+        .copied()
         .filter_map(
             |table| match pagetable::walk(&mut view, root, layout::kva(table).raw()) {
                 Ok(res) if res.perms.write => {
@@ -203,7 +204,7 @@ fn invariant_5_matches_the_per_table_walk(config: KernelConfig) {
     let (mut m, mut hs, k) = boot_with(config);
     register_spread_roots(&mut m, &mut hs, &k);
     let root = k.kernel_root();
-    let tables = hs.verified_tables();
+    let tables = hs.verified_tables().to_vec();
     let gib = layout::kva(tables[0]).raw() >> 30;
     let mut regions: Vec<Vec<PhysAddr>> = Vec::new();
     for table in tables {

@@ -448,13 +448,23 @@ impl DataCache {
     /// sorted and deduplicated: one pass over the tags. Pure like
     /// [`DataCache::contains`].
     pub(crate) fn resident_pages(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = self
-            .tags
-            .iter()
-            .enumerate()
-            .filter(|&(_, &tag)| tag != INVALID_TAG)
-            .map(|(i, &tag)| self.reconstruct_addr(i / self.ways, tag).page_index())
-            .collect();
+        let mut pages = Vec::new();
+        // Way by way, consecutive sets mostly hold lines of one page:
+        // keep only a change of page, then sort what is left.
+        for way in 0..self.ways {
+            let mut last = None;
+            for set in 0..self.sets {
+                let tag = self.tags[set * self.ways + way];
+                if tag == INVALID_TAG {
+                    continue;
+                }
+                let page = self.reconstruct_addr(set, tag).page_index();
+                if last != Some(page) {
+                    pages.push(page);
+                    last = Some(page);
+                }
+            }
+        }
         pages.sort_unstable();
         pages.dedup();
         pages

@@ -46,10 +46,10 @@ pub mod fxhash;
 pub mod irq;
 pub mod machine;
 pub mod mem;
-pub mod pagememo;
 pub mod pagetable;
 pub mod regs;
 pub mod shadow;
+pub mod snapshot;
 pub mod tlb;
 
 pub use addr::{IntermAddr, PhysAddr, VirtAddr};

@@ -10,6 +10,9 @@
 //! Every operation charges cycles from the [`CostModel`], which is how the
 //! paper's performance experiments (Table 1, Figure 6) are reproduced.
 
+use std::cell::OnceCell;
+use std::rc::Rc;
+
 use crate::addr::{IntermAddr, PhysAddr, VirtAddr};
 use crate::bus::{BusTransaction, MemoryBus, LINE_WORDS};
 use crate::cache::{CachePlan, DataCache, LineHint, LINE_SIZE};
@@ -17,10 +20,10 @@ use crate::cost::CostModel;
 use crate::fault::{FaultStats, SharedFaults};
 use crate::irq::IrqController;
 use crate::mem::{AccessOutOfRangeError, PhysMemory};
-use crate::pagememo::TableView;
 use crate::pagetable::{self, PagePerms, WalkFault, ENTRIES_PER_TABLE};
 use crate::regs::{ExceptionLevel, SysReg, SysRegs};
 use crate::shadow::{PageTag, ShadowTags, Writer as ShadowWriter};
+use crate::snapshot::{Snapshot, TableView};
 use crate::tlb::{Regime, Tlb, TlbEntry};
 use hypernel_telemetry::{Event, PointKind, SharedSink, SpanKind, Track};
 
@@ -373,6 +376,10 @@ pub struct Machine {
     /// Checked at the physical-access chokepoint with zero simulated
     /// cycles — enabling it never changes a simulated result.
     shadow: Option<Box<ShadowTags>>,
+    /// The template family's snapshot, recorded by the first
+    /// [`Machine::fork`] and shared by every fork (see
+    /// [`crate::snapshot`]). Host-only: nothing simulated reads it.
+    snapshot: OnceCell<Rc<Snapshot>>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -417,7 +424,18 @@ impl Machine {
             line_runs: crate::fastpath::fastpath_enabled(),
             plan_stats: PlanStats::default(),
             shadow: None,
+            snapshot: OnceCell::new(),
         }
+    }
+
+    /// Forks this machine: a [`Clone`] that shares the template family's
+    /// [`Snapshot`], which the first fork records. The snapshot copies
+    /// the DRAM directory (chunk pointers) and the data cache; it is
+    /// host-only bookkeeping for [`Machine::table_view`]'s dirty set.
+    pub fn fork(&self) -> Machine {
+        self.snapshot
+            .get_or_init(|| Rc::new(Snapshot::of(&self.mem, &self.cache)));
+        self.clone()
     }
 
     /// Installs (or, with `None`, removes) the ownership sanitizer.
@@ -682,15 +700,16 @@ impl Machine {
         &self,
         table: PhysAddr,
     ) -> Result<[u64; ENTRIES_PER_TABLE], AccessOutOfRangeError> {
-        crate::pagememo::read_table(&self.mem, &self.cache, table)
+        crate::snapshot::read_table(&self.mem, Some(&self.cache), table)
     }
 
-    /// A read-only view of the translation tables for walkers that
-    /// memoise per-page work by copy-on-write page identity; see
-    /// [`crate::pagememo`]. Taking it makes one pass over the data
+    /// A read-only view of the translation tables, with the dirty set
+    /// against the family's snapshot if the machine's family was ever
+    /// forked; see [`crate::snapshot`]. With a snapshot, taking it
+    /// compares the DRAM directories and makes one pass over the data
     /// cache's lines.
     pub fn table_view(&self) -> TableView<'_> {
-        TableView::new(&self.mem, &self.cache)
+        TableView::new(&self.mem, &self.cache, self.snapshot.get())
     }
 
     /// Writes physical memory without cost, translation or bus visibility.

@@ -19,9 +19,10 @@
 //! pages it writes. Reads never materialise or detach anything.
 //!
 //! Because every write detaches a page that anything else still
-//! references, a `PageRef` handle on a page keeps its bytes immutable
-//! for as long as it lives. Table walkers memoise per-page work on that
-//! guarantee ([`crate::pagememo`]).
+//! references, a copy of the directory keeps the bytes it points at,
+//! and comparing two directories slot by slot finds every page either
+//! side wrote since they were one ([`PhysMemory::changed_pages`]; the
+//! audit's fork snapshot, [`crate::snapshot`], rests on that).
 
 use std::rc::Rc;
 
@@ -64,12 +65,6 @@ impl std::fmt::Display for AccessOutOfRangeError {
 }
 
 impl std::error::Error for AccessOutOfRangeError {}
-
-/// A handle on one copy-on-write DRAM page, from
-/// [`PhysMemory::shared_page`]. While it lives the page's bytes cannot
-/// change, and the page cannot be freed and reused.
-#[derive(Clone)]
-pub(crate) struct PageRef(Rc<Page>);
 
 /// Sparse byte-addressable physical memory.
 ///
@@ -115,20 +110,6 @@ impl PhysMemory {
             .is_some_and(|end| end <= self.size)
     }
 
-    /// The page backing `frame`, if one is materialised, and whether
-    /// something else also holds it: a fork sharing its chunk (the
-    /// page's own count reads 1 while its whole chunk is shared) or a
-    /// fork or handle sharing the page itself.
-    fn frame_page(&self, frame: u64) -> Option<(&Rc<Page>, bool)> {
-        let (c, p) = split(frame);
-        let chunk = self.chunks.get(c)?.as_ref()?;
-        let page = chunk[p].as_ref()?;
-        Some((
-            page,
-            Rc::strong_count(chunk) > 1 || Rc::strong_count(page) > 1,
-        ))
-    }
-
     /// Read-only view of a frame: an absent frame reads as the shared
     /// zero page, so reads never materialise or detach anything.
     fn page_ref(&self, frame: u64) -> &Page {
@@ -155,22 +136,35 @@ impl PhysMemory {
         Rc::make_mut(slot.get_or_insert_with(|| Rc::new([0; PAGE_SIZE as usize])))
     }
 
-    /// Whether `page` backs the frame at `addr`: the very page, not a copy
-    /// of its bytes.
-    pub(crate) fn holds(&self, addr: PhysAddr, page: &PageRef) -> bool {
-        self.frame_page(addr.page_index())
-            .is_some_and(|(held, _)| Rc::ptr_eq(held, &page.0))
-    }
-
-    /// A handle on the page backing the frame at `addr`, if one is
-    /// materialised and something else (a fork, another handle) also
-    /// holds it. A page only this memory holds has no handle to give: a
-    /// handle would turn the owner's next write into a copy.
-    pub(crate) fn shared_page(&self, addr: PhysAddr) -> Option<PageRef> {
-        match self.frame_page(addr.page_index()) {
-            Some((page, true)) => Some(PageRef(Rc::clone(page))),
-            _ => None,
+    /// The page index of every frame whose slot differs from `other`'s,
+    /// ascending: a page materialised, detached, replaced or dropped on
+    /// either side since the two were one directory. An unchanged chunk
+    /// costs one pointer compare, a changed one a compare per slot.
+    /// `other` must be as large as `self`.
+    pub(crate) fn changed_pages(&self, other: &PhysMemory) -> Vec<u64> {
+        const EMPTY: Chunk = [const { None }; CHUNK_PAGES];
+        let mut pages = Vec::new();
+        for (c, (mine, theirs)) in self.chunks.iter().zip(&other.chunks).enumerate() {
+            let (mine, theirs) = match (mine, theirs) {
+                (None, None) => continue,
+                (Some(a), Some(b)) if Rc::ptr_eq(a, b) => continue,
+                (a, b) => (
+                    a.as_deref().unwrap_or(&EMPTY),
+                    b.as_deref().unwrap_or(&EMPTY),
+                ),
+            };
+            for (p, (a, b)) in mine.iter().zip(theirs).enumerate() {
+                let same = match (a, b) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+                    _ => false,
+                };
+                if !same {
+                    pages.push((c * CHUNK_PAGES + p) as u64);
+                }
+            }
         }
+        pages
     }
 
     /// Materializes private zeroed pages for every absent frame in
@@ -299,6 +293,23 @@ impl PhysMemory {
         out
     }
 
+    /// The page holding `addr` as 512 little-endian words, with one
+    /// bounds check and one page lookup: the words of 64
+    /// [`PhysMemory::read_line`] calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is outside DRAM.
+    pub fn read_page(&self, addr: PhysAddr) -> [u64; (PAGE_SIZE / 8) as usize] {
+        self.check(addr.page_base(), PAGE_SIZE);
+        let page = self.page_ref(addr.page_index());
+        let mut out = [0u64; (PAGE_SIZE / 8) as usize];
+        for (w, bytes) in out.iter_mut().zip(page.chunks_exact(8)) {
+            *w = u64::from_le_bytes(bytes.try_into().expect("8-byte slice"));
+        }
+        out
+    }
+
     /// Writes a line-aligned group of eight little-endian words with one
     /// bounds check and one page lookup (the write-path counterpart of
     /// [`PhysMemory::read_line`]).
@@ -372,7 +383,11 @@ impl PhysMemory {
     /// detach of the page); a private frame is memset in place so its
     /// already-faulted backing page stays warm.
     fn zero_page(&mut self, frame: u64) {
-        if self.frame_page(frame).is_none() {
+        let (c, p) = split(frame);
+        if self.chunks[c]
+            .as_ref()
+            .is_none_or(|chunk| chunk[p].is_none())
+        {
             return;
         }
         let slot = self.slot_mut(frame);
@@ -488,39 +503,40 @@ mod tests {
 
     #[test]
     fn a_fork_shares_chunks_then_pages_until_it_writes() {
-        let (page, neighbour) = (PhysAddr::new(0x3000), PhysAddr::new(0x5000));
+        let (page, neighbour, far) = (
+            PhysAddr::new(0x3000),
+            PhysAddr::new(0x5000),
+            PhysAddr::new(0x30_0000),
+        );
         let mut a = PhysMemory::new(4 << 20);
         a.write_u64(page, 7);
         a.write_u64(neighbour, 8);
-        // A page only one memory holds has no handle to give.
-        assert!(a.shared_page(page).is_none());
         let mut b = a.clone();
-        // Shared at chunk level: the page's own count still reads 1.
-        let handle = b.shared_page(page).expect("chunk shared with the fork");
-        assert!(a.holds(page, &handle) && b.holds(page, &handle));
-        // A write to another page of the chunk detaches the chunk; the
-        // page stays shared at page level.
+        assert!(b.changed_pages(&a).is_empty(), "a copy shares every chunk");
+        // A write detaches its chunk (the other pages stay shared), then
+        // its page; a read changes nothing.
         b.write_u64(neighbour, 9);
-        assert!(b
-            .shared_page(page)
-            .is_some_and(|p| Rc::ptr_eq(&p.0, &handle.0)));
-        // A write to the page itself detaches it.
-        b.write_u64(page, 10);
-        assert!(!b.holds(page, &handle) && a.holds(page, &handle));
-        assert!(b.shared_page(page).is_none());
+        let _ = b.read_u64(far);
+        assert_eq!(b.changed_pages(&a), [5]);
+        // A chunk only one side has, and a page zeroed away.
+        b.write_u64(far, 1);
+        b.fill(page, PAGE_SIZE, 0);
+        assert_eq!(b.changed_pages(&a), [3, 5, 0x300]);
+        assert_eq!(a.changed_pages(&b), [3, 5, 0x300]);
+        assert_eq!((a.read_u64(page), b.read_u64(page)), (7, 0));
     }
 
+    /// A copy of the directory is a handle on every page it points at:
+    /// the pages keep their bytes while it lives.
     #[test]
     fn a_handle_keeps_its_page_immutable() {
         let addr = PhysAddr::new(0x2000);
         let mut a = PhysMemory::new(1 << 16);
         a.write_u64(addr, 1);
-        let handle = a.clone().shared_page(addr).expect("shared with the clone");
-        // The clone is gone, but the handle still shares the page: the
-        // owner's write detaches a copy and the handle's bytes stay put.
+        let snapshot = a.clone();
+        // The owner's write detaches a copy; the snapshot's bytes stay.
         a.write_u64(addr, 2);
-        assert!(!a.holds(addr, &handle));
-        assert_eq!(u64::from_le_bytes(handle.0[..8].try_into().unwrap()), 1);
+        assert_eq!((snapshot.read_u64(addr), a.read_u64(addr)), (1, 2));
         // Zero-filling a shared page drops the reference instead.
         let mut b = a.clone();
         b.fill(addr.page_base(), PAGE_SIZE, 0);

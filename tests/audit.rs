@@ -18,18 +18,18 @@
 //! - enabling the sanitizer changes no simulated result;
 //! - the report and every finding are pinned byte for byte over the
 //!   corpus, every primitive in every mode and the miswired verifier,
-//!   with cold memos and through a warm template family;
-//! - the audit memos belong to a template family, and a warm memo gives
-//!   the same static and Hypersec reports as a cold one after table
-//!   pages change through every write path.
+//!   walked cold and through a warm template family;
+//! - the audit baselines belong to a template family, and a fork walked
+//!   against them gives the same static and Hypersec reports as a
+//!   system never forked, after table pages change through every write
+//!   path and when a changed table points into an unchanged subtree.
 
 use std::path::PathBuf;
 
 use hypernel::{Mode, System};
-use hypernel_audit::{audit_system, chain_display, MappingGraph, RootOrigin, RootSpec, WalkMemo};
+use hypernel_audit::{chain_display, MappingGraph, RootOrigin, RootSpec};
 use hypernel_campaign::engine::{boot_system, run_one, run_one_full};
 use hypernel_campaign::scenario::{Scenario, StepExpect};
-use hypernel_hypersec::AuditMemo;
 use hypernel_kernel::abi::call;
 use hypernel_kernel::{layout, AttackStep};
 use hypernel_machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
@@ -343,7 +343,8 @@ impl Pin {
 /// seed 1 there are none. The expected values were
 /// produced by the per-leaf walker that preceded the run-based one, so
 /// the walk's representation can change but its output cannot. Every
-/// case boots fresh, so every audit here walks with a cold memo.
+/// case boots fresh and is never forked, so every audit here walks
+/// cold.
 #[test]
 fn audit_reports_and_findings_are_pinned_byte_for_byte() {
     let mut pin = Pin::new();
@@ -357,63 +358,73 @@ fn audit_reports_and_findings_are_pinned_byte_for_byte() {
     pin.assert_pinned();
 }
 
-/// The same pin through warm memos: each case forks a template whose
-/// audit memos a run at seed 0 has warmed, then runs seed 1 on a second
-/// fork.
+/// The same pin through a warm family: each case forks a template whose
+/// audit baselines a run at seed 0 has made, then runs seed 1 on a
+/// second fork.
 #[test]
 fn a_warm_template_family_reaches_the_pinned_audit_digest() {
     let (mut pin, mut warmed) = (Pin::new(), 0);
     for (scenario, miswired) in &pin_cases() {
         let template = pin_boot(scenario, *miswired);
         let _ = run_one_full(template.fork(), scenario, 0);
-        warmed += usize::from(!template.audit_memo().is_empty());
+        warmed += usize::from(!template.audit_baseline().is_empty());
         let Ok((_, _, mut sys)) = run_one_full(template.fork(), scenario, 1) else {
             continue;
         };
         pin.audit(&mut sys);
     }
-    assert_eq!(warmed, pin_cases().len(), "every template's memo was warm");
+    assert_eq!(
+        warmed,
+        pin_cases().len(),
+        "every template's family was warm"
+    );
     pin.assert_pinned();
 }
 
-/// The memos belong to a template family: a fork's audit warms the
-/// template's memos (static and Hypersec's alike), a system audited
-/// alone makes no entry, and another template's family is untouched.
+/// The baselines (the memos of a template's walks) belong to a template
+/// family: a fork's audit makes the
+/// family's (static and Hypersec's alike), a system never forked walks
+/// cold and makes none, and another template's family is untouched.
 #[test]
 fn audit_memos_are_shared_by_a_template_family_only() {
     let mut alone = System::boot(Mode::Hypernel).expect("boot");
     alone.audit();
-    assert!(alone.audit_memo().is_empty(), "no fork shares its pages");
-    let hypersec_memo = |sys: &System| sys.hypersec().expect("hypernel").audit_memo().len();
-    assert_eq!(hypersec_memo(&alone), 0);
+    assert!(
+        alone.audit_baseline().is_empty(),
+        "never forked, walked cold"
+    );
+    let hypersec_baseline = |sys: &System| sys.hypersec().expect("hypernel").audit_baseline().len();
+    assert_eq!(hypersec_baseline(&alone), 0);
 
     let template = System::boot(Mode::Hypernel).expect("boot");
     let other = System::boot(Mode::Hypernel).expect("boot");
     template.fork().audit();
-    let (walk, hypersec) = (template.audit_memo().len(), hypersec_memo(&template));
+    let (walk, hypersec) = (
+        template.audit_baseline().len(),
+        hypersec_baseline(&template),
+    );
     assert!(
         walk > 0 && hypersec > 0,
-        "the fork's audit warmed the template"
+        "the fork's audit made the family's baselines"
     );
     let mut fork = template.fork();
-    assert_eq!(
-        fork.audit_memo().len(),
-        walk,
-        "a new fork inherits the memo"
-    );
+    assert_eq!(fork.audit_baseline().len(), walk, "a new fork shares them");
     fork.audit();
     assert_eq!(
-        template.audit_memo().len(),
-        walk,
-        "a warm audit adds nothing"
+        (
+            template.audit_baseline().len(),
+            hypersec_baseline(&template)
+        ),
+        (walk, hypersec),
+        "the same roots walk the same baselines"
     );
-    assert!(other.audit_memo().is_empty() && hypersec_memo(&other) == 0);
+    assert!(other.audit_baseline().is_empty() && hypersec_baseline(&other) == 0);
 }
 
 /// A template whose kernel linear map holds a writable+executable leaf
 /// (for a frame past the allocator's watermark) that Hypersec never saw,
 /// written behind its back. No line of the table page stays cached, so
-/// its forks' audits may replay it from the family memo.
+/// its forks' audits may copy it from the family's baselines.
 fn wx_template() -> System {
     let mut template = System::boot(Mode::Hypernel).expect("boot");
     let root = template.kernel().kernel_root();
@@ -429,9 +440,9 @@ fn wx_template() -> System {
     template
 }
 
-/// Hypersec's memo key carries the W⊕X switch: a fragment decoded by the
-/// correctly wired verifier is never replayed to a miswired one, so the
-/// differential still convicts it with the family's memo warm.
+/// Hypersec's baselines are keyed by the W⊕X switch: a walk by the
+/// correctly wired verifier is never copied into a miswired one's
+/// report, so the differential still convicts it with the family warm.
 #[test]
 fn a_warm_memo_still_convicts_a_miswired_verifier() {
     let template = wx_template();
@@ -445,6 +456,141 @@ fn a_warm_memo_still_convicts_a_miswired_verifier() {
         .testonly_disable_wx_check();
     let diff = miswired.audit_static().differential.expect("locked");
     assert!(!diff.agrees(), "the blinded verifier is convicted");
+}
+
+/// The kernel root's tables the aliasing regressions edit: the root,
+/// and in walk order the level-2 tables under it and the first level-3
+/// table of each.
+struct KernelTree {
+    root: PhysAddr,
+    l2: Vec<PhysAddr>,
+    l3: Vec<PhysAddr>,
+}
+
+fn kernel_tree(sys: &System) -> KernelTree {
+    let children = |table: PhysAddr, level: u32| -> Vec<PhysAddr> {
+        let entries = sys.machine().debug_read_table(table).expect("in DRAM");
+        entries
+            .iter()
+            .filter_map(|&raw| match Descriptor::decode(raw, level) {
+                Descriptor::Table { next } => Some(next),
+                _ => None,
+            })
+            .collect()
+    };
+    let root = sys.kernel().kernel_root();
+    let l2: Vec<PhysAddr> = children(root, 0)
+        .into_iter()
+        .flat_map(|l1| children(l1, 1))
+        .collect();
+    let l3 = l2.iter().map(|&t| children(t, 2)[0]).collect();
+    KernelTree { root, l2, l3 }
+}
+
+/// A fork of a warm template whose run points entry 0 of a level-2
+/// kernel table at `target(tree)` behind Hypersec's back audits exactly
+/// as a system never forked given the same write: the static report
+/// and `Hypersec::audit`. Returns the cold static report.
+fn aliased_fork_audits_cold(
+    table: impl Fn(&KernelTree) -> PhysAddr,
+    target: impl Fn(&KernelTree) -> PhysAddr,
+) -> hypernel_audit::StaticAuditReport {
+    let template = System::boot(Mode::Hypernel).expect("boot");
+    template.fork().audit();
+    let tree = kernel_tree(&template);
+    assert!(
+        tree.l2.len() >= 2,
+        "two level-2 tables under the kernel root"
+    );
+    let mut warm = template.fork();
+    let mut cold = System::boot(Mode::Hypernel).expect("boot");
+    let clean = cold.audit_static();
+    for sys in [&mut warm, &mut cold] {
+        let value = Descriptor::Table {
+            next: target(&tree),
+        }
+        .encode();
+        sys.machine_mut().debug_write_phys(table(&tree), value);
+    }
+    let (warm, cold) = (warm.audit(), cold.audit());
+    assert_eq!(warm.0.to_json().to_string(), cold.0.to_json().to_string());
+    let chains = |r: &hypernel_audit::StaticAuditReport| -> Vec<String> {
+        r.findings.iter().map(|f| chain_display(&f.chain)).collect()
+    };
+    assert_eq!(chains(&warm.0), chains(&cold.0));
+    assert_eq!(warm.1, cold.1, "Hypersec audit");
+    assert_ne!(
+        cold.0.leaves_checked, clean.leaves_checked,
+        "the write took"
+    );
+    cold.0
+}
+
+/// The changed table comes first in the walk and points into a subtree
+/// the walk reaches later: the aliased table is walked at its new place,
+/// and its own parent's pointer later counts as a revisit.
+#[test]
+fn a_fork_pointer_into_an_unchanged_subtree_walked_later_audits_cold() {
+    let report = aliased_fork_audits_cold(|t| t.l2[0], |t| t.l3[1]);
+    assert!(report
+        .findings
+        .iter()
+        .any(|f| f.check == hypernel_audit::CheckKind::LinearIdentity));
+}
+
+/// The changed table points into a subtree the walk copied earlier: the
+/// pointer counts as a revisit.
+#[test]
+fn a_fork_pointer_into_an_unchanged_subtree_walked_earlier_audits_cold() {
+    aliased_fork_audits_cold(|t| t.l2[1], |t| t.l3[0]);
+}
+
+/// The changed table points back at the kernel root: the static walk
+/// counts a revisit, and Hypersec's walk decodes the root again as a
+/// level-3 table.
+#[test]
+fn a_fork_pointer_back_to_the_root_audits_cold() {
+    aliased_fork_audits_cold(|t| t.l2[1], |t| t.root);
+}
+
+/// A Hypernel system whose first user root links, behind Hypersec's
+/// back, a zeroed frame past the allocator's watermark as a level-1
+/// table: reachable, but not in the verified pool. Returns the frame.
+fn unverified_table_system() -> (System, PhysAddr) {
+    let mut sys = System::boot(Mode::Hypernel).expect("boot");
+    let root = sys.kernel().user_roots()[0];
+    let table = sys.kernel().frames_watermark().add(PAGE_SIZE);
+    let m = sys.machine_mut();
+    m.debug_zero_page(table);
+    let entries = m.debug_read_table(root).expect("in DRAM");
+    let free = entries.iter().position(|&e| e == 0).expect("a free entry") as u64;
+    let link = Descriptor::Table { next: table }.encode();
+    m.debug_write_phys(root.add(free * 8), link);
+    (sys, table)
+}
+
+/// Hypersec's verdict on a table its run leaves untouched follows the
+/// current pool, not the one the family's baseline was walked with: a
+/// fork that registers the unverified table audits as a system never
+/// forked that does the same.
+#[test]
+fn a_fork_that_registers_an_unchanged_table_audits_cold() {
+    let (template, table) = unverified_table_system();
+    let unregistered = format!("reachable table {table} is not registered");
+    let (_, hypersec) = template.fork().audit();
+    assert!(hypersec.expect("locked").violations.contains(&unregistered));
+    let mut warm = template.fork();
+    let (mut cold, _) = unverified_table_system();
+    for sys in [&mut warm, &mut cold] {
+        let (_, m, hyp) = sys.parts();
+        // Registered as a root, the frame joins the verified pool.
+        m.hvc(call::PT_REGISTER_TABLE, [table.raw(), 1, 0, 0], hyp)
+            .expect("registered");
+    }
+    let (warm, cold) = (warm.audit(), cold.audit());
+    assert_eq!(warm.0.to_json().to_string(), cold.0.to_json().to_string());
+    assert_eq!(warm.1, cold.1, "Hypersec audit");
+    assert!(!cold.1.expect("locked").violations.contains(&unregistered));
 }
 
 /// One way to change a table page on a forked system. `path` picks the
@@ -476,7 +622,7 @@ fn arb_edit() -> impl Strategy<Value = TableEdit> {
         })
 }
 
-/// A template with audit memos warmed by a fork's audit, and its table
+/// A template whose family baselines a fork's audit made, and its table
 /// pages.
 struct Warmed {
     template: System,
@@ -495,7 +641,7 @@ fn warmed(mode: Mode) -> Warmed {
             origins: vec![RootOrigin::KernelKnown],
         })
         .collect();
-    let tables = MappingGraph::walk(template.machine(), &roots, &WalkMemo::default()).tables;
+    let tables = MappingGraph::walk(template.machine(), &roots, None).tables;
     Warmed { template, tables }
 }
 
@@ -594,10 +740,11 @@ fn apply_edit(sys: &mut System, tables: &[PhysAddr], edit: &TableEdit) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Both walkers share the page-identity test, so the static ≡
+    /// Both walkers take the same dirty set, so the static ≡
     /// incremental differential cannot catch a wrong one. This can:
     /// after table pages change through every write path, a fork of a
-    /// warmed template audits exactly as a cold memo does, for the
+    /// warm template (its family baselines made) audits exactly as a
+    /// cold one, a fresh boot never forked given the same edits, for the
     /// static report and for `Hypersec::audit`.
     #[test]
     fn warm_and_cold_memos_give_identical_audits(
@@ -606,27 +753,23 @@ proptest! {
     ) {
         WARMED.with(|warmed| {
             let warmed = &warmed[usize::from(native)];
-            prop_assert!(!warmed.template.audit_memo().is_empty(), "a warm family");
-            let mut sys = warmed.template.fork();
-            for edit in &edits {
-                apply_edit(&mut sys, &warmed.tables, edit);
+            prop_assert!(!warmed.template.audit_baseline().is_empty(), "a warm family");
+            let mut warm = warmed.template.fork();
+            let mut cold = System::boot(warmed.template.mode()).expect("boot");
+            for sys in [&mut warm, &mut cold] {
+                for edit in &edits {
+                    apply_edit(sys, &warmed.tables, edit);
+                }
             }
-            let warm = sys.audit_static().to_json().to_string();
-            let kernel = sys.kernel().clone();
-            let hypersec = sys.hypersec().cloned();
-            let cold = audit_system(
-                sys.machine_mut(),
-                &kernel,
-                hypersec.as_ref(),
-                &WalkMemo::default(),
-            )
-            .0;
-            prop_assert_eq!(warm, cold.to_json().to_string(), "static audit, edits {:?}", edits);
-            if let Some(hs) = &hypersec {
-                let warm = hs.audit(sys.machine_mut());
-                let cold = hs.audit_with(sys.machine_mut(), &AuditMemo::default());
-                prop_assert_eq!(warm, cold, "Hypersec audit, edits {:?}", edits);
-            }
+            prop_assert!(cold.machine().table_view().snapshot().is_none());
+            let (warm, cold) = (warm.audit(), cold.audit());
+            prop_assert_eq!(
+                warm.0.to_json().to_string(),
+                cold.0.to_json().to_string(),
+                "static audit, edits {:?}",
+                edits
+            );
+            prop_assert_eq!(warm.1, cold.1, "Hypersec audit, edits {:?}", edits);
         });
     }
 }
