@@ -16,6 +16,7 @@
 //!   Everything else is reported as a note, not a failure.
 
 use hypernel_telemetry::json::Json;
+use hypernel_telemetry::metrics;
 use hypernel_telemetry::series::{MetricsDoc, SeriesKind, METRICS_KIND};
 
 /// `kind` tag of a `blackbox.json` flight-recorder dump (written by
@@ -125,14 +126,14 @@ struct DerivedRate {
 const DERIVED: &[DerivedRate] = &[
     DerivedRate {
         header: "tlb-hit%",
-        num: "tlb-hits",
-        den: "tlb-misses",
+        num: metrics::TLB_HITS.name,
+        den: metrics::TLB_MISSES.name,
         den_is_misses: true,
     },
     DerivedRate {
         header: "watch-hit%",
-        num: "mbm-watch-hits",
-        den: "mbm-bus-writes",
+        num: metrics::MBM_WATCH_HITS.name,
+        den: metrics::MBM_BUS_WRITES.name,
         den_is_misses: false,
     },
 ];
@@ -270,7 +271,10 @@ pub fn render_csv(timeline: &Timeline) -> String {
 /// The two series whose growth fails the [`diff`] gate: FIFO high water
 /// (queue pressure) and the per-window detection-latency max (tail
 /// latency). Everything else only produces notes.
-pub const GATED_SERIES: &[&str] = &["mbm-fifo-high-water", "detection-latency-max"];
+pub const GATED_SERIES: &[&str] = &[
+    metrics::MBM_FIFO_HIGH_WATER.name,
+    metrics::DETECTION_LATENCY_MAX.name,
+];
 
 /// Outcome of diffing two timelines.
 #[derive(Debug, Clone, Default)]

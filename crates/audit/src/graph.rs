@@ -312,13 +312,21 @@ impl MappingGraph {
     /// is copied from the baseline instead of decoded; the graph is the
     /// same either way.
     pub fn walk(m: &Machine, roots: &[RootSpec], baseline: Option<&WalkBaseline>) -> Self {
-        let view = m.table_view();
+        Self::walk_view(&m.table_view(), roots, baseline)
+    }
+
+    /// [`MappingGraph::walk`] through a view the caller holds.
+    pub fn walk_view(
+        view: &TableView<'_>,
+        roots: &[RootSpec],
+        baseline: Option<&WalkBaseline>,
+    ) -> Self {
         let mut flat = Flat::default();
         for (root, spec) in roots.iter().enumerate() {
             let base = baseline
                 .zip(view.snapshot())
                 .map(|(baseline, snapshot)| baseline.root(snapshot, spec));
-            let mut walk = Walk::new(&view, &mut flat, root, spec.kernel_space, base.as_deref());
+            let mut walk = Walk::new(view, &mut flat, root, spec.kernel_space, base.as_deref());
             walk.table(spec.pa, 0, 0, None, None);
         }
         let mut graph = MappingGraph {

@@ -100,7 +100,10 @@ pub fn audit_system(
     let roots = collect_roots(m, kernel, hypersec);
     check_rogue_roots(&roots, kernel, locked, &mut report);
 
-    let graph = MappingGraph::walk(m, &roots, Some(baseline));
+    // One view, and one dirty set, for both walks of the same state.
+    let view = m.table_view();
+    let graph = MappingGraph::walk_view(&view, &roots, Some(baseline));
+    let incremental = locked.map(|hyp| hyp.audit_view(&view));
     report.roots_walked = graph.roots.len() as u64;
     report.tables_walked = graph.tables.len() as u64;
     report.leaves_checked = graph.leaf_count();
@@ -116,7 +119,6 @@ pub fn audit_system(
     if let Some(hyp) = hypersec {
         check_watch_coverage(m, hyp, &graph, &mut report);
     }
-    let incremental = locked.map(|hyp| hyp.audit(m));
     if let Some(incremental) = &incremental {
         report.differential = Some(differential(&report, incremental));
     }

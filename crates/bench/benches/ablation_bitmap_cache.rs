@@ -9,64 +9,12 @@
 //!
 //! Run with `cargo bench -p hypernel-bench --bench ablation_bitmap_cache`.
 
-use hypernel::machine::PhysAddr;
-use hypernel::mbm::MbmConfig;
-use hypernel::{Mode, SystemBuilder};
-use hypernel_bench::rule;
-use hypernel_kernel::kernel::{MonitorHooks, MonitorMode};
-use hypernel_kernel::layout;
+use hypernel_bench::{bitmap_cache_ablation, rule};
 
+/// Bitmap lookups, DRAM fetches and the cache's hit rate.
 fn run(cache_words: Option<usize>) -> (u64, u64, Option<f64>) {
-    let mut config = MbmConfig::standard(
-        PhysAddr::new(layout::MBM_WINDOW_BASE),
-        layout::MBM_WINDOW_LEN,
-        PhysAddr::new(layout::MBM_BITMAP_BASE),
-        PhysAddr::new(layout::MBM_RING_BASE),
-        layout::MBM_RING_ENTRIES,
-    );
-    config.bitmap_cache_words = cache_words;
-    let mut sys = SystemBuilder::new(Mode::Hypernel)
-        .mbm_config(config)
-        .build()
-        .expect("boot");
-    {
-        let (kernel, machine, hyp) = sys.parts();
-        kernel
-            .arm_monitor_hooks(
-                machine,
-                hyp,
-                MonitorHooks {
-                    mode: MonitorMode::WholeObject,
-                },
-            )
-            .expect("arm");
-    }
-    sys.reset_mbm_stats();
-    {
-        let (kernel, machine, hyp) = sys.parts();
-        for i in 0..400 {
-            let path = format!("/tmp/bc{i}");
-            kernel.sys_create(machine, hyp, &path).expect("create");
-            kernel
-                .sys_write_file(machine, hyp, &path, 1024)
-                .expect("write");
-            kernel.sys_stat(machine, hyp, &path).expect("stat");
-            if i % 64 == 63 {
-                kernel.poll_irqs(machine, hyp).expect("irqs");
-            }
-        }
-    }
-    let stats = sys.mbm_stats().expect("mbm");
-    let mbm = sys
-        .machine()
-        .bus()
-        .snooper::<hypernel::mbm::Mbm>()
-        .expect("mbm");
-    (
-        stats.bitmap_lookups,
-        stats.device_reads,
-        mbm.bitmap_cache_stats().hit_rate(),
-    )
+    let (mbm, cache) = bitmap_cache_ablation(cache_words).expect("ablation run");
+    (mbm.bitmap_lookups, mbm.device_reads, cache.hit_rate())
 }
 
 fn main() {

@@ -6,12 +6,17 @@
 //! Each `benches/*.rs` target regenerates one table or figure of the
 //! paper; this crate provides the system drivers and table formatting
 //! they share. The drivers behind Table 1 ([`lmbench_on`]), Figure 6
-//! ([`app_on`]) and Table 2 ([`trap_events`]) are also what
+//! ([`app_on`]), Table 2 ([`trap_events`]) and the §6.3 bitmap-cache
+//! ablation ([`bitmap_cache_ablation`]) are also what
 //! `tests/paper_claims.rs` pins, cell for cell, so the printed tables
 //! and the tier-1 pin measure the same thing.
 
-use hypernel::{Mode, System};
+use hypernel::machine::PhysAddr;
+use hypernel::mbm::cache::BitmapCacheStats;
+use hypernel::mbm::{Mbm, MbmConfig, MbmStats};
+use hypernel::{Mode, System, SystemBuilder};
 use hypernel_kernel::kernel::{KernelError, MonitorHooks, MonitorMode};
+use hypernel_kernel::layout;
 use hypernel_workloads::{apps, lmbench, AppBenchmark, LmbenchOp, Measurement};
 
 /// Iterations per LMbench operation (LMbench itself repeats and averages;
@@ -71,6 +76,58 @@ pub fn trap_events(bench: AppBenchmark, granularity: MonitorMode) -> Result<u64,
     sys.parts().0.set_monitor_hooks(None);
     let _ = sys.service_interrupts();
     Ok(events)
+}
+
+/// Runs the paper's §6.3 bitmap-cache ablation at one cache size: 400
+/// file create/write/stat cycles on Hypernel under whole-object
+/// monitoring, with a bitmap cache of `cache_words` words (`None`
+/// disables it). Returns the MBM's and its bitmap cache's counters from
+/// the moment the monitor is armed: `bitmap_lookups` and `device_reads`
+/// (DRAM fetches of bitmap words) are the table's columns.
+///
+/// # Errors
+///
+/// Propagates kernel errors.
+pub fn bitmap_cache_ablation(
+    cache_words: Option<usize>,
+) -> Result<(MbmStats, BitmapCacheStats), KernelError> {
+    let mut config = MbmConfig::standard(
+        PhysAddr::new(layout::MBM_WINDOW_BASE),
+        layout::MBM_WINDOW_LEN,
+        PhysAddr::new(layout::MBM_BITMAP_BASE),
+        PhysAddr::new(layout::MBM_RING_BASE),
+        layout::MBM_RING_ENTRIES,
+    );
+    config.bitmap_cache_words = cache_words;
+    let mut sys = SystemBuilder::new(Mode::Hypernel)
+        .mbm_config(config)
+        .build()?;
+    {
+        let (kernel, machine, hyp) = sys.parts();
+        let hooks = MonitorHooks {
+            mode: MonitorMode::WholeObject,
+        };
+        kernel.arm_monitor_hooks(machine, hyp, hooks)?;
+    }
+    sys.reset_mbm_stats();
+    {
+        let (kernel, machine, hyp) = sys.parts();
+        for i in 0..400 {
+            let path = format!("/tmp/bc{i}");
+            kernel.sys_create(machine, hyp, &path)?;
+            kernel.sys_write_file(machine, hyp, &path, 1024)?;
+            kernel.sys_stat(machine, hyp, &path)?;
+            if i % 64 == 63 {
+                kernel.poll_irqs(machine, hyp)?;
+            }
+        }
+    }
+    let mbm = sys
+        .machine()
+        .bus()
+        .snooper::<Mbm>()
+        .expect("Hypernel has an MBM");
+    Ok((mbm.stats(), mbm.bitmap_cache_stats()))
 }
 
 /// Formats a signed percentage (`0.155` → `+15.5%`).

@@ -17,9 +17,11 @@
 //! dumps byte-identical JSON.
 
 use hypernel::System;
+use hypernel_machine::machine::MachineStats;
 use hypernel_machine::regs::SysReg;
 use hypernel_machine::FaultHit;
-use hypernel_mbm::Mbm;
+use hypernel_mbm::{Mbm, MbmStats};
+use hypernel_telemetry::counters::{json_object, samples};
 use hypernel_telemetry::export::event_to_json;
 use hypernel_telemetry::json::Json;
 use hypernel_telemetry::series::MetricsDoc;
@@ -84,12 +86,7 @@ pub fn capture(
     ];
     state.push((
         "counters",
-        Json::obj(vec![
-            ("hypercalls", Json::UInt(stats.hypercalls)),
-            ("sysreg_traps", Json::UInt(stats.sysreg_traps)),
-            ("stage2_faults", Json::UInt(stats.stage2_faults)),
-            ("irqs_delivered", Json::UInt(stats.irqs_delivered)),
-        ]),
+        json_object(samples(MachineStats::COUNTERS, &stats, |n| n.report)),
     ));
 
     let mut fields = vec![
@@ -103,24 +100,10 @@ pub fn capture(
     ];
 
     if let Some(mbm) = machine.bus().snooper::<Mbm>() {
-        let s = mbm.stats();
-        fields.push((
-            "mbm",
-            Json::obj(vec![
-                ("bus_writes_seen", Json::UInt(s.bus_writes_seen)),
-                ("captured", Json::UInt(s.captured)),
-                ("events_matched", Json::UInt(s.events_matched)),
-                ("irqs_raised", Json::UInt(s.irqs_raised)),
-                ("fifo_dropped", Json::UInt(s.fifo_dropped)),
-                ("fifo_depth", Json::UInt(mbm.fifo_len() as u64)),
-                (
-                    "fifo_high_water",
-                    Json::UInt(mbm.fifo_high_watermark() as u64),
-                ),
-                ("secure_alarms", Json::UInt(s.secure_alarms)),
-                ("lookup_divergences", Json::UInt(s.lookup_divergences)),
-            ]),
-        ));
+        let stats = mbm.stats();
+        let counters = samples(MbmStats::COUNTERS, &stats, |n| n.report);
+        let gauges = samples(Mbm::GAUGES, mbm, |n| n.report);
+        fields.push(("mbm", json_object(counters.chain(gauges))));
     }
 
     let tail_start = fault_log.len().saturating_sub(FAULT_LOG_TAIL);
@@ -143,20 +126,7 @@ pub fn capture(
 
     fields.push((
         "violations",
-        Json::Array(
-            violations
-                .iter()
-                .map(|v| {
-                    let mut f = vec![("oracle", Json::str(v.oracle))];
-                    if let Some(step) = v.step {
-                        f.push(("step", Json::UInt(step as u64)));
-                    }
-                    f.push(("detail", Json::str(&v.detail)));
-                    f.push(("expected", Json::Bool(v.expected)));
-                    Json::obj(f)
-                })
-                .collect(),
-        ),
+        Json::Array(violations.iter().map(Violation::to_json).collect()),
     ));
 
     let events = sys.telemetry_events().unwrap_or_default();

@@ -2,43 +2,23 @@
 //!
 //! The oracles judge *correctness*; this module measures *reach*. Every
 //! run derives a [`CoverageMap`] — feature-key → hit-count — from the
-//! final simulated state: machine trap/TLB/IRQ activity and fault-site
-//! hits, the MBM pipeline stages and overflow edges, which Hypersec
-//! policy rules fired, kernel syscall families and attack outcomes,
-//! which oracles spoke, and the run's `(outcome, fault, oracle, mode)`
-//! tuples. Everything counted is **model-visible** — host fast-path
-//! counters (L0 micro-TLB, MBM watch-page filter) never appear — so a
-//! coverage map is a pure function of `(scenario, seed)` and the merged
-//! `coverage.json` atlas is byte-identical at any `--jobs`, with fast
-//! paths disabled, and across fork vs fresh boot
+//! final simulated state and the run's records. Keys are
+//! `<crate>/<facet>/<detail>` paths (docs/COVERAGE.md lists them). A
+//! counter's key is declared once, in the counter table beside its stats
+//! struct (`MachineStats::COUNTERS`, `MbmStats::COUNTERS`, ...); the
+//! fault-site, rule, attack, oracle and `tuple/<outcome>/<fault>/<oracle>/<mode>`
+//! keys derive from their enums. Host counters have no coverage key, so
+//! a coverage map is a pure function of `(scenario, seed)` and the
+//! merged `coverage.json` atlas is byte-identical at any `--jobs`, with
+//! fast paths disabled, and across fork vs fresh boot
 //! (`tests/coverage_determinism.rs`).
 //!
-//! Key namespaces (`<crate>/<facet>/<detail>`):
-//!
-//! - `machine/trap/*`, `machine/irq/delivered`, `machine/tlb/*`,
-//!   `machine/fault-site/<kind>` — one hit per injected-fault firing;
-//! - `mbm/stage/*` (snooped → captured → translated → matched →
-//!   irq-raised), `mbm/capture/{matched,unmatched}`, `mbm/edge/*`
-//!   (overflow/drop/alarm/divergence), `mbm/fifo-occupancy/<bucket>`;
-//! - `hypersec/rule/<code-name>` — which policy denial fired —
-//!   and `hypersec/verdict/*` — allowed/denied counts per boundary;
-//! - `kernel/syscall/<family>`, `kernel/event/*`,
-//!   `kernel/irq-service/*`, `kernel/attack/<step>/<outcome>`;
-//! - `compose/*` — composed multi-domain systems: domains spawned by
-//!   role, channel/region lowering, legitimate channel traffic, and
-//!   the derived/merged/issued watch-set spans;
-//! - `oracle/<name>/{expected,unexpected}` (or `oracle/none`);
-//! - `tuple/<outcome>/<fault>/<oracle>/<mode>` — the cross product the
-//!   `explore` loop hunts for. The fault dimension is the *declared*
-//!   plan (the scenario shape); actual firings are under
-//!   `machine/fault-site/*`.
-//!
-//! [`known_features`] enumerates the full universe from the same
-//! per-component counter lists [`coverage_of_run`] records, so nothing
-//! is listed twice. The atlas embeds the universe, and [`Atlas`] reads
-//! it back so uncovered features are computed from the artifact alone.
-//! [`render_report`] prints the per-group tables and [`diff_atlases`]
-//! is the CI coverage gate.
+//! [`known_features`] enumerates the full universe from the same tables
+//! and enums [`coverage_of_run`] records, so nothing is listed twice. The
+//! atlas embeds the universe, and [`Atlas`] reads it back so uncovered
+//! features are computed from the artifact alone. [`render_report`]
+//! prints the per-group tables and [`diff_atlases`] is the CI coverage
+//! gate.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,6 +29,7 @@ use hypernel_machine::machine::MachineStats;
 use hypernel_machine::tlb::TlbStats;
 use hypernel_machine::{FaultHit, FaultKind};
 use hypernel_mbm::{Mbm, MbmStats};
+use hypernel_telemetry::counters::{samples, Counter};
 use hypernel_telemetry::json::Json;
 
 use crate::record::{StepRecord, Violation};
@@ -181,92 +162,22 @@ pub fn tuple_keys(
     out
 }
 
-/// Machine trap, IRQ and main-TLB counters, keyed.
-fn machine_counters(m: &MachineStats, tlb: &TlbStats) -> [(&'static str, u64); 9] {
-    [
-        ("machine/trap/hypercall", m.hypercalls),
-        ("machine/trap/sysreg", m.sysreg_traps),
-        ("machine/trap/stage2-fault", m.stage2_faults),
-        ("machine/trap/el1-abort", m.el1_aborts),
-        ("machine/irq/delivered", m.irqs_delivered),
-        ("machine/tlb/hit", tlb.hits),
-        ("machine/tlb/miss", tlb.misses),
-        ("machine/tlb/eviction", tlb.evictions),
-        ("machine/tlb/flush", tlb.flushes),
-    ]
+/// The coverage keys of a counter table's model rows.
+fn coverage_keys<S>(table: &[Counter<S>]) -> impl Iterator<Item = &'static str> + '_ {
+    table.iter().filter_map(|c| c.names.coverage)
 }
 
-/// MBM pipeline stages, capture split and overflow edges, keyed.
-fn mbm_counters(s: &MbmStats) -> [(&'static str, u64); 11] {
-    [
-        ("mbm/stage/snooped", s.bus_writes_seen),
-        ("mbm/stage/captured", s.captured),
-        ("mbm/stage/translated", s.bitmap_lookups),
-        ("mbm/stage/matched", s.events_matched),
-        ("mbm/stage/irq-raised", s.irqs_raised),
-        ("mbm/capture/matched", s.events_matched),
-        (
-            "mbm/capture/unmatched",
-            s.captured.saturating_sub(s.events_matched),
-        ),
-        ("mbm/edge/fifo-overflow", s.fifo_dropped),
-        ("mbm/edge/ring-overflow", s.ring_overflows),
-        ("mbm/edge/secure-alarm", s.secure_alarms),
-        ("mbm/edge/lookup-divergence", s.lookup_divergences),
-    ]
-}
-
-/// Hypersec allowed/denied verdicts per boundary, keyed.
-fn verdict_counters(s: &HypersecStats) -> [(&'static str, u64); 9] {
-    [
-        ("hypersec/verdict/pt-write-allowed", s.pt_writes),
-        ("hypersec/verdict/pt-write-denied", s.pt_denials),
-        ("hypersec/verdict/table-registered", s.tables_registered),
-        ("hypersec/verdict/sysreg-allowed", s.sysreg_allowed),
-        ("hypersec/verdict/sysreg-denied", s.sysreg_denied),
-        ("hypersec/verdict/event-dispatched", s.events_dispatched),
-        ("hypersec/verdict/stray-event", s.stray_events),
-        ("hypersec/verdict/detection", s.detections),
-        ("hypersec/verdict/emulated-write", s.emulated_writes),
-    ]
-}
-
-/// Kernel events and MBM IRQ service, keyed.
-fn kernel_counters(k: &KernelStats) -> [(&'static str, u64); 6] {
-    [
-        ("kernel/event/context-switch", k.context_switches),
-        ("kernel/event/page-fault", k.page_faults),
-        ("kernel/event/file-create", k.files_created),
-        ("kernel/irq-service/forwarded", k.irqs_forwarded),
-        ("kernel/irq-service/emulated-write", k.emulated_writes),
-        (
-            "kernel/irq-service/monitor-registration",
-            k.monitor_registrations,
-        ),
-    ]
-}
-
-/// Composed-system domains, channels, regions and watch spans, keyed.
-fn compose_counters(c: &ComposeStats) -> [(&'static str, u64); 11] {
-    [
-        ("compose/domain/server", c.server_domains),
-        ("compose/domain/client", c.client_domains),
-        ("compose/domain/task", c.domain_tasks),
-        ("compose/channel/created", c.channels_created),
-        ("compose/channel/message", c.channel_messages),
-        ("compose/region/mapped", c.regions_mapped),
-        ("compose/region/protected", c.protected_regions),
-        ("compose/region/shared-mapping", c.shared_mappings),
-        ("compose/watch/derived-span", c.watch_spans_derived),
-        ("compose/watch/merged-span", c.watch_spans_merged),
-        ("compose/watch/batched-call", c.watch_calls_issued),
-    ]
+/// Records every model counter of `table` that has a coverage key.
+fn record_counters<S>(cov: &mut CoverageMap, table: &[Counter<S>], stats: &S) {
+    for (key, n) in samples(table, stats, |n| n.coverage) {
+        cov.record_n(key, n);
+    }
 }
 
 /// Derives the coverage map of one finished run from the final system
 /// state and the run's own step/violation/fault-log records. Reads only
-/// model-visible counters — never the host-only fast-path statistics —
-/// so the result is identical with fast paths on or off.
+/// the model rows of the counter tables — never a host counter — so
+/// the result is identical with fast paths on or off.
 pub fn coverage_of_run(
     sys: &System,
     scenario: &Scenario,
@@ -276,13 +187,14 @@ pub fn coverage_of_run(
 ) -> CoverageMap {
     let mut cov = CoverageMap::new();
     let machine = sys.machine();
-    let mut counters = machine_counters(&machine.stats(), &machine.tlb().stats()).to_vec();
+    record_counters(&mut cov, MachineStats::COUNTERS, &machine.stats());
+    record_counters(&mut cov, TlbStats::COUNTERS, &machine.tlb().stats());
     for hit in fault_log {
         cov.record(format!("machine/fault-site/{}", hit.kind.name()));
     }
 
     if let Some(mbm) = machine.bus().snooper::<Mbm>() {
-        counters.extend(mbm_counters(&mbm.stats()));
+        record_counters(&mut cov, MbmStats::COUNTERS, &mbm.stats());
         cov.record(format!(
             "mbm/fifo-occupancy/{}",
             mbm.fifo_occupancy_bucket()
@@ -290,21 +202,18 @@ pub fn coverage_of_run(
     }
 
     if let Some(hypersec) = sys.hypersec() {
-        counters.extend(verdict_counters(&hypersec.stats()));
+        record_counters(&mut cov, HypersecStats::COUNTERS, &hypersec.stats());
         for (code, n) in hypersec.rule_hits() {
             cov.record_n(format!("hypersec/rule/{}", codes::name(code)), n);
         }
     }
 
-    let kernel = sys.kernel().stats();
-    for (family, n) in kernel.syscall_families() {
-        cov.record_n(format!("kernel/syscall/{family}"), n);
-    }
-    counters.extend(kernel_counters(&kernel));
-    counters.extend(compose_counters(&sys.kernel().compose_stats()));
-    for (key, n) in counters {
-        cov.record_n(key, n);
-    }
+    record_counters(&mut cov, KernelStats::COUNTERS, &sys.kernel().stats());
+    record_counters(
+        &mut cov,
+        ComposeStats::COUNTERS,
+        &sys.kernel().compose_stats(),
+    );
 
     for step in steps {
         cov.record(format!(
@@ -329,19 +238,18 @@ pub fn coverage_of_run(
 }
 
 /// The full feature universe: every key [`coverage_of_run`] can emit,
-/// sorted. The counter keys are the keys of the per-component lists
-/// `coverage_of_run` records, evaluated on default stats. The atlas
-/// embeds this list so uncovered features can be computed from the
-/// artifact alone.
+/// sorted. The counter keys come from the counter tables
+/// `coverage_of_run` records. The atlas embeds this list so uncovered
+/// features can be computed from the artifact alone.
 pub fn known_features() -> Vec<String> {
     let mut out: BTreeSet<String> = BTreeSet::new();
-    let counters = machine_counters(&MachineStats::default(), &TlbStats::default())
-        .into_iter()
-        .chain(mbm_counters(&MbmStats::default()))
-        .chain(verdict_counters(&HypersecStats::default()))
-        .chain(kernel_counters(&KernelStats::default()))
-        .chain(compose_counters(&ComposeStats::default()));
-    out.extend(counters.map(|(key, _)| key.to_string()));
+    let counters = coverage_keys(MachineStats::COUNTERS)
+        .chain(coverage_keys(TlbStats::COUNTERS))
+        .chain(coverage_keys(MbmStats::COUNTERS))
+        .chain(coverage_keys(HypersecStats::COUNTERS))
+        .chain(coverage_keys(KernelStats::COUNTERS))
+        .chain(coverage_keys(ComposeStats::COUNTERS));
+    out.extend(counters.map(str::to_string));
     for kind in FaultKind::ALL {
         out.insert(format!("machine/fault-site/{}", kind.name()));
     }
@@ -350,9 +258,6 @@ pub fn known_features() -> Vec<String> {
     }
     for rule in codes::METADATA {
         out.insert(format!("hypersec/rule/{}", rule.name));
-    }
-    for (family, _) in KernelStats::default().syscall_families() {
-        out.insert(format!("kernel/syscall/{family}"));
     }
     for step in AttackStep::defaults() {
         for outcome in OUTCOMES {

@@ -14,7 +14,7 @@ use hypernel::{Mode, System, SystemBuilder};
 use hypernel_kernel::kernel::{KernelError, MonitorHooks};
 use hypernel_machine::addr::PhysAddr;
 use hypernel_mbm::MbmConfig;
-use hypernel_telemetry::MetricsRecorder;
+use hypernel_telemetry::{metrics, MetricsRecorder};
 use hypernel_workloads::lmbench::{run_op, LmbenchOp};
 
 use crate::blackbox;
@@ -303,7 +303,7 @@ pub fn run_one_full(
     for (step, (_, serviced)) in steps.iter().zip(timings.iter()) {
         if step.detections > 0 {
             if let Some(latency) = step.latency {
-                recorder.observe("detection-latency-max", *serviced, latency);
+                recorder.observe(metrics::DETECTION_LATENCY_MAX.name, *serviced, latency);
             }
         }
     }

@@ -15,6 +15,7 @@
 
 use hypernel_machine::FaultStats;
 use hypernel_mbm::MbmStats;
+use hypernel_telemetry::counters::{add, json_object, samples};
 use hypernel_telemetry::json::Json;
 use hypernel_telemetry::series::MetricsDoc;
 
@@ -46,7 +47,8 @@ pub struct Violation {
 }
 
 impl Violation {
-    fn to_json(&self) -> Json {
+    /// The violation as run records and flight-recorder dumps write it.
+    pub(crate) fn to_json(&self) -> Json {
         let mut fields = vec![("oracle", Json::str(self.oracle))];
         if let Some(step) = self.step {
             fields.push(("step", Json::UInt(step as u64)));
@@ -187,15 +189,11 @@ impl RunRecord {
             ("detections_total", Json::UInt(self.detections_total)),
         ];
         if let Some(mbm) = self.mbm {
-            let mut mbm_fields = vec![
-                ("events_matched", Json::UInt(mbm.events_matched)),
-                ("irqs_raised", Json::UInt(mbm.irqs_raised)),
-                ("fifo_dropped", Json::UInt(mbm.fifo_dropped)),
-            ];
-            match mbm.first_dropped_addr {
-                Some(addr) => mbm_fields.push(("first_dropped_addr", Json::UInt(addr.raw()))),
-                None => mbm_fields.push(("first_dropped_addr", Json::Null)),
-            }
+            let mut mbm_fields: Vec<_> = samples(MbmStats::COUNTERS, &mbm, |n| n.record)
+                .map(|(key, n)| (key, Json::UInt(n)))
+                .collect();
+            let addr = mbm.first_dropped_addr.map(|a| a.raw());
+            mbm_fields.push(("first_dropped_addr", addr.map_or(Json::Null, Json::UInt)));
             fields.push(("mbm", Json::obj(mbm_fields)));
         }
         if let Some(f) = self.faults {
@@ -225,12 +223,16 @@ impl RunRecord {
 /// — the single source of the artifact field names, shared by run
 /// records and summary rows.
 fn fault_counters_json(f: &FaultStats) -> Json {
-    Json::Object(
-        f.counters()
-            .iter()
-            .map(|(name, n)| (name.to_string(), Json::UInt(*n)))
-            .collect(),
-    )
+    json_object(samples(FaultStats::COUNTERS, f, |n| n.record))
+}
+
+/// The fault counter a record or summary calls `name`.
+fn fault_counter<'a>(faults: &'a mut FaultStats, name: &str) -> Option<&'a mut u64> {
+    let counters = FaultStats::COUNTERS.iter();
+    counters
+        .into_iter()
+        .find(|c| c.names.record == Some(name))?
+        .slot(faults)
 }
 
 /// Per-scenario aggregation of a sweep.
@@ -284,7 +286,7 @@ impl ScenarioSummary {
         let mut faults = FaultStats::default();
         if let Some(Json::Object(fields)) = doc.get("faults") {
             for (name, value) in fields {
-                *faults.counter_mut(name)? += value.as_u64().unwrap_or(0);
+                *fault_counter(&mut faults, name)? += value.as_u64().unwrap_or(0);
             }
         }
         let violations = doc
@@ -320,7 +322,7 @@ impl ScenarioSummary {
         self.expected_violations += other.expected_violations;
         self.unexpected_violations += other.unexpected_violations;
         self.max_latency = self.max_latency.max(other.max_latency);
-        self.faults.add(&other.faults);
+        add(FaultStats::COUNTERS, &mut self.faults, &other.faults);
     }
 }
 
@@ -473,8 +475,7 @@ fn read_summary_row(row: &Json) -> Result<ScenarioSummary, String> {
         Some(Json::Object(fields)) => {
             for (name, value) in fields {
                 let field = format!("faults.{name}");
-                let slot = faults
-                    .counter_mut(name)
+                let slot = fault_counter(&mut faults, name)
                     .ok_or_else(|| bad(&field, "is not a fault counter"))?;
                 *slot += value
                     .as_u64()

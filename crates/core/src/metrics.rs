@@ -16,11 +16,15 @@
 //! # Ok::<(), hypernel_kernel::kernel::KernelError>(())
 //! ```
 //!
-//! Everything sampled here is a *simulated* quantity: host fast-path
-//! counters (L0 micro-TLB, MBM watch-page filter) never appear, so the
-//! resulting artifacts are byte-identical under `HYPERNEL_NO_FASTPATH`.
+//! Every series is a model row of a counter table (or one of the MBM's
+//! FIFO gauges) that names a metric; host counters carry no metric
+//! name, so the resulting artifacts are byte-identical under
+//! `HYPERNEL_NO_FASTPATH`.
 
-use hypernel_mbm::Mbm;
+use hypernel_machine::machine::MachineStats;
+use hypernel_machine::tlb::TlbStats;
+use hypernel_mbm::{Mbm, MbmStats};
+use hypernel_telemetry::counters::{samples, Names};
 
 use crate::system::System;
 
@@ -30,24 +34,16 @@ use crate::system::System;
 /// is event-driven and never polled — drivers feed it via
 /// `MetricsRecorder::observe`.
 pub fn metric_samples(sys: &System) -> Vec<(&'static str, u64)> {
-    let machine = sys.machine().stats();
-    let tlb = sys.machine().tlb().stats();
-    let mut out = vec![
-        ("hypercalls", machine.hypercalls),
-        ("sysreg-traps", machine.sysreg_traps),
-        ("irqs-delivered", machine.irqs_delivered),
-        ("tlb-hits", tlb.hits),
-        ("tlb-misses", tlb.misses),
-    ];
-    if let Some(mbm) = sys.machine().bus().snooper::<Mbm>() {
-        let stats = mbm.stats();
-        out.push(("mbm-bus-writes", stats.bus_writes_seen));
-        out.push(("mbm-captured", stats.captured));
-        out.push(("mbm-watch-hits", stats.events_matched));
-        out.push(("mbm-irqs-raised", stats.irqs_raised));
-        out.push(("mbm-fifo-dropped", stats.fifo_dropped));
-        out.push(("mbm-fifo-depth", mbm.fifo_len() as u64));
-        out.push(("mbm-fifo-high-water", mbm.fifo_high_watermark() as u64));
+    fn series(names: &Names) -> Option<&'static str> {
+        Some(names.metric?.name)
+    }
+    let machine = sys.machine();
+    let mut out: Vec<_> = samples(MachineStats::COUNTERS, &machine.stats(), series)
+        .chain(samples(TlbStats::COUNTERS, &machine.tlb().stats(), series))
+        .collect();
+    if let Some(mbm) = machine.bus().snooper::<Mbm>() {
+        out.extend(samples(MbmStats::COUNTERS, &mbm.stats(), series));
+        out.extend(samples(Mbm::GAUGES, mbm, series));
     }
     out
 }

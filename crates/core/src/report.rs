@@ -8,6 +8,7 @@ use hypernel_machine::fault::FaultStats;
 use hypernel_machine::machine::MachineStats;
 use hypernel_machine::tlb::TlbStats;
 use hypernel_mbm::MbmStats;
+use hypernel_telemetry::counters::{json_object, samples};
 use hypernel_telemetry::json::Json;
 use hypernel_telemetry::{HistogramSummary, Snapshot};
 
@@ -75,8 +76,26 @@ impl RunReport {
         CostModel::cycles_to_us(self.cycles)
     }
 
+    /// The `counters` group: every machine, kernel, TLB and cache counter
+    /// with a report key, in table order.
+    fn counter_fields(&self) -> Vec<(&'static str, u64)> {
+        samples(MachineStats::COUNTERS, &self.machine, |n| n.report)
+            .chain(samples(KernelStats::COUNTERS, &self.kernel, |n| n.report))
+            .chain(samples(TlbStats::COUNTERS, &self.tlb, |n| n.report))
+            .chain(samples(CacheStats::COUNTERS, &self.cache, |n| n.report))
+            .collect()
+    }
+
+    /// The `mbm` group's counters (empty outside Hypernel mode).
+    fn mbm_fields(&self) -> Vec<(&'static str, u64)> {
+        self.mbm.as_ref().map_or_else(Vec::new, |mbm| {
+            samples(MbmStats::COUNTERS, mbm, |n| n.report).collect()
+        })
+    }
+
     /// Renders the report as a GitHub-flavored markdown table, ready to
-    /// paste into an experiment log.
+    /// paste into an experiment log. A counter's row is its report key
+    /// with spaces for underscores.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -92,40 +111,15 @@ impl RunReport {
 |---|---|
 ",
         );
-        let rows: &[(&str, u64)] = &[
-            ("memory reads", self.machine.reads),
-            ("memory writes", self.machine.writes),
-            ("uncached accesses", self.machine.uncached_accesses),
-            ("hypercalls", self.machine.hypercalls),
-            ("sysreg traps", self.machine.sysreg_traps),
-            ("stage-2 faults", self.machine.stage2_faults),
-            ("EL1 aborts", self.machine.el1_aborts),
-            ("IRQs delivered", self.machine.irqs_delivered),
-            ("syscalls", self.kernel.syscalls),
-            ("forks / execs / exits", self.kernel.forks),
-            ("context switches", self.kernel.context_switches),
-            ("page faults", self.kernel.page_faults),
-            ("TLB hits", self.tlb.hits),
-            ("TLB misses", self.tlb.misses),
-            ("cache hits", self.cache.hits),
-            ("cache misses", self.cache.misses),
-        ];
-        for (name, value) in rows {
+        let counters = self.counter_fields().into_iter();
+        let counters = counters.map(|(key, n)| (key.to_string(), n));
+        let mbm = self.mbm_fields().into_iter();
+        let mbm = mbm.map(|(key, n)| (format!("MBM {key}"), n));
+        for (key, value) in counters.chain(mbm) {
+            let name = key.replace('_', " ");
             out.push_str(&format!(
                 "| {name} | {value} |
 "
-            ));
-        }
-        if let Some(mbm) = self.mbm {
-            out.push_str(&format!(
-                "| MBM events matched | {} |
-",
-                mbm.events_matched
-            ));
-            out.push_str(&format!(
-                "| MBM IRQs raised | {} |
-",
-                mbm.irqs_raised
             ));
         }
         if let Some(dropped) = self.trace_dropped {
@@ -195,53 +189,23 @@ impl RunReport {
             ("mode", Json::str(&self.mode.to_string())),
             ("cycles", Json::UInt(self.cycles)),
             ("micros", Json::Float(self.micros())),
-            (
-                "counters",
-                Json::obj(vec![
-                    ("memory_reads", Json::UInt(self.machine.reads)),
-                    ("memory_writes", Json::UInt(self.machine.writes)),
-                    (
-                        "uncached_accesses",
-                        Json::UInt(self.machine.uncached_accesses),
-                    ),
-                    ("hypercalls", Json::UInt(self.machine.hypercalls)),
-                    ("sysreg_traps", Json::UInt(self.machine.sysreg_traps)),
-                    ("stage2_faults", Json::UInt(self.machine.stage2_faults)),
-                    ("el1_aborts", Json::UInt(self.machine.el1_aborts)),
-                    ("irqs_delivered", Json::UInt(self.machine.irqs_delivered)),
-                    ("syscalls", Json::UInt(self.kernel.syscalls)),
-                    ("forks", Json::UInt(self.kernel.forks)),
-                    ("context_switches", Json::UInt(self.kernel.context_switches)),
-                    ("page_faults", Json::UInt(self.kernel.page_faults)),
-                    ("tlb_hits", Json::UInt(self.tlb.hits)),
-                    ("tlb_misses", Json::UInt(self.tlb.misses)),
-                    ("cache_hits", Json::UInt(self.cache.hits)),
-                    ("cache_misses", Json::UInt(self.cache.misses)),
-                ]),
-            ),
+            ("counters", json_object(self.counter_fields())),
         ];
         if let Some(mbm) = self.mbm {
-            let mut mbm_fields = vec![
-                ("events_matched", Json::UInt(mbm.events_matched)),
-                ("irqs_raised", Json::UInt(mbm.irqs_raised)),
-                ("fifo_dropped", Json::UInt(mbm.fifo_dropped)),
-            ];
-            if let Some(addr) = mbm.first_dropped_addr {
-                mbm_fields.push(("first_dropped_addr", Json::UInt(addr.raw())));
-            }
-            fields.push(("mbm", Json::obj(mbm_fields)));
+            let mut mbm_fields = self.mbm_fields();
+            let addr = mbm
+                .first_dropped_addr
+                .map(|a| ("first_dropped_addr", a.raw()));
+            mbm_fields.extend(addr);
+            fields.push(("mbm", json_object(mbm_fields)));
         }
         if let Some(dropped) = self.trace_dropped {
             fields.push(("trace_dropped", Json::UInt(dropped)));
         }
         if let Some(f) = self.faults {
-            let mut counters: Vec<(&str, Json)> = f
-                .counters()
-                .into_iter()
-                .map(|(name, n)| (name, Json::UInt(n)))
-                .collect();
-            counters.push(("total", Json::UInt(f.total())));
-            fields.push(("faults", Json::obj(counters)));
+            let mut counters: Vec<_> = samples(FaultStats::COUNTERS, &f, |n| n.report).collect();
+            counters.push(("total", f.total()));
+            fields.push(("faults", json_object(counters)));
         }
         if let Some(snap) = &self.telemetry {
             let latencies: Vec<Json> = snap
@@ -305,6 +269,8 @@ impl Latency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypernel_telemetry::counter;
+    use hypernel_telemetry::counters::{Counter, Scope};
 
     #[test]
     fn latency_math() {
@@ -448,6 +414,88 @@ mod tests {
             !md.contains("compiled plan"),
             "line-run counters leaked into markdown"
         );
+    }
+
+    /// What keeps `table` from listing every counter field of `S`
+    /// exactly once: a field two rows write, or a numeric field (one
+    /// that reads `0` in `S::default()`'s `Debug` form) no row writes.
+    fn table_problems<S: Default + std::fmt::Debug>(table: &[Counter<S>]) -> Vec<String> {
+        let name = std::any::type_name::<S>().rsplit("::").next().unwrap_or("");
+        let mut stats = S::default();
+        let rows: Vec<&Counter<S>> = table
+            .iter()
+            .filter(|c| c.slot(&mut stats).is_some())
+            .collect();
+        for (i, c) in (1..).zip(&rows) {
+            *c.slot(&mut stats).expect("field row") = i;
+        }
+        let mut problems: Vec<String> = (1..)
+            .zip(&rows)
+            .filter(|(i, c)| *c.slot(&mut stats).expect("field row") != *i)
+            .map(|(_, c)| format!("`{name}::{}` has more than one row", c.field))
+            .collect();
+        let debug = format!("{stats:?}");
+        let fields = debug.split_once('{').map_or("", |(_, rest)| rest);
+        for field in fields.trim_end_matches('}').split(", ") {
+            if let Some((field, "0")) = field.trim().split_once(": ") {
+                problems.push(format!("`{name}::{field}` has no row"));
+            }
+        }
+        problems
+    }
+
+    #[derive(Debug, Default)]
+    struct Toy {
+        a: u64,
+        b: u64,
+        c: Option<u64>,
+    }
+
+    #[test]
+    fn table_problems_finds_a_missing_or_doubled_row() {
+        let complete: &[Counter<Toy>] = &[counter!(a), counter!(host b)];
+        assert!(table_problems(complete).is_empty());
+        let missing: &[Counter<Toy>] = &[counter!(a)];
+        assert_eq!(table_problems(missing), ["`Toy::b` has no row"]);
+        let doubled: &[Counter<Toy>] = &[counter!(a), counter!(b), counter!(a, report = "x")];
+        assert_eq!(table_problems(doubled), ["`Toy::a` has more than one row"]);
+        assert!(Toy::default().c.is_none());
+    }
+
+    #[test]
+    fn every_counter_field_has_exactly_one_row() {
+        use hypernel_hypersec::HypersecStats;
+        use hypernel_kernel::ComposeStats;
+
+        fn hosts<S>(table: &[Counter<S>]) -> impl Iterator<Item = &'static str> + '_ {
+            table
+                .iter()
+                .filter(|c| c.scope == Scope::Host)
+                .map(|c| c.field)
+        }
+        let problems = [
+            table_problems(MachineStats::COUNTERS),
+            table_problems(TlbStats::COUNTERS),
+            table_problems(CacheStats::COUNTERS),
+            table_problems(MbmStats::COUNTERS),
+            table_problems(HypersecStats::COUNTERS),
+            table_problems(KernelStats::COUNTERS),
+            table_problems(ComposeStats::COUNTERS),
+            table_problems(FaultStats::COUNTERS),
+        ]
+        .concat();
+        assert!(problems.is_empty(), "{problems:#?}");
+        // The host counters, and only they, differ with the fast paths.
+        let host: Vec<&str> = hosts(TlbStats::COUNTERS)
+            .chain(hosts(MbmStats::COUNTERS))
+            .chain(hosts(MachineStats::COUNTERS))
+            .chain(hosts(CacheStats::COUNTERS))
+            .chain(hosts(HypersecStats::COUNTERS))
+            .chain(hosts(KernelStats::COUNTERS))
+            .chain(hosts(ComposeStats::COUNTERS))
+            .chain(hosts(FaultStats::COUNTERS))
+            .collect();
+        assert_eq!(host, ["l0_hits", "l0_misses", "page_filter_skips"]);
     }
 
     #[test]

@@ -29,10 +29,13 @@ use hypernel_machine::addr::{
     IntermAddr, PhysAddr, VirtAddr, PAGE_SIZE, SECTION_SHIFT, SECTION_SIZE,
 };
 use hypernel_machine::machine::{AccessKind, Hyp, Machine, PolicyViolation, Stage2Outcome};
-use hypernel_machine::pagetable::{self, Descriptor, PagePerms, PtMemory, ENTRIES_PER_TABLE};
+use hypernel_machine::pagetable::{self, Descriptor, PagePerms, ENTRIES_PER_TABLE};
 use hypernel_machine::regs::{hcr, sctlr, ExceptionLevel, SysReg};
+use hypernel_machine::snapshot::TableView;
 use hypernel_mbm::bitmap::BitmapLayout;
 use hypernel_mbm::ring::RingLayout;
+use hypernel_telemetry::counter;
+use hypernel_telemetry::counters::Counter;
 use hypernel_telemetry::SpanKind;
 
 use crate::audit::{self, AuditBaseline, Ctx};
@@ -409,6 +412,24 @@ pub struct HypersecStats {
     pub emulated_writes: u64,
 }
 
+impl HypersecStats {
+    /// Every counter with its artifact names — the one list of them.
+    #[rustfmt::skip]
+    pub const COUNTERS: &'static [Counter<HypersecStats>] = &[
+        counter!(hypercalls),
+        counter!(pt_writes, coverage = "hypersec/verdict/pt-write-allowed"),
+        counter!(pt_denials, coverage = "hypersec/verdict/pt-write-denied"),
+        counter!(tables_registered, coverage = "hypersec/verdict/table-registered"),
+        counter!(sysreg_allowed, coverage = "hypersec/verdict/sysreg-allowed"),
+        counter!(sysreg_denied, coverage = "hypersec/verdict/sysreg-denied"),
+        counter!(regions_live),
+        counter!(events_dispatched, coverage = "hypersec/verdict/event-dispatched"),
+        counter!(stray_events, coverage = "hypersec/verdict/stray-event"),
+        counter!(detections, coverage = "hypersec/verdict/detection"),
+        counter!(emulated_writes, coverage = "hypersec/verdict/emulated-write"),
+    ];
+}
+
 /// The Hypersec EL2 runtime. Implements [`Hyp`]; create with
 /// [`Hypersec::install`] on a machine still in its EL2 boot state.
 ///
@@ -472,14 +493,14 @@ pub(crate) fn is_kernel_text(out: PhysAddr, span: u64) -> bool {
 /// `None` for an invalid descriptor. Reads the same entries, in the same
 /// order, as the first three steps of `pagetable::walk`.
 fn level3_table(
-    mem: &mut impl PtMemory,
+    view: &TableView<'_>,
     root: PhysAddr,
     input: u64,
 ) -> Result<PhysAddr, Option<PagePerms>> {
     let mut table = root;
     for level in 0..3 {
         match Descriptor::decode(
-            mem.read_pt(pagetable::entry_addr(table, input, level)),
+            view.read_word(pagetable::entry_addr(table, input, level)),
             level,
         ) {
             Descriptor::Table { next } => table = next,
@@ -488,6 +509,23 @@ fn level3_table(
         }
     }
     Ok(table)
+}
+
+/// The permissions `pagetable::walk` finds for `input` on the path
+/// [`level3_table`] resolved, or `None` when `input` is unmapped.
+fn leaf_perms(
+    view: &TableView<'_>,
+    path: Result<PhysAddr, Option<PagePerms>>,
+    input: u64,
+) -> Option<PagePerms> {
+    let l3 = match path {
+        Ok(l3) => l3,
+        Err(verdict) => return verdict,
+    };
+    match Descriptor::decode(view.read_word(pagetable::entry_addr(l3, input, 3)), 3) {
+        Descriptor::Leaf { perms, .. } => Some(perms),
+        _ => None, // invalid: level 3 holds no table descriptor
+    }
 }
 
 impl Hypersec {
@@ -684,6 +722,13 @@ impl Hypersec {
     ///
     /// Panics if called before `LOCK` (there is nothing to audit).
     pub fn audit(&self, m: &mut Machine) -> AuditReport {
+        self.audit_view(&m.table_view())
+    }
+
+    /// [`Hypersec::audit`] through a table view the caller already
+    /// holds, so the static audit derives the view (and its dirty set)
+    /// once for both walks. Panics before `LOCK`, as `audit` does.
+    pub fn audit_view(&self, view: &TableView<'_>) -> AuditReport {
         let kernel_root = self.kernel_root.expect("audit requires the locked state");
         let mut report = AuditReport::default();
         let mut roots: Vec<PhysAddr> = self.roots.keys().map(|r| PhysAddr::new(*r)).collect();
@@ -697,29 +742,25 @@ impl Hypersec {
                 wx_check: !self.wx_check_disabled,
             })
             .collect();
-        let view = m.table_view();
         audit::walk_roots(
-            &view,
+            view,
             &self.tables,
             &self.audit_baseline,
             &roots,
             &mut report,
         );
         // Invariant 5: registered tables are read-only to the kernel.
-        Self::audit_tables_read_only(m, kernel_root, self.verified_tables(), &mut report);
+        Self::audit_tables_read_only(view, kernel_root, self.verified_tables(), &mut report);
         // Invariant 6: monitored regions are non-cacheable and armed.
         for region in &self.regions {
-            let walked = {
-                let mut view = m.pt_view();
-                pagetable::walk(&mut view, kernel_root, region.base_va.raw())
-            };
-            match walked {
-                Ok(res) if res.perms.cacheable => report.violation(format!(
+            let va = region.base_va.raw();
+            match leaf_perms(view, level3_table(view, kernel_root, va), va) {
+                Some(perms) if perms.cacheable => report.violation(format!(
                     "monitored region at {} is cacheable - writes can hide from the MBM",
                     region.base_va
                 )),
-                Ok(_) => {}
-                Err(_) => report.violation(format!(
+                Some(_) => {}
+                None => report.violation(format!(
                     "monitored region at {} is unmapped",
                     region.base_va
                 )),
@@ -728,7 +769,7 @@ impl Hypersec {
             let end = region.pa.add(region.len);
             while addr < end {
                 if let Some((word, mask)) = self.config.bitmap.locate(addr) {
-                    if m.debug_read_phys(word) & mask == 0 {
+                    if view.read_word(word) & mask == 0 {
                         report.violation(format!("watch bit missing for {addr}"));
                     }
                 }
@@ -749,12 +790,11 @@ impl Hypersec {
     /// in a block or an invalid entry gives the whole region its
     /// verdict; otherwise each table reads one level-3 entry.
     fn audit_tables_read_only(
-        m: &mut Machine,
+        view: &TableView<'_>,
         kernel_root: PhysAddr,
         verified: &[PhysAddr],
         report: &mut AuditReport,
     ) {
-        let mut view = m.pt_view();
         // The last region resolved: its VA above the section bits, and
         // where its path leaves level 2.
         let mut region: Option<(u64, Result<PhysAddr, Option<PagePerms>>)> = None;
@@ -763,21 +803,12 @@ impl Hypersec {
             let path = match region {
                 Some((section, path)) if section == va >> SECTION_SHIFT => path,
                 _ => {
-                    let path = level3_table(&mut view, kernel_root, va);
+                    let path = level3_table(view, kernel_root, va);
                     region = Some((va >> SECTION_SHIFT, path));
                     path
                 }
             };
-            let perms = match path {
-                Ok(l3) => {
-                    match Descriptor::decode(view.read_pt(pagetable::entry_addr(l3, va, 3)), 3) {
-                        Descriptor::Leaf { perms, .. } => Some(perms),
-                        _ => None, // invalid: level 3 holds no table descriptor
-                    }
-                }
-                Err(verdict) => verdict,
-            };
-            match perms {
+            match leaf_perms(view, path, va) {
                 Some(perms) if perms.write => {
                     report.violation(format!("table page {table} is writable in the kernel view"))
                 }

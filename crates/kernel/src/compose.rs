@@ -14,6 +14,8 @@
 use hypernel_machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 
 use crate::task::Pid;
+use hypernel_telemetry::counter;
+use hypernel_telemetry::counters::Counter;
 
 /// Whether a protection domain is a passive server or a client task
 /// (microkit's two protection-domain flavors).
@@ -153,6 +155,24 @@ pub struct ComposeStats {
     pub watch_spans_merged: u64,
     /// Monitor-registration hypercalls actually issued.
     pub watch_calls_issued: u64,
+}
+
+impl ComposeStats {
+    /// Every counter with its artifact names — the one list of them.
+    #[rustfmt::skip]
+    pub const COUNTERS: &'static [Counter<ComposeStats>] = &[
+        counter!(server_domains, coverage = "compose/domain/server"),
+        counter!(client_domains, coverage = "compose/domain/client"),
+        counter!(domain_tasks, coverage = "compose/domain/task"),
+        counter!(channels_created, coverage = "compose/channel/created"),
+        counter!(channel_messages, coverage = "compose/channel/message"),
+        counter!(regions_mapped, coverage = "compose/region/mapped"),
+        counter!(protected_regions, coverage = "compose/region/protected"),
+        counter!(shared_mappings, coverage = "compose/region/shared-mapping"),
+        counter!(watch_spans_derived, coverage = "compose/watch/derived-span"),
+        counter!(watch_spans_merged, coverage = "compose/watch/merged-span"),
+        counter!(watch_calls_issued, coverage = "compose/watch/batched-call"),
+    ];
 }
 
 /// The kernel's registry of composed state, in creation order.

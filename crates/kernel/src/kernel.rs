@@ -20,6 +20,8 @@ use hypernel_machine::machine::{BlockFault, Exception, Hyp, Machine};
 use hypernel_machine::pagetable::PagePerms;
 use hypernel_machine::regs::{sctlr, ExceptionLevel, SysReg};
 use hypernel_machine::shadow::PageTag;
+use hypernel_telemetry::counter;
+use hypernel_telemetry::counters::Counter;
 use hypernel_telemetry::SpanKind;
 
 use crate::abi::Hypercall;
@@ -191,18 +193,24 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Syscall-family counters: the families with dedicated counters
-    /// plus the residual `other` bucket (stat/signal/mmap traffic and
-    /// everything else), summing to `syscalls`.
-    pub fn syscall_families(&self) -> [(&'static str, u64); 4] {
-        let dedicated = self.forks + self.execs + self.exits;
-        [
-            ("fork", self.forks),
-            ("exec", self.execs),
-            ("exit", self.exits),
-            ("other", self.syscalls.saturating_sub(dedicated)),
-        ]
-    }
+    /// Every counter with its artifact names — the one list of them.
+    /// Coverage splits `syscalls` into families: the ones with their
+    /// own counters plus the residual `other` bucket (stat/signal/mmap
+    /// traffic and everything else), derived in the last row.
+    #[rustfmt::skip]
+    pub const COUNTERS: &'static [Counter<KernelStats>] = &[
+        counter!(syscalls, report = "syscalls"),
+        counter!(forks, coverage = "kernel/syscall/fork", report = "forks"),
+        counter!(execs, coverage = "kernel/syscall/exec"),
+        counter!(exits, coverage = "kernel/syscall/exit"),
+        counter!(context_switches, coverage = "kernel/event/context-switch", report = "context_switches"),
+        counter!(page_faults, coverage = "kernel/event/page-fault", report = "page_faults"),
+        counter!(files_created, coverage = "kernel/event/file-create"),
+        counter!(irqs_forwarded, coverage = "kernel/irq-service/forwarded"),
+        counter!(emulated_writes, coverage = "kernel/irq-service/emulated-write"),
+        counter!(monitor_registrations, coverage = "kernel/irq-service/monitor-registration"),
+        counter!(derived "syscalls - forks - execs - exits" = |k| k.syscalls.saturating_sub(k.forks + k.execs + k.exits), coverage = "kernel/syscall/other"),
+    ];
 }
 
 /// Errors surfaced by kernel operations.

@@ -14,6 +14,8 @@
 
 use crate::addr::PhysAddr;
 use crate::bus::LINE_WORDS;
+use hypernel_telemetry::counter;
+use hypernel_telemetry::counters::Counter;
 
 /// Line size in bytes (64 B, eight 8-byte words).
 pub const LINE_SIZE: u64 = 64;
@@ -66,6 +68,14 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Every counter with its artifact names — the one list of them.
+    #[rustfmt::skip]
+    pub const COUNTERS: &'static [Counter<CacheStats>] = &[
+        counter!(hits, report = "cache_hits"),
+        counter!(misses, report = "cache_misses"),
+        counter!(writebacks),
+    ];
+
     /// Hit rate in `[0, 1]`; `None` before the first access.
     pub fn hit_rate(&self) -> Option<f64> {
         let total = self.hits + self.misses;

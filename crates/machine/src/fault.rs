@@ -20,6 +20,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::addr::PhysAddr;
+use hypernel_telemetry::counter;
+use hypernel_telemetry::counters::Counter;
 
 /// The kinds of injectable hardware faults, each tied to one site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,51 +231,28 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Every counter with its artifact field name, in declaration order
-    /// — the one list of fault-counter names.
-    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 6] {
-        [
-            ("irqs_dropped", &mut self.irqs_dropped),
-            ("irqs_delayed", &mut self.irqs_delayed),
-            ("translator_stalls", &mut self.translator_stalls),
-            ("snoop_addr_flips", &mut self.snoop_addr_flips),
-            ("hypercalls_lost", &mut self.hypercalls_lost),
-            ("bitmap_desyncs", &mut self.bitmap_desyncs),
-        ]
-    }
+    /// — the one list of fault-counter names. Run reports, campaign
+    /// records and summaries serialize through it, and a summary's
+    /// `faults` object is read back through it.
+    #[rustfmt::skip]
+    pub const COUNTERS: &'static [Counter<FaultStats>] = &[
+        counter!(irqs_dropped, report = "irqs_dropped", record = "irqs_dropped"),
+        counter!(irqs_delayed, report = "irqs_delayed", record = "irqs_delayed"),
+        counter!(translator_stalls, report = "translator_stalls", record = "translator_stalls"),
+        counter!(snoop_addr_flips, report = "snoop_addr_flips", record = "snoop_addr_flips"),
+        counter!(hypercalls_lost, report = "hypercalls_lost", record = "hypercalls_lost"),
+        counter!(bitmap_desyncs, report = "bitmap_desyncs", record = "bitmap_desyncs"),
+    ];
 
     /// Total injections across all kinds.
     pub fn total(&self) -> u64 {
-        self.counters().iter().map(|(_, n)| n).sum()
+        Self::COUNTERS.iter().filter_map(|c| c.value(self)).sum()
     }
 
     /// Injections that can hide a watched write from the detection
     /// pipeline (everything except pure delays).
     pub fn detection_threatening(&self) -> u64 {
         self.total() - self.irqs_delayed
-    }
-
-    /// `(field, count)` pairs for every counter, in declaration order.
-    /// The names are the artifact field names — run reports, campaign
-    /// records and summaries serialize through this one list.
-    pub fn counters(&self) -> [(&'static str, u64); 6] {
-        let mut copy = *self;
-        copy.fields_mut().map(|(name, n)| (name, *n))
-    }
-
-    /// The counter whose artifact field name is `name`, if any — how a
-    /// summary's `faults` object is read back.
-    pub fn counter_mut(&mut self, name: &str) -> Option<&mut u64> {
-        self.fields_mut()
-            .into_iter()
-            .find(|(field, _)| *field == name)
-            .map(|(_, n)| n)
-    }
-
-    /// Adds every counter from `other` into `self` (summary rollups).
-    pub fn add(&mut self, other: &FaultStats) {
-        for ((_, into), (_, n)) in self.fields_mut().into_iter().zip(other.counters()) {
-            *into += n;
-        }
     }
 }
 

@@ -25,6 +25,8 @@ use crate::regs::{ExceptionLevel, SysReg, SysRegs};
 use crate::shadow::{PageTag, ShadowTags, Writer as ShadowWriter};
 use crate::snapshot::{Snapshot, TableView};
 use crate::tlb::{Regime, Tlb, TlbEntry};
+use hypernel_telemetry::counters::Counter;
+use hypernel_telemetry::{counter, metrics};
 use hypernel_telemetry::{Event, PointKind, SharedSink, SpanKind, Track};
 
 /// The kind of memory access being performed.
@@ -293,6 +295,21 @@ pub struct MachineStats {
     pub el1_aborts: u64,
     /// Interrupts delivered to software.
     pub irqs_delivered: u64,
+}
+
+impl MachineStats {
+    /// Every counter with its artifact names — the one list of them.
+    #[rustfmt::skip]
+    pub const COUNTERS: &'static [Counter<MachineStats>] = &[
+        counter!(reads, report = "memory_reads"),
+        counter!(writes, report = "memory_writes"),
+        counter!(uncached_accesses, report = "uncached_accesses"),
+        counter!(hypercalls, coverage = "machine/trap/hypercall", metric = metrics::HYPERCALLS, report = "hypercalls"),
+        counter!(sysreg_traps, coverage = "machine/trap/sysreg", metric = metrics::SYSREG_TRAPS, report = "sysreg_traps"),
+        counter!(stage2_faults, coverage = "machine/trap/stage2-fault", report = "stage2_faults"),
+        counter!(el1_aborts, coverage = "machine/trap/el1-abort", report = "el1_aborts"),
+        counter!(irqs_delivered, coverage = "machine/irq/delivered", metric = metrics::IRQS_DELIVERED, report = "irqs_delivered"),
+    ];
 }
 
 /// Host-side counters of the line runs of [`Machine::read_block`] and

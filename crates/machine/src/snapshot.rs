@@ -128,6 +128,15 @@ impl<'a> TableView<'a> {
         read_table(self.mem, cached.then_some(self.cache), table)
     }
 
+    /// The word at `pa`, read coherently; the same word as
+    /// `Machine::debug_read_phys`.
+    pub fn read_word(&self, pa: PhysAddr) -> u64 {
+        match self.cache.resident_line(pa) {
+            Some(line) => line[(pa.raw() >> 3) as usize & (LINE_WORDS - 1)],
+            None => self.mem.read_u64(pa),
+        }
+    }
+
     /// The snapshot of the machine's template family, if it was ever
     /// forked.
     pub fn snapshot(&self) -> Option<&'a Rc<Snapshot>> {

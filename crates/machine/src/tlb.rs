@@ -33,6 +33,8 @@ use crate::addr::{PhysAddr, VirtAddr};
 use crate::fastpath::fastpath_enabled;
 use crate::fxhash::FxHashMap;
 use crate::pagetable::PagePerms;
+use hypernel_telemetry::counters::Counter;
+use hypernel_telemetry::{counter, metrics};
 
 /// Translation regime a main-TLB entry belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,6 +81,18 @@ pub struct TlbStats {
 }
 
 impl TlbStats {
+    /// Every counter with its artifact names — the one list of them.
+    /// The L0 micro-TLB's counters are host counters.
+    #[rustfmt::skip]
+    pub const COUNTERS: &'static [Counter<TlbStats>] = &[
+        counter!(hits, coverage = "machine/tlb/hit", metric = metrics::TLB_HITS, report = "tlb_hits"),
+        counter!(misses, coverage = "machine/tlb/miss", metric = metrics::TLB_MISSES, report = "tlb_misses"),
+        counter!(evictions, coverage = "machine/tlb/eviction"),
+        counter!(flushes, coverage = "machine/tlb/flush"),
+        counter!(host l0_hits),
+        counter!(host l0_misses),
+    ];
+
     /// Hit rate in `[0, 1]`; `None` before the first lookup.
     pub fn hit_rate(&self) -> Option<f64> {
         let total = self.hits + self.misses;

@@ -118,14 +118,36 @@ impl BitmapCache {
     }
 
     /// Non-mutating lookup: the cached value of the bitmap word at
-    /// `addr`, with no statistics or replacement side effects. Used by
-    /// the host-side watch-page filter to predict what the translator
-    /// would read without perturbing the modeled cache.
+    /// `addr`, with no statistics or replacement side effects. The
+    /// host-side watch-page filter probes with it, then charges what
+    /// it skipped with [`BitmapCache::charge_lookups`].
     pub fn peek(&self, addr: PhysAddr) -> Option<u64> {
         if !self.enabled {
             return None;
         }
         self.entries.get(&addr.raw()).copied()
+    }
+
+    /// Charges `n` lookups of the word at `addr`, each miss followed by
+    /// a fill of `value`, given what [`BitmapCache::peek`] just found
+    /// (`resident`) instead of probing again. Returns the misses, each a
+    /// DRAM fetch.
+    pub fn charge_lookups(&mut self, addr: PhysAddr, value: u64, resident: bool, n: u64) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        if resident {
+            self.stats.hits += n;
+            return 0;
+        }
+        if !self.enabled {
+            self.stats.misses += n;
+            return n;
+        }
+        self.stats.misses += 1;
+        self.stats.hits += n - 1;
+        self.fill(addr, value);
+        1
     }
 
     /// Installs a word fetched from DRAM (read-allocate policy).

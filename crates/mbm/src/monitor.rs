@@ -29,13 +29,18 @@
 //! the same transaction). Before skipping, the filter confirms the
 //! verdict against the word the decision unit would actually read
 //! (cached bitmap word, else DRAM), so bitmap updates that bypass the
-//! bus — out-of-band programming via debug writes — can never blind it. The skip is taken only when it is provably
-//! model-invisible: no fault injector, no telemetry sink, lossless
-//! drain, and a FIFO deep enough that a line write-back can never
-//! overflow it. Only the host-observability counters (`device_reads`,
-//! bitmap-cache hits/misses) may diverge — none of them feed simulated
-//! cycles or serialized artifacts. `HYPERNEL_NO_FASTPATH=1` (or
-//! [`Mbm::set_filter_enabled`]) forces the reference pipeline.
+//! bus — out-of-band programming via debug writes — can never blind
+//! it. The same probe charges the skipped lookups as the translator
+//! would: hits while the word is resident in the bitmap cache,
+//! otherwise one miss, one device read and a fill, after which the
+//! transaction's other skips hit. The skip is taken only when it is
+//! provably model-invisible: no fault injector, no telemetry sink,
+//! lossless drain, and a FIFO deep enough that a line write-back can
+//! never overflow it. Only the host counter `page_filter_skips`
+//! differs with the filter on or off; `device_reads`, the bitmap
+//! cache's counters and its contents are the reference pipeline's.
+//! `HYPERNEL_NO_FASTPATH=1` (or [`Mbm::set_filter_enabled`]) forces
+//! the reference pipeline.
 
 use std::any::Any;
 
@@ -44,6 +49,8 @@ use hypernel_machine::bus::{BusContext, BusSnooper, BusTransaction};
 use hypernel_machine::fastpath_enabled;
 use hypernel_machine::fault::{IrqFault, SharedFaults};
 use hypernel_machine::irq::IrqLine;
+use hypernel_telemetry::counters::Counter;
+use hypernel_telemetry::{counter, metrics};
 use hypernel_telemetry::{Event, PointKind, SharedSink, SpanKind, Track};
 
 use crate::bitmap::BitmapLayout;
@@ -59,6 +66,15 @@ const WORDS_PER_CHUNK: usize = (PAGE_SIZE / 8 / 64) as usize;
 /// write-back). A FIFO at least this deep can never overflow in the
 /// lossless configuration, which the summary filter's envelope requires.
 const MAX_CAPTURES_PER_TXN: usize = 8;
+
+/// The bitmap word the decision unit would consult for a transaction,
+/// its value and whether the bitmap cache held it.
+#[derive(Debug, Clone, Copy)]
+struct FilterProbe {
+    word: PhysAddr,
+    value: u64,
+    resident: bool,
+}
 
 /// Configuration of an MBM instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,6 +172,30 @@ pub struct MbmStats {
     pub lookup_divergences: u64,
 }
 
+impl MbmStats {
+    /// Every counter with its artifact names — the one list of them. The
+    /// first three lead because campaign records list them in this
+    /// order. The last two rows split `captured` by outcome for
+    /// coverage.
+    #[rustfmt::skip]
+    pub const COUNTERS: &'static [Counter<MbmStats>] = &[
+        counter!(events_matched, coverage = "mbm/stage/matched", metric = metrics::MBM_WATCH_HITS, report = "events_matched", record = "events_matched"),
+        counter!(irqs_raised, coverage = "mbm/stage/irq-raised", metric = metrics::MBM_IRQS_RAISED, report = "irqs_raised", record = "irqs_raised"),
+        counter!(fifo_dropped, coverage = "mbm/edge/fifo-overflow", metric = metrics::MBM_FIFO_DROPPED, report = "fifo_dropped", record = "fifo_dropped"),
+        counter!(bus_writes_seen, coverage = "mbm/stage/snooped", metric = metrics::MBM_BUS_WRITES, report = "bus_writes_seen"),
+        counter!(captured, coverage = "mbm/stage/captured", metric = metrics::MBM_CAPTURED, report = "captured"),
+        counter!(bitmap_lookups, coverage = "mbm/stage/translated"),
+        counter!(ring_overflows, coverage = "mbm/edge/ring-overflow"),
+        counter!(device_reads),
+        counter!(device_writes),
+        counter!(secure_alarms, coverage = "mbm/edge/secure-alarm", report = "secure_alarms"),
+        counter!(lookup_divergences, coverage = "mbm/edge/lookup-divergence", report = "lookup_divergences"),
+        counter!(host page_filter_skips),
+        counter!(derived "events_matched" = |s| s.events_matched, coverage = "mbm/capture/matched"),
+        counter!(derived "captured - events_matched" = |s| s.captured.saturating_sub(s.events_matched), coverage = "mbm/capture/unmatched"),
+    ];
+}
+
 /// The memory bus monitor device. Attach it to a machine with
 /// [`hypernel_machine::bus::MemoryBus::attach`].
 ///
@@ -248,7 +288,7 @@ impl Mbm {
     }
 
     /// Rebuilds the watch-page summary from the bitmap's backing memory.
-    /// Correctness never requires this — [`Mbm::filter_skips`] confirms
+    /// Correctness never requires this — the filter confirms
     /// every skip against the decision unit's view — but it restores the
     /// summary's precision after bitmap storage was modified without bus
     /// visibility (e.g. debug writes in tests); Hypersec's non-cacheable
@@ -292,64 +332,32 @@ impl Mbm {
             && self.config.fifo_capacity >= MAX_CAPTURES_PER_TXN
     }
 
-    /// Whether a captured write at `addr` may skip the FIFO/translator:
-    /// its page summary shows no watched word, the envelope holds, and
-    /// the word the decision unit would actually consult (cached bitmap
-    /// word, else DRAM — exactly [`Mbm::translate_one`]'s order) agrees.
-    /// The confirmation makes the skip correct even when the bitmap was
-    /// programmed without bus visibility (debug writes), where the
-    /// snoop-maintained summary is stale.
-    fn filter_skips(&self, addr: PhysAddr, mem: &mut hypernel_machine::mem::PhysMemory) -> bool {
+    /// The bitmap word the decision unit would read for the captures of
+    /// a write transaction at `addr` (a word or a 64-byte line: one page
+    /// chunk, one bitmap word), when its page's summary shows no watched
+    /// word and the envelope holds; `None` when the reference pipeline
+    /// must run. A capture skips only if its watch bit is clear in the
+    /// probed value, so a stale summary (bitmap programmed without bus
+    /// visibility, by debug writes) cannot blind the filter.
+    fn filter_probe(
+        &self,
+        addr: PhysAddr,
+        mem: &mut hypernel_machine::mem::PhysMemory,
+    ) -> Option<FilterProbe> {
         if !self.filter_enabled || !self.filter_safe() {
-            return false;
+            return None;
         }
         let chunk = ((addr.raw() - self.config.bitmap.window_base().raw()) / PAGE_SIZE) as usize;
         if self.page_watch.get(chunk).is_none_or(|&c| c != 0) {
-            return false;
-        }
-        let Some((word, mask)) = self.config.bitmap.locate(addr) else {
-            return false;
-        };
-        let effective = self.cache.peek(word).unwrap_or_else(|| mem.read_u64(word));
-        effective & mask == 0
-    }
-
-    /// Line-batched variant of [`Mbm::filter_skips`]: the eight words
-    /// of one 64-byte write-back line always share a page chunk and a
-    /// bitmap word, so the summary check and the decision-unit
-    /// confirmation read can run once for the whole line. Returns the
-    /// confirmed bitmap word when the line's chunk shows no watched
-    /// word (callers then test each word's mask against it — identical
-    /// outcomes to eight `filter_skips` calls), `None` when the
-    /// per-word reference checks must run.
-    fn filter_line_effective(
-        &self,
-        line_addr: PhysAddr,
-        mem: &mut hypernel_machine::mem::PhysMemory,
-    ) -> Option<u64> {
-        if !self.filter_enabled || !self.filter_safe() {
             return None;
         }
-        let chunk =
-            ((line_addr.raw() - self.config.bitmap.window_base().raw()) / PAGE_SIZE) as usize;
-        if self.page_watch.get(chunk).is_none_or(|&c| c != 0) {
-            return None;
-        }
-        let (word, _) = self.config.bitmap.locate(line_addr)?;
-        Some(self.cache.peek(word).unwrap_or_else(|| mem.read_u64(word)))
-    }
-
-    /// Charges what the reference pipeline would have charged for a
-    /// short-circuited write: one capture, one (lossless) translation,
-    /// and one transient FIFO slot (the entry would have enqueued and
-    /// drained within this transaction).
-    fn skip_capture(&mut self) {
-        self.stats.captured += 1;
-        self.stats.bitmap_lookups += 1;
-        self.stats.page_filter_skips += 1;
-        self.txn_filtered += 1;
-        self.fifo
-            .note_occupancy(self.fifo.len() + self.txn_filtered);
+        let (word, _) = self.config.bitmap.locate(addr)?;
+        let cached = self.cache.peek(word);
+        Some(FilterProbe {
+            word,
+            value: cached.unwrap_or_else(|| mem.read_u64(word)),
+            resident: cached.is_some(),
+        })
     }
 
     /// Installs (or removes) the fault injector covering the monitor's
@@ -417,6 +425,13 @@ impl Mbm {
     pub fn fifo_high_watermark(&self) -> usize {
         self.fifo.high_watermark()
     }
+
+    /// The FIFO gauges read from the device, with their artifact names.
+    #[rustfmt::skip]
+    pub const GAUGES: &'static [Counter<Mbm>] = &[
+        counter!(derived "FIFO depth" = |m| m.fifo_len() as u64, metric = metrics::MBM_FIFO_DEPTH, report = "fifo_depth"),
+        counter!(derived "FIFO high-water mark" = |m| m.fifo_high_watermark() as u64, metric = metrics::MBM_FIFO_HIGH_WATER, report = "fifo_high_water"),
+    ];
 
     /// Every bucket [`Mbm::fifo_occupancy_bucket`] returns, in order of
     /// rising occupancy.
@@ -642,66 +657,63 @@ impl BusSnooper for Mbm {
         // trailing drain() retires everything the reference pipeline
         // would have enqueued.
         self.txn_filtered = 0;
-        if txn.is_write() {
-            self.check_guard(txn.addr(), ctx);
-        }
-        match *txn {
-            BusTransaction::WriteWord { addr, value } => {
-                self.stats.bus_writes_seen += 1;
-                if self.config.bitmap.in_bitmap_storage(addr) {
-                    self.cache.snoop_update(addr, value);
-                    self.note_bitmap_write(addr, value);
-                } else if self.config.bitmap.covers(addr) {
-                    if self.filter_skips(addr, ctx.mem) {
-                        self.skip_capture();
-                    } else {
-                        self.capture(SnoopedWrite { addr, value }, ctx.cycles);
-                    }
-                }
+        let (addr, words) = match txn {
+            BusTransaction::WriteWord { addr, value } => (*addr, std::slice::from_ref(value)),
+            BusTransaction::WriteLine { addr, data } => (*addr, &data[..]),
+            BusTransaction::ReadWord { .. } | BusTransaction::ReadLine { .. } => {
+                return self.drain(ctx);
             }
-            BusTransaction::WriteLine { addr, data } => {
-                self.stats.bus_writes_seen += 1;
-                // One confirmation covers the whole line (nothing inside
-                // this loop mutates DRAM or the bitmap cache for window
-                // lines, so the per-word reference reads would all see
-                // this same value).
-                let line_effective = if self.config.bitmap.covers(addr) {
-                    self.filter_line_effective(addr, ctx.mem)
-                } else {
-                    None
+        };
+        self.check_guard(addr, ctx);
+        self.stats.bus_writes_seen += 1;
+        let probe = if self.config.bitmap.covers(addr) {
+            self.filter_probe(addr, ctx.mem)
+        } else {
+            None
+        };
+        let mut skipped = 0;
+        for (i, &value) in words.iter().enumerate() {
+            let word_addr = addr.add(i as u64 * 8);
+            if self.config.bitmap.in_bitmap_storage(word_addr) {
+                self.cache.snoop_update(word_addr, value);
+                self.note_bitmap_write(word_addr, value);
+            } else if self.config.bitmap.covers(word_addr) {
+                let watched = |p: FilterProbe| {
+                    let located = self.config.bitmap.locate(word_addr);
+                    p.value & located.expect("covered word locates").1 != 0
                 };
-                for (i, value) in data.iter().enumerate() {
-                    let word_addr = addr.add(i as u64 * 8);
-                    if self.config.bitmap.in_bitmap_storage(word_addr) {
-                        self.cache.snoop_update(word_addr, *value);
-                        self.note_bitmap_write(word_addr, *value);
-                    } else if self.config.bitmap.covers(word_addr) {
-                        let skips = match line_effective {
-                            Some(effective) => {
-                                let (_, mask) = self
-                                    .config
-                                    .bitmap
-                                    .locate(word_addr)
-                                    .expect("covered word locates");
-                                effective & mask == 0
-                            }
-                            None => self.filter_skips(word_addr, ctx.mem),
-                        };
-                        if skips {
-                            self.skip_capture();
-                        } else {
-                            self.capture(
-                                SnoopedWrite {
-                                    addr: word_addr,
-                                    value: *value,
-                                },
-                                ctx.cycles,
-                            );
-                        }
-                    }
+                if probe.is_some_and(|p| !watched(p)) {
+                    // Charge what the reference pipeline would have: one
+                    // capture, one (lossless) translation and one
+                    // transient FIFO slot, drained within this transaction.
+                    self.stats.captured += 1;
+                    self.stats.bitmap_lookups += 1;
+                    self.stats.page_filter_skips += 1;
+                    self.txn_filtered += 1;
+                    self.fifo
+                        .note_occupancy(self.fifo.len() + self.txn_filtered);
+                    skipped += 1;
+                } else {
+                    self.capture(
+                        SnoopedWrite {
+                            addr: word_addr,
+                            value,
+                        },
+                        ctx.cycles,
+                    );
                 }
             }
-            BusTransaction::ReadWord { .. } | BusTransaction::ReadLine { .. } => {}
+        }
+        // The skipped captures' lookups, charged from the probe as the
+        // translator would have made them: within one transaction every
+        // lookup reads the probed word, so their order cannot change
+        // what the bitmap cache counts.
+        if let Some(p) = probe {
+            let fetches = self
+                .cache
+                .charge_lookups(p.word, p.value, p.resident, skipped);
+            self.stats.device_reads += fetches;
+            *ctx.extra_mem_accesses += fetches;
         }
         self.drain(ctx);
     }
@@ -1152,14 +1164,14 @@ mod tests {
             });
             let mut stats = rig.mbm.stats();
             assert_eq!(stats.page_filter_skips > 0, enabled);
-            // Host-observability fields are allowed to diverge.
+            // Only the filter's own host counter may diverge.
             stats.page_filter_skips = 0;
-            stats.device_reads = 0;
             // The high-water mark is a *model* value: short-circuited
             // captures count as transient occupancy, so the skipping
             // run reports the depth the reference run actually reached.
             runs.push((
                 stats,
+                rig.mbm.bitmap_cache_stats(),
                 rig.mbm.fifo_high_watermark(),
                 rig.irq.is_pending(IrqLine::MBM),
             ));

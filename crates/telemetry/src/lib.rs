@@ -4,6 +4,9 @@
 //! events (hypercalls, TVM sysreg traps, MBM interrupts) and attributing
 //! cycle overhead to them. This crate makes those events first-class:
 //!
+//! * [`counters`] — the counter-table row every stats struct declares
+//!   its counters with, once: model or host, and the name each
+//!   artifact gives it.
 //! * [`event`] — cycle-stamped structured events spanning EL0/EL1/EL2 and
 //!   the MBM, with span-style begin/end pairing.
 //! * [`sink`] — the zero-cost-when-disabled [`TelemetrySink`] trait plus
@@ -27,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod counters;
 pub mod event;
 pub mod export;
 pub mod histogram;

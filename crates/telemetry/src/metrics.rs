@@ -22,79 +22,64 @@ pub struct MetricDef {
     pub name: &'static str,
     /// Aggregation within a window.
     pub kind: SeriesKind,
-    /// One-line description for docs and `timeline` rendering.
-    pub help: &'static str,
 }
+
+const fn counter(name: &'static str) -> MetricDef {
+    let kind = SeriesKind::Counter;
+    MetricDef { name, kind }
+}
+
+const fn gauge(name: &'static str) -> MetricDef {
+    let kind = SeriesKind::Gauge;
+    MetricDef { name, kind }
+}
+
+/// EL1->EL2 hypercalls retired in the window.
+pub const HYPERCALLS: MetricDef = counter("hypercalls");
+/// VM-register writes trapped to EL2 in the window.
+pub const SYSREG_TRAPS: MetricDef = counter("sysreg-traps");
+/// Interrupts delivered to EL1 in the window.
+pub const IRQS_DELIVERED: MetricDef = counter("irqs-delivered");
+/// Main-TLB hits in the window.
+pub const TLB_HITS: MetricDef = counter("tlb-hits");
+/// Main-TLB misses (page-table walks) in the window.
+pub const TLB_MISSES: MetricDef = counter("tlb-misses");
+/// Bus write transactions the MBM snooped in the window.
+pub const MBM_BUS_WRITES: MetricDef = counter("mbm-bus-writes");
+/// Snooped writes captured into the MBM FIFO in the window.
+pub const MBM_CAPTURED: MetricDef = counter("mbm-captured");
+/// Captured writes that matched the watch bitmap in the window.
+pub const MBM_WATCH_HITS: MetricDef = counter("mbm-watch-hits");
+/// MBM interrupts raised toward Hypersec in the window.
+pub const MBM_IRQS_RAISED: MetricDef = counter("mbm-irqs-raised");
+/// Snooped writes lost to a full MBM FIFO in the window.
+pub const MBM_FIFO_DROPPED: MetricDef = counter("mbm-fifo-dropped");
+/// MBM FIFO depth at sample points (window max).
+pub const MBM_FIFO_DEPTH: MetricDef = gauge("mbm-fifo-depth");
+/// Cumulative MBM FIFO high-water mark (window max).
+pub const MBM_FIFO_HIGH_WATER: MetricDef = gauge("mbm-fifo-high-water");
+/// Worst write->detection latency serviced in the window, cycles.
+pub const DETECTION_LATENCY_MAX: MetricDef = gauge("detection-latency-max");
 
 /// Every metric a recorder may emit, in artifact column order. The
 /// order is part of the artifact contract: a subset selection keeps
-/// this order regardless of how the scenario lists it.
+/// this order regardless of how the scenario lists it. The counter
+/// tables name a series by its constant (`metric = metrics::TLB_HITS`),
+/// so each name is written once, here.
 pub const STANDARD_METRICS: &[MetricDef] = &[
-    MetricDef {
-        name: "hypercalls",
-        kind: SeriesKind::Counter,
-        help: "EL1->EL2 hypercalls retired in the window",
-    },
-    MetricDef {
-        name: "sysreg-traps",
-        kind: SeriesKind::Counter,
-        help: "VM-register writes trapped to EL2 in the window",
-    },
-    MetricDef {
-        name: "irqs-delivered",
-        kind: SeriesKind::Counter,
-        help: "interrupts delivered to EL1 in the window",
-    },
-    MetricDef {
-        name: "tlb-hits",
-        kind: SeriesKind::Counter,
-        help: "main-TLB hits in the window",
-    },
-    MetricDef {
-        name: "tlb-misses",
-        kind: SeriesKind::Counter,
-        help: "main-TLB misses (page-table walks) in the window",
-    },
-    MetricDef {
-        name: "mbm-bus-writes",
-        kind: SeriesKind::Counter,
-        help: "bus write transactions the MBM snooped in the window",
-    },
-    MetricDef {
-        name: "mbm-captured",
-        kind: SeriesKind::Counter,
-        help: "snooped writes captured into the MBM FIFO in the window",
-    },
-    MetricDef {
-        name: "mbm-watch-hits",
-        kind: SeriesKind::Counter,
-        help: "captured writes that matched the watch bitmap in the window",
-    },
-    MetricDef {
-        name: "mbm-irqs-raised",
-        kind: SeriesKind::Counter,
-        help: "MBM interrupts raised toward Hypersec in the window",
-    },
-    MetricDef {
-        name: "mbm-fifo-dropped",
-        kind: SeriesKind::Counter,
-        help: "snooped writes lost to a full MBM FIFO in the window",
-    },
-    MetricDef {
-        name: "mbm-fifo-depth",
-        kind: SeriesKind::Gauge,
-        help: "MBM FIFO depth at sample points (window max)",
-    },
-    MetricDef {
-        name: "mbm-fifo-high-water",
-        kind: SeriesKind::Gauge,
-        help: "cumulative MBM FIFO high-water mark (window max)",
-    },
-    MetricDef {
-        name: "detection-latency-max",
-        kind: SeriesKind::Gauge,
-        help: "worst write->detection latency serviced in the window, cycles",
-    },
+    HYPERCALLS,
+    SYSREG_TRAPS,
+    IRQS_DELIVERED,
+    TLB_HITS,
+    TLB_MISSES,
+    MBM_BUS_WRITES,
+    MBM_CAPTURED,
+    MBM_WATCH_HITS,
+    MBM_IRQS_RAISED,
+    MBM_FIFO_DROPPED,
+    MBM_FIFO_DEPTH,
+    MBM_FIFO_HIGH_WATER,
+    DETECTION_LATENCY_MAX,
 ];
 
 /// Looks up a standard metric by name.

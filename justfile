@@ -48,8 +48,10 @@ perf:
 # Determinism gate: the fast paths must be model-invisible. Sweep the
 # corpus with fast paths on (at two worker counts) and off (line runs
 # included), and demand byte-identical campaign.jsonl artifacts,
-# summaries, metrics.jsonl time series AND coverage.json atlases;
-# `analyze campaign` must re-aggregate the same summary byte for byte.
+# summaries, metrics.jsonl time series AND coverage.json atlases; the
+# seven printing benches must print the same with fast paths on and
+# off; `analyze campaign` must re-aggregate the same summary byte for
+# byte.
 # Then gate the atlas against the committed baseline (any feature
 # covered there but not here exits nonzero) and run the explore smoke
 # (must emit at least one lint-clean novel scenario).
@@ -80,6 +82,14 @@ determinism:
         diff -r fast-metrics $run-metrics && \
         diff fast-coverage.json $run-coverage.json || exit 1; \
     done
+    cd {{justfile_directory()}} && for bench in table1_lmbench figure6_apps table2_traps \
+        ablation_bitmap_cache ablation_section_mapping sensitivity_cost nc_penalty; do \
+        cargo bench -q -p hypernel-bench --bench $bench \
+            > target/determinism/$bench.txt && \
+        HYPERNEL_NO_FASTPATH=1 cargo bench -q -p hypernel-bench --bench $bench \
+            > target/determinism/$bench-slow.txt && \
+        diff target/determinism/$bench.txt target/determinism/$bench-slow.txt || exit 1; \
+    done
     cargo run -q --release --bin hypernel -- analyze campaign \
         {{justfile_directory()}}/target/determinism/fast.jsonl \
         --out {{justfile_directory()}}/target/determinism/analyze-summary.json > /dev/null
@@ -93,7 +103,7 @@ determinism:
         --out {{justfile_directory()}}/target/coverage/novel
     cargo run -q --release --bin hypernel -- campaign lint \
         {{justfile_directory()}}/target/coverage/novel
-    @echo "determinism: campaign.jsonl + summary + metrics.jsonl + coverage.json byte-identical (fastpath on/off, jobs 1/4), analyze campaign reproduces the summary, coverage gate clean, explore emitted a novel scenario"
+    @echo "determinism: campaign.jsonl + summary + metrics.jsonl + coverage.json byte-identical (fastpath on/off, jobs 1/4), printing benches identical (fastpath on/off), analyze campaign reproduces the summary, coverage gate clean, explore emitted a novel scenario"
 
 # The CI audit gate: lint the scenario corpus and the example
 # scenarios, then run the static whole-system audit (with the

@@ -1,18 +1,19 @@
-//! The paper's numbers, pinned: every cell of Table 1, Figure 6 and
-//! Table 2 as an exact golden value, plus a band around each headline
-//! average the paper reports.
+//! The paper's numbers, pinned: every cell of Table 1, Figure 6,
+//! Table 2 and the §6.3 bitmap-cache ablation as an exact golden value,
+//! plus a band around each headline average the paper reports.
 //!
 //! The cells come from the drivers the printing benches use
-//! (`hypernel_bench::{lmbench_on, app_on, trap_events}`), so a change
+//! (`hypernel_bench::{lmbench_on, app_on, trap_events,
+//! bitmap_cache_ablation}`), so a change
 //! that moves any simulated cycle or trap count fails here, in either
 //! direction. On a mismatch the test prints every cell as got/want and
 //! the measured table as source, so a deliberate re-pin is a
 //! copy-paste; nothing rewrites the golden values by itself. The bands
 //! then check that a re-pinned table still tells the paper's story.
-//! One test per table, so the three run in parallel.
+//! One test per table, so the four run in parallel.
 
 use hypernel::Mode;
-use hypernel_bench::{app_on, lmbench_on, trap_events};
+use hypernel_bench::{app_on, bitmap_cache_ablation, lmbench_on, trap_events};
 use hypernel_kernel::kernel::MonitorMode;
 use hypernel_workloads::{AppBenchmark, LmbenchOp};
 
@@ -51,6 +52,18 @@ const TABLE2: [(AppBenchmark, [u64; 2]); 5] = [
     (AppBenchmark::Untar, [126746, 9608]),
     (AppBenchmark::Iozone, [2617, 113]),
     (AppBenchmark::Apache, [8936, 193]),
+];
+
+/// The §6.3 ablation: the MBM's bitmap lookups and its DRAM fetches of
+/// bitmap words over 400 monitored file create/write/stat cycles, with
+/// the bitmap cache disabled and at 4, 16, 64 and 256 words. Every
+/// lookup misses a disabled cache.
+const ABLATION: [(Option<usize>, [u64; 2]); 5] = [
+    (None, [64410, 64410]),
+    (Some(4), [64410, 2686]),
+    (Some(16), [64410, 1089]),
+    (Some(64), [64410, 991]),
+    (Some(256), [64410, 963]),
 ];
 
 /// Table 1's averages may sit within 2 percentage points of the
@@ -167,4 +180,21 @@ fn table2_trap_events_are_pinned() {
         app.paper_word_granularity_events() as f64 / app.paper_page_granularity_events() as f64
     });
     assert_band("Table 2 mean word/page ratio", avg, paper, TABLE2_BAND_PP);
+}
+
+#[test]
+fn bitmap_cache_ablation_is_pinned() {
+    let runs: Vec<_> = ABLATION
+        .iter()
+        .map(|&(words, _)| bitmap_cache_ablation(words).expect("ablation run"))
+        .collect();
+    assert_pinned(
+        "Bitmap-cache ablation",
+        ["lookups", "DRAM fetches"],
+        &ABLATION,
+        |words, col| {
+            let (mbm, _) = runs[ABLATION.iter().position(|r| r.0 == words).expect("row")];
+            [mbm.bitmap_lookups, mbm.device_reads][col]
+        },
+    );
 }
