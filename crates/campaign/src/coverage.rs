@@ -11,7 +11,7 @@
 //! a coverage map is a pure function of `(scenario, seed)` and the
 //! merged `coverage.json` atlas is byte-identical at any `--jobs`, with
 //! fast paths disabled, and across fork vs fresh boot
-//! (`tests/coverage_determinism.rs`).
+//! (`tests/fastpath_determinism.rs`).
 //!
 //! [`known_features`] enumerates the full universe from the same tables
 //! and enums [`coverage_of_run`] records, so nothing is listed twice. The

@@ -436,14 +436,6 @@ impl System {
         }
     }
 
-    /// Mutable KVM hypervisor (KVM-guest mode only).
-    pub fn kvm_mut(&mut self) -> Option<&mut KvmHypervisor> {
-        match &mut self.el2 {
-            El2Software::Kvm(h) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Turns telemetry on mid-run (a no-op if already enabled), keeping
     /// up to `ring_capacity` raw events for export. All events from this
     /// point on — CPU-side and MBM-side — feed both the ring and the

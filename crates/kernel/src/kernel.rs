@@ -406,11 +406,6 @@ impl Kernel {
         self.stats
     }
 
-    /// Page-table statistics.
-    pub fn pt_stats(&self) -> crate::pgtable::PtStats {
-        self.pt.stats()
-    }
-
     /// The kernel (TTBR1) translation root.
     pub fn kernel_root(&self) -> PhysAddr {
         self.kernel_root
@@ -521,11 +516,6 @@ impl Kernel {
     // ------------------------------------------------------------------
     // Composed multi-domain systems (`hypernel-compose` lowering targets)
     // ------------------------------------------------------------------
-
-    /// The composed-system registry (domains, channels, regions).
-    pub fn compose_state(&self) -> &ComposeState {
-        &self.compose
-    }
 
     /// Compose lowering counters.
     pub fn compose_stats(&self) -> ComposeStats {

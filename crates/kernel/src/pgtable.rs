@@ -83,22 +83,10 @@ impl From<Exception> for PtError {
     }
 }
 
-/// Statistics for page-table maintenance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PtStats {
-    /// Descriptor writes applied.
-    pub entry_writes: u64,
-    /// Descriptor writes routed through hypercalls.
-    pub hypercall_writes: u64,
-    /// Table pages registered with Hypersec.
-    pub tables_registered: u64,
-}
-
 /// The kernel's page-table manager.
 #[derive(Debug, Clone)]
 pub struct PtManager {
     route: PtRoute,
-    stats: PtStats,
     /// Quicklist of retired page-table pages, reused hot before fresh
     /// frames are taken (like Linux's historical pte quicklists) — this
     /// keeps per-exec table churn off the cold-frame path.
@@ -110,19 +98,8 @@ impl PtManager {
     pub fn new(route: PtRoute) -> Self {
         Self {
             route,
-            stats: PtStats::default(),
             pool: Vec::new(),
         }
-    }
-
-    /// Returns retired table pages to the quicklist.
-    pub fn recycle(&mut self, pages: impl IntoIterator<Item = PhysAddr>) {
-        self.pool.extend(pages);
-    }
-
-    /// Pages currently in the quicklist.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
     }
 
     fn take_page(&mut self, frames: &mut FrameAllocator) -> Result<PhysAddr, OutOfFramesError> {
@@ -142,11 +119,6 @@ impl PtManager {
         self.route = route;
     }
 
-    /// Statistics.
-    pub fn stats(&self) -> PtStats {
-        self.stats
-    }
-
     /// Applies one descriptor write via the active route.
     ///
     /// # Errors
@@ -161,13 +133,11 @@ impl PtManager {
         hyp: &mut dyn Hyp,
         write: EntryWrite,
     ) -> Result<(), Exception> {
-        self.stats.entry_writes += 1;
         match self.route {
             PtRoute::Direct => {
                 m.write_u64(layout::kva(write.addr()), write.value, hyp)?;
             }
             PtRoute::Hypercall => {
-                self.stats.hypercall_writes += 1;
                 let (nr, args) = Hypercall::PtWrite {
                     table: write.table,
                     index: write.index,
@@ -200,7 +170,6 @@ impl PtManager {
         m.charge(m.cost().cache_hit * 64);
         m.debug_zero_page(table);
         if self.route == PtRoute::Hypercall {
-            self.stats.tables_registered += 1;
             let (nr, args) = Hypercall::PtRegisterTable { table, root }.encode();
             m.hvc(nr, args, hyp)?;
         }
@@ -263,7 +232,6 @@ impl PtManager {
             m.tag_page(*t, PageTag::PageTable);
             m.charge(m.cost().cache_hit * 64);
             if self.route == PtRoute::Hypercall {
-                self.stats.tables_registered += 1;
                 let (nr, args) = Hypercall::PtRegisterTable {
                     table: *t,
                     root: false,
@@ -566,8 +534,6 @@ mod tests {
         let (out, perms) = read_leaf(&mut m, user_root, VirtAddr::new(0x40_0000)).unwrap();
         assert_eq!(out, frame);
         assert!(perms.user);
-        assert!(pt.stats().entry_writes >= 4);
-        assert_eq!(pt.stats().hypercall_writes, 0);
     }
 
     #[test]

@@ -77,13 +77,6 @@ impl Task {
     pub fn vma_for(&self, va: VirtAddr) -> Option<&Vma> {
         self.vmas.iter().find(|v| v.contains(va))
     }
-
-    /// Returns `true` if `va` is an eagerly or demand-mapped user page.
-    pub fn page_mapped(&self, va: VirtAddr) -> bool {
-        let page = va.page_base();
-        self.user_pages.iter().any(|(v, _, _)| *v == page)
-            || self.demand_pages.iter().any(|(v, _)| *v == page)
-    }
 }
 
 #[cfg(test)]

@@ -159,11 +159,6 @@ impl MemoryBus {
         self.snoopers.push(snooper);
     }
 
-    /// Detaches and returns all snoopers (used by tests to inspect state).
-    pub fn detach_all(&mut self) -> Vec<Box<dyn BusSnooper>> {
-        std::mem::take(&mut self.snoopers)
-    }
-
     /// Installs (or removes) the fault injector. The only fault the bus
     /// itself executes is snoop-path address corruption
     /// ([`crate::fault::FaultKind::FlipSnoopAddr`]): DRAM always receives

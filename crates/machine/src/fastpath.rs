@@ -1,14 +1,14 @@
 //! Host-side fast-path switches.
 //!
 //! Several structures keep a *host* fast path in front of their model —
-//! the L0 micro-TLB, the MBM watch-page filter, bulk block accesses
+//! the L0 micro-TLB, the MBM watch-word filter, bulk block accesses
 //! with their cache-line runs, and warm-boot system cloning. All of
 //! them are contractually invisible to the simulation: simulated
 //! cycles, statistics that serialize into artifacts, and every
 //! model-visible side effect are byte-identical with the fast paths on
 //! or off. `HYPERNEL_NO_FASTPATH=1` force-disables all of them at once,
-//! which is how CI proves the contract (`diff` of `campaign.jsonl` with
-//! the paths on vs off).
+//! which is how CI proves the contract (`diff` of `campaign.jsonl` and
+//! of the printing benches' output with the paths on vs off).
 //!
 //! The environment is read once per process; tests that need both
 //! behaviors in one process use the per-structure setters instead

@@ -469,11 +469,6 @@ impl Machine {
         self.shadow.as_deref()
     }
 
-    /// Mutable access to the installed ownership sanitizer, if any.
-    pub fn shadow_tags_mut(&mut self) -> Option<&mut ShadowTags> {
-        self.shadow.as_deref_mut()
-    }
-
     /// Retags the page containing `pa`. No-op (one branch) when the
     /// sanitizer is disabled, so allocation sites call unconditionally.
     #[inline]
@@ -555,11 +550,6 @@ impl Machine {
     /// the MBM so all layers stamp one event stream on one clock.
     pub fn set_telemetry_sink(&mut self, sink: Option<SharedSink>) {
         self.sink = sink;
-    }
-
-    /// The installed telemetry sink, for cloning into other components.
-    pub fn telemetry_sink(&self) -> Option<SharedSink> {
-        self.sink.clone()
     }
 
     /// The telemetry track for the current exception level.

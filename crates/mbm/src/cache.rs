@@ -99,6 +99,11 @@ impl BitmapCache {
         self.stats
     }
 
+    /// Zeroes the statistics; the resident entries stay.
+    pub(crate) fn reset_stats(&mut self) {
+        self.stats = BitmapCacheStats::default();
+    }
+
     /// Looks up the cached value of the bitmap word at `addr`.
     pub fn lookup(&mut self, addr: PhysAddr) -> Option<u64> {
         if !self.enabled {
@@ -119,7 +124,7 @@ impl BitmapCache {
 
     /// Non-mutating lookup: the cached value of the bitmap word at
     /// `addr`, with no statistics or replacement side effects. The
-    /// host-side watch-page filter probes with it, then charges what
+    /// host-side watch-word filter probes with it, then charges what
     /// it skipped with [`BitmapCache::charge_lookups`].
     pub fn peek(&self, addr: PhysAddr) -> Option<u64> {
         if !self.enabled {

@@ -106,7 +106,7 @@ impl SnoopFifo {
 
     /// Accounts an occupancy the reference pipeline would have reached
     /// even though the corresponding entries never physically enqueued
-    /// (the watch-page filter short-circuits them). Keeps the
+    /// (the watch-word filter short-circuits them). Keeps the
     /// high-water mark a model value, identical with the host filter on
     /// or off.
     pub fn note_occupancy(&mut self, depth: usize) {

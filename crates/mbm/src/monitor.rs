@@ -16,39 +16,39 @@
 //! The bitmap and ring buffer both live in the secure region, "so the
 //! kernel cannot undermine the MBM operation" (§5.3).
 //!
-//! ## Watch-page summary filter (host fast path)
+//! ## Watch-word filter (host fast path)
 //!
-//! Real workloads write overwhelmingly to pages with no watched word at
-//! all, so the monitor keeps a host-side per-page summary (a watched-
-//! word count per 4 KiB chunk of the window, maintained from the same
-//! snooped bitmap writes that keep the bitmap cache coherent). A write
-//! into a chunk whose count is zero is *short-circuited*: the FIFO and
-//! translator are skipped, while `captured`/`bitmap_lookups` are
-//! charged exactly as the reference pipeline would (in the lossless
-//! configuration each captured write is translated exactly once within
-//! the same transaction). Before skipping, the filter confirms the
-//! verdict against the word the decision unit would actually read
-//! (cached bitmap word, else DRAM), so bitmap updates that bypass the
-//! bus — out-of-band programming via debug writes — can never blind
-//! it. The same probe charges the skipped lookups as the translator
-//! would: hits while the word is resident in the bitmap cache,
-//! otherwise one miss, one device read and a fill, after which the
-//! transaction's other skips hit. The skip is taken only when it is
-//! provably model-invisible: no fault injector, no telemetry sink,
-//! lossless drain, and a FIFO deep enough that a line write-back can
-//! never overflow it. Only the host counter `page_filter_skips`
-//! differs with the filter on or off; `device_reads`, the bitmap
-//! cache's counters and its contents are the reference pipeline's.
+//! Real workloads write overwhelmingly to words nobody watches. Every
+//! capture of one write transaction (a word, or a 64-byte line
+//! write-back) is translated through the same bitmap word, so the
+//! filter reads that word once, as the decision unit would (from the
+//! bitmap cache when resident, otherwise from DRAM, without counting
+//! the read), and short-circuits every capture whose watch bit is
+//! clear: it never enters the FIFO and the translator never looks it
+//! up. Captures whose bit is set take the reference pipeline. The
+//! filter keeps no state of its own, so no bitmap update, snooped or
+//! not, can leave it stale. After the transaction it charges what the
+//! reference pipeline would have: `captured` and `bitmap_lookups` per
+//! skip, the skipped lookups to the bitmap cache (hits while the word
+//! is resident, otherwise one miss, one device read and a fill, after
+//! which the rest hit) and the FIFO depth they would have reached.
+//! The skip is taken only when it is provably model-invisible: no
+//! fault injector, no telemetry sink, lossless drain, and an empty
+//! FIFO deep enough for a whole line write-back, so the reference
+//! pipeline would translate every capture of the transaction, in
+//! order, before the next one. Only the host counter
+//! `page_filter_skips` differs with the filter on or off.
 //! `HYPERNEL_NO_FASTPATH=1` (or [`Mbm::set_filter_enabled`]) forces
 //! the reference pipeline.
 
 use std::any::Any;
 
-use hypernel_machine::addr::{PhysAddr, PAGE_SIZE};
+use hypernel_machine::addr::PhysAddr;
 use hypernel_machine::bus::{BusContext, BusSnooper, BusTransaction};
 use hypernel_machine::fastpath_enabled;
 use hypernel_machine::fault::{IrqFault, SharedFaults};
 use hypernel_machine::irq::IrqLine;
+use hypernel_machine::mem::PhysMemory;
 use hypernel_telemetry::counters::Counter;
 use hypernel_telemetry::{counter, metrics};
 use hypernel_telemetry::{Event, PointKind, SharedSink, SpanKind, Track};
@@ -58,13 +58,9 @@ use crate::cache::{BitmapCache, BitmapCacheStats};
 use crate::fifo::{SnoopFifo, SnoopedWrite};
 use crate::ring::{RingLayout, WriteEvent};
 
-/// Bitmap words covering one 4 KiB chunk of the window: 512 words per
-/// page, one bit per word, 64 bits per bitmap word.
-const WORDS_PER_CHUNK: usize = (PAGE_SIZE / 8 / 64) as usize;
-
 /// Most captures a single bus transaction can produce (a full cache-line
-/// write-back). A FIFO at least this deep can never overflow in the
-/// lossless configuration, which the summary filter's envelope requires.
+/// write-back). An empty FIFO at least this deep cannot overflow within
+/// one transaction, which the watch-word filter's envelope requires.
 const MAX_CAPTURES_PER_TXN: usize = 8;
 
 /// The bitmap word the decision unit would consult for a transaction,
@@ -161,8 +157,8 @@ pub struct MbmStats {
     pub device_writes: u64,
     /// Bus writes into the guarded secure range (DMA-tampering alarms).
     pub secure_alarms: u64,
-    /// Captured writes short-circuited by the watch-page summary filter
-    /// (host observability; zero when the filter is disabled).
+    /// Captured writes short-circuited by the watch-word filter (host
+    /// observability; zero when the filter is disabled).
     pub page_filter_skips: u64,
     /// Lookups where the value the decision unit consumed differed from
     /// the stored bitmap word — the device's own desync self-check. Any
@@ -224,23 +220,8 @@ pub struct Mbm {
     /// Interrupt assertions a fault is holding back: `(remaining pipeline
     /// steps, triggering write address)`.
     delayed_irqs: Vec<(u64, u64)>,
-    /// Host switch for the watch-page summary filter (see module docs).
+    /// Host switch for the watch-word filter (see module docs).
     filter_enabled: bool,
-    /// Captures the filter short-circuited in the current bus
-    /// transaction. The reference pipeline would have enqueued each of
-    /// them (and drained them at transaction end), so the FIFO's
-    /// high-water mark must count them as transient occupancy — see
-    /// [`SnoopFifo::note_occupancy`].
-    txn_filtered: usize,
-    /// Host-side copy of the bitmap storage, maintained from the same
-    /// snooped writes that keep the bitmap cache coherent. `Rc` keeps
-    /// warm-boot forks O(1): the vectors cover the whole monitored
-    /// window (tens of MiB) but mutate only on bitmap programming, so
-    /// clones share them copy-on-write.
-    shadow: std::rc::Rc<Vec<u64>>,
-    /// Watched-word count per 4 KiB chunk of the monitored window
-    /// (`Rc` for the same copy-on-write forking reason as `shadow`).
-    page_watch: std::rc::Rc<Vec<u32>>,
 }
 
 impl std::fmt::Debug for Mbm {
@@ -270,88 +251,40 @@ impl Mbm {
             faults: None,
             delayed_irqs: Vec::new(),
             filter_enabled: fastpath_enabled(),
-            txn_filtered: 0,
-            shadow: std::rc::Rc::new(vec![0; (config.bitmap.bitmap_bytes() / 8) as usize]),
-            page_watch: std::rc::Rc::new(vec![
-                0;
-                config.bitmap.window_len().div_ceil(PAGE_SIZE)
-                    as usize
-            ]),
         }
     }
 
-    /// Enables or disables the watch-page summary filter (testing hook;
-    /// the default follows [`fastpath_enabled`]). The summary itself is
-    /// maintained either way, so toggling is always safe.
+    /// Enables or disables the watch-word filter (testing hook; the
+    /// default follows [`fastpath_enabled`]). The filter keeps no state,
+    /// so toggling is always safe.
     pub fn set_filter_enabled(&mut self, enabled: bool) {
         self.filter_enabled = enabled;
     }
 
-    /// Rebuilds the watch-page summary from the bitmap's backing memory.
-    /// Correctness never requires this — the filter confirms
-    /// every skip against the decision unit's view — but it restores the
-    /// summary's precision after bitmap storage was modified without bus
-    /// visibility (e.g. debug writes in tests); Hypersec's non-cacheable
-    /// mapping makes every real update snoopable.
-    pub fn resync_filter(&mut self, mem: &mut hypernel_machine::mem::PhysMemory) {
-        let base = self.config.bitmap.bitmap_base();
-        let shadow = std::rc::Rc::make_mut(&mut self.shadow);
-        let page_watch = std::rc::Rc::make_mut(&mut self.page_watch);
-        page_watch.iter_mut().for_each(|c| *c = 0);
-        for (wi, slot) in shadow.iter_mut().enumerate() {
-            *slot = mem.read_u64(base.add(wi as u64 * 8));
-            page_watch[wi / WORDS_PER_CHUNK] += slot.count_ones();
-        }
-    }
-
-    /// Updates the shadow bitmap + per-chunk summary from a snooped
-    /// bitmap-storage write. Runs regardless of `filter_enabled` so the
-    /// filter can be toggled at any time.
-    fn note_bitmap_write(&mut self, addr: PhysAddr, value: u64) {
-        let off = addr.raw() - self.config.bitmap.bitmap_base().raw();
-        let wi = (off / 8) as usize;
-        // Peek before `make_mut`: a write that changes nothing must not
-        // detach a page-watch/shadow copy shared with a fork template.
-        let old = match self.shadow.get(wi) {
-            Some(&old) if old != value => old,
-            _ => return,
-        };
-        std::rc::Rc::make_mut(&mut self.shadow)[wi] = value;
-        let count = &mut std::rc::Rc::make_mut(&mut self.page_watch)[wi / WORDS_PER_CHUNK];
-        *count = count
-            .wrapping_add(value.count_ones())
-            .wrapping_sub(old.count_ones());
-    }
-
-    /// Is the short-circuit provably model-invisible right now? (See
-    /// module docs for the envelope.)
-    fn filter_safe(&self) -> bool {
-        self.faults.is_none()
-            && self.sink.is_none()
-            && self.config.drain_per_transaction.is_none()
-            && self.config.fifo_capacity >= MAX_CAPTURES_PER_TXN
-    }
-
     /// The bitmap word the decision unit would read for the captures of
-    /// a write transaction at `addr` (a word or a 64-byte line: one page
-    /// chunk, one bitmap word), when its page's summary shows no watched
-    /// word and the envelope holds; `None` when the reference pipeline
-    /// must run. A capture skips only if its watch bit is clear in the
-    /// probed value, so a stale summary (bitmap programmed without bus
-    /// visibility, by debug writes) cannot blind the filter.
+    /// a write transaction of `words` words at `addr`, when the filter's
+    /// envelope holds and the transaction lies in the window under one
+    /// bitmap word; `None` when the reference pipeline must run.
     fn filter_probe(
         &self,
         addr: PhysAddr,
-        mem: &mut hypernel_machine::mem::PhysMemory,
+        words: usize,
+        mem: &mut PhysMemory,
     ) -> Option<FilterProbe> {
-        if !self.filter_enabled || !self.filter_safe() {
-            return None;
-        }
-        let chunk = ((addr.raw() - self.config.bitmap.window_base().raw()) / PAGE_SIZE) as usize;
-        if self.page_watch.get(chunk).is_none_or(|&c| c != 0) {
+        let envelope = self.filter_enabled
+            && self.faults.is_none()
+            && self.sink.is_none()
+            && self.config.drain_per_transaction.is_none()
+            && self.fifo.capacity() >= MAX_CAPTURES_PER_TXN
+            && self.fifo.is_empty();
+        if !envelope {
             return None;
         }
         let (word, _) = self.config.bitmap.locate(addr)?;
+        let last = addr.add((words as u64 - 1) * 8);
+        if self.config.bitmap.locate(last)?.0 != word {
+            return None;
+        }
         let cached = self.cache.peek(word);
         Some(FilterProbe {
             word,
@@ -410,10 +343,12 @@ impl Mbm {
         self.cache.stats()
     }
 
-    /// Resets all statistics (the hardware equivalent of clearing its
-    /// performance counters between benchmark runs).
+    /// Resets all statistics, the bitmap cache's included (the hardware
+    /// equivalent of clearing its performance counters between benchmark
+    /// runs). The bitmap cache keeps its contents.
     pub fn reset_stats(&mut self) {
         self.stats = MbmStats::default();
+        self.cache.reset_stats();
     }
 
     /// Current FIFO depth (for queue-pressure tests).
@@ -460,14 +395,6 @@ impl Mbm {
     fn capture(&mut self, write: SnoopedWrite, cycles: u64) {
         self.stats.captured += 1;
         if self.fifo.push(write) {
-            // Entries the filter short-circuited earlier in this
-            // transaction still occupy reference-pipeline slots under
-            // this push (the filter's safety envelope rules out drops,
-            // so the reference depth is exactly `len + filtered`).
-            if self.txn_filtered > 0 {
-                self.fifo
-                    .note_occupancy(self.fifo.len() + self.txn_filtered);
-            }
             self.emit(
                 cycles,
                 PointKind::MbmFifoPush,
@@ -653,10 +580,6 @@ impl Mbm {
 
 impl BusSnooper for Mbm {
     fn on_transaction(&mut self, txn: &BusTransaction, ctx: &mut BusContext<'_>) {
-        // Phantom FIFO occupancy is scoped to one transaction: the
-        // trailing drain() retires everything the reference pipeline
-        // would have enqueued.
-        self.txn_filtered = 0;
         let (addr, words) = match txn {
             BusTransaction::WriteWord { addr, value } => (*addr, std::slice::from_ref(value)),
             BusTransaction::WriteLine { addr, data } => (*addr, &data[..]),
@@ -666,32 +589,14 @@ impl BusSnooper for Mbm {
         };
         self.check_guard(addr, ctx);
         self.stats.bus_writes_seen += 1;
-        let probe = if self.config.bitmap.covers(addr) {
-            self.filter_probe(addr, ctx.mem)
-        } else {
-            None
-        };
+        let probe = self.filter_probe(addr, words.len(), ctx.mem);
         let mut skipped = 0;
         for (i, &value) in words.iter().enumerate() {
             let word_addr = addr.add(i as u64 * 8);
             if self.config.bitmap.in_bitmap_storage(word_addr) {
                 self.cache.snoop_update(word_addr, value);
-                self.note_bitmap_write(word_addr, value);
-            } else if self.config.bitmap.covers(word_addr) {
-                let watched = |p: FilterProbe| {
-                    let located = self.config.bitmap.locate(word_addr);
-                    p.value & located.expect("covered word locates").1 != 0
-                };
-                if probe.is_some_and(|p| !watched(p)) {
-                    // Charge what the reference pipeline would have: one
-                    // capture, one (lossless) translation and one
-                    // transient FIFO slot, drained within this transaction.
-                    self.stats.captured += 1;
-                    self.stats.bitmap_lookups += 1;
-                    self.stats.page_filter_skips += 1;
-                    self.txn_filtered += 1;
-                    self.fifo
-                        .note_occupancy(self.fifo.len() + self.txn_filtered);
+            } else if let Some((_, mask)) = self.config.bitmap.locate(word_addr) {
+                if probe.is_some_and(|p| p.value & mask == 0) {
                     skipped += 1;
                 } else {
                     self.capture(
@@ -704,11 +609,17 @@ impl BusSnooper for Mbm {
                 }
             }
         }
-        // The skipped captures' lookups, charged from the probe as the
-        // translator would have made them: within one transaction every
-        // lookup reads the probed word, so their order cannot change
-        // what the bitmap cache counts.
         if let Some(p) = probe {
+            // Charge the skipped captures as the reference pipeline
+            // would have: captured, queued behind the ones in the FIFO
+            // (which started empty) and translated through the probed
+            // word before the next transaction. Every lookup of the
+            // transaction reads that word, so their order cannot change
+            // what the bitmap cache counts.
+            self.stats.captured += skipped;
+            self.stats.bitmap_lookups += skipped;
+            self.stats.page_filter_skips += skipped;
+            self.fifo.note_occupancy(self.fifo.len() + skipped as usize);
             let fetches = self
                 .cache
                 .charge_lookups(p.word, p.value, p.resident, skipped);
@@ -739,7 +650,6 @@ impl BusSnooper for Mbm {
 mod tests {
     use super::*;
     use hypernel_machine::irq::IrqController;
-    use hypernel_machine::mem::PhysMemory;
 
     const WINDOW_LEN: u64 = 1 << 20;
     const BITMAP_BASE: u64 = 0x400_0000;
@@ -1003,8 +913,13 @@ mod tests {
         rig.watch(0x1000, 8);
         rig.write(0x1000, 1);
         assert_ne!(rig.mbm.stats(), MbmStats::default());
+        assert_ne!(rig.mbm.bitmap_cache_stats(), BitmapCacheStats::default());
         rig.mbm.reset_stats();
         assert_eq!(rig.mbm.stats(), MbmStats::default());
+        assert_eq!(rig.mbm.bitmap_cache_stats(), BitmapCacheStats::default());
+        // The cache keeps its contents: the next lookup of the word hits.
+        rig.write(0x1000, 2);
+        assert_eq!(rig.mbm.bitmap_cache_stats().hits, 1);
     }
 
     #[test]
@@ -1086,7 +1001,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Watch-page summary filter
+    // Watch-word filter
     // ------------------------------------------------------------------
 
     #[test]
@@ -1139,12 +1054,16 @@ mod tests {
         rig.write(0x6000, 3);
         assert_eq!(rig.mbm.stats().events_matched, 1);
         assert_eq!(rig.mbm.stats().page_filter_skips, 2);
-        // A *different* word of the same page keeps the page hot while
-        // any bit in it is set.
+        // A watched word beside it, under the same bitmap word, does
+        // not stop the filter skipping the unwatched one…
         rig.watch(0x6100, 8);
-        rig.write(0x6008, 4); // unwatched word, watched page: no skip
-        assert_eq!(rig.mbm.stats().page_filter_skips, 2);
+        rig.write(0x6008, 4);
+        assert_eq!(rig.mbm.stats().page_filter_skips, 3);
         assert_eq!(rig.mbm.stats().events_matched, 1);
+        // …nor does the skip hide the watched word's next write.
+        rig.write(0x6100, 5);
+        assert_eq!(rig.mbm.stats().page_filter_skips, 3);
+        assert_eq!(rig.mbm.stats().events_matched, 2);
     }
 
     #[test]
@@ -1197,6 +1116,20 @@ mod tests {
         rig.write(0x9000, 1);
         assert_eq!(rig.mbm.stats().page_filter_skips, 0);
 
+        // The depth that counts is the FIFO's own, not a configuration
+        // edited after the device was built.
+        let mut cfg = config();
+        cfg.fifo_capacity = 4;
+        let mut rig = Rig::new(cfg);
+        rig.mbm.set_filter_enabled(true);
+        rig.mbm.config_mut().fifo_capacity = 16;
+        rig.txn(BusTransaction::WriteLine {
+            addr: PhysAddr::new(0x9000),
+            data: [1; 8],
+        });
+        assert_eq!(rig.mbm.stats().page_filter_skips, 0);
+        assert_eq!(rig.mbm.stats().fifo_dropped, 4);
+
         // A fault injector also forces the reference pipeline.
         use hypernel_machine::fault::{share, FaultPlan};
         let mut rig = Rig::new(config());
@@ -1207,30 +1140,42 @@ mod tests {
     }
 
     #[test]
-    fn filter_confirms_against_memory_for_non_bus_bitmap_writes() {
-        // Out-of-band bitmap programming (no bus transaction, *no*
-        // resync — the bare-monitor ATRA rig does exactly this): the
-        // stale summary alone would skip; the decision-unit confirmation
-        // must not.
-        let mut rig = Rig::new(config());
-        rig.mbm.set_filter_enabled(true);
-        let (word, mask) = rig
-            .mbm
-            .config()
-            .bitmap
-            .locate(PhysAddr::new(0x3000))
-            .unwrap();
-        rig.mem.write_u64(word, mask);
-        rig.write(0x3000, 5);
-        assert_eq!(rig.mbm.stats().events_matched, 1);
-        assert_eq!(rig.mbm.stats().page_filter_skips, 0);
+    fn filter_stands_down_over_a_fifo_backlog() {
+        // A stalled translator leaves 12 captures queued in the 16-entry
+        // FIFO; the line written back behind them overflows it by 4 in
+        // the reference pipeline, so the filter must not skip them.
+        for enabled in [true, false] {
+            let mut rig = Rig::new(config());
+            rig.mbm.set_filter_enabled(enabled);
+            rig.mbm.config_mut().drain_per_transaction = Some(0);
+            for w in 0..12u64 {
+                rig.write(0x9000 + w * 8, w);
+            }
+            rig.mbm.config_mut().drain_per_transaction = None;
+            rig.txn(BusTransaction::WriteLine {
+                addr: PhysAddr::new(0xa000),
+                data: [9; 8],
+            });
+            let stats = rig.mbm.stats();
+            assert_eq!(stats.page_filter_skips, 0, "filter {enabled}");
+            assert_eq!(stats.fifo_dropped, 4, "filter {enabled}");
+            assert_eq!(stats.bitmap_lookups, 16, "filter {enabled}");
+            assert_eq!(
+                stats.first_dropped_addr,
+                Some(PhysAddr::new(0xa020)),
+                "filter {enabled}"
+            );
+            assert_eq!(rig.mbm.fifo_high_watermark(), 16, "filter {enabled}");
+        }
     }
 
     #[test]
-    fn filter_resync_recovers_from_non_bus_bitmap_writes() {
+    fn filter_confirms_against_memory_for_non_bus_bitmap_writes() {
+        // Out-of-band bitmap programming (no bus transaction — the
+        // bare-monitor ATRA rig does exactly this): the filter reads the
+        // word from DRAM, as the decision unit would, and must not skip.
         let mut rig = Rig::new(config());
         rig.mbm.set_filter_enabled(true);
-        // Set a watch bit behind the monitor's back (no bus transaction).
         let (word, mask) = rig
             .mbm
             .config()
@@ -1238,8 +1183,6 @@ mod tests {
             .locate(PhysAddr::new(0x3000))
             .unwrap();
         rig.mem.write_u64(word, mask);
-        // The stale summary would skip; resync restores coherence.
-        rig.mbm.resync_filter(&mut rig.mem);
         rig.write(0x3000, 5);
         assert_eq!(rig.mbm.stats().events_matched, 1);
         assert_eq!(rig.mbm.stats().page_filter_skips, 0);

@@ -1,16 +1,16 @@
 //! Property-based tests for the MBM: the central soundness/completeness
 //! claim — *the monitor raises exactly one event per bus-visible write to
 //! a watched word, and none for anything else* — plus bitmap and ring
-//! algebra.
+//! algebra, and the watch-word filter's invisibility to the model.
 
 use std::collections::HashSet;
 
 use hypernel_machine::addr::PhysAddr;
 use hypernel_machine::bus::{BusContext, BusSnooper, BusTransaction};
-use hypernel_machine::irq::IrqController;
+use hypernel_machine::irq::{IrqController, IrqLine};
 use hypernel_machine::mem::PhysMemory;
 use hypernel_mbm::bitmap::BitmapLayout;
-use hypernel_mbm::monitor::{Mbm, MbmConfig};
+use hypernel_mbm::monitor::{Mbm, MbmConfig, MbmStats};
 use hypernel_mbm::ring::{RingLayout, WriteEvent};
 use proptest::prelude::*;
 
@@ -28,8 +28,139 @@ fn config() -> MbmConfig {
     )
 }
 
+/// A monitor with its own DRAM and interrupt controller.
+struct Rig {
+    mbm: Mbm,
+    mem: PhysMemory,
+    irq: IrqController,
+    extra: u64,
+}
+
+impl Rig {
+    fn new(config: MbmConfig, filter: bool) -> Self {
+        let mut mbm = Mbm::new(config);
+        mbm.set_filter_enabled(filter);
+        Self {
+            mbm,
+            mem: PhysMemory::new(0x60_0000),
+            irq: IrqController::new(),
+            extra: 0,
+        }
+    }
+
+    /// Writes `data` to DRAM at `addr` and shows the monitor the bus
+    /// transaction: a word write, or a line write-back for 8 words.
+    fn write(&mut self, addr: PhysAddr, data: &[u64]) {
+        for (i, &v) in data.iter().enumerate() {
+            self.mem.write_u64(addr.add(i as u64 * 8), v);
+        }
+        let txn = match *data {
+            [value] => BusTransaction::WriteWord { addr, value },
+            _ => BusTransaction::WriteLine {
+                addr,
+                data: data.try_into().expect("a line is 8 words"),
+            },
+        };
+        let mut ctx = BusContext {
+            mem: &mut self.mem,
+            irq: &mut self.irq,
+            extra_mem_accesses: &mut self.extra,
+            cycles: 0,
+        };
+        self.mbm.on_transaction(&txn, &mut ctx);
+    }
+
+    /// Everything the model can observe of the monitor: its counters
+    /// (less the filter's host counter), the bitmap cache's counters,
+    /// the FIFO gauges, DRAM traffic, the pending interrupt and the
+    /// ring's contents (drained).
+    fn observe(&mut self) -> impl PartialEq + std::fmt::Debug {
+        let stats = MbmStats {
+            page_filter_skips: 0,
+            ..self.mbm.stats()
+        };
+        let mut ring = Vec::new();
+        while let Some(ev) = self.mbm.config().ring.pop(&mut self.mem) {
+            ring.push(ev);
+        }
+        (
+            stats,
+            self.mbm.bitmap_cache_stats(),
+            self.mbm.fifo_len(),
+            self.mbm.fifo_high_watermark(),
+            self.extra,
+            self.irq.is_pending(IrqLine::MBM),
+            ring,
+        )
+    }
+}
+
+/// Words of the window the filter differential writes: four pages, so
+/// bitmap updates and writes meet often.
+const HOT_WORDS: u64 = 2048;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The watch-word filter is invisible to the model: two monitors
+    /// fed the same word writes, line write-backs (mixing watched and
+    /// unwatched words), bitmap set and clear writes and translator
+    /// stalls, one with the filter on and one with it off, end
+    /// identical in everything but the filter's host counter. The
+    /// window base may sit off a bitmap word's span, so a line can
+    /// straddle two bitmap words or the window's edge.
+    #[test]
+    fn filter_is_invisible_to_the_model(
+        window_offset in 0u64..3,
+        cache_choice in 0usize..4,
+        ops in prop::collection::vec((0u8..5, 0u64..HOT_WORDS, any::<u64>()), 0..200),
+    ) {
+        let mut config = config();
+        config.bitmap = BitmapLayout::new(
+            PhysAddr::new(window_offset * 8),
+            WINDOW_LEN,
+            PhysAddr::new(BITMAP_BASE),
+        );
+        config.bitmap_cache_words = [None, Some(1), Some(2), Some(64)][cache_choice];
+        let mut rigs = [Rig::new(config, true), Rig::new(config, false)];
+        let mut stalled = false;
+        for &(kind, word, value) in &ops {
+            for rig in &mut rigs {
+                match kind {
+                    0 => rig.write(PhysAddr::new(word * 8), &[value]),
+                    1 => {
+                        let line = PhysAddr::new((word * 8) & !63);
+                        let data: Vec<u64> = (0..8).map(|i| value.rotate_left(i * 8)).collect();
+                        rig.write(line, &data);
+                    }
+                    2 | 3 => {
+                        // Set about one bit in eight, or clear about
+                        // half, of the bitmap word guarding `word`.
+                        let Some((bw, _)) = config.bitmap.locate(PhysAddr::new(word * 8)) else {
+                            continue;
+                        };
+                        let cur = rig.mem.read_u64(bw);
+                        let next = if kind == 2 {
+                            cur | (value & (value >> 17) & (value >> 31))
+                        } else {
+                            cur & !value
+                        };
+                        rig.write(bw, &[next]);
+                    }
+                    _ => {
+                        rig.mbm.config_mut().drain_per_transaction =
+                            (!stalled).then_some(0);
+                    }
+                }
+            }
+            if kind == 4 {
+                stalled = !stalled;
+            }
+        }
+        prop_assert_eq!(rigs[1].mbm.stats().page_filter_skips, 0);
+        let [on, off] = &mut rigs;
+        prop_assert_eq!(on.observe(), off.observe());
+    }
 
     /// Exactly the watched words raise events; every watched write is
     /// recorded with its value; nothing is lost or invented.

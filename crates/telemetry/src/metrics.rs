@@ -3,7 +3,7 @@
 //! Every series that may appear in a `metrics.jsonl` artifact is
 //! declared here, with its aggregation kind. All standard metrics are
 //! *simulated* quantities — host-side fast-path counters (the L0
-//! micro-TLB, the MBM watch-page filter) are deliberately absent,
+//! micro-TLB, the MBM watch-word filter) are deliberately absent,
 //! because the artifact must be byte-identical with the fast paths on
 //! or off (`HYPERNEL_NO_FASTPATH`). Host counters are read only by the
 //! host-time benchmark (hbench `--trace 1`).

@@ -151,19 +151,6 @@ fn shell_activity(
     Ok(())
 }
 
-/// Public wrapper over the user-compute phase for the replay engine.
-#[doc(hidden)]
-pub fn user_compute_public(
-    kernel: &mut Kernel,
-    m: &mut Machine,
-    hyp: &mut dyn Hyp,
-    compute_cycles: u64,
-    mem_ops: u64,
-    rng: &mut SmallRng,
-) -> Result<(), KernelError> {
-    user_compute(kernel, m, hyp, compute_cycles, mem_ops, rng)
-}
-
 /// Launches a benchmark process: fork from the shell, exec the binary.
 fn launch(
     kernel: &mut Kernel,

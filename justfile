@@ -9,9 +9,12 @@ ci: fmt-check lint
 fmt-check:
     cargo fmt --check
 
-# Reject all warnings, in every target (lib, bins, tests, benches).
+# Reject all warnings, in every target (lib, bins, tests, benches),
+# and check that hbench, a package of its own, still compiles against
+# the workspace.
 lint:
     cargo clippy --all-targets -- -D warnings
+    cargo check --offline --locked --manifest-path hbench/Cargo.toml
 
 # Reformat the workspace in place.
 fmt:

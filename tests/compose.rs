@@ -128,8 +128,9 @@ proptest! {
     }
 
     /// Every host fast path off (L0 micro-TLB, block-access streaming
-    /// and its line runs, MBM watch-page filter) against the all-on
-    /// default.
+    /// and its line runs, MBM watch-word filter) against the all-on
+    /// default. The filter stands down under the run's telemetry sink
+    /// either way.
     #[test]
     fn composed_artifacts_survive_fastpath_off(seed in 0u64..64) {
         for scenario in &compose_scenarios() {

@@ -9,6 +9,8 @@ use hypernel::kernel::kernel::{KernelError, MonitorHooks, MonitorMode};
 use hypernel::kernel::kobj::{DentryField, ObjectKind};
 use hypernel::kernel::layout;
 use hypernel::machine::machine::Exception;
+use hypernel::mbm::{Mbm, MbmStats};
+use hypernel::workloads::{apps, AppBenchmark};
 use hypernel::{Mode, System, SystemBuilder};
 
 fn armed(mode: MonitorMode) -> System {
@@ -257,6 +259,53 @@ fn mbm_pipeline_statistics_are_consistent() {
     // Hypersec dispatched exactly the matched events (none stray).
     let hs = sys.hypersec().unwrap().stats();
     assert_eq!(hs.events_dispatched + hs.stray_events, stats.events_matched);
+}
+
+/// The MBM's watch-word filter is a host fast path: a Table 2
+/// application under either granularity ends with the same cycles, MBM
+/// and bitmap-cache counters and detections with the filter on or off,
+/// while the filter-on run does skip captures.
+#[test]
+fn watch_word_filter_leaves_a_table2_app_unchanged() {
+    let app = AppBenchmark::Iozone;
+    for mode in [MonitorMode::SensitiveFields, MonitorMode::WholeObject] {
+        let [(on_skips, on), (off_skips, off)] = [true, false].map(|filter| {
+            // As `hypernel_bench::trap_events` measures Table 2, with the
+            // filter switched after boot.
+            let mut sys = System::boot(Mode::Hypernel).expect("boot");
+            {
+                let (kernel, machine, hyp) = sys.parts();
+                let mbm = machine.bus_mut().snooper_mut::<Mbm>().expect("mbm");
+                mbm.set_filter_enabled(filter);
+                apps::prepare(kernel, machine, hyp, app).expect("prepare");
+                kernel
+                    .arm_monitor_hooks(machine, hyp, MonitorHooks { mode })
+                    .expect("arm");
+            }
+            sys.reset_mbm_stats();
+            {
+                let (kernel, machine, hyp) = sys.parts();
+                apps::run(kernel, machine, hyp, app, 1, 42).expect("run");
+            }
+            sys.service_interrupts().expect("drain");
+            let mbm = sys.machine().bus().snooper::<Mbm>().expect("mbm");
+            let stats = mbm.stats();
+            let observed = (
+                sys.cycles(),
+                MbmStats {
+                    page_filter_skips: 0,
+                    ..stats
+                },
+                mbm.bitmap_cache_stats(),
+                sys.hypersec().expect("hypersec").detections().to_vec(),
+            );
+            (stats.page_filter_skips, observed)
+        });
+        assert!(on_skips > 0, "{mode:?}: the filter ran");
+        assert_eq!(off_skips, 0);
+        assert!(on.1.events_matched > 0, "{mode:?}: watched words written");
+        assert_eq!(on, off, "{mode:?}");
+    }
 }
 
 #[test]

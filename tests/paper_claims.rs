@@ -197,4 +197,11 @@ fn bitmap_cache_ablation_is_pinned() {
             [mbm.bitmap_lookups, mbm.device_reads][col]
         },
     );
+    // The hit-rate column shares the lookups column's base: the bitmap
+    // cache counts exactly the monitor's lookups, and each miss is one
+    // DRAM fetch.
+    for (&(words, _), (mbm, cache)) in ABLATION.iter().zip(&runs) {
+        assert_eq!(cache.hits + cache.misses, mbm.bitmap_lookups, "{words:?}");
+        assert_eq!(cache.misses, mbm.device_reads, "{words:?}");
+    }
 }
