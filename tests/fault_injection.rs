@@ -193,3 +193,90 @@ fn run_report_carries_fault_counters() {
     assert_eq!(faults.get("irqs_dropped").and_then(Json::as_u64), Some(2));
     assert!(faults.get("total").and_then(Json::as_u64).unwrap() >= 2);
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Pins the raw event stream and the fault-hit log of one run whose
+/// plan fires at every owner's sites: a lost hypercall (the machine),
+/// a flipped snoop address (the bus), and a translator stall, a delayed
+/// IRQ and a bitmap desync (the MBM). Telemetry runs from boot, so the
+/// stream interleaves CPU-side and bus-side events on one clock, and
+/// the ring is sized to evict the oldest of them. Any
+/// change to who records an event or consults the injector, or in what
+/// order, moves one of these values.
+#[test]
+fn telemetry_stream_and_fault_log_are_pinned() {
+    use hypernel::kernel::abi::call;
+    use hypernel::telemetry::export::write_jsonl;
+    use hypernel::workloads::{lmbench, LmbenchOp};
+
+    let plan = FaultPlan::new()
+        .with(FaultSpec::lose_hypercall(1, 1, call::IRQ_NOTIFY))
+        .with(FaultSpec::flip_snoop_addr(50, 2, 12))
+        .with(FaultSpec::stall_translator(30, 3))
+        .with(FaultSpec::delay_irq(2, 1, 2))
+        .with(FaultSpec::desync_bitmap(3, 1));
+    let mut sys = SystemBuilder::new(Mode::Hypernel)
+        .telemetry(1 << 11)
+        .fault_plan(plan)
+        .build()
+        .expect("boot");
+    arm(&mut sys);
+    {
+        let (kernel, machine, hyp) = sys.parts();
+        lmbench::run_op(kernel, machine, hyp, LmbenchOp::ForkExit, 2).expect("fork+exit");
+        kernel
+            .attack_cred_escalation(machine, hyp, Pid(1))
+            .expect("attack runs");
+    }
+    sys.service_interrupts().expect("irq path");
+
+    let events = sys.telemetry_events().expect("telemetry on");
+    let snapshot = sys.telemetry_snapshot().expect("telemetry on");
+    let spans: Vec<(String, u64)> = snapshot
+        .spans
+        .iter()
+        .map(|((track, span), s)| (format!("{}/{}", track.name(), span.name()), s.count))
+        .collect();
+    let log: Vec<(&str, u64, u64)> = sys
+        .fault_log()
+        .expect("injector installed")
+        .iter()
+        .map(|hit| (hit.kind.name(), hit.site_index, hit.info))
+        .collect();
+    assert_eq!(events.len(), 2048);
+    assert_eq!(sys.telemetry_dropped(), Some(209));
+    assert_eq!(
+        fnv1a(write_jsonl(&events).as_bytes()),
+        0x5155_e5f1_4573_61c0
+    );
+    assert_eq!(
+        spans,
+        [
+            ("el1/syscall", 4),
+            ("el1/mbm-irq-service", 1),
+            ("el2/hypercall-verify", 174),
+            ("el2/sysreg-verify", 7),
+            ("el2/stage2-check", 140),
+            ("mbm/mbm-drain", 47),
+        ]
+        .map(|(name, count)| (name.to_string(), count))
+    );
+    assert_eq!(
+        log,
+        [
+            ("desync-bitmap", 3, 0x7902_0140),
+            ("stall-translator", 30, 0),
+            ("stall-translator", 31, 0),
+            ("stall-translator", 32, 0),
+            ("flip-snoop-addr", 50, 0x81_a000),
+            ("flip-snoop-addr", 51, 0x40_5040),
+            ("delay-irq", 2, 0x81_3028),
+            ("lose-hypercall", 1, call::IRQ_NOTIFY),
+        ]
+    );
+}
