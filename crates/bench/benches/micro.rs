@@ -149,6 +149,8 @@ fn bench_mbm(c: &mut Criterion) {
                 irq: &mut irq,
                 extra_mem_accesses: &mut extra,
                 cycles: 0,
+                faults: None,
+                telemetry: None,
             };
             mbm.on_transaction(black_box(&txn), &mut ctx);
         });
@@ -172,6 +174,8 @@ fn bench_mbm(c: &mut Criterion) {
                 irq: &mut irq,
                 extra_mem_accesses: &mut extra,
                 cycles: 0,
+                faults: None,
+                telemetry: None,
             };
             mbm.on_transaction(black_box(&txn), &mut ctx);
             // Drain the ring so it never fills.

@@ -10,10 +10,10 @@
 use std::fmt;
 
 use hypernel::metrics::metric_samples;
+use hypernel::system::platform_mbm_config;
 use hypernel::{Mode, System, SystemBuilder};
+use hypernel_kernel::fnv1a;
 use hypernel_kernel::kernel::{KernelError, MonitorHooks};
-use hypernel_machine::addr::PhysAddr;
-use hypernel_mbm::MbmConfig;
 use hypernel_telemetry::{metrics, MetricsRecorder};
 use hypernel_workloads::lmbench::{run_op, LmbenchOp};
 
@@ -55,18 +55,6 @@ impl SplitMix64 {
     }
 }
 
-/// FNV-1a, used to fold the scenario name into the seed so equal seeds
-/// still produce distinct interleavings across scenarios (and by
-/// `explore` as the stable mutant-id suffix).
-pub(crate) fn fnv1a(text: &str) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for b in text.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// A run failed outright (scenario referenced a missing task/path, or
 /// the kernel hit a resource limit) — distinct from oracle violations,
 /// which are *results*.
@@ -106,18 +94,7 @@ pub fn boot_system(scenario: &Scenario) -> Result<System, EngineError> {
         builder = builder.fault_plan(scenario.faults.clone());
     }
     if scenario.fifo_capacity.is_some() || scenario.drain_budget.is_some() {
-        use hypernel_kernel::layout;
-        let mut config = MbmConfig::standard(
-            PhysAddr::new(layout::MBM_WINDOW_BASE),
-            layout::MBM_WINDOW_LEN,
-            PhysAddr::new(layout::MBM_BITMAP_BASE),
-            PhysAddr::new(layout::MBM_RING_BASE),
-            layout::MBM_RING_ENTRIES,
-        )
-        .with_secure_guard(
-            PhysAddr::new(layout::HYPERSEC_PRIVATE_BASE),
-            layout::HYPERSEC_PRIVATE_SIZE,
-        );
+        let mut config = platform_mbm_config();
         if let Some(capacity) = scenario.fifo_capacity {
             config.fifo_capacity = capacity;
         }
@@ -210,7 +187,9 @@ pub fn run_one_full(
     scenario: &Scenario,
     seed: u64,
 ) -> Result<(RunRecord, Vec<hypernel_machine::FaultHit>, System), EngineError> {
-    let mut rng = SplitMix64::new(seed ^ fnv1a(&scenario.name));
+    // Folding the scenario name into the seed gives equal seeds distinct
+    // interleavings across scenarios.
+    let mut rng = SplitMix64::new(seed ^ fnv1a(scenario.name.as_bytes()));
 
     // The always-on flight recorder: a small ring of recent telemetry
     // events, dumped as `blackbox.json` if the run fails. Installed

@@ -309,7 +309,7 @@ fn record_keys(record: &RunRecord, candidate: &Scenario) -> Vec<String> {
 /// enters the name — reordering or extending the mutation schedule
 /// cannot rename an existing discovery or collide two of them.
 fn named(mut mutant: Scenario, base: &str) -> Scenario {
-    let id = crate::engine::fnv1a(&mutant.to_toml()) & 0xFFFF_FFFF;
+    let id = hypernel_kernel::fnv1a(mutant.to_toml().as_bytes()) & 0xFFFF_FFFF;
     mutant.name = format!("{base}-x{id:08x}");
     mutant
 }
@@ -403,11 +403,9 @@ mod tests {
     fn tiny_corpus() -> Vec<Scenario> {
         vec![
             Scenario::new("probe-hypernel", Mode::Hypernel)
-                .describe("detected escalation")
                 .background(2)
                 .step(AttackStep::CredEscalation { pid: 1 }, StepExpect::Detected),
             Scenario::new("probe-drop", Mode::Hypernel)
-                .describe("masked escalation under drop-irq")
                 .step(AttackStep::CredEscalation { pid: 1 }, StepExpect::Masked)
                 .fault(FaultSpec::drop_irq(1, u64::MAX)),
         ]

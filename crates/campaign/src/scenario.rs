@@ -166,12 +166,6 @@ impl Scenario {
         }
     }
 
-    /// Sets the one-line description.
-    pub fn describe(mut self, text: impl Into<String>) -> Self {
-        self.description = text.into();
-        self
-    }
-
     /// Appends an attack step with its expected outcome.
     pub fn step(mut self, step: AttackStep, expect: StepExpect) -> Self {
         self.steps.push(StepSpec { step, expect });
@@ -489,13 +483,15 @@ mod tests {
             count = 1
         "#;
         let parsed = Scenario::from_toml(toml).expect("parses");
-        let built = Scenario::new("demo", Mode::Hypernel)
-            .describe("escalate then patch")
-            .background(3)
-            .latency_bound(250_000)
-            .step(AttackStep::CredEscalation { pid: 1 }, StepExpect::Detected)
-            .step(AttackStep::TextPatch, StepExpect::Blocked)
-            .fault(FaultSpec::drop_irq(1, 1));
+        let built = Scenario {
+            description: "escalate then patch".into(),
+            ..Scenario::new("demo", Mode::Hypernel)
+        }
+        .background(3)
+        .latency_bound(250_000)
+        .step(AttackStep::CredEscalation { pid: 1 }, StepExpect::Detected)
+        .step(AttackStep::TextPatch, StepExpect::Blocked)
+        .fault(FaultSpec::drop_irq(1, 1));
         assert_eq!(parsed, built);
     }
 
@@ -561,27 +557,29 @@ mod tests {
 
     #[test]
     fn to_toml_round_trips() {
-        let full = Scenario::new("round-trip", Mode::Hypernel)
-            .describe("every knob at once")
-            .background(5)
-            .latency_bound(250_000)
-            .fifo_capacity(4)
-            .drain_budget(1)
-            .step(AttackStep::CredEscalation { pid: 1 }, StepExpect::Detected)
-            .step(
-                AttackStep::DentryHijack {
-                    path: "/bin/sh".to_string(),
-                    rogue_inode: 0xBAD,
-                },
-                StepExpect::Masked,
-            )
-            .step(AttackStep::TtbrRedirect, StepExpect::Blocked)
-            .fault(FaultSpec::delay_irq(2, u64::MAX, 7))
-            .fault(FaultSpec::lose_hypercall(1, 1, u64::MAX))
-            .metrics(MetricsSpec {
-                window_cycles: 20_000,
-                series: Some(vec!["hypercalls".to_string()]),
-            });
+        let full = Scenario {
+            description: "every knob at once".into(),
+            ..Scenario::new("round-trip", Mode::Hypernel)
+        }
+        .background(5)
+        .latency_bound(250_000)
+        .fifo_capacity(4)
+        .drain_budget(1)
+        .step(AttackStep::CredEscalation { pid: 1 }, StepExpect::Detected)
+        .step(
+            AttackStep::DentryHijack {
+                path: "/bin/sh".to_string(),
+                rogue_inode: 0xBAD,
+            },
+            StepExpect::Masked,
+        )
+        .step(AttackStep::TtbrRedirect, StepExpect::Blocked)
+        .fault(FaultSpec::delay_irq(2, u64::MAX, 7))
+        .fault(FaultSpec::lose_hypercall(1, 1, u64::MAX))
+        .metrics(MetricsSpec {
+            window_cycles: 20_000,
+            series: Some(vec!["hypercalls".to_string()]),
+        });
         let reparsed = Scenario::from_toml(&full.to_toml()).expect("round-trips");
         assert_eq!(reparsed, full);
 

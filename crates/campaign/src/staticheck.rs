@@ -207,13 +207,6 @@ impl AbstractState {
         }
     }
 
-    /// Can `writer` reach `surface` with a store?
-    pub fn can_write(&self, writer: &str, surface: &str) -> bool {
-        self.writable
-            .get(writer)
-            .is_some_and(|s| s.contains(surface))
-    }
-
     /// Is `surface` covered by the derived watch set?
     pub fn is_watched(&self, surface: &str) -> bool {
         self.watched.contains(surface)
@@ -928,9 +921,9 @@ mod tests {
             vec![(AttackStep::CredEscalation { pid: 1 }, StepExpect::Detected)],
         );
         let state = AbstractState::of(&s);
-        assert!(state.can_write(WRITER_KERNEL, "kernel-data"));
-        assert!(!state.can_write(WRITER_KERNEL, "table-pages"));
-        assert!(!state.can_write(WRITER_KERNEL, "secure-region"));
+        assert!(state.writable[WRITER_KERNEL].contains("kernel-data"));
+        assert!(!state.writable[WRITER_KERNEL].contains("table-pages"));
+        assert!(!state.writable[WRITER_KERNEL].contains("secure-region"));
         assert!(state.is_watched("monitored/cred"));
         assert!(state.findings.is_empty());
     }
@@ -945,8 +938,8 @@ mod tests {
             )],
         );
         let state = AbstractState::of(&s);
-        assert!(state.can_write(WRITER_KERNEL, "secure-region"));
-        assert!(state.can_write(WRITER_KERNEL, "table-pages"));
+        assert!(state.writable[WRITER_KERNEL].contains("secure-region"));
+        assert!(state.writable[WRITER_KERNEL].contains("table-pages"));
         assert!(state.watched.is_empty());
         assert!(state.findings.iter().any(|f| f.kind == "secure-alias"));
     }

@@ -14,56 +14,37 @@ use hypernel_hypersec::{
     ComposeMonitor, CredMonitor, DentryMonitor, Hypersec, HypersecConfig, SecurityApp,
 };
 use hypernel_hypervisor::{KvmConfig, KvmHypervisor};
-use hypernel_kernel::kernel::{Kernel, KernelConfig, KernelError, MonitorHooks};
+use hypernel_kernel::kernel::{Kernel, KernelConfig, KernelError};
 use hypernel_kernel::layout;
 use hypernel_machine::addr::PhysAddr;
-use hypernel_machine::fault::{self, FaultHit, FaultPlan, FaultStats};
+use hypernel_machine::fault::{FaultHit, FaultInjector, FaultPlan, FaultStats};
 use hypernel_machine::machine::{Hyp, Machine, MachineConfig, NullHyp};
 use hypernel_machine::shadow::TagPolicy;
 use hypernel_mbm::{Mbm, MbmConfig, MbmStats};
-use hypernel_telemetry::{Event, FanoutSink, RingSink, SharedSink, Snapshot, Telemetry};
-use std::cell::RefCell;
-use std::rc::Rc;
+use hypernel_telemetry::{Event, Snapshot, Telemetry};
 
 /// Default event-ring capacity used by [`SystemBuilder::telemetry`] and
 /// [`System::enable_telemetry`] callers that have no better number:
 /// large enough to hold a full lmbench table run without eviction.
 pub const DEFAULT_TELEMETRY_CAPACITY: usize = 1 << 16;
 
-/// The shared sinks behind an enabled telemetry pipeline: one ring
-/// buffer keeping the raw event stream for export, one [`Telemetry`]
-/// registry aggregating latencies and counters, and the fan-out that
-/// feeds them both.
-struct TelemetryHandles {
-    ring: Rc<RefCell<RingSink>>,
-    registry: Rc<RefCell<Telemetry>>,
-    fanout: SharedSink,
-}
-
-impl TelemetryHandles {
-    fn new(ring_capacity: usize) -> Self {
-        let ring = Rc::new(RefCell::new(RingSink::new(ring_capacity)));
-        let registry = Rc::new(RefCell::new(Telemetry::new()));
-        let ring_dyn: SharedSink = ring.clone();
-        let registry_dyn: SharedSink = registry.clone();
-        let fanout: SharedSink = Rc::new(RefCell::new(
-            FanoutSink::new().with(ring_dyn).with(registry_dyn),
-        ));
-        Self {
-            ring,
-            registry,
-            fanout,
-        }
-    }
-
-    /// Installs the fan-out into the machine and (if attached) the MBM,
-    /// so CPU-side and bus-side events land in the same stream.
-    fn install(&self, machine: &mut Machine) {
-        machine.set_telemetry_sink(Some(self.fanout.clone()));
-        if let Some(mbm) = machine.bus_mut().snooper_mut::<Mbm>() {
-            mbm.set_telemetry_sink(Some(self.fanout.clone()));
-        }
-    }
+/// The platform's MBM: the lossless monitor over the platform layout's
+/// window, with its bitmap and ring in the secure region. §8 extension:
+/// it alarms on any bus (DMA) write into Hypersec's private memory — the
+/// CPU never writes it through the bus, so bus writes there are
+/// tampering.
+pub fn platform_mbm_config() -> MbmConfig {
+    MbmConfig::standard(
+        PhysAddr::new(layout::MBM_WINDOW_BASE),
+        layout::MBM_WINDOW_LEN,
+        PhysAddr::new(layout::MBM_BITMAP_BASE),
+        PhysAddr::new(layout::MBM_RING_BASE),
+        layout::MBM_RING_ENTRIES,
+    )
+    .with_secure_guard(
+        PhysAddr::new(layout::HYPERSEC_PRIVATE_BASE),
+        layout::HYPERSEC_PRIVATE_SIZE,
+    )
 }
 
 /// The three evaluated system configurations (paper §7.1).
@@ -139,7 +120,6 @@ impl El2Software {
 pub struct SystemBuilder {
     mode: Mode,
     machine_config: MachineConfig,
-    monitor_hooks: Option<MonitorHooks>,
     extra_apps: Vec<Box<dyn SecurityApp>>,
     section_linear_map: bool,
     mbm_config: Option<MbmConfig>,
@@ -151,7 +131,6 @@ impl std::fmt::Debug for SystemBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SystemBuilder")
             .field("mode", &self.mode)
-            .field("monitor_hooks", &self.monitor_hooks)
             .field("section_linear_map", &self.section_linear_map)
             .finish_non_exhaustive()
     }
@@ -166,7 +145,6 @@ impl SystemBuilder {
                 dram_size: layout::DRAM_SIZE,
                 ..MachineConfig::default()
             },
-            monitor_hooks: None,
             extra_apps: Vec::new(),
             section_linear_map: false,
             mbm_config: None,
@@ -180,13 +158,6 @@ impl SystemBuilder {
     pub fn machine_config(mut self, mut config: MachineConfig) -> Self {
         config.dram_size = layout::DRAM_SIZE;
         self.machine_config = config;
-        self
-    }
-
-    /// Enables the kernel's security hooks from boot (usually enabled
-    /// later, per experiment, via [`Kernel::set_monitor_hooks`]).
-    pub fn monitor_hooks(mut self, hooks: MonitorHooks) -> Self {
-        self.monitor_hooks = Some(hooks);
         self
     }
 
@@ -242,7 +213,6 @@ impl SystemBuilder {
             Mode::Native | Mode::KvmGuest => KernelConfig::native(),
             Mode::Hypernel => KernelConfig::hypernel(),
         };
-        kernel_config.monitor_hooks = self.monitor_hooks;
         if self.section_linear_map {
             kernel_config.linear_map = hypernel_kernel::pgtable::LinearMapMode::Sections;
         }
@@ -259,22 +229,7 @@ impl SystemBuilder {
                 El2Software::Kvm(kvm)
             }
             Mode::Hypernel => {
-                let mbm_config = self.mbm_config.unwrap_or_else(|| {
-                    MbmConfig::standard(
-                        PhysAddr::new(layout::MBM_WINDOW_BASE),
-                        layout::MBM_WINDOW_LEN,
-                        PhysAddr::new(layout::MBM_BITMAP_BASE),
-                        PhysAddr::new(layout::MBM_RING_BASE),
-                        layout::MBM_RING_ENTRIES,
-                    )
-                    // §8 extension: alarm on any bus (DMA) write into
-                    // Hypersec's private memory — the CPU never writes it
-                    // through the bus, so bus writes there are tampering.
-                    .with_secure_guard(
-                        PhysAddr::new(layout::HYPERSEC_PRIVATE_BASE),
-                        layout::HYPERSEC_PRIVATE_SIZE,
-                    )
-                });
+                let mbm_config = self.mbm_config.unwrap_or_else(platform_mbm_config);
                 machine.bus_mut().attach(Box::new(Mbm::new(mbm_config)));
                 let mut hypersec = Hypersec::install(&mut machine, HypersecConfig::standard());
                 hypersec.install_app(Box::new(CredMonitor::new()));
@@ -287,12 +242,9 @@ impl SystemBuilder {
             }
         };
 
-        // Install telemetry before boot (and after the MBM is attached)
-        // so the event stream covers the kernel's own bring-up.
-        let telemetry = self.telemetry_capacity.map(TelemetryHandles::new);
-        if let Some(handles) = &telemetry {
-            handles.install(&mut machine);
-        }
+        // Install telemetry before boot so the event stream covers the
+        // kernel's own bring-up.
+        machine.set_telemetry_sink(self.telemetry_capacity.map(Telemetry::new));
 
         let kernel = Kernel::boot(&mut machine, el2.as_hyp(), kernel_config)?;
 
@@ -304,20 +256,13 @@ impl SystemBuilder {
         }
 
         // Faults arm only after boot completes (see `fault_plan`).
-        if let Some(plan) = self.fault_plan {
-            let injector = fault::share(plan);
-            machine.set_fault_injector(Some(injector.clone()));
-            if let Some(mbm) = machine.bus_mut().snooper_mut::<Mbm>() {
-                mbm.set_fault_injector(Some(injector));
-            }
-        }
+        machine.set_fault_injector(self.fault_plan.map(FaultInjector::new));
 
         Ok(System {
             mode: self.mode,
             machine,
             kernel,
             el2,
-            telemetry,
             audit_baseline: WalkBaseline::default(),
         })
     }
@@ -329,7 +274,6 @@ pub struct System {
     machine: Machine,
     kernel: Kernel,
     el2: El2Software,
-    telemetry: Option<TelemetryHandles>,
     /// The static audit's walk baseline, shared by a template and its
     /// forks.
     audit_baseline: WalkBaseline,
@@ -407,9 +351,7 @@ impl System {
     /// Chronological log of every fault that fired, if an injector is
     /// installed.
     pub fn fault_log(&self) -> Option<Vec<FaultHit>> {
-        self.machine
-            .fault_injector()
-            .map(|f| f.borrow().log().to_vec())
+        self.machine.fault_injector().map(|f| f.log().to_vec())
     }
 
     /// The Hypersec runtime (Hypernel mode only).
@@ -438,63 +380,52 @@ impl System {
 
     /// Turns telemetry on mid-run (a no-op if already enabled), keeping
     /// up to `ring_capacity` raw events for export. All events from this
-    /// point on — CPU-side and MBM-side — feed both the ring and the
-    /// aggregating registry.
+    /// point on — CPU-side and MBM-side — feed the machine's one
+    /// recorder: its ring and its aggregates.
     pub fn enable_telemetry(&mut self, ring_capacity: usize) {
-        if self.telemetry.is_some() {
-            return;
+        if !self.telemetry_enabled() {
+            self.machine
+                .set_telemetry_sink(Some(Telemetry::new(ring_capacity)));
         }
-        let handles = TelemetryHandles::new(ring_capacity);
-        handles.install(&mut self.machine);
-        self.telemetry = Some(handles);
     }
 
-    /// Detaches the sinks: subsequent events are no longer recorded and
-    /// the emit helpers reduce to a single branch again.
+    /// Removes the recorder: subsequent events are no longer recorded
+    /// and the emit helpers reduce to a single branch again.
     pub fn disable_telemetry(&mut self) {
         self.machine.set_telemetry_sink(None);
-        if let Some(mbm) = self.machine.bus_mut().snooper_mut::<Mbm>() {
-            mbm.set_telemetry_sink(None);
-        }
-        self.telemetry = None;
     }
 
-    /// Whether a telemetry pipeline is installed.
+    /// Whether a telemetry recorder is installed.
     pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
+        self.machine.telemetry().is_some()
     }
 
     /// Freezes the current aggregates (histograms + counters), if
     /// telemetry is enabled.
     pub fn telemetry_snapshot(&self) -> Option<Snapshot> {
-        self.telemetry
-            .as_ref()
-            .map(|t| t.registry.borrow().snapshot())
+        self.machine.telemetry().map(Telemetry::snapshot)
     }
 
     /// Copies out the buffered raw events, oldest first, if telemetry is
     /// enabled. Pair with [`System::telemetry_dropped`] to report
     /// truncation honestly.
     pub fn telemetry_events(&self) -> Option<Vec<Event>> {
-        self.telemetry.as_ref().map(|t| t.ring.borrow().to_vec())
+        self.machine.telemetry().map(|t| t.ring().to_vec())
     }
 
     /// Raw events evicted from the ring because it was full.
     pub fn telemetry_dropped(&self) -> Option<u64> {
-        self.telemetry.as_ref().map(|t| t.ring.borrow().dropped())
+        self.machine.telemetry().map(|t| t.ring().dropped())
     }
 
     /// Forks this booted system into an independent copy (warm-boot
     /// reuse): all architectural and software state — memory, TLB,
     /// cache, registers, bus devices, kernel tables, EL2 software — is
-    /// deep-copied, and the two host-side shared attachments are
-    /// re-wired so the copy never aliases the original:
-    ///
-    /// * the fault injector (machine, bus and MBM handles) is replaced
-    ///   by a fresh `Rc` around a copy of its current state, so the
-    ///   fork's occurrence counters advance independently;
-    /// * telemetry sinks are detached on the copy (enable telemetry on
-    ///   the fork afterwards if the experiment needs it).
+    /// deep-copied. The machine is the only holder of the fault
+    /// injector and the telemetry recorder, so the copy shares neither:
+    /// its injector is a copy whose occurrence counters advance
+    /// independently, and it starts without a recorder (enable
+    /// telemetry on the fork afterwards if the experiment needs it).
     ///
     /// Memory is copy-on-write: the copy shares every DRAM chunk and
     /// page until one side writes it. The first fork records the
@@ -507,29 +438,11 @@ impl System {
     /// campaign engine relies on this to boot each scenario once and
     /// fork per seed.
     pub fn fork(&self) -> System {
-        let mut machine = self.machine.fork();
-        // The clone shares the original's telemetry fan-out (an `Rc`);
-        // detach it so the fork cannot feed the original's ring.
-        machine.set_telemetry_sink(None);
-        if let Some(mbm) = machine.bus_mut().snooper_mut::<Mbm>() {
-            mbm.set_telemetry_sink(None);
-        }
-        // Same for the fault injector: give the fork its own copy of the
-        // injector state behind a fresh handle, wired to machine, bus
-        // and MBM alike.
-        if let Some(shared) = machine.fault_injector() {
-            let fresh: fault::SharedFaults = Rc::new(RefCell::new(shared.borrow().clone()));
-            machine.set_fault_injector(Some(fresh.clone()));
-            if let Some(mbm) = machine.bus_mut().snooper_mut::<Mbm>() {
-                mbm.set_fault_injector(Some(fresh));
-            }
-        }
         System {
             mode: self.mode,
-            machine,
+            machine: self.machine.fork(),
             kernel: self.kernel.clone(),
             el2: self.el2.clone(),
-            telemetry: None,
             audit_baseline: self.audit_baseline.clone(),
         }
     }
@@ -756,30 +669,34 @@ mod tests {
     }
 
     #[test]
-    fn fork_rewires_fault_injector() {
+    fn fork_counts_faults_apart_from_its_template() {
+        use hypernel_kernel::kernel::{MonitorHooks, MonitorMode};
+        use hypernel_kernel::task::Pid;
         use hypernel_machine::fault::FaultSpec;
         let template = SystemBuilder::new(Mode::Hypernel)
             .fault_plan(FaultPlan::new().with(FaultSpec::drop_irq(1, 1)))
             .build()
             .expect("boot");
+        // A watched write on the fork raises the MBM interrupt, and the
+        // fork's injector drops it: the MBM consults the fork's copy.
         let mut forked = template.fork();
-        // The fork carries its own injector handle (same plan state, no
-        // sharing): driving one must never advance the other's counters.
-        let original = template.machine().fault_injector().expect("installed");
-        let copy = forked.machine().fault_injector().expect("rewired");
-        assert!(!Rc::ptr_eq(&original, &copy), "injector must not alias");
-        copy.borrow_mut().on_irq_raise(0xDEAD);
+        {
+            let (kernel, machine, hyp) = forked.parts();
+            let hooks = MonitorHooks {
+                mode: MonitorMode::SensitiveFields,
+            };
+            kernel
+                .arm_monitor_hooks(machine, hyp, hooks)
+                .expect("arm hooks");
+            kernel
+                .attack_cred_escalation(machine, hyp, Pid(1))
+                .expect("attack runs");
+        }
+        assert_eq!(forked.fault_stats().map(|s| s.irqs_dropped), Some(1));
+        // The template's counters never moved, so a second fork starts
+        // where the first did.
         assert_eq!(template.fault_stats().map(|s| s.total()), Some(0));
-        assert_eq!(forked.fault_stats().map(|s| s.total()), Some(1));
-        // And the MBM inside the forked bus sees the fork's handle, not
-        // the template's.
-        let mbm_handle = forked
-            .machine_mut()
-            .bus_mut()
-            .snooper_mut::<Mbm>()
-            .and_then(|m| m.fault_injector())
-            .expect("mbm handle");
-        assert!(Rc::ptr_eq(&mbm_handle, &copy), "mbm shares fork handle");
+        assert_eq!(template.fork().fault_stats().map(|s| s.total()), Some(0));
     }
 
     #[test]

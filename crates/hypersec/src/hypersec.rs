@@ -28,7 +28,7 @@ use hypernel_kernel::layout;
 use hypernel_machine::addr::{
     IntermAddr, PhysAddr, VirtAddr, PAGE_SIZE, SECTION_SHIFT, SECTION_SIZE,
 };
-use hypernel_machine::machine::{AccessKind, Hyp, Machine, PolicyViolation, Stage2Outcome};
+use hypernel_machine::machine::{AccessKind, Hyp, Machine, PolicyViolation};
 use hypernel_machine::pagetable::{self, Descriptor, PagePerms, ENTRIES_PER_TABLE};
 use hypernel_machine::regs::{hcr, sctlr, ExceptionLevel, SysReg};
 use hypernel_machine::snapshot::TableView;
@@ -1631,8 +1631,7 @@ impl Hyp for Hypersec {
         _machine: &mut Machine,
         ipa: IntermAddr,
         kind: AccessKind,
-        _value: Option<u64>,
-    ) -> Result<Stage2Outcome, PolicyViolation> {
+    ) -> Result<(), PolicyViolation> {
         // Hypernel's whole point: stage 2 is never enabled.
         self.note_rule(codes::NO_STAGE2);
         Err(Self::deny(

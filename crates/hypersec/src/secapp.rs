@@ -63,13 +63,6 @@ pub enum Verdict {
     },
 }
 
-impl Verdict {
-    /// Returns `true` for [`Verdict::Malicious`].
-    pub fn is_malicious(&self) -> bool {
-        matches!(self, Self::Malicious { .. })
-    }
-}
-
 /// A security solution hosted by Hypersec.
 pub trait SecurityApp {
     /// The application id used in `MONITOR_REGISTER` hypercalls.
@@ -377,7 +370,7 @@ mod tests {
                                      // Euid is word 5 → pa 0x8028.
         assert_eq!(app.on_event(&event(r, 0x8028, 1000)), Verdict::Benign);
         let v = app.on_event(&event(r, 0x8028, 0));
-        assert!(v.is_malicious());
+        assert!(matches!(v, Verdict::Malicious { .. }));
         assert_eq!(app.events_seen(), 2);
     }
 
@@ -396,7 +389,10 @@ mod tests {
         }
         // Euid (word 5) is still protected.
         app.on_event(&event(r, 0x8028, 1000));
-        assert!(app.on_event(&event(r, 0x8028, 0)).is_malicious());
+        assert!(matches!(
+            app.on_event(&event(r, 0x8028, 0)),
+            Verdict::Malicious { .. }
+        ));
     }
 
     #[test]
@@ -422,7 +418,7 @@ mod tests {
         // Inode is word 7 → pa 0x9038.
         assert_eq!(app.on_event(&event(r, 0x9038, 0xAAA)), Verdict::Benign);
         let v = app.on_event(&event(r, 0x9038, 0xEE1));
-        assert!(v.is_malicious());
+        assert!(matches!(v, Verdict::Malicious { .. }));
     }
 
     #[test]
@@ -542,7 +538,7 @@ mod whitelist_tests {
     fn first_forged_value_is_flagged() {
         let mut app = ValueWhitelistMonitor::new(7, "vtable-guard", [2], [0xD0]);
         let v = app.on_event(&event(0xA010, 0xBAD));
-        assert!(v.is_malicious());
+        assert!(matches!(v, Verdict::Malicious { .. }));
         assert!(matches!(v, Verdict::Malicious { reason } if reason.contains("0xbad")));
     }
 

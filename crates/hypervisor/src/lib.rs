@@ -15,14 +15,14 @@
 //!   dominant cost of fork/exec-heavy workloads in a VM.
 //! * **WFI trapping**: blocking waits exit to the host scheduler, taxing
 //!   pipe/socket round trips.
-//! * Optional **page-granularity write protection** through stage-2, the
-//!   trap-and-emulate kernel-monitoring scheme whose granularity gap
-//!   Table 2 quantifies.
-
-use std::collections::HashSet;
+//!
+//! Table 2's page-granularity column (the trap-and-emulate monitoring
+//! scheme's granularity gap) comes from the whole-object estimator
+//! (`MonitorMode::WholeObject`), as in the paper, not from stage-2 write
+//! protection here.
 
 use hypernel_machine::addr::{IntermAddr, PhysAddr, PAGE_SIZE};
-use hypernel_machine::machine::{AccessKind, Hyp, Machine, PolicyViolation, Stage2Outcome};
+use hypernel_machine::machine::{AccessKind, Hyp, Machine, PolicyViolation};
 use hypernel_machine::pagetable::{self, PagePerms};
 use hypernel_machine::regs::{hcr, ExceptionLevel, SysReg};
 
@@ -61,7 +61,7 @@ impl KvmConfig {
 /// Statistics of hypervisor activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvmStats {
-    /// Stage-2 faults taken (lazy population + protection).
+    /// Stage-2 faults taken (lazy population).
     pub stage2_faults: u64,
     /// Pages mapped into stage 2.
     pub pages_mapped: u64,
@@ -69,17 +69,10 @@ pub struct KvmStats {
     pub wfi_exits: u64,
     /// SGI (virtual IPI) exits.
     pub sgi_exits: u64,
-    /// Writes trapped by page-granularity protection and emulated.
+    /// Writes trapped by page-granularity protection. Nothing protects
+    /// a page any more, so it reads 0; a benchmark digest still hashes
+    /// it.
     pub protection_traps: u64,
-}
-
-/// A write observed by the page-granularity monitoring scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrappedWrite {
-    /// Faulting intermediate physical address.
-    pub ipa: IntermAddr,
-    /// Value the guest attempted to store.
-    pub value: u64,
 }
 
 /// Violation codes reported by the hypervisor.
@@ -114,8 +107,6 @@ pub struct KvmHypervisor {
     config: KvmConfig,
     s2_root: PhysAddr,
     next_table: u64,
-    protected: HashSet<u64>,
-    trapped_writes: Vec<TrappedWrite>,
     stats: KvmStats,
 }
 
@@ -126,8 +117,6 @@ impl KvmHypervisor {
             config,
             s2_root: config.host_base,
             next_table: config.host_base.raw() + PAGE_SIZE,
-            protected: HashSet::new(),
-            trapped_writes: Vec::new(),
             stats: KvmStats::default(),
         }
     }
@@ -135,11 +124,6 @@ impl KvmHypervisor {
     /// Statistics.
     pub fn stats(&self) -> KvmStats {
         self.stats
-    }
-
-    /// Drains the log of writes trapped by page-granularity protection.
-    pub fn take_trapped_writes(&mut self) -> Vec<TrappedWrite> {
-        std::mem::take(&mut self.trapped_writes)
     }
 
     /// Installs stage-2 translation: builds an empty stage-2 root, points
@@ -156,12 +140,9 @@ impl KvmHypervisor {
         m.el2_write_sysreg(SysReg::HCR_EL2, hcr::VM);
     }
 
-    fn map_ipa(
-        &mut self,
-        m: &mut Machine,
-        ipa: IntermAddr,
-        perms: PagePerms,
-    ) -> Result<(), PolicyViolation> {
+    /// Maps the guest page holding `ipa` into stage 2, read-write and
+    /// cacheable.
+    fn map_ipa(&mut self, m: &mut Machine, ipa: IntermAddr) -> Result<(), PolicyViolation> {
         let page = IntermAddr::new(ipa.raw() & !(PAGE_SIZE - 1));
         let mut fresh: Vec<PhysAddr> = Vec::new();
         let root = self.s2_root;
@@ -174,7 +155,7 @@ impl KvmHypervisor {
                 root,
                 page.raw(),
                 page.as_phys(),
-                perms,
+                PagePerms::KERNEL_DATA,
                 3,
                 &mut || {
                     if next + PAGE_SIZE > end {
@@ -212,43 +193,11 @@ impl KvmHypervisor {
     pub fn prefault(&mut self, m: &mut Machine, up_to: PhysAddr) {
         let mut ipa = 0u64;
         while ipa < up_to.raw().min(self.config.guest_len) {
-            self.map_ipa(m, IntermAddr::new(ipa), PagePerms::KERNEL_DATA)
+            self.map_ipa(m, IntermAddr::new(ipa))
                 .expect("host table region exhausted during prefault");
             ipa += PAGE_SIZE;
         }
         m.tlbi_stage2();
-    }
-
-    /// Write-protects a guest page in stage 2 (page-granularity
-    /// monitoring): subsequent guest writes anywhere in the page trap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host table region is exhausted.
-    pub fn protect_page(&mut self, m: &mut Machine, page: PhysAddr) {
-        let page = page.page_base();
-        self.protected.insert(page.page_index());
-        self.map_ipa(m, IntermAddr::new(page.raw()), PagePerms::KERNEL_RO)
-            .expect("host table region exhausted");
-        m.tlbi_stage2();
-    }
-
-    /// Removes write protection from a guest page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host table region is exhausted.
-    pub fn unprotect_page(&mut self, m: &mut Machine, page: PhysAddr) {
-        let page = page.page_base();
-        self.protected.remove(&page.page_index());
-        self.map_ipa(m, IntermAddr::new(page.raw()), PagePerms::KERNEL_DATA)
-            .expect("host table region exhausted");
-        m.tlbi_stage2();
-    }
-
-    /// Number of currently protected pages.
-    pub fn protected_pages(&self) -> usize {
-        self.protected.len()
     }
 }
 
@@ -282,9 +231,8 @@ impl Hyp for KvmHypervisor {
         &mut self,
         machine: &mut Machine,
         ipa: IntermAddr,
-        kind: AccessKind,
-        value: Option<u64>,
-    ) -> Result<Stage2Outcome, PolicyViolation> {
+        _kind: AccessKind,
+    ) -> Result<(), PolicyViolation> {
         self.stats.stage2_faults += 1;
         machine.charge(self.config.stage2_fault_compute);
         if ipa.raw() >= self.config.guest_len {
@@ -293,18 +241,8 @@ impl Hyp for KvmHypervisor {
                 format!("guest access outside memory at {ipa}"),
             ));
         }
-        let page = PhysAddr::new(ipa.raw()).page_base();
-        if self.protected.contains(&page.page_index()) && kind == AccessKind::Write {
-            // Trap-and-emulate page-granularity monitoring.
-            self.stats.protection_traps += 1;
-            let value = value.unwrap_or(0);
-            self.trapped_writes.push(TrappedWrite { ipa, value });
-            machine.debug_write_phys(PhysAddr::new(ipa.raw()).word_base(), value);
-            return Ok(Stage2Outcome::Emulated);
-        }
         // Lazy population.
-        self.map_ipa(machine, ipa, PagePerms::KERNEL_DATA)?;
-        Ok(Stage2Outcome::Retry)
+        self.map_ipa(machine, ipa)
     }
 
     fn on_wfi(&mut self, machine: &mut Machine) {
@@ -406,42 +344,6 @@ mod tests {
             .expect("read");
         let warm = m.cycles() - c1;
         assert!(cold > warm * 3, "nested walk cold={cold} warm={warm}");
-    }
-
-    #[test]
-    fn protected_page_traps_and_emulates_writes() {
-        let (mut m, mut kvm) = rig();
-        kvm.prefault(&mut m, PhysAddr::new(16 << 20));
-        let page = PhysAddr::new(0x60_0000);
-        kvm.protect_page(&mut m, page);
-        // Writes to ANY word of the page trap — the granularity gap.
-        m.write_u64(VirtAddr::new(0x60_0F00), 0xAA, &mut kvm)
-            .expect("emulated");
-        m.write_u64(VirtAddr::new(0x60_0008), 0xBB, &mut kvm)
-            .expect("emulated");
-        assert_eq!(kvm.stats().protection_traps, 2);
-        let log = kvm.take_trapped_writes();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].value, 0xAA);
-        assert_eq!(m.debug_read_phys(PhysAddr::new(0x60_0F00)), 0xAA);
-        // Reads do not trap.
-        let faults = kvm.stats().stage2_faults;
-        m.read_u64(VirtAddr::new(0x60_0F00), &mut kvm)
-            .expect("read ok");
-        assert_eq!(kvm.stats().stage2_faults, faults);
-    }
-
-    #[test]
-    fn unprotect_restores_direct_writes() {
-        let (mut m, mut kvm) = rig();
-        kvm.prefault(&mut m, PhysAddr::new(16 << 20));
-        let page = PhysAddr::new(0x60_0000);
-        kvm.protect_page(&mut m, page);
-        kvm.unprotect_page(&mut m, page);
-        m.write_u64(VirtAddr::new(0x60_0000), 1, &mut kvm)
-            .expect("direct");
-        assert_eq!(kvm.stats().protection_traps, 0);
-        assert_eq!(kvm.protected_pages(), 0);
     }
 
     #[test]

@@ -196,12 +196,7 @@ pub struct ComposeState {
 /// each shared-region page before the watch set arms (FNV-1a of the
 /// region name, mixed with the page index, forced odd).
 pub fn compose_stamp(region: &str, page: u64) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in region.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    (h ^ page) | 1
+    (crate::fnv1a(region.as_bytes()) ^ page) | 1
 }
 
 /// Default base of the automatically assigned shared-region window

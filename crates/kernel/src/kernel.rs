@@ -11,8 +11,6 @@
 //! The cycle calibration constants live in [`tuning`]; see EXPERIMENTS.md
 //! for how they were chosen.
 
-use std::collections::HashMap;
-
 use hypernel_machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use hypernel_machine::fxhash::FxHashMap;
 use hypernel_machine::irq::IrqLine;
@@ -34,7 +32,7 @@ use crate::layout;
 use crate::pgalloc::FrameAllocator;
 use crate::pgtable::{build_linear_map, LinearMapMode, PtError, PtManager, PtRoute};
 use crate::slab::SlabCache;
-use crate::task::{Fd, Pid, Task, Vma};
+use crate::task::{Pid, Task, Vma};
 
 /// Calibration constants (cycles) for kernel operations, chosen so the
 /// *native* configuration lands near the paper's Table 1 and the relative
@@ -1145,7 +1143,7 @@ impl Kernel {
         // fields landing in offset order. Watched sensitive words still
         // trap and are emulated individually when locked — kwrite_block
         // resolves each faulting word exactly like a lone kwrite.
-        let name_hash = hash_path(path);
+        let name_hash = crate::fnv1a(path.as_bytes());
         let inode = 0x1000 + dentry.raw();
         let name_len = path.len() as u64;
         let parent_ptr = parent.raw();
@@ -1300,8 +1298,6 @@ impl Kernel {
             table_pages: Vec::new(),
             sigactions: PhysAddr::new(0),
             kernel_stack: Vec::new(),
-            fds: HashMap::new(),
-            next_fd: 3, // 0..2 are the standard streams
             vmas: Vec::new(),
             demand_pages: Vec::new(),
         };
@@ -1446,8 +1442,8 @@ impl Kernel {
 
     /// Closes the span opened by [`Kernel::syscall_prologue`]. Syscalls
     /// that abort with an error leave their span open; the telemetry
-    /// registry surfaces those as open spans rather than latencies.
-    fn syscall_epilogue(m: &Machine) {
+    /// recorder surfaces those as open spans rather than latencies.
+    fn syscall_epilogue(m: &mut Machine) {
         m.emit_end(SpanKind::Syscall, 0);
     }
 
@@ -1564,8 +1560,6 @@ impl Kernel {
             table_pages: Vec::new(),
             sigactions: PhysAddr::new(0),
             kernel_stack: Vec::new(),
-            fds: HashMap::new(),
-            next_fd: 3, // 0..2 are the standard streams
             vmas: Vec::new(),
             demand_pages: Vec::new(),
         };
@@ -1990,7 +1984,13 @@ impl Kernel {
             .unwrap_or(dentry);
         // Authorized update window.
         self.hook_register_object(m, hyp, ObjectKind::Dentry, dentry, false)?;
-        self.dentry_write(m, hyp, dentry, DentryField::NameHash, hash_path(to))?;
+        self.dentry_write(
+            m,
+            hyp,
+            dentry,
+            DentryField::NameHash,
+            crate::fnv1a(to.as_bytes()),
+        )?;
         self.dentry_write(m, hyp, dentry, DentryField::NameLen, to.len() as u64)?;
         self.dentry_write(m, hyp, dentry, DentryField::Parent, new_parent.raw())?;
         self.hook_register_object(m, hyp, ObjectKind::Dentry, dentry, true)?;
@@ -2088,124 +2088,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// `open(path)` — resolve the path and install a descriptor holding
-    /// a reference on the dentry.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the path does not exist.
-    pub fn sys_open(
-        &mut self,
-        m: &mut Machine,
-        hyp: &mut dyn Hyp,
-        path: &str,
-    ) -> Result<Fd, KernelError> {
-        self.syscall_prologue(m);
-        let dentry = self.lookup(m, hyp, path)?;
-        let pid = self.current;
-        let task = self
-            .tasks
-            .get_mut(&pid)
-            .ok_or(KernelError::NoSuchTask(pid))?;
-        let fd = Fd(task.next_fd);
-        task.next_fd += 1;
-        task.fds.insert(fd, dentry);
-        Self::syscall_epilogue(m);
-        Ok(fd)
-    }
-
-    /// `close(fd)` — drop the descriptor's dentry reference.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `fd` is not open in the current task.
-    pub fn sys_close(
-        &mut self,
-        m: &mut Machine,
-        hyp: &mut dyn Hyp,
-        fd: Fd,
-    ) -> Result<(), KernelError> {
-        self.syscall_prologue(m);
-        let pid = self.current;
-        let task = self
-            .tasks
-            .get_mut(&pid)
-            .ok_or(KernelError::NoSuchTask(pid))?;
-        let dentry = task
-            .fds
-            .remove(&fd)
-            .ok_or_else(|| KernelError::NoSuchPath(format!("{fd}")))?;
-        self.dput(m, hyp, dentry)?;
-        Self::syscall_epilogue(m);
-        Ok(())
-    }
-
-    fn fd_dentry(&self, fd: Fd) -> Result<PhysAddr, KernelError> {
-        let task = self
-            .tasks
-            .get(&self.current)
-            .ok_or(KernelError::NoSuchTask(self.current))?;
-        task.fds
-            .get(&fd)
-            .copied()
-            .ok_or_else(|| KernelError::NoSuchPath(format!("{fd}")))
-    }
-
-    /// `write(fd, bytes)` — like [`Kernel::sys_write_file`] but through an
-    /// open descriptor: no path walk, no per-call dcache churn — the
-    /// realistic hot path for repeated IO.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `fd` is not open, or its file was unlinked (stale).
-    pub fn sys_write_fd(
-        &mut self,
-        m: &mut Machine,
-        hyp: &mut dyn Hyp,
-        fd: Fd,
-        bytes: u64,
-    ) -> Result<(), KernelError> {
-        self.syscall_prologue(m);
-        let dentry = self.fd_dentry(fd)?;
-        let data = match self.file_data.get(&dentry) {
-            Some(&d) => d,
-            None => {
-                // The file may have been unlinked under the descriptor; a
-                // fresh page keeps the model simple (O_TMPFILE-ish).
-                let d = self.frames.alloc()?;
-                self.prep_frame(m, hyp, d)?;
-                self.file_data.insert(dentry, d);
-                d
-            }
-        };
-        m.charge((bytes / PAGE_SIZE + 1) * tuning::FILE_COPY_COMPUTE_PER_PAGE);
-        self.kcopy_to_page(m, hyp, data, (bytes / 8).max(1), 0)?;
-        Self::syscall_epilogue(m);
-        Ok(())
-    }
-
-    /// `read(fd, bytes)` — descriptor-based read.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `fd` is not open in the current task.
-    pub fn sys_read_fd(
-        &mut self,
-        m: &mut Machine,
-        hyp: &mut dyn Hyp,
-        fd: Fd,
-        bytes: u64,
-    ) -> Result<(), KernelError> {
-        self.syscall_prologue(m);
-        let dentry = self.fd_dentry(fd)?;
-        if let Some(&data) = self.file_data.get(&dentry) {
-            m.charge((bytes / PAGE_SIZE + 1) * tuning::FILE_COPY_COMPUTE_PER_PAGE);
-            self.kread_from_page(m, hyp, data, (bytes / 8).max(1))?;
-        }
-        Self::syscall_epilogue(m);
-        Ok(())
-    }
-
     /// One pipe round trip between the current task and `peer`: write a
     /// token, block (WFI under KVM), switch, peer reads and replies,
     /// switch back (the `lat_pipe` path).
@@ -2282,16 +2164,6 @@ fn parent_path(path: &str) -> Option<&str> {
         Some(i) => Some(&path[..i]),
         None => Some("/"),
     }
-}
-
-/// Deterministic path hash (FNV-1a).
-fn hash_path(path: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in path.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -2450,53 +2322,6 @@ mod tests {
             fork_cost > 10 * stat_cost,
             "fork ({fork_cost}) must dwarf stat ({stat_cost})"
         );
-    }
-
-    #[test]
-    fn fd_open_read_write_close() {
-        let (mut m, mut hyp, mut k) = boot();
-        k.sys_create(&mut m, &mut hyp, "/tmp/fdtest")
-            .expect("create");
-        let fd = k.sys_open(&mut m, &mut hyp, "/tmp/fdtest").expect("open");
-        assert_eq!(fd, Fd(3), "first fd after the standard streams");
-        // Warm the file's data page so both paths run warm.
-        k.sys_write_file(&mut m, &mut hyp, "/tmp/fdtest", 4096)
-            .expect("warm");
-        // Descriptor IO skips the path walk entirely.
-        let syscalls = k.stats().syscalls;
-        let c0 = m.cycles();
-        k.sys_write_fd(&mut m, &mut hyp, fd, 4096).expect("write");
-        k.sys_read_fd(&mut m, &mut hyp, fd, 4096).expect("read");
-        let fd_cost = m.cycles() - c0;
-        assert_eq!(k.stats().syscalls, syscalls + 2);
-        let c1 = m.cycles();
-        k.sys_write_file(&mut m, &mut hyp, "/tmp/fdtest", 4096)
-            .expect("write");
-        k.sys_read_file(&mut m, &mut hyp, "/tmp/fdtest", 4096)
-            .expect("read");
-        let path_cost = m.cycles() - c1;
-        assert!(
-            fd_cost < path_cost,
-            "fd IO ({fd_cost}) avoids path walks ({path_cost})"
-        );
-        k.sys_close(&mut m, &mut hyp, fd).expect("close");
-        let err = k.sys_write_fd(&mut m, &mut hyp, fd, 8).unwrap_err();
-        assert!(matches!(err, KernelError::NoSuchPath(_)));
-    }
-
-    #[test]
-    fn fds_are_per_task() {
-        let (mut m, mut hyp, mut k) = boot();
-        k.sys_create(&mut m, &mut hyp, "/tmp/shared")
-            .expect("create");
-        let fd = k.sys_open(&mut m, &mut hyp, "/tmp/shared").expect("open");
-        let child = k.sys_fork(&mut m, &mut hyp).expect("fork");
-        k.switch_to(&mut m, &mut hyp, child).expect("switch");
-        // The child did not inherit the descriptor in this model.
-        let err = k.sys_read_fd(&mut m, &mut hyp, fd, 8).unwrap_err();
-        assert!(matches!(err, KernelError::NoSuchPath(_)));
-        k.sys_exit(&mut m, &mut hyp, child, Pid(1)).expect("exit");
-        k.sys_close(&mut m, &mut hyp, fd).expect("close in parent");
     }
 
     #[test]

@@ -82,22 +82,6 @@ pub fn kva(pa: PhysAddr) -> VirtAddr {
     VirtAddr::new(LINEAR_BASE + pa.raw())
 }
 
-/// Converts a kernel linear-map virtual address back to its physical
-/// address.
-///
-/// # Panics
-///
-/// Panics if `va` is not a linear-map address.
-pub fn pa_of_kva(va: VirtAddr) -> PhysAddr {
-    assert!(va.raw() >= LINEAR_BASE, "not a linear-map address: {va}");
-    let pa = va.raw() - LINEAR_BASE;
-    assert!(
-        pa < SECURE_BASE,
-        "linear address {va} escapes the mapped range"
-    );
-    PhysAddr::new(pa)
-}
-
 /// Returns `true` if `pa` lies in the secure region.
 pub fn is_secure(pa: PhysAddr) -> bool {
     pa.raw() >= SECURE_BASE
@@ -129,7 +113,6 @@ mod tests {
     #[test]
     fn kva_roundtrip() {
         let pa = PhysAddr::new(0x12_3456);
-        assert_eq!(pa_of_kva(kva(pa)), pa);
         assert_eq!(kva(pa).raw(), KERNEL_VA_BASE + 0x12_3456);
     }
 

@@ -25,3 +25,11 @@ pub use compose::{
 pub use kernel::{Kernel, KernelConfig, KernelError, KernelStats, MonitorHooks, MonitorMode};
 pub use pgtable::{LinearMapMode, PtRoute};
 pub use task::{Pid, Task};
+
+/// 64-bit FNV-1a of `bytes`: the kernel's dentry name hash and its
+/// shared-region stamps, and the campaign's seed mixing and mutant ids.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}

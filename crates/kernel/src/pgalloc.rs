@@ -122,11 +122,6 @@ impl FrameAllocator {
         self.allocated
     }
 
-    /// Frames still available without reuse (watermark remaining).
-    pub fn remaining_fresh(&self) -> u64 {
-        (self.end - self.next) / PAGE_SIZE
-    }
-
     /// The bump watermark: every frame below this address has been handed
     /// out at least once.
     pub fn fresh_watermark(&self) -> PhysAddr {
@@ -165,7 +160,6 @@ mod tests {
         a.alloc().unwrap();
         a.alloc().unwrap();
         assert_eq!(a.alloc(), Err(OutOfFramesError));
-        assert_eq!(a.remaining_fresh(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use hypernel_machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE, SECTION_SIZE};
 use hypernel_machine::machine::{Exception, Hyp, Machine};
 use hypernel_machine::pagetable::{
-    self, plan_map, plan_protect, plan_unmap, Descriptor, EntryWrite, MapError, PagePerms,
+    self, plan_map, plan_unmap, Descriptor, EntryWrite, MapError, PagePerms,
 };
 use hypernel_machine::shadow::PageTag;
 
@@ -296,34 +296,6 @@ impl PtManager {
             None => Ok(false),
         }
     }
-
-    /// Changes the permissions of the existing leaf covering `va`.
-    /// Returns `true` if a mapping existed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates denial/abort while applying the write.
-    pub fn protect_page(
-        &mut self,
-        m: &mut Machine,
-        hyp: &mut dyn Hyp,
-        root: PhysAddr,
-        va: VirtAddr,
-        perms: PagePerms,
-    ) -> Result<bool, PtError> {
-        let write = {
-            let mut view = m.pt_view();
-            plan_protect(&mut view, root, va.raw(), perms)
-        };
-        match write {
-            Some(w) => {
-                self.apply(m, hyp, w)?;
-                m.tlbi_va(va);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
 }
 
 /// Result of boot-time linear-map construction.
@@ -561,9 +533,10 @@ mod tests {
             PagePerms::USER_DATA,
         )
         .unwrap();
-        assert!(pt
-            .protect_page(&mut m, &mut hyp, user_root, va, PagePerms::KERNEL_RO)
-            .unwrap());
+        let write =
+            pagetable::plan_protect(&mut m.pt_view(), user_root, va.raw(), PagePerms::KERNEL_RO)
+                .expect("mapped");
+        pt.apply(&mut m, &mut hyp, write).unwrap();
         let (_, perms) = read_leaf(&mut m, user_root, va).unwrap();
         assert!(!perms.write);
         assert!(pt.unmap_page(&mut m, &mut hyp, user_root, va).unwrap());

@@ -77,11 +77,6 @@ impl Scheduler {
         }
     }
 
-    /// Removes a task (it exited or blocked).
-    pub fn dequeue(&mut self, pid: Pid) {
-        self.queue.retain(|p| *p != pid);
-    }
-
     /// One timer tick: charges the timer-interrupt path and, when the
     /// quantum expires and another task is runnable, preempts — the
     /// current task goes to the back of the queue and the head runs.
@@ -166,19 +161,6 @@ mod tests {
             assert_eq!(sched.tick(&mut k, &mut m, &mut hyp).unwrap(), Pid(1));
         }
         assert_eq!(sched.stats().preemptions, 0);
-    }
-
-    #[test]
-    fn dequeue_removes_exited_tasks() {
-        let (mut m, mut hyp, mut k) = boot();
-        let a = k.sys_fork(&mut m, &mut hyp).expect("fork");
-        let mut sched = Scheduler::new(1);
-        sched.enqueue(a);
-        sched.enqueue(a); // duplicate ignored
-        assert_eq!(sched.runnable(), 1);
-        sched.dequeue(a);
-        assert_eq!(sched.runnable(), 0);
-        k.sys_exit(&mut m, &mut hyp, a, Pid(1)).expect("exit");
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub struct SlabCache {
     kind: ObjectKind,
     partial: Vec<(PhysAddr, u64)>, // (page, next slot index)
     free_objects: Vec<PhysAddr>,
-    pages: Vec<PhysAddr>,
     stats: SlabStats,
 }
 
@@ -54,7 +53,6 @@ impl SlabCache {
             kind,
             partial: Vec::new(),
             free_objects: Vec::new(),
-            pages: Vec::new(),
             stats: SlabStats::default(),
         }
     }
@@ -98,7 +96,6 @@ impl SlabCache {
                 return Err(e);
             }
         };
-        self.pages.push(page);
         self.stats.pages += 1;
         self.partial.push((page, 1));
         Ok(page)
@@ -119,12 +116,6 @@ impl SlabCache {
     /// Statistics.
     pub fn stats(&self) -> SlabStats {
         self.stats
-    }
-
-    /// All backing pages acquired so far — the page set a page-granularity
-    /// monitor would have to write-protect.
-    pub fn backing_pages(&self) -> &[PhysAddr] {
-        &self.pages
     }
 }
 
@@ -191,15 +182,5 @@ mod tests {
         }
         assert!(cache.alloc(&mut tiny).is_err());
         assert_eq!(cache.stats().live, 32);
-    }
-
-    #[test]
-    fn backing_pages_exposed_for_page_granularity_monitor() {
-        let mut f = frames();
-        let mut cache = SlabCache::new(ObjectKind::Cred);
-        for _ in 0..40 {
-            cache.alloc(&mut f).unwrap();
-        }
-        assert_eq!(cache.backing_pages().len(), 2);
     }
 }

@@ -1,18 +1,6 @@
 //! Tasks (processes) and their address spaces.
 
-use std::collections::HashMap;
-
 use hypernel_machine::addr::{PhysAddr, VirtAddr};
-
-/// A per-process file descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Fd(pub u32);
-
-impl std::fmt::Display for Fd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "fd {}", self.0)
-    }
-}
 
 /// Process identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,10 +50,6 @@ pub struct Task {
     pub sigactions: PhysAddr,
     /// Kernel stack frames.
     pub kernel_stack: Vec<PhysAddr>,
-    /// Open file descriptors: fd → dentry.
-    pub fds: HashMap<Fd, PhysAddr>,
-    /// Next file descriptor number.
-    pub next_fd: u32,
     /// Demand-paged regions and the frames faulted into them.
     pub vmas: Vec<Vma>,
     /// Frames faulted into demand regions: `(va, frame)`.

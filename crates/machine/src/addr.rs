@@ -211,15 +211,6 @@ impl IntermAddr {
     }
 }
 
-impl PhysAddr {
-    /// Reinterprets the physical address as an IPA (identity mapping), the
-    /// situation when nested paging is disabled.
-    #[inline]
-    pub const fn as_interm(self) -> IntermAddr {
-        IntermAddr(self.0)
-    }
-}
-
 impl IntermAddr {
     /// Reinterprets the IPA as a physical address (identity mapping), the
     /// situation when nested paging is disabled.
@@ -286,7 +277,6 @@ mod tests {
         let pa = PhysAddr::from(42u64);
         let raw: u64 = pa.into();
         assert_eq!(raw, 42);
-        assert_eq!(pa.as_interm().as_phys(), pa);
     }
 
     #[test]

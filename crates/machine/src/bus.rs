@@ -13,8 +13,10 @@
 
 use std::any::Any;
 
+use hypernel_telemetry::Telemetry;
+
 use crate::addr::PhysAddr;
-use crate::fault::SharedFaults;
+use crate::fault::FaultInjector;
 use crate::irq::IrqController;
 use crate::mem::PhysMemory;
 
@@ -69,9 +71,12 @@ impl BusTransaction {
     }
 }
 
-/// Context handed to snoopers: backing memory (a snooper such as the MBM
-/// fetches its bitmap from DRAM) and the interrupt controller (to signal
-/// the host CPU).
+/// What the machine lends the bus and its snoopers for one transaction
+/// or device step: backing memory (a snooper such as the MBM fetches its
+/// bitmap from DRAM), the interrupt controller (to signal the host CPU)
+/// and the machine's host attachments. The machine owns the fault
+/// injector and the telemetry recorder; nothing on the bus keeps a
+/// handle on either.
 pub struct BusContext<'a> {
     /// Backing DRAM. Snooper reads here model the MBM's own memory port.
     pub mem: &'a mut PhysMemory,
@@ -83,6 +88,12 @@ pub struct BusContext<'a> {
     /// CPU cycle counter at the moment of the transaction, so snoopers
     /// can timestamp telemetry on the same clock as the core.
     pub cycles: u64,
+    /// The machine's fault injector, if one is installed. The bus
+    /// consults it for snoop-address corruption, snoopers for their own
+    /// fault sites.
+    pub faults: Option<&'a mut FaultInjector>,
+    /// The machine's telemetry recorder, if one is installed.
+    pub telemetry: Option<&'a mut Telemetry>,
 }
 
 /// A device attached to the memory bus that observes every transaction.
@@ -120,7 +131,6 @@ pub struct MemoryBus {
     snoopers: Vec<Box<dyn BusSnooper>>,
     reads: u64,
     writes: u64,
-    faults: Option<SharedFaults>,
 }
 
 impl std::fmt::Debug for MemoryBus {
@@ -135,14 +145,13 @@ impl std::fmt::Debug for MemoryBus {
 
 impl Clone for MemoryBus {
     /// Deep-copies every attached snooper via
-    /// [`BusSnooper::clone_box`]. A fault injector is shared (`Rc`) —
-    /// callers forking a machine re-wire it afterwards.
+    /// [`BusSnooper::clone_box`]. The bus holds no host attachment, so
+    /// the copy shares nothing with the original.
     fn clone(&self) -> Self {
         Self {
             snoopers: self.snoopers.iter().map(|s| s.clone_box()).collect(),
             reads: self.reads,
             writes: self.writes,
-            faults: self.faults.clone(),
         }
     }
 }
@@ -159,33 +168,6 @@ impl MemoryBus {
         self.snoopers.push(snooper);
     }
 
-    /// Installs (or removes) the fault injector. The only fault the bus
-    /// itself executes is snoop-path address corruption
-    /// ([`crate::fault::FaultKind::FlipSnoopAddr`]): DRAM always receives
-    /// the true write; the corrupted address is what snoopers observe.
-    pub fn set_fault_injector(&mut self, faults: Option<SharedFaults>) {
-        self.faults = faults;
-    }
-
-    /// The write transaction snoopers will observe for `txn` — identical
-    /// unless a snoop-corruption fault fires.
-    fn snooped_view(&mut self, txn: &BusTransaction) -> BusTransaction {
-        let Some(faults) = &self.faults else {
-            return *txn;
-        };
-        match *txn {
-            BusTransaction::WriteWord { addr, value } => BusTransaction::WriteWord {
-                addr: faults.borrow_mut().on_snoop_write(addr),
-                value,
-            },
-            BusTransaction::WriteLine { addr, data } => BusTransaction::WriteLine {
-                addr: faults.borrow_mut().on_snoop_write(addr),
-                data,
-            },
-            read => read,
-        }
-    }
-
     /// Returns a reference to the first attached snooper of type `T`.
     pub fn snooper<T: BusSnooper>(&self) -> Option<&T> {
         self.snoopers
@@ -200,71 +182,58 @@ impl MemoryBus {
             .find_map(|s| s.as_any_mut().downcast_mut::<T>())
     }
 
-    /// Issues a transaction: applies it to DRAM, updates counters, then
-    /// lets each snooper observe it.
+    /// Issues a transaction: applies it to DRAM through `ctx`, updates
+    /// counters, then lets each snooper observe it with the same context.
     ///
     /// Returns the value read for read transactions (word reads return the
     /// word; line reads return the first word — callers wanting the full
-    /// line read it from `mem` directly).
-    pub fn issue(
-        &mut self,
-        txn: BusTransaction,
-        mem: &mut PhysMemory,
-        irq: &mut IrqController,
-        cycles: u64,
-    ) -> (u64, u64) {
-        let mut extra = 0u64;
+    /// line read it from memory directly).
+    ///
+    /// The only fault the bus itself executes is snoop-path address
+    /// corruption ([`crate::fault::FaultKind::FlipSnoopAddr`]): DRAM
+    /// always receives the true write; the corrupted address is what
+    /// snoopers observe.
+    pub fn issue(&mut self, txn: BusTransaction, ctx: &mut BusContext<'_>) -> u64 {
         let value = match txn {
-            BusTransaction::ReadWord { addr } => {
+            BusTransaction::ReadWord { addr } | BusTransaction::ReadLine { addr } => {
                 self.reads += 1;
-                mem.read_u64(addr)
-            }
-            BusTransaction::ReadLine { addr } => {
-                self.reads += 1;
-                mem.read_u64(addr)
+                ctx.mem.read_u64(addr)
             }
             BusTransaction::WriteWord { addr, value } => {
                 self.writes += 1;
-                mem.write_u64(addr, value);
+                ctx.mem.write_u64(addr, value);
                 value
             }
             BusTransaction::WriteLine { addr, data } => {
                 self.writes += 1;
-                mem.write_line(addr, &data);
+                ctx.mem.write_line(addr, &data);
                 data[0]
             }
         };
-        let snooped = self.snooped_view(&txn);
+        let snooped = match (&mut ctx.faults, txn) {
+            (Some(faults), BusTransaction::WriteWord { addr, value }) => {
+                BusTransaction::WriteWord {
+                    addr: faults.on_snoop_write(addr),
+                    value,
+                }
+            }
+            (Some(faults), BusTransaction::WriteLine { addr, data }) => BusTransaction::WriteLine {
+                addr: faults.on_snoop_write(addr),
+                data,
+            },
+            _ => txn,
+        };
         for s in &mut self.snoopers {
-            let mut ctx = BusContext {
-                mem,
-                irq,
-                extra_mem_accesses: &mut extra,
-                cycles,
-            };
-            s.on_transaction(&snooped, &mut ctx);
+            s.on_transaction(&snooped, ctx);
         }
-        (value, extra)
+        value
     }
 
     /// Lets every snooper drain internal queues.
-    pub fn step_snoopers(
-        &mut self,
-        mem: &mut PhysMemory,
-        irq: &mut IrqController,
-        cycles: u64,
-    ) -> u64 {
-        let mut extra = 0u64;
+    pub fn step_snoopers(&mut self, ctx: &mut BusContext<'_>) {
         for s in &mut self.snoopers {
-            let mut ctx = BusContext {
-                mem,
-                irq,
-                extra_mem_accesses: &mut extra,
-                cycles,
-            };
-            s.step(&mut ctx);
+            s.step(ctx);
         }
-        extra
     }
 
     /// Total read transactions issued.
@@ -310,18 +279,37 @@ mod tests {
         )
     }
 
+    /// Issues `txn` with a context lending no host attachment.
+    fn issue(
+        bus: &mut MemoryBus,
+        mem: &mut PhysMemory,
+        irq: &mut IrqController,
+        txn: BusTransaction,
+    ) -> u64 {
+        let mut extra = 0;
+        let mut ctx = BusContext {
+            mem,
+            irq,
+            extra_mem_accesses: &mut extra,
+            cycles: 0,
+            faults: None,
+            telemetry: None,
+        };
+        bus.issue(txn, &mut ctx)
+    }
+
     #[test]
     fn write_reaches_memory_then_snooper() {
         let (mut bus, mut mem, mut irq) = rig();
         bus.attach(Box::new(Recorder::default()));
-        bus.issue(
+        issue(
+            &mut bus,
+            &mut mem,
+            &mut irq,
             BusTransaction::WriteWord {
                 addr: PhysAddr::new(0x100),
                 value: 42,
             },
-            &mut mem,
-            &mut irq,
-            0,
         );
         assert_eq!(mem.read_u64(PhysAddr::new(0x100)), 42);
         let rec: &Recorder = bus.snooper().unwrap();
@@ -334,13 +322,13 @@ mod tests {
     fn read_returns_value() {
         let (mut bus, mut mem, mut irq) = rig();
         mem.write_u64(PhysAddr::new(0x80), 77);
-        let (v, _) = bus.issue(
+        let v = issue(
+            &mut bus,
+            &mut mem,
+            &mut irq,
             BusTransaction::ReadWord {
                 addr: PhysAddr::new(0x80),
             },
-            &mut mem,
-            &mut irq,
-            0,
         );
         assert_eq!(v, 77);
         assert_eq!(bus.reads(), 1);
@@ -351,14 +339,14 @@ mod tests {
     fn line_writeback_updates_all_words() {
         let (mut bus, mut mem, mut irq) = rig();
         let data = [1u64, 2, 3, 4, 5, 6, 7, 8];
-        bus.issue(
+        issue(
+            &mut bus,
+            &mut mem,
+            &mut irq,
             BusTransaction::WriteLine {
                 addr: PhysAddr::new(0x1000),
                 data,
             },
-            &mut mem,
-            &mut irq,
-            0,
         );
         for (i, w) in data.iter().enumerate() {
             assert_eq!(mem.read_u64(PhysAddr::new(0x1000 + i as u64 * 8)), *w);
@@ -377,13 +365,13 @@ mod tests {
     fn reads_are_snooped_too() {
         let (mut bus, mut mem, mut irq) = rig();
         bus.attach(Box::new(Recorder::default()));
-        bus.issue(
+        issue(
+            &mut bus,
+            &mut mem,
+            &mut irq,
             BusTransaction::ReadLine {
                 addr: PhysAddr::new(0),
             },
-            &mut mem,
-            &mut irq,
-            0,
         );
         let rec: &Recorder = bus.snooper().unwrap();
         assert_eq!(rec.seen.len(), 1);

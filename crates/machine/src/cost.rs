@@ -95,11 +95,6 @@ impl CostModel {
     pub fn cycles_to_us(cycles: u64) -> f64 {
         cycles as f64 / (CPU_FREQ_HZ as f64 / 1e6)
     }
-
-    /// Converts microseconds to cycles at [`CPU_FREQ_HZ`].
-    pub fn us_to_cycles(us: f64) -> u64 {
-        (us * (CPU_FREQ_HZ as f64 / 1e6)).round() as u64
-    }
 }
 
 impl Default for CostModel {
@@ -119,7 +114,6 @@ mod tests {
 
     #[test]
     fn unit_conversion_roundtrip() {
-        assert_eq!(CostModel::us_to_cycles(1.0), 1150);
         let us = CostModel::cycles_to_us(2300);
         assert!((us - 2.0).abs() < 1e-9);
     }

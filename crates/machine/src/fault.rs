@@ -16,9 +16,6 @@
 //! campaign runs reproducible from `(scenario, seed)` alone and lets
 //! the minimizer bisect a failing schedule.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crate::addr::PhysAddr;
 use hypernel_telemetry::counter;
 use hypernel_telemetry::counters::Counter;
@@ -248,12 +245,6 @@ impl FaultStats {
     pub fn total(&self) -> u64 {
         Self::COUNTERS.iter().filter_map(|c| c.value(self)).sum()
     }
-
-    /// Injections that can hide a watched write from the detection
-    /// pipeline (everything except pure delays).
-    pub fn detection_threatening(&self) -> u64 {
-        self.total() - self.irqs_delayed
-    }
 }
 
 /// One recorded injection, for post-run attribution.
@@ -296,10 +287,12 @@ impl SpecState {
 /// Executes a [`FaultPlan`]: each site consults the injector, which
 /// tracks occurrence counts per spec and records every injection.
 ///
-/// `Clone` copies the occurrence counters, stats and log as they stand,
-/// so a forked system resumes fault injection exactly where the original
-/// was at fork time (for warm-boot reuse, that is the fresh post-boot
-/// state).
+/// The machine owns the one injector of a run and lends it to its bus
+/// and bus devices per transaction, so every site advances the same
+/// occurrence counters. `Clone` copies the counters, stats and log as
+/// they stand, so a forked system resumes fault injection exactly where
+/// the original was at fork time (for warm-boot reuse, that is the
+/// fresh post-boot state) and counts on independently.
 #[derive(Clone)]
 pub struct FaultInjector {
     specs: Vec<SpecState>,
@@ -471,17 +464,6 @@ impl FaultInjector {
     }
 }
 
-/// The shared handle components hold on one injector. The machine and
-/// its devices live on one thread (the whole `System` is single-
-/// threaded), so `Rc<RefCell<…>>` matches the existing telemetry-sink
-/// sharing pattern.
-pub type SharedFaults = Rc<RefCell<FaultInjector>>;
-
-/// Wraps a plan into the shared handle form the taps consume.
-pub fn share(plan: FaultPlan) -> SharedFaults {
-    Rc::new(RefCell::new(FaultInjector::new(plan)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,7 +533,6 @@ mod tests {
         assert_eq!(stats.translator_stalls, 3);
         assert_eq!(stats.bitmap_desyncs, 1);
         assert_eq!(stats.total(), 4);
-        assert_eq!(stats.detection_threatening(), 4);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl IrqController {
         self.pending.contains(&line)
     }
 
-    /// Returns `true` if any line is pending.
-    pub fn any_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Acknowledges and returns the lowest-numbered pending line, if any.
     pub fn ack_next(&mut self) -> Option<IrqLine> {
         let line = self.pending.iter().next().copied()?;
@@ -93,7 +88,6 @@ mod tests {
     #[test]
     fn raise_ack_cycle() {
         let mut gic = IrqController::new();
-        assert!(!gic.any_pending());
         gic.raise(IrqLine(3));
         gic.raise(IrqLine(1));
         assert!(gic.is_pending(IrqLine(1)));

@@ -54,7 +54,7 @@ pub mod tlb;
 
 pub use addr::{IntermAddr, PhysAddr, VirtAddr};
 pub use fastpath::fastpath_enabled;
-pub use fault::{FaultHit, FaultKind, FaultPlan, FaultSpec, FaultStats, IrqFault, SharedFaults};
+pub use fault::{FaultHit, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultStats, IrqFault};
 pub use machine::{
     AccessKind, BlockFault, Exception, Hyp, Machine, MachineConfig, NullHyp, PlanStats,
     PolicyViolation,

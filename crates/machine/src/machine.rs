@@ -14,10 +14,10 @@ use std::cell::OnceCell;
 use std::rc::Rc;
 
 use crate::addr::{IntermAddr, PhysAddr, VirtAddr};
-use crate::bus::{BusTransaction, MemoryBus, LINE_WORDS};
+use crate::bus::{BusContext, BusTransaction, MemoryBus, LINE_WORDS};
 use crate::cache::{CachePlan, DataCache, LineHint, LINE_SIZE};
 use crate::cost::CostModel;
-use crate::fault::{FaultStats, SharedFaults};
+use crate::fault::{FaultInjector, FaultStats};
 use crate::irq::IrqController;
 use crate::mem::{AccessOutOfRangeError, PhysMemory};
 use crate::pagetable::{self, PagePerms, WalkFault, ENTRIES_PER_TABLE};
@@ -27,7 +27,7 @@ use crate::snapshot::{Snapshot, TableView};
 use crate::tlb::{Regime, Tlb, TlbEntry};
 use hypernel_telemetry::counters::Counter;
 use hypernel_telemetry::{counter, metrics};
-use hypernel_telemetry::{Event, PointKind, SharedSink, SpanKind, Track};
+use hypernel_telemetry::{Event, PointKind, SpanKind, Telemetry, Track};
 
 /// The kind of memory access being performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,17 +159,6 @@ impl std::fmt::Display for BlockFault {
 
 impl std::error::Error for BlockFault {}
 
-/// Resolution of a stage-2 fault by the hypervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage2Outcome {
-    /// The handler repaired the stage-2 tables; the machine retries the
-    /// translation.
-    Retry,
-    /// The handler performed (emulated) the access itself; the machine
-    /// does not replay it. Only meaningful for writes.
-    Emulated,
-}
-
 /// The EL2 software installed on the machine.
 ///
 /// Implementations: Hypersec (the paper's secure-space software), the
@@ -204,8 +193,9 @@ pub trait Hyp {
         value: u64,
     ) -> Result<(), PolicyViolation>;
 
-    /// Handles a stage-2 fault (translation or permission). `value` is the
-    /// store value for write faults.
+    /// Handles a stage-2 fault (translation or permission). On `Ok(())`
+    /// the handler has repaired the stage-2 tables and the machine
+    /// retries the translation.
     ///
     /// # Errors
     ///
@@ -215,8 +205,7 @@ pub trait Hyp {
         machine: &mut Machine,
         ipa: IntermAddr,
         kind: AccessKind,
-        value: Option<u64>,
-    ) -> Result<Stage2Outcome, PolicyViolation>;
+    ) -> Result<(), PolicyViolation>;
 
     /// Called when EL1 executes `WFI` (blocking wait). Hypervisors that
     /// trap WFI (KVM does, to schedule the host) charge their world-switch
@@ -270,8 +259,7 @@ impl Hyp for NullHyp {
         _machine: &mut Machine,
         _ipa: IntermAddr,
         _kind: AccessKind,
-        _value: Option<u64>,
-    ) -> Result<Stage2Outcome, PolicyViolation> {
+    ) -> Result<(), PolicyViolation> {
         Err(Self::violation())
     }
 }
@@ -363,10 +351,12 @@ impl Default for MachineConfig {
 /// ```
 ///
 /// `Clone` deep-copies all architectural state (memory, TLB, cache,
-/// registers, attached bus devices), supporting warm-boot forking. Two
-/// host-side attachments are shared handles and are *not* deepened: the
-/// telemetry sink and the fault injector (both `Rc`). Callers forking a
-/// machine must re-wire those (see `System::fork` in `hypernel-core`).
+/// registers, attached bus devices), supporting warm-boot forking. The
+/// machine is the only holder of its two host attachments, the fault
+/// injector and the telemetry recorder, and lends both to the bus and
+/// its devices per transaction, so a copy of either is independent of
+/// the original by construction. [`Machine::fork`] copies the injector
+/// and starts without a recorder.
 #[derive(Clone)]
 pub struct Machine {
     mem: PhysMemory,
@@ -379,8 +369,8 @@ pub struct Machine {
     cycles: u64,
     cost: CostModel,
     stats: MachineStats,
-    sink: Option<SharedSink>,
-    faults: Option<SharedFaults>,
+    telemetry: Option<Telemetry>,
+    faults: Option<FaultInjector>,
     /// Host-side switch for the block-access streaming path. Model
     /// state is byte-identical either way; see [`crate::fastpath`].
     block_fastpath: bool,
@@ -435,7 +425,7 @@ impl Machine {
             cycles: 0,
             cost: config.cost,
             stats: MachineStats::default(),
-            sink: None,
+            telemetry: None,
             faults: None,
             block_fastpath: crate::fastpath::fastpath_enabled(),
             line_runs: crate::fastpath::fastpath_enabled(),
@@ -449,10 +439,15 @@ impl Machine {
     /// [`Snapshot`], which the first fork records. The snapshot copies
     /// the DRAM directory (chunk pointers) and the data cache; it is
     /// host-only bookkeeping for [`Machine::table_view`]'s dirty set.
+    /// The fork carries a copy of the fault injector, whose occurrence
+    /// counters then advance independently, and no telemetry recorder.
     pub fn fork(&self) -> Machine {
         self.snapshot
             .get_or_init(|| Rc::new(Snapshot::of(&self.mem, &self.cache)));
-        self.clone()
+        Machine {
+            telemetry: None,
+            ..self.clone()
+        }
     }
 
     /// Installs (or, with `None`, removes) the ownership sanitizer.
@@ -524,32 +519,37 @@ impl Machine {
         self.line_runs && self.shadow.is_none() && self.faults.is_none()
     }
 
-    /// Installs (or removes) the fault injector on the machine's own
-    /// fault sites — lost hypercalls here, snoop corruption on the bus.
-    /// The same shared injector is typically also handed to bus devices
-    /// (the MBM) so one schedule covers the whole pipeline. While an
-    /// injector is installed block accesses take no line runs: fault
-    /// sites always take the reference path.
-    pub fn set_fault_injector(&mut self, faults: Option<SharedFaults>) {
-        self.bus.set_fault_injector(faults.clone());
+    /// Installs (or removes) the fault injector. The machine consults it
+    /// at its own fault site (lost hypercalls) and lends it to the bus
+    /// (snoop corruption) and its devices (the MBM's sites), so one
+    /// schedule covers the whole pipeline. While an injector is
+    /// installed block accesses take no line runs: fault sites always
+    /// take the reference path.
+    pub fn set_fault_injector(&mut self, faults: Option<FaultInjector>) {
         self.faults = faults;
     }
 
-    /// The installed fault injector, for cloning into devices.
-    pub fn fault_injector(&self) -> Option<SharedFaults> {
-        self.faults.clone()
+    /// The installed fault injector, if any.
+    pub fn fault_injector(&self) -> Option<&FaultInjector> {
+        self.faults.as_ref()
     }
 
     /// Injection counters of the installed fault injector, if any.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(|f| f.borrow().stats())
+        self.faults.as_ref().map(FaultInjector::stats)
     }
 
-    /// Installs (or, with `None`, removes) the telemetry sink. The same
-    /// shared sink is typically also handed to the kernel, Hypersec and
-    /// the MBM so all layers stamp one event stream on one clock.
-    pub fn set_telemetry_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
+    /// Installs (or, with `None`, removes) the telemetry recorder. The
+    /// machine records its own events and lends the recorder to its bus
+    /// devices (the MBM) per transaction, so all layers stamp one event
+    /// stream on one clock.
+    pub fn set_telemetry_sink(&mut self, telemetry: Option<Telemetry>) {
+        self.telemetry = telemetry;
+    }
+
+    /// The installed telemetry recorder, if any.
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry.as_ref()
     }
 
     /// The telemetry track for the current exception level.
@@ -562,37 +562,37 @@ impl Machine {
     }
 
     /// Emits a point event on the current EL's track. One branch when no
-    /// sink is installed.
+    /// recorder is installed.
     #[inline]
-    pub fn emit_mark(&self, point: PointKind, a: u64, b: u64) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut()
-                .record(&Event::mark(self.cycles, self.track(), point, a, b));
+    pub fn emit_mark(&mut self, point: PointKind, a: u64, b: u64) {
+        let track = self.track();
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry.record(&Event::mark(self.cycles, track, point, a, b));
         }
     }
 
     /// Opens a span on the current EL's track.
     #[inline]
-    pub fn emit_begin(&self, span: SpanKind, arg: u64) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut()
-                .record(&Event::begin(self.cycles, self.track(), span, arg));
+    pub fn emit_begin(&mut self, span: SpanKind, arg: u64) {
+        let track = self.track();
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry.record(&Event::begin(self.cycles, track, span, arg));
         }
     }
 
     /// Closes the innermost open span of `span`'s kind on the current
     /// EL's track.
     #[inline]
-    pub fn emit_end(&self, span: SpanKind, arg: u64) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut()
-                .record(&Event::end(self.cycles, self.track(), span, arg));
+    pub fn emit_end(&mut self, span: SpanKind, arg: u64) {
+        let track = self.track();
+        if let Some(telemetry) = &mut self.telemetry {
+            telemetry.record(&Event::end(self.cycles, track, span, arg));
         }
     }
 
     /// Emits the point event of a stage-1 data abort: the faulting VA,
     /// and the access kind with the permission flag in bit 1.
-    fn emit_abort(&self, va: VirtAddr, kind: AccessKind, permission: bool) {
+    fn emit_abort(&mut self, va: VirtAddr, kind: AccessKind, permission: bool) {
         let detail = (u64::from(permission) << 1) | kind as u64;
         self.emit_mark(PointKind::DataAbort, va.raw(), detail);
     }
@@ -776,15 +776,10 @@ impl Machine {
             shadow.check_write(ShadowWriter::Dma, pa.word_base(), value);
         }
         self.cycles += self.cost.dram_access;
-        self.bus.issue(
-            BusTransaction::WriteWord {
-                addr: pa.word_base(),
-                value,
-            },
-            &mut self.mem,
-            &mut self.irq,
-            self.cycles,
-        );
+        self.issue(BusTransaction::WriteWord {
+            addr: pa.word_base(),
+            value,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -885,8 +880,8 @@ impl Machine {
         self.cycles += self.cost.hyp_roundtrip;
         // Fault site: the trap is taken (cycles charged, event traced)
         // but the EL2 handler never runs — a lost doorbell.
-        if let Some(faults) = &self.faults {
-            if faults.borrow_mut().on_hypercall(call) {
+        if let Some(faults) = &mut self.faults {
+            if faults.on_hypercall(call) {
                 return Ok(0);
             }
         }
@@ -984,15 +979,10 @@ impl Machine {
         let mut written_back = 0u64;
         for ev in evictions {
             self.cycles += self.cost.dram_access;
-            self.bus.issue(
-                BusTransaction::WriteLine {
-                    addr: ev.addr,
-                    data: ev.data,
-                },
-                &mut self.mem,
-                &mut self.irq,
-                self.cycles,
-            );
+            self.issue(BusTransaction::WriteLine {
+                addr: ev.addr,
+                data: ev.data,
+            });
             written_back += 1;
         }
         self.emit_mark(
@@ -1005,8 +995,32 @@ impl Machine {
     /// Lets attached bus devices (the MBM) drain internal queues; call at
     /// operation boundaries.
     pub fn step_devices(&mut self) {
-        self.bus
-            .step_snoopers(&mut self.mem, &mut self.irq, self.cycles);
+        let mut extra = 0;
+        self.bus.step_snoopers(&mut BusContext {
+            mem: &mut self.mem,
+            irq: &mut self.irq,
+            extra_mem_accesses: &mut extra,
+            cycles: self.cycles,
+            faults: self.faults.as_mut(),
+            telemetry: self.telemetry.as_mut(),
+        });
+    }
+
+    /// Issues a transaction on the bus, lending it and its devices DRAM,
+    /// the interrupt controller and this machine's host attachments.
+    fn issue(&mut self, txn: BusTransaction) -> u64 {
+        let mut extra = 0;
+        self.bus.issue(
+            txn,
+            &mut BusContext {
+                mem: &mut self.mem,
+                irq: &mut self.irq,
+                extra_mem_accesses: &mut extra,
+                cycles: self.cycles,
+                faults: self.faults.as_mut(),
+                telemetry: self.telemetry.as_mut(),
+            },
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1027,10 +1041,7 @@ impl Machine {
         assert!(va.is_word_aligned(), "unaligned word read at {va}");
         assert_ne!(self.el, ExceptionLevel::El2, "EL2 must use el2_read_u64");
         self.stats.reads += 1;
-        match self.access_el01(va, AccessKind::Read, None, hyp)? {
-            Some(v) => Ok(v),
-            None => unreachable!("reads always produce a value"),
-        }
+        self.access_el01(va, AccessKind::Read, None, hyp)
     }
 
     /// Writes a 64-bit word at `va` from the current EL0/EL1 context.
@@ -1372,7 +1383,7 @@ impl Machine {
         kind: AccessKind,
         value: Option<u64>,
         hyp: &mut dyn Hyp,
-    ) -> Result<Option<u64>, Exception> {
+    ) -> Result<u64, Exception> {
         for _attempt in 0..MAX_STAGE2_RETRIES {
             self.cycles += self.cost.tlb_lookup;
             let regime = Regime::El1 {
@@ -1388,8 +1399,7 @@ impl Machine {
                     self.tlb.flush_va(va);
                 } else {
                     let pa = entry.pa_page.add(va.page_offset());
-                    let v = self.perform(pa, kind, value, entry.perms.cacheable);
-                    return Ok(Some(v));
+                    return Ok(self.perform(pa, kind, value, entry.perms.cacheable));
                 }
             }
             match self.translate_slow(va, kind) {
@@ -1408,8 +1418,7 @@ impl Machine {
                             walk_accesses,
                         },
                     );
-                    let v = self.perform(pa, kind, value, perms.cacheable);
-                    return Ok(Some(v));
+                    return Ok(self.perform(pa, kind, value, perms.cacheable));
                 }
                 Err(TranslateFault::Stage1 { permission }) => {
                     self.stats.el1_aborts += 1;
@@ -1426,13 +1435,9 @@ impl Machine {
                     self.cycles += self.cost.world_switch;
                     let from = self.el;
                     self.el = ExceptionLevel::El2;
-                    let outcome = hyp.on_stage2_fault(self, ipa, fk, value);
+                    let outcome = hyp.on_stage2_fault(self, ipa, fk);
                     self.el = from;
-                    match outcome {
-                        Ok(Stage2Outcome::Retry) => continue,
-                        Ok(Stage2Outcome::Emulated) => return Ok(value.map(|_| 0)),
-                        Err(v) => return Err(Exception::Denied(v)),
-                    }
+                    outcome.map_err(Exception::Denied)?;
                 }
             }
         }
@@ -1471,10 +1476,7 @@ impl Machine {
                     value: value.expect("write carries a value"),
                 },
             };
-            let (read, _) = self
-                .bus
-                .issue(txn, &mut self.mem, &mut self.irq, self.cycles);
-            return read;
+            return self.issue(txn);
         }
         self.perform_cached(pa, kind, value)
     }
@@ -1513,23 +1515,13 @@ impl Machine {
         };
         if let Some(ev) = evict {
             self.cycles += self.cost.dram_access;
-            self.bus.issue(
-                BusTransaction::WriteLine {
-                    addr: ev.addr,
-                    data: ev.data,
-                },
-                &mut self.mem,
-                &mut self.irq,
-                self.cycles,
-            );
+            self.issue(BusTransaction::WriteLine {
+                addr: ev.addr,
+                data: ev.data,
+            });
         }
         self.cycles += self.cost.dram_access;
-        self.bus.issue(
-            BusTransaction::ReadLine { addr: line },
-            &mut self.mem,
-            &mut self.irq,
-            self.cycles,
-        );
+        self.issue(BusTransaction::ReadLine { addr: line });
         let data = self.mem.read_line(line);
         let hint = self.cache.install(line, data);
         self.cycles += self.cost.cache_hit;
@@ -1794,8 +1786,7 @@ mod tests {
             _m: &mut Machine,
             _ipa: IntermAddr,
             _kind: AccessKind,
-            _value: Option<u64>,
-        ) -> Result<Stage2Outcome, PolicyViolation> {
+        ) -> Result<(), PolicyViolation> {
             self.s2_faults += 1;
             Err(PolicyViolation::new(3, "stage-2 fault"))
         }

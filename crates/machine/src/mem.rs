@@ -332,30 +332,6 @@ impl PhysMemory {
         }
     }
 
-    /// Copies `buf.len()` bytes out of DRAM starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is outside DRAM.
-    pub fn read_bytes(&self, addr: PhysAddr, buf: &mut [u8]) {
-        self.check(addr, buf.len() as u64);
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr.add(i as u64));
-        }
-    }
-
-    /// Copies `buf` into DRAM starting at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is outside DRAM.
-    pub fn write_bytes(&mut self, addr: PhysAddr, buf: &[u8]) {
-        self.check(addr, buf.len() as u64);
-        for (i, b) in buf.iter().enumerate() {
-            self.write_u8(addr.add(i as u64), *b);
-        }
-    }
-
     /// Fills `len` bytes starting at `addr` with `value`.
     ///
     /// # Panics
@@ -445,9 +421,10 @@ mod tests {
     fn bytes_roundtrip() {
         let mut mem = PhysMemory::new(1 << 16);
         let data = [1u8, 2, 3, 4, 5];
-        mem.write_bytes(PhysAddr::new(100), &data);
-        let mut out = [0u8; 5];
-        mem.read_bytes(PhysAddr::new(100), &mut out);
+        for (i, &b) in data.iter().enumerate() {
+            mem.write_u8(PhysAddr::new(100 + i as u64), b);
+        }
+        let out = [0, 1, 2, 3, 4].map(|i| mem.read_u8(PhysAddr::new(100 + i)));
         assert_eq!(out, data);
     }
 

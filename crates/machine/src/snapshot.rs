@@ -211,9 +211,8 @@ mod tests {
         assert_eq!(dirty(&template), expect);
 
         // Reads of every kind add nothing.
-        let mut buf = [0u8; 16];
-        fork.mem_mut().read_bytes(PhysAddr::new(0x4000), &mut buf);
         let _ = (
+            fork.mem_mut().read_u8(PhysAddr::new(0x4000)),
             fork.mem_mut().read_u64(PhysAddr::new(0x9000)),
             fork.mem_mut().read_line(PhysAddr::new(0x20_5000)),
             fork.debug_read_phys(PhysAddr::new(0x4008)),
@@ -228,8 +227,6 @@ mod tests {
         wrote(&fork, &mut expect, 0x9);
         fork.mem_mut().write_line(PhysAddr::new(0x20_5040), &[3; 8]);
         wrote(&fork, &mut expect, 0x205);
-        fork.mem_mut().write_bytes(PhysAddr::new(0x11000), &[4; 8]);
-        wrote(&fork, &mut expect, 0x11);
         fork.mem_mut().fill(PhysAddr::new(0x12000), 8, 5);
         wrote(&fork, &mut expect, 0x12);
         fork.mem_mut().preallocate(PhysAddr::new(0x13000), 8);

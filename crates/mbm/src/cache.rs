@@ -89,11 +89,6 @@ impl BitmapCache {
         }
     }
 
-    /// Returns `true` if caching is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Statistics.
     pub fn stats(&self) -> BitmapCacheStats {
         self.stats
@@ -240,7 +235,6 @@ mod tests {
     #[test]
     fn disabled_cache_always_misses() {
         let mut c = BitmapCache::disabled();
-        assert!(!c.is_enabled());
         let a = PhysAddr::new(0x100);
         c.fill(a, 7);
         assert_eq!(c.lookup(a), None);

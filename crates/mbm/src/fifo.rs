@@ -4,8 +4,9 @@
 //! The snooper captures write address/value pairs faster than the
 //! translator can look them up in DRAM, so a bounded FIFO decouples them.
 //! If the FIFO is full the oldest behaviour a real design can afford is to
-//! drop the incoming event and count it — that loss is observable in the
-//! statistics and exercised by the failure-injection tests.
+//! drop the incoming event — the monitor counts that loss in its
+//! statistics (`MbmStats::fifo_dropped`), and the failure-injection
+//! tests exercise it.
 
 use std::collections::VecDeque;
 
@@ -35,8 +36,6 @@ pub struct SnoopedWrite {
 pub struct SnoopFifo {
     queue: VecDeque<SnoopedWrite>,
     capacity: usize,
-    pushed: u64,
-    dropped: u64,
     high_watermark: usize,
 }
 
@@ -51,20 +50,16 @@ impl SnoopFifo {
         Self {
             queue: VecDeque::with_capacity(capacity),
             capacity,
-            pushed: 0,
-            dropped: 0,
             high_watermark: 0,
         }
     }
 
-    /// Enqueues a write. Returns `false` (and counts a drop) if full.
+    /// Enqueues a write. Returns `false`, dropping the write, if full.
     pub fn push(&mut self, write: SnoopedWrite) -> bool {
         if self.queue.len() >= self.capacity {
-            self.dropped += 1;
             return false;
         }
         self.queue.push_back(write);
-        self.pushed += 1;
         self.high_watermark = self.high_watermark.max(self.queue.len());
         true
     }
@@ -87,16 +82,6 @@ impl SnoopFifo {
     /// Capacity the FIFO was built with.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Total entries accepted.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total entries lost to overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Deepest the queue has ever been.
@@ -143,8 +128,6 @@ mod tests {
         assert!(f.push(w(0)));
         assert!(f.push(w(8)));
         assert!(!f.push(w(16)));
-        assert_eq!(f.dropped(), 1);
-        assert_eq!(f.pushed(), 2);
         assert_eq!(f.len(), 2);
         // Drained events are the ones that fit — the overflowed event is
         // gone (the failure mode the monitor must surface).

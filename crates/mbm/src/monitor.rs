@@ -32,8 +32,9 @@
 //! skip, the skipped lookups to the bitmap cache (hits while the word
 //! is resident, otherwise one miss, one device read and a fill, after
 //! which the rest hit) and the FIFO depth they would have reached.
-//! The skip is taken only when it is provably model-invisible: no
-//! fault injector, no telemetry sink, lossless drain, and an empty
+//! The skip is taken only when it is provably model-invisible: the
+//! transaction lends no fault injector and no telemetry recorder, the
+//! drain is lossless, and an empty
 //! FIFO deep enough for a whole line write-back, so the reference
 //! pipeline would translate every capture of the transaction, in
 //! order, before the next one. Only the host counter
@@ -46,12 +47,11 @@ use std::any::Any;
 use hypernel_machine::addr::PhysAddr;
 use hypernel_machine::bus::{BusContext, BusSnooper, BusTransaction};
 use hypernel_machine::fastpath_enabled;
-use hypernel_machine::fault::{IrqFault, SharedFaults};
+use hypernel_machine::fault::IrqFault;
 use hypernel_machine::irq::IrqLine;
-use hypernel_machine::mem::PhysMemory;
 use hypernel_telemetry::counters::Counter;
 use hypernel_telemetry::{counter, metrics};
-use hypernel_telemetry::{Event, PointKind, SharedSink, SpanKind, Track};
+use hypernel_telemetry::{Event, PointKind, SpanKind, Track};
 
 use crate::bitmap::BitmapLayout;
 use crate::cache::{BitmapCache, BitmapCacheStats};
@@ -193,7 +193,10 @@ impl MbmStats {
 }
 
 /// The memory bus monitor device. Attach it to a machine with
-/// [`hypernel_machine::bus::MemoryBus::attach`].
+/// [`hypernel_machine::bus::MemoryBus::attach`]. Like the paper's
+/// device, it sees the CPU only through its bus port: the fault
+/// injector and the telemetry recorder it consults are the machine's,
+/// lent through [`BusContext`] on each transaction and step.
 ///
 /// ```
 /// use hypernel_machine::addr::PhysAddr;
@@ -215,8 +218,6 @@ pub struct Mbm {
     fifo: SnoopFifo,
     cache: BitmapCache,
     stats: MbmStats,
-    sink: Option<SharedSink>,
-    faults: Option<SharedFaults>,
     /// Interrupt assertions a fault is holding back: `(remaining pipeline
     /// steps, triggering write address)`.
     delayed_irqs: Vec<(u64, u64)>,
@@ -231,7 +232,6 @@ impl std::fmt::Debug for Mbm {
             .field("fifo", &self.fifo)
             .field("cache", &self.cache)
             .field("stats", &self.stats)
-            .field("telemetry", &self.sink.is_some())
             .finish()
     }
 }
@@ -247,8 +247,6 @@ impl Mbm {
                 None => BitmapCache::disabled(),
             },
             stats: MbmStats::default(),
-            sink: None,
-            faults: None,
             delayed_irqs: Vec::new(),
             filter_enabled: fastpath_enabled(),
         }
@@ -269,11 +267,11 @@ impl Mbm {
         &self,
         addr: PhysAddr,
         words: usize,
-        mem: &mut PhysMemory,
+        ctx: &mut BusContext<'_>,
     ) -> Option<FilterProbe> {
         let envelope = self.filter_enabled
-            && self.faults.is_none()
-            && self.sink.is_none()
+            && ctx.faults.is_none()
+            && ctx.telemetry.is_none()
             && self.config.drain_per_transaction.is_none()
             && self.fifo.capacity() >= MAX_CAPTURES_PER_TXN
             && self.fifo.is_empty();
@@ -288,37 +286,17 @@ impl Mbm {
         let cached = self.cache.peek(word);
         Some(FilterProbe {
             word,
-            value: cached.unwrap_or_else(|| mem.read_u64(word)),
+            value: cached.unwrap_or_else(|| ctx.mem.read_u64(word)),
             resident: cached.is_some(),
         })
     }
 
-    /// Installs (or removes) the fault injector covering the monitor's
-    /// fault sites: IRQ drop/delay, translator stalls and bitmap
-    /// desync. Share the same injector with the machine so one schedule
-    /// spans the whole pipeline.
-    pub fn set_fault_injector(&mut self, faults: Option<SharedFaults>) {
-        self.faults = faults;
-    }
-
-    /// The installed fault-injector handle, if any (an owned `Rc`
-    /// clone). Forking callers use this to verify re-wiring.
-    pub fn fault_injector(&self) -> Option<SharedFaults> {
-        self.faults.clone()
-    }
-
-    /// Installs (or removes) the telemetry sink; MBM events are stamped
-    /// on [`Track::Mbm`] with the CPU cycle counter carried in on the bus.
-    pub fn set_telemetry_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
-    }
-
-    /// Emits a point event on the MBM track. One branch when disabled.
+    /// Records a point event on the lent telemetry recorder, on the MBM
+    /// track at the bus clock. One branch when none is lent.
     #[inline]
-    fn emit(&self, cycles: u64, point: PointKind, a: u64, b: u64) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut()
-                .record(&Event::mark(cycles, Track::Mbm, point, a, b));
+    fn emit(ctx: &mut BusContext<'_>, point: PointKind, a: u64, b: u64) {
+        if let Some(telemetry) = &mut ctx.telemetry {
+            telemetry.record(&Event::mark(ctx.cycles, Track::Mbm, point, a, b));
         }
     }
 
@@ -327,10 +305,13 @@ impl Mbm {
         &self.config
     }
 
-    /// Mutable configuration access — experiments and stress tests
-    /// adjust the drain rate mid-run to model translator backpressure.
-    pub fn config_mut(&mut self) -> &mut MbmConfig {
-        &mut self.config
+    /// Sets how many FIFO entries the translator processes per bus
+    /// transaction and per step (`None`: it always keeps up).
+    /// Experiments and stress tests throttle it mid-run to model
+    /// translator backpressure. The FIFO and the bitmap cache keep the
+    /// capacities they were built with.
+    pub fn set_drain_per_transaction(&mut self, budget: Option<usize>) {
+        self.config.drain_per_transaction = budget;
     }
 
     /// Running statistics.
@@ -392,42 +373,32 @@ impl Mbm {
         }
     }
 
-    fn capture(&mut self, write: SnoopedWrite, cycles: u64) {
+    fn capture(&mut self, write: SnoopedWrite, ctx: &mut BusContext<'_>) {
         self.stats.captured += 1;
         if self.fifo.push(write) {
-            self.emit(
-                cycles,
-                PointKind::MbmFifoPush,
-                write.addr.raw(),
-                write.value,
-            );
+            Self::emit(ctx, PointKind::MbmFifoPush, write.addr.raw(), write.value);
         } else {
             self.stats.fifo_dropped += 1;
             if self.stats.first_dropped_addr.is_none() {
                 self.stats.first_dropped_addr = Some(write.addr);
             }
-            self.emit(
-                cycles,
-                PointKind::MbmFifoDrop,
-                write.addr.raw(),
-                write.value,
-            );
+            Self::emit(ctx, PointKind::MbmFifoDrop, write.addr.raw(), write.value);
         }
     }
 
     /// Asserts the MBM interrupt line, subject to drop/delay faults.
     /// `trigger` is the write address that caused the assertion.
     fn raise_irq(&mut self, ctx: &mut BusContext<'_>, trigger: u64) {
-        let fault = match &self.faults {
-            Some(f) => f.borrow_mut().on_irq_raise(trigger),
+        let fault = match &mut ctx.faults {
+            Some(f) => f.on_irq_raise(trigger),
             None => IrqFault::None,
         };
         match fault {
             IrqFault::None => {
                 self.stats.irqs_raised += 1;
                 ctx.irq.raise(IrqLine::MBM);
-                self.emit(
-                    ctx.cycles,
+                Self::emit(
+                    ctx,
                     PointKind::IrqRaised,
                     u64::from(IrqLine::MBM.0),
                     trigger,
@@ -457,8 +428,8 @@ impl Mbm {
         for trigger in due {
             self.stats.irqs_raised += 1;
             ctx.irq.raise(IrqLine::MBM);
-            self.emit(
-                ctx.cycles,
+            Self::emit(
+                ctx,
                 PointKind::IrqRaised,
                 u64::from(IrqLine::MBM.0),
                 trigger,
@@ -490,8 +461,8 @@ impl Mbm {
         // Fault site: a desynchronized bitmap word reads back as zero,
         // blinding the decision unit for this lookup.
         let stored_value = word_value;
-        if let Some(faults) = &self.faults {
-            if faults.borrow_mut().on_bitmap_lookup(bitmap_word.raw()) {
+        if let Some(faults) = &mut ctx.faults {
+            if faults.on_bitmap_lookup(bitmap_word.raw()) {
                 word_value = 0;
             }
         }
@@ -501,12 +472,7 @@ impl Mbm {
         // Decision unit.
         if word_value & mask != 0 {
             self.stats.events_matched += 1;
-            self.emit(
-                ctx.cycles,
-                PointKind::MbmWatchHit,
-                write.addr.raw(),
-                write.value,
-            );
+            Self::emit(ctx, PointKind::MbmWatchHit, write.addr.raw(), write.value);
             let pushed = self.config.ring.push(
                 ctx.mem,
                 WriteEvent {
@@ -528,15 +494,22 @@ impl Mbm {
         self.tick_delayed_irqs(ctx);
         // Fault site: a stalled translator skips this whole drain
         // opportunity, letting the FIFO back up.
-        if let Some(faults) = &self.faults {
-            if faults.borrow_mut().on_drain() {
+        if let Some(faults) = &mut ctx.faults {
+            if faults.on_drain() {
                 return;
             }
         }
         let budget = self.config.drain_per_transaction.unwrap_or(usize::MAX);
         let backlog = self.fifo.len() as u64;
         if backlog > 0 {
-            self.emit_span_begin(ctx.cycles, backlog);
+            if let Some(telemetry) = &mut ctx.telemetry {
+                telemetry.record(&Event::begin(
+                    ctx.cycles,
+                    Track::Mbm,
+                    SpanKind::MbmDrain,
+                    backlog,
+                ));
+            }
         }
         let mut processed = 0u64;
         for _ in 0..budget {
@@ -546,23 +519,14 @@ impl Mbm {
             processed += 1;
         }
         if backlog > 0 {
-            self.emit_span_end(ctx.cycles, processed);
-        }
-    }
-
-    #[inline]
-    fn emit_span_begin(&self, cycles: u64, arg: u64) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut()
-                .record(&Event::begin(cycles, Track::Mbm, SpanKind::MbmDrain, arg));
-        }
-    }
-
-    #[inline]
-    fn emit_span_end(&self, cycles: u64, arg: u64) {
-        if let Some(sink) = &self.sink {
-            sink.borrow_mut()
-                .record(&Event::end(cycles, Track::Mbm, SpanKind::MbmDrain, arg));
+            if let Some(telemetry) = &mut ctx.telemetry {
+                telemetry.record(&Event::end(
+                    ctx.cycles,
+                    Track::Mbm,
+                    SpanKind::MbmDrain,
+                    processed,
+                ));
+            }
         }
     }
 }
@@ -589,7 +553,7 @@ impl BusSnooper for Mbm {
         };
         self.check_guard(addr, ctx);
         self.stats.bus_writes_seen += 1;
-        let probe = self.filter_probe(addr, words.len(), ctx.mem);
+        let probe = self.filter_probe(addr, words.len(), ctx);
         let mut skipped = 0;
         for (i, &value) in words.iter().enumerate() {
             let word_addr = addr.add(i as u64 * 8);
@@ -604,7 +568,7 @@ impl BusSnooper for Mbm {
                             addr: word_addr,
                             value,
                         },
-                        ctx.cycles,
+                        ctx,
                     );
                 }
             }
@@ -649,7 +613,9 @@ impl BusSnooper for Mbm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypernel_machine::fault::{FaultInjector, FaultPlan, FaultSpec};
     use hypernel_machine::irq::IrqController;
+    use hypernel_machine::mem::PhysMemory;
 
     const WINDOW_LEN: u64 = 1 << 20;
     const BITMAP_BASE: u64 = 0x400_0000;
@@ -670,6 +636,9 @@ mod tests {
         mem: PhysMemory,
         irq: IrqController,
         extra: u64,
+        /// The injector lent to the device, standing in for the
+        /// machine's.
+        faults: Option<FaultInjector>,
     }
 
     impl Rig {
@@ -679,7 +648,28 @@ mod tests {
                 mem: PhysMemory::new(0x600_0000),
                 irq: IrqController::new(),
                 extra: 0,
+                faults: None,
             }
+        }
+
+        fn with_faults(config: MbmConfig, plan: FaultPlan) -> Self {
+            Self {
+                faults: Some(FaultInjector::new(plan)),
+                ..Self::new(config)
+            }
+        }
+
+        /// Runs `f` on the device with the context a machine would lend.
+        fn lend(&mut self, f: impl FnOnce(&mut Mbm, &mut BusContext<'_>)) {
+            let mut ctx = BusContext {
+                mem: &mut self.mem,
+                irq: &mut self.irq,
+                extra_mem_accesses: &mut self.extra,
+                cycles: 0,
+                faults: self.faults.as_mut(),
+                telemetry: None,
+            };
+            f(&mut self.mbm, &mut ctx);
         }
 
         /// Marks `len` bytes at `pa` as watched by writing the bitmap the
@@ -703,13 +693,11 @@ mod tests {
         }
 
         fn txn(&mut self, txn: BusTransaction) {
-            let mut ctx = BusContext {
-                mem: &mut self.mem,
-                irq: &mut self.irq,
-                extra_mem_accesses: &mut self.extra,
-                cycles: 0,
-            };
-            self.mbm.on_transaction(&txn, &mut ctx);
+            self.lend(|mbm, ctx| mbm.on_transaction(&txn, ctx));
+        }
+
+        fn step(&mut self) {
+            self.lend(|mbm, ctx| mbm.step(ctx));
         }
 
         fn write(&mut self, addr: u64, value: u64) {
@@ -846,14 +834,8 @@ mod tests {
         assert_eq!(rig.mbm.stats().fifo_dropped, 4);
         assert_eq!(rig.mbm.fifo_len(), 4);
         // Un-stall: step drains the backlog.
-        rig.mbm.config.drain_per_transaction = None;
-        let mut ctx = BusContext {
-            mem: &mut rig.mem,
-            irq: &mut rig.irq,
-            extra_mem_accesses: &mut rig.extra,
-            cycles: 0,
-        };
-        rig.mbm.step(&mut ctx);
+        rig.mbm.set_drain_per_transaction(None);
+        rig.step();
         assert_eq!(rig.mbm.fifo_len(), 0);
         assert_eq!(rig.mbm.stats().events_matched, 4);
     }
@@ -943,11 +925,7 @@ mod tests {
 
     #[test]
     fn drop_irq_fault_suppresses_assertion_but_event_lands_in_ring() {
-        use hypernel_machine::fault::{share, FaultPlan, FaultSpec};
-        let mut rig = Rig::new(config());
-        rig.mbm.set_fault_injector(Some(share(
-            FaultPlan::new().with(FaultSpec::drop_irq(1, 1)),
-        )));
+        let mut rig = Rig::with_faults(config(), FaultPlan::new().with(FaultSpec::drop_irq(1, 1)));
         rig.watch(0x1000, 8);
         rig.write(0x1000, 99);
         assert_eq!(rig.mbm.stats().events_matched, 1);
@@ -960,37 +938,30 @@ mod tests {
 
     #[test]
     fn delay_irq_fault_defers_assertion_by_pipeline_steps() {
-        use hypernel_machine::fault::{share, FaultPlan, FaultSpec};
-        let mut rig = Rig::new(config());
-        let faults = share(FaultPlan::new().with(FaultSpec::delay_irq(1, 1, 2)));
-        rig.mbm.set_fault_injector(Some(faults));
+        let mut rig = Rig::with_faults(
+            config(),
+            FaultPlan::new().with(FaultSpec::delay_irq(1, 1, 2)),
+        );
         rig.watch(0x1000, 8);
         rig.write(0x1000, 7);
         assert!(!rig.irq.is_pending(IrqLine::MBM));
         // Each step (or drain) ticks the delay once; two ticks deliver it.
-        let mut ctx = BusContext {
-            mem: &mut rig.mem,
-            irq: &mut rig.irq,
-            extra_mem_accesses: &mut rig.extra,
-            cycles: 0,
-        };
-        rig.mbm.step(&mut ctx);
-        assert!(!ctx.irq.is_pending(IrqLine::MBM));
-        rig.mbm.step(&mut ctx);
-        assert!(ctx.irq.is_pending(IrqLine::MBM));
+        rig.step();
+        assert!(!rig.irq.is_pending(IrqLine::MBM));
+        rig.step();
+        assert!(rig.irq.is_pending(IrqLine::MBM));
         assert_eq!(rig.mbm.stats().irqs_raised, 1);
     }
 
     #[test]
     fn stall_translator_fault_backs_up_fifo() {
-        use hypernel_machine::fault::{share, FaultPlan, FaultSpec};
         let mut rig = Rig::new(config());
         rig.watch(0x1000, 8);
         // Stall the next two drain opportunities (installed after `watch`
         // so the bitmap-update transactions don't consume the window).
-        rig.mbm.set_fault_injector(Some(share(
+        rig.faults = Some(FaultInjector::new(
             FaultPlan::new().with(FaultSpec::stall_translator(1, 2)),
-        )));
+        ));
         rig.write(0x1000, 1); // drain stalled: capture stays queued
         assert_eq!(rig.mbm.fifo_len(), 1);
         rig.write(0x2000, 2); // unwatched, but its drain is stalled too
@@ -1116,25 +1087,9 @@ mod tests {
         rig.write(0x9000, 1);
         assert_eq!(rig.mbm.stats().page_filter_skips, 0);
 
-        // The depth that counts is the FIFO's own, not a configuration
-        // edited after the device was built.
-        let mut cfg = config();
-        cfg.fifo_capacity = 4;
-        let mut rig = Rig::new(cfg);
+        // A lent fault injector also forces the reference pipeline.
+        let mut rig = Rig::with_faults(config(), FaultPlan::new());
         rig.mbm.set_filter_enabled(true);
-        rig.mbm.config_mut().fifo_capacity = 16;
-        rig.txn(BusTransaction::WriteLine {
-            addr: PhysAddr::new(0x9000),
-            data: [1; 8],
-        });
-        assert_eq!(rig.mbm.stats().page_filter_skips, 0);
-        assert_eq!(rig.mbm.stats().fifo_dropped, 4);
-
-        // A fault injector also forces the reference pipeline.
-        use hypernel_machine::fault::{share, FaultPlan};
-        let mut rig = Rig::new(config());
-        rig.mbm.set_filter_enabled(true);
-        rig.mbm.set_fault_injector(Some(share(FaultPlan::new())));
         rig.write(0x9000, 1);
         assert_eq!(rig.mbm.stats().page_filter_skips, 0);
     }
@@ -1147,11 +1102,11 @@ mod tests {
         for enabled in [true, false] {
             let mut rig = Rig::new(config());
             rig.mbm.set_filter_enabled(enabled);
-            rig.mbm.config_mut().drain_per_transaction = Some(0);
+            rig.mbm.set_drain_per_transaction(Some(0));
             for w in 0..12u64 {
                 rig.write(0x9000 + w * 8, w);
             }
-            rig.mbm.config_mut().drain_per_transaction = None;
+            rig.mbm.set_drain_per_transaction(None);
             rig.txn(BusTransaction::WriteLine {
                 addr: PhysAddr::new(0xa000),
                 data: [9; 8],
@@ -1190,11 +1145,10 @@ mod tests {
 
     #[test]
     fn desync_bitmap_fault_blinds_one_lookup() {
-        use hypernel_machine::fault::{share, FaultPlan, FaultSpec};
-        let mut rig = Rig::new(config());
-        rig.mbm.set_fault_injector(Some(share(
+        let mut rig = Rig::with_faults(
+            config(),
             FaultPlan::new().with(FaultSpec::desync_bitmap(1, 1)),
-        )));
+        );
         rig.watch(0x1000, 8);
         rig.write(0x1000, 1); // lookup desynced: watched write missed
         assert_eq!(rig.mbm.stats().events_matched, 0);

@@ -66,6 +66,8 @@ impl Rig {
             irq: &mut self.irq,
             extra_mem_accesses: &mut self.extra,
             cycles: 0,
+            faults: None,
+            telemetry: None,
         };
         self.mbm.on_transaction(&txn, &mut ctx);
     }
@@ -148,8 +150,7 @@ proptest! {
                         rig.write(bw, &[next]);
                     }
                     _ => {
-                        rig.mbm.config_mut().drain_per_transaction =
-                            (!stalled).then_some(0);
+                        rig.mbm.set_drain_per_transaction((!stalled).then_some(0));
                     }
                 }
             }
@@ -180,7 +181,7 @@ proptest! {
             for u in config.bitmap.plan_update(PhysAddr::new(w * 8), 8, true) {
                 let v = u.apply_to(mem.read_u64(u.word));
                 mem.write_u64(u.word, v);
-                let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0 };
+                let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
                 mbm.on_transaction(&BusTransaction::WriteWord { addr: u.word, value: v }, &mut ctx);
             }
         }
@@ -191,7 +192,7 @@ proptest! {
         for &(word, value) in &writes {
             let addr = PhysAddr::new(word * 8);
             mem.write_u64(addr, value);
-            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0 };
+            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
             mbm.on_transaction(&BusTransaction::WriteWord { addr, value }, &mut ctx);
             if watched.contains(&word) {
                 expected.push(WriteEvent { addr, value });
@@ -288,11 +289,11 @@ proptest! {
         for u in cfg.bitmap.plan_update(PhysAddr::new(0x100), 8, true) {
             let v = u.apply_to(mem.read_u64(u.word));
             mem.write_u64(u.word, v);
-            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0 };
+            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
             mbm.on_transaction(&BusTransaction::WriteWord { addr: u.word, value: v }, &mut ctx);
         }
         for i in 0..burst {
-            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0 };
+            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
             mbm.on_transaction(
                 &BusTransaction::WriteWord { addr: PhysAddr::new(0x100), value: i },
                 &mut ctx,
@@ -300,7 +301,7 @@ proptest! {
         }
         // Let the pipeline drain fully.
         for _ in 0..64 {
-            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0 };
+            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
             mbm.step(&mut ctx);
         }
         let s = mbm.stats();

@@ -1,14 +1,16 @@
 //! Event-stream exporters: JSONL and Chrome `trace_event`.
 //!
 //! JSONL is the lossless interchange format — one event object per line,
-//! integers kept exact, and [`parse_jsonl`] inverts [`write_jsonl`]
-//! bit-for-bit. The Chrome format targets `chrome://tracing` / Perfetto:
+//! integers kept exact, and [`read_jsonl_lossy`] of a clean file inverts
+//! [`write_jsonl`] bit-for-bit. The Chrome format targets `chrome://tracing` / Perfetto:
 //! each [`Track`] becomes a named thread, spans become `B`/`E` pairs and
 //! marks become instant (`i`) events, with timestamps converted from
 //! modeled cycles to microseconds.
 
 use crate::event::{Event, EventKind, PointKind, SpanKind, Track};
-use crate::json::{Json, ParseError};
+use crate::json::Json;
+#[cfg(doc)]
+use crate::reader::read_jsonl_lossy;
 
 /// Serializes one event as a JSON object.
 pub fn event_to_json(event: &Event) -> Json {
@@ -73,48 +75,6 @@ pub fn write_jsonl(events: &[Event]) -> String {
     }
     out
 }
-
-/// Parses JSONL back into events. Blank lines are skipped; a malformed
-/// line or an unrecognized event shape is an error naming the line.
-pub fn parse_jsonl(input: &str) -> Result<Vec<Event>, JsonlError> {
-    let mut events = Vec::new();
-    for (idx, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value = Json::parse(line).map_err(|cause| JsonlError {
-            line: idx + 1,
-            cause: Some(cause),
-        })?;
-        let event = event_from_json(&value).ok_or(JsonlError {
-            line: idx + 1,
-            cause: None,
-        })?;
-        events.push(event);
-    }
-    Ok(events)
-}
-
-/// A JSONL line that failed to parse back into an event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonlError {
-    /// 1-based line number.
-    pub line: usize,
-    /// The JSON syntax error, or `None` if the JSON was well-formed but
-    /// not a recognizable event.
-    pub cause: Option<ParseError>,
-}
-
-impl std::fmt::Display for JsonlError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.cause {
-            Some(cause) => write!(f, "line {}: {cause}", self.line),
-            None => write!(f, "line {}: not a telemetry event", self.line),
-        }
-    }
-}
-
-impl std::error::Error for JsonlError {}
 
 fn track_tid(track: Track) -> u64 {
     match track {
@@ -202,7 +162,15 @@ pub fn write_chrome_trace(events: &[Event], cycles_per_us: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::read_jsonl_lossy;
     use std::collections::HashMap;
+
+    /// Reads a trace back, demanding that no line was skipped.
+    fn read_back(text: &str) -> Vec<Event> {
+        let trace = read_jsonl_lossy(text);
+        assert_eq!(trace.skipped, 0, "{:?}", trace.skip_details);
+        trace.events
+    }
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -222,8 +190,7 @@ mod tests {
         let events = sample_events();
         let text = write_jsonl(&events);
         assert_eq!(text.lines().count(), events.len());
-        let parsed = parse_jsonl(&text).unwrap();
-        assert_eq!(parsed, events);
+        assert_eq!(read_back(&text), events);
     }
 
     #[test]
@@ -241,18 +208,16 @@ mod tests {
                 cycles += 1;
             }
         }
-        let parsed = parse_jsonl(&write_jsonl(&events)).unwrap();
-        assert_eq!(parsed, events);
+        assert_eq!(read_back(&write_jsonl(&events)), events);
     }
 
     #[test]
     fn jsonl_errors_name_the_line() {
-        let err = parse_jsonl("{\"cycles\":1}\n").unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.cause.is_none());
-        let err = parse_jsonl("\n{bad\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.cause.is_some());
+        let trace = read_jsonl_lossy("{\"cycles\":1}\n");
+        assert_eq!(trace.skip_details, [(1, "not a telemetry event".into())]);
+        let trace = read_jsonl_lossy("\n{bad\n");
+        assert_eq!(trace.skipped, 1);
+        assert_eq!(trace.skip_details[0].0, 2);
     }
 
     #[test]

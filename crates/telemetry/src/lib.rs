@@ -9,13 +9,14 @@
 //!   artifact gives it.
 //! * [`event`] — cycle-stamped structured events spanning EL0/EL1/EL2 and
 //!   the MBM, with span-style begin/end pairing.
-//! * [`sink`] — the zero-cost-when-disabled [`TelemetrySink`] trait plus
-//!   simple sinks (ring buffer, fan-out).
+//! * [`sink`] — [`RingSink`], the bounded raw-event ring.
 //! * [`histogram`] — fixed-bucket log2 latency histograms with
 //!   p50/p95/p99/max summaries.
-//! * [`registry`] — the [`Telemetry`] registry: a sink that pairs spans
-//!   into latency histograms and counts point events, with a
-//!   snapshot/diff API.
+//! * [`registry`] — the [`Telemetry`] recorder, the one pipeline every
+//!   event takes: it keeps the raw events in its ring, pairs spans into
+//!   latency histograms and counts point events, with a snapshot/diff
+//!   API. The machine owns the one recorder of a run and lends it to
+//!   its bus devices per transaction.
 //! * [`export`] — JSONL and Chrome `trace_event` exporters (the latter
 //!   loads directly into `chrome://tracing` / Perfetto).
 //! * [`json`] — the dependency-free JSON writer/parser the exporters and
@@ -49,4 +50,4 @@ pub use reader::{read_jsonl_lossy, LossyTrace, Mark, SpanNode, SpanTree};
 pub use recorder::MetricsRecorder;
 pub use registry::{Snapshot, Telemetry};
 pub use series::{MetricsDoc, Series, SeriesKind, METRICS_KIND, METRICS_SCHEMA};
-pub use sink::{shared, FanoutSink, RingSink, SharedSink, TelemetrySink};
+pub use sink::RingSink;

@@ -1,11 +1,10 @@
 //! Trace reading and span-tree reconstruction.
 //!
-//! [`export::parse_jsonl`](crate::export::parse_jsonl) is strict: one bad
-//! line aborts the parse, which is the right contract for round-trip
-//! tests but the wrong one for analysis — a trace truncated by a crashed
-//! run or a corrupted line in a multi-gigabyte capture should not make
-//! the other 99.99 % of the evidence unreadable. [`read_jsonl_lossy`]
-//! skips (and counts) malformed lines instead.
+//! [`read_jsonl_lossy`] is the one event-JSONL reader. It skips (and
+//! counts) malformed lines instead of aborting: a trace truncated by a
+//! crashed run or a corrupted line in a multi-gigabyte capture should
+//! not make the other 99.99 % of the evidence unreadable. Round-trip
+//! checks read through it too and demand that nothing was skipped.
 //!
 //! [`SpanTree`] then rebuilds the nesting structure of the event stream.
 //! The simulation is single-threaded with one global cycle counter, so
@@ -230,13 +229,6 @@ impl SpanTree {
         self.walk(|_, _| n += 1);
         n
     }
-
-    /// All marks in the tree plus orphans, in no particular order.
-    pub fn all_marks(&self) -> Vec<Mark> {
-        let mut marks = self.orphan_marks.clone();
-        self.walk(|node, _| marks.extend(node.marks.iter().copied()));
-        marks
-    }
 }
 
 #[cfg(test)]
@@ -370,7 +362,6 @@ mod tests {
         let tree = SpanTree::build(&events);
         assert_eq!(tree.orphan_marks.len(), 1);
         assert_eq!(tree.roots[0].marks.len(), 1);
-        assert_eq!(tree.all_marks().len(), 2);
         assert_eq!(tree.span_count(), 1);
     }
 }

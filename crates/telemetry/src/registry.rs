@@ -1,21 +1,24 @@
-//! The [`Telemetry`] registry: a sink that turns the raw event stream
-//! into aggregate measurements.
+//! The [`Telemetry`] recorder: the one pipeline every event takes.
 //!
-//! Begin/end pairs are matched per `(track, span kind)` with a stack, so
-//! nested spans of the same kind on one track pair innermost-first. The
+//! It keeps the raw event stream in a bounded [`RingSink`] for export
+//! and turns the same stream into aggregate measurements. Begin/end
+//! pairs are matched per `(track, span kind)` with a stack, so nested
+//! spans of the same kind on one track pair innermost-first. The
 //! resulting latencies feed per-span [`Histogram`]s; point events feed
-//! counters. [`Telemetry::snapshot`] freezes everything into a
+//! counters. [`Telemetry::snapshot`] freezes the aggregates into a
 //! [`Snapshot`], and [`Snapshot::since`] diffs two snapshots to isolate
 //! one phase of a run.
 
 use crate::event::{Event, EventKind, PointKind, SpanKind, Track};
 use crate::histogram::{Histogram, HistogramSummary};
-use crate::sink::TelemetrySink;
+use crate::sink::RingSink;
 use std::collections::BTreeMap;
 
-/// Aggregating sink: span latency histograms plus point-event counters.
-#[derive(Debug, Default)]
+/// The telemetry recorder: the raw-event ring, span latency histograms
+/// and point-event counters, all fed by [`Telemetry::record`].
+#[derive(Debug, Clone)]
 pub struct Telemetry {
+    ring: RingSink,
     histograms: BTreeMap<(Track, SpanKind), Histogram>,
     open_spans: BTreeMap<(Track, SpanKind), Vec<u64>>,
     counters: BTreeMap<(Track, PointKind), u64>,
@@ -24,26 +27,56 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty recorder whose ring keeps the newest `ring_capacity`
+    /// raw events (min 1).
+    pub fn new(ring_capacity: usize) -> Self {
+        Self {
+            ring: RingSink::new(ring_capacity),
+            histograms: BTreeMap::new(),
+            open_spans: BTreeMap::new(),
+            counters: BTreeMap::new(),
+            unmatched_ends: 0,
+        }
+    }
+
+    /// Records one event: into the ring, and into the aggregates.
+    pub fn record(&mut self, event: &Event) {
+        self.ring.record(event);
+        match event.kind {
+            EventKind::Begin(span, _) => {
+                self.open_spans
+                    .entry((event.track, span))
+                    .or_default()
+                    .push(event.cycles);
+            }
+            EventKind::End(span, _) => {
+                let stack = self.open_spans.entry((event.track, span)).or_default();
+                match stack.pop() {
+                    Some(begin) => {
+                        let latency = event.cycles.saturating_sub(begin);
+                        self.histograms
+                            .entry((event.track, span))
+                            .or_default()
+                            .record(latency);
+                    }
+                    None => self.unmatched_ends += 1,
+                }
+            }
+            EventKind::Mark(point, _, _) => {
+                *self.counters.entry((event.track, point)).or_insert(0) += 1;
+            }
+        }
+    }
+
+    /// The raw events still buffered, with the count of evicted ones.
+    pub fn ring(&self) -> &RingSink {
+        &self.ring
     }
 
     /// The latency histogram for one span kind on one track, if any
     /// spans completed there.
     pub fn histogram(&self, track: Track, span: SpanKind) -> Option<&Histogram> {
         self.histograms.get(&(track, span))
-    }
-
-    /// The latency histogram for a span kind merged across all tracks.
-    pub fn merged_histogram(&self, span: SpanKind) -> Histogram {
-        let mut merged = Histogram::new();
-        for ((_, s), h) in &self.histograms {
-            if *s == span {
-                merged.merge(h);
-            }
-        }
-        merged
     }
 
     /// The count of one point event on one track.
@@ -85,36 +118,7 @@ impl Telemetry {
     }
 }
 
-impl TelemetrySink for Telemetry {
-    fn record(&mut self, event: &Event) {
-        match event.kind {
-            EventKind::Begin(span, _) => {
-                self.open_spans
-                    .entry((event.track, span))
-                    .or_default()
-                    .push(event.cycles);
-            }
-            EventKind::End(span, _) => {
-                let stack = self.open_spans.entry((event.track, span)).or_default();
-                match stack.pop() {
-                    Some(begin) => {
-                        let latency = event.cycles.saturating_sub(begin);
-                        self.histograms
-                            .entry((event.track, span))
-                            .or_default()
-                            .record(latency);
-                    }
-                    None => self.unmatched_ends += 1,
-                }
-            }
-            EventKind::Mark(point, _, _) => {
-                *self.counters.entry((event.track, point)).or_insert(0) += 1;
-            }
-        }
-    }
-}
-
-/// A frozen view of a [`Telemetry`] registry.
+/// A frozen view of a [`Telemetry`] recorder's aggregates.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Snapshot {
     /// Latency summaries per `(track, span kind)`.
@@ -168,7 +172,7 @@ mod tests {
 
     #[test]
     fn spans_pair_into_latencies() {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(16);
         t.record(&Event::begin(100, Track::El2, SpanKind::HypercallVerify, 1));
         t.record(&Event::end(150, Track::El2, SpanKind::HypercallVerify, 0));
         t.record(&Event::begin(200, Track::El2, SpanKind::HypercallVerify, 2));
@@ -182,7 +186,7 @@ mod tests {
 
     #[test]
     fn nested_same_kind_spans_pair_innermost_first() {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(16);
         t.record(&Event::begin(0, Track::El1, SpanKind::Syscall, 0));
         t.record(&Event::begin(10, Track::El1, SpanKind::Syscall, 1));
         t.record(&Event::end(15, Track::El1, SpanKind::Syscall, 0)); // inner: 5
@@ -194,20 +198,20 @@ mod tests {
 
     #[test]
     fn tracks_are_independent() {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(16);
         t.record(&Event::begin(0, Track::El1, SpanKind::MbmIrqService, 0));
         t.record(&Event::begin(5, Track::El2, SpanKind::MbmIrqService, 0));
         t.record(&Event::end(30, Track::El2, SpanKind::MbmIrqService, 0));
         assert_eq!(t.open_span_count(), 1);
         assert!(t.histogram(Track::El1, SpanKind::MbmIrqService).is_none());
-        let merged = t.merged_histogram(SpanKind::MbmIrqService);
-        assert_eq!(merged.count(), 1);
-        assert_eq!(merged.max(), Some(25));
+        let el2 = t.histogram(Track::El2, SpanKind::MbmIrqService).unwrap();
+        assert_eq!(el2.count(), 1);
+        assert_eq!(el2.max(), Some(25));
     }
 
     #[test]
     fn unmatched_end_is_counted_not_paired() {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(16);
         t.record(&Event::end(9, Track::El2, SpanKind::Stage2Check, 0));
         assert_eq!(t.unmatched_ends(), 1);
         assert!(t.histogram(Track::El2, SpanKind::Stage2Check).is_none());
@@ -215,7 +219,7 @@ mod tests {
 
     #[test]
     fn marks_count_per_track_and_in_total() {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(16);
         t.record(&Event::mark(1, Track::Mbm, PointKind::MbmFifoPush, 0x40, 7));
         t.record(&Event::mark(2, Track::Mbm, PointKind::MbmFifoPush, 0x48, 8));
         t.record(&Event::mark(3, Track::El1, PointKind::TlbMaintenance, 4, 0));
@@ -227,7 +231,7 @@ mod tests {
 
     #[test]
     fn snapshot_diff_isolates_a_phase() {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::new(16);
         t.record(&Event::mark(1, Track::El1, PointKind::Hypercall, 1, 0));
         t.record(&Event::begin(0, Track::El2, SpanKind::HypercallVerify, 1));
         t.record(&Event::end(40, Track::El2, SpanKind::HypercallVerify, 0));

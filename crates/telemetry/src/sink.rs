@@ -1,30 +1,10 @@
-//! The [`TelemetrySink`] trait and basic sink implementations.
+//! [`RingSink`], the bounded raw-event ring the [`Telemetry`]
+//! recorder keeps beside its aggregates.
 //!
-//! The simulation is single-threaded, so sinks are shared as
-//! `Rc<RefCell<dyn TelemetrySink>>` ([`SharedSink`]). Instrumented
-//! components hold an `Option<SharedSink>`; with `None` the emit helpers
-//! reduce to one branch, which is what makes telemetry zero-cost when
-//! disabled.
+//! [`Telemetry`]: crate::registry::Telemetry
 
 use crate::event::Event;
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
-
-/// Receiver of telemetry events.
-pub trait TelemetrySink {
-    /// Records one event. Called on hot paths; implementations should be
-    /// cheap and must not re-enter the emitting component.
-    fn record(&mut self, event: &Event);
-}
-
-/// A sink shared across the machine, kernel, Hypersec, and the MBM.
-pub type SharedSink = Rc<RefCell<dyn TelemetrySink>>;
-
-/// Wraps a sink for sharing between components.
-pub fn shared<S: TelemetrySink + 'static>(sink: S) -> SharedSink {
-    Rc::new(RefCell::new(sink))
-}
 
 /// A bounded in-memory event buffer. When full, the oldest events are
 /// evicted; [`RingSink::dropped`] reports how many, so exporters can
@@ -45,6 +25,15 @@ impl RingSink {
             capacity,
             recorded_total: 0,
         }
+    }
+
+    /// Appends one event, evicting the oldest when the ring is full.
+    pub fn record(&mut self, event: &Event) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+        }
+        self.events.push_back(*event);
+        self.recorded_total += 1;
     }
 
     /// Events currently buffered, oldest first.
@@ -78,44 +67,6 @@ impl RingSink {
     }
 }
 
-impl TelemetrySink for RingSink {
-    fn record(&mut self, event: &Event) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(*event);
-        self.recorded_total += 1;
-    }
-}
-
-/// Forwards each event to several sinks (e.g. a ring for export plus a
-/// registry for histograms).
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<SharedSink>,
-}
-
-impl FanoutSink {
-    /// An empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a downstream sink and returns `self` for chaining.
-    pub fn with(mut self, sink: SharedSink) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-}
-
-impl TelemetrySink for FanoutSink {
-    fn record(&mut self, event: &Event) {
-        for sink in &self.sinks {
-            sink.borrow_mut().record(event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,17 +96,5 @@ mod tests {
         ring.record(&mark(2));
         assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.to_vec().len(), 2);
-    }
-
-    #[test]
-    fn fanout_reaches_every_sink() {
-        let a = Rc::new(RefCell::new(RingSink::new(4)));
-        let b = Rc::new(RefCell::new(RingSink::new(4)));
-        let a_dyn: SharedSink = a.clone();
-        let b_dyn: SharedSink = b.clone();
-        let mut fan = FanoutSink::new().with(a_dyn).with(b_dyn);
-        fan.record(&mark(7));
-        assert_eq!(a.borrow().len(), 1);
-        assert_eq!(b.borrow().len(), 1);
     }
 }

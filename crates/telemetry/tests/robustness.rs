@@ -2,11 +2,9 @@
 //! files must not abort a read, and ring-buffer eviction must stay
 //! honest when it splits a begin/end pair.
 
-use hypernel_telemetry::export::{parse_jsonl, write_jsonl};
+use hypernel_telemetry::export::write_jsonl;
 use hypernel_telemetry::reader::read_jsonl_lossy;
-use hypernel_telemetry::{
-    Event, PointKind, RingSink, SpanKind, SpanTree, Telemetry, TelemetrySink, Track,
-};
+use hypernel_telemetry::{Event, PointKind, RingSink, SpanKind, SpanTree, Telemetry, Track};
 
 fn span_pair(base: u64) -> [Event; 2] {
     [
@@ -42,10 +40,8 @@ fn corrupted_trace_file_reads_lossy_but_not_strict() {
     let read_back = std::fs::read_to_string(&path).expect("read temp trace");
     let _ = std::fs::remove_file(&path);
 
-    // The strict parser (round-trip contract) refuses…
-    assert!(parse_jsonl(&read_back).is_err());
-
-    // …the lossy reader recovers everything else and counts the damage.
+    // The reader does not abort on the damage: it recovers everything
+    // else and counts what it skipped.
     let trace = read_jsonl_lossy(&read_back);
     assert_eq!(trace.events.len(), events.len() - 3);
     assert_eq!(trace.skipped, 3);
@@ -82,7 +78,7 @@ fn ring_overflow_mid_span_keeps_unmatched_ends_honest() {
 
     // Replaying the surviving window into an aggregator must report the
     // orphaned End rather than inventing a latency for it.
-    let mut registry = Telemetry::new();
+    let mut registry = Telemetry::new(16);
     for event in ring.to_vec() {
         registry.record(&event);
     }
@@ -102,7 +98,7 @@ fn ring_overflow_dropping_the_end_leaves_the_span_open() {
     let mut ring = RingSink::new(4);
     ring.record(&Event::begin(0, Track::El2, SpanKind::MbmDrain, 3));
     ring.record(&Event::mark(1, Track::Mbm, PointKind::MbmFifoPush, 0x40, 1));
-    let mut registry = Telemetry::new();
+    let mut registry = Telemetry::new(16);
     for event in ring.to_vec() {
         registry.record(&event);
     }

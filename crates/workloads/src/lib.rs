@@ -21,5 +21,5 @@ pub mod lmbench;
 pub mod measure;
 
 pub use apps::AppBenchmark;
-pub use lmbench::{ExtraOp, LmbenchOp};
+pub use lmbench::LmbenchOp;
 pub use measure::Measurement;

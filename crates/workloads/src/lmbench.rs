@@ -118,114 +118,6 @@ impl std::fmt::Display for LmbenchOp {
     }
 }
 
-/// Extra kernel-operation microbenchmarks beyond the paper's Table 1 —
-/// the rest of the LMbench family a complete harness ships.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExtraOp {
-    /// `lat_syscall null` — the cheapest possible kernel entry.
-    NullSyscall,
-    /// `lat_ctx` — bare context-switch ping-pong between two processes.
-    ContextSwitch,
-    /// `lat_fs create/delete` — file create + unlink cycle.
-    FileCreateDelete,
-    /// `rename` — metadata move (authorized sensitive-field update).
-    Rename,
-}
-
-impl ExtraOp {
-    /// Every extra operation.
-    pub const ALL: &'static [ExtraOp] = &[
-        Self::NullSyscall,
-        Self::ContextSwitch,
-        Self::FileCreateDelete,
-        Self::Rename,
-    ];
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::NullSyscall => "null syscall",
-            Self::ContextSwitch => "ctx switch",
-            Self::FileCreateDelete => "create+delete",
-            Self::Rename => "rename",
-        }
-    }
-}
-
-impl std::fmt::Display for ExtraOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Runs an [`ExtraOp`] for `iterations`.
-///
-/// # Errors
-///
-/// Propagates kernel errors.
-pub fn run_extra(
-    kernel: &mut Kernel,
-    m: &mut Machine,
-    hyp: &mut dyn Hyp,
-    op: ExtraOp,
-    iterations: u64,
-) -> Result<Measurement, KernelError> {
-    match op {
-        ExtraOp::NullSyscall => {
-            let start = m.cycles();
-            for _ in 0..iterations {
-                kernel.sys_getpid(m);
-            }
-            Ok(Measurement {
-                total_cycles: m.cycles() - start,
-                iterations,
-            })
-        }
-        ExtraOp::ContextSwitch => {
-            let me = kernel.current();
-            let peer = kernel.sys_fork(m, hyp)?;
-            let start = m.cycles();
-            for _ in 0..iterations {
-                kernel.switch_to(m, hyp, peer)?;
-                kernel.switch_to(m, hyp, me)?;
-            }
-            let total = m.cycles() - start;
-            kernel.sys_exit(m, hyp, peer, me)?;
-            Ok(Measurement {
-                total_cycles: total,
-                iterations: iterations * 2,
-            })
-        }
-        ExtraOp::FileCreateDelete => {
-            let start = m.cycles();
-            for i in 0..iterations {
-                let path = format!("/tmp/lmb{i}");
-                kernel.sys_create(m, hyp, &path)?;
-                kernel.sys_unlink(m, hyp, &path)?;
-            }
-            Ok(Measurement {
-                total_cycles: m.cycles() - start,
-                iterations,
-            })
-        }
-        ExtraOp::Rename => {
-            kernel.sys_create(m, hyp, "/tmp/rn0")?;
-            let start = m.cycles();
-            for i in 0..iterations {
-                let from = format!("/tmp/rn{i}");
-                let to = format!("/tmp/rn{}", i + 1);
-                kernel.sys_rename(m, hyp, &from, &to)?;
-            }
-            let total = m.cycles() - start;
-            kernel.sys_unlink(m, hyp, &format!("/tmp/rn{iterations}"))?;
-            Ok(Measurement {
-                total_cycles: total,
-                iterations,
-            })
-        }
-    }
-}
-
 /// Runs `op` for `iterations` and returns the measured latency.
 ///
 /// Setup work (spawning a peer process, creating files, mapping the
@@ -401,20 +293,6 @@ mod tests {
         let (mut m, mut hyp, mut k) = boot();
         run_op(&mut k, &mut m, &mut hyp, LmbenchOp::PageFault, 16).unwrap();
         assert_eq!(k.stats().page_faults, 16);
-    }
-
-    #[test]
-    fn extra_ops_run_and_cost_cycles() {
-        let (mut m, mut hyp, mut k) = boot();
-        for &op in ExtraOp::ALL {
-            let meas = run_extra(&mut k, &mut m, &mut hyp, op, 4).expect("extra op");
-            assert!(meas.total_cycles > 0, "{op} consumed no cycles");
-            assert!(!op.label().is_empty());
-        }
-        // A context switch costs more than a null syscall.
-        let null = run_extra(&mut k, &mut m, &mut hyp, ExtraOp::NullSyscall, 10).unwrap();
-        let ctx = run_extra(&mut k, &mut m, &mut hyp, ExtraOp::ContextSwitch, 10).unwrap();
-        assert!(ctx.cycles_per_iter() > null.cycles_per_iter());
     }
 
     #[test]

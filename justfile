@@ -52,6 +52,8 @@ perf:
 # corpus with fast paths on (at two worker counts) and off (line runs
 # included), and demand byte-identical campaign.jsonl artifacts,
 # summaries, metrics.jsonl time series AND coverage.json atlases; the
+# flight recorder's blackbox.json dumps of examples/scenarios (4 seeds,
+# swept at --jobs 4, --jobs 1 and with fast paths off) must match; the
 # seven printing benches must print the same with fast paths on and
 # off; `analyze campaign` must re-aggregate the same summary byte for
 # byte.
@@ -85,6 +87,16 @@ determinism:
         diff -r fast-metrics $run-metrics && \
         diff fast-coverage.json $run-coverage.json || exit 1; \
     done
+    cd {{justfile_directory()}} && for run in bb-j4 bb-j1 bb-slow; do \
+        case $run in bb-j4) jobs=4; nofast= ;; bb-j1) jobs=1; nofast= ;; bb-slow) jobs=4; nofast=1 ;; esac; \
+        if HYPERNEL_NO_FASTPATH=$nofast cargo run -q --release --bin hypernel -- campaign run \
+            --corpus examples/scenarios --seeds 4 --jobs $jobs \
+            --out target/determinism/$run.jsonl \
+            --blackbox target/determinism/$run > /dev/null; then \
+            echo "blackbox-desync scenario unexpectedly passed" >&2; exit 1; \
+        fi; \
+    done
+    cd {{justfile_directory()}}/target/determinism && diff -r bb-j4 bb-j1 && diff -r bb-j4 bb-slow
     cd {{justfile_directory()}} && for bench in table1_lmbench figure6_apps table2_traps \
         ablation_bitmap_cache ablation_section_mapping sensitivity_cost nc_penalty; do \
         cargo bench -q -p hypernel-bench --bench $bench \

@@ -33,7 +33,7 @@ use hypernel_campaign::scenario::{Scenario, StepExpect};
 use hypernel_kernel::abi::call;
 use hypernel_kernel::{layout, AttackStep};
 use hypernel_machine::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
-use hypernel_machine::fault::{self, FaultPlan};
+use hypernel_machine::fault::{FaultInjector, FaultPlan};
 use hypernel_machine::pagetable::{self, Descriptor, PagePerms};
 use hypernel_machine::{ExceptionLevel, FaultSpec, Hyp, Machine, SysReg};
 use proptest::prelude::*;
@@ -726,7 +726,7 @@ fn apply_edit(sys: &mut System, tables: &[PhysAddr], edit: &TableEdit) {
             let plan = FaultPlan {
                 specs: vec![FaultSpec::lose_hypercall(1, 1, call::PT_WRITE)],
             };
-            m.set_fault_injector(Some(fault::share(plan)));
+            m.set_fault_injector(Some(FaultInjector::new(plan)));
             let _ = m.hvc(
                 call::PT_WRITE,
                 [table.raw(), u64::from(edit.index), value, 0],

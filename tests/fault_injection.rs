@@ -30,8 +30,7 @@ fn set_drain_budget(sys: &mut System, budget: Option<usize>) {
         .bus_mut()
         .snooper_mut::<Mbm>()
         .expect("mbm attached")
-        .config_mut()
-        .drain_per_transaction = budget;
+        .set_drain_per_transaction(budget);
 }
 
 /// The satellite bugfix: a single `service_interrupts` call must not
@@ -194,12 +193,6 @@ fn run_report_carries_fault_counters() {
     assert!(faults.get("total").and_then(Json::as_u64).unwrap() >= 2);
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
 /// Pins the raw event stream and the fault-hit log of one run whose
 /// plan fires at every owner's sites: a lost hypercall (the machine),
 /// a flipped snoop address (the bus), and a translator stall, a delayed
@@ -211,6 +204,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn telemetry_stream_and_fault_log_are_pinned() {
     use hypernel::kernel::abi::call;
+    use hypernel::kernel::fnv1a;
     use hypernel::telemetry::export::write_jsonl;
     use hypernel::workloads::{lmbench, LmbenchOp};
 
