@@ -138,7 +138,6 @@ fn bench_mbm(c: &mut Criterion) {
         let mut mbm = Mbm::new(config);
         let mut mem = PhysMemory::new(0x60_0000);
         let mut irq = IrqController::new();
-        let mut extra = 0u64;
         let txn = BusTransaction::WriteWord {
             addr: PhysAddr::new(0x1000),
             value: 7,
@@ -147,7 +146,6 @@ fn bench_mbm(c: &mut Criterion) {
             let mut ctx = BusContext {
                 mem: &mut mem,
                 irq: &mut irq,
-                extra_mem_accesses: &mut extra,
                 cycles: 0,
                 faults: None,
                 telemetry: None,
@@ -159,7 +157,6 @@ fn bench_mbm(c: &mut Criterion) {
         let mut mbm = Mbm::new(config);
         let mut mem = PhysMemory::new(0x60_0000);
         let mut irq = IrqController::new();
-        let mut extra = 0u64;
         for u in config.bitmap.plan_update(PhysAddr::new(0x1000), 8, true) {
             let cur = mem.read_u64(u.word);
             mem.write_u64(u.word, u.apply_to(cur));
@@ -172,7 +169,6 @@ fn bench_mbm(c: &mut Criterion) {
             let mut ctx = BusContext {
                 mem: &mut mem,
                 irq: &mut irq,
-                extra_mem_accesses: &mut extra,
                 cycles: 0,
                 faults: None,
                 telemetry: None,

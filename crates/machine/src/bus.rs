@@ -82,9 +82,6 @@ pub struct BusContext<'a> {
     pub mem: &'a mut PhysMemory,
     /// Platform interrupt controller.
     pub irq: &'a mut IrqController,
-    /// Cycle counter the snooper may charge for its own DRAM traffic
-    /// (the MBM shares the memory port with the CPU).
-    pub extra_mem_accesses: &'a mut u64,
     /// CPU cycle counter at the moment of the transaction, so snoopers
     /// can timestamp telemetry on the same clock as the core.
     pub cycles: u64,
@@ -286,11 +283,9 @@ mod tests {
         irq: &mut IrqController,
         txn: BusTransaction,
     ) -> u64 {
-        let mut extra = 0;
         let mut ctx = BusContext {
             mem,
             irq,
-            extra_mem_accesses: &mut extra,
             cycles: 0,
             faults: None,
             telemetry: None,

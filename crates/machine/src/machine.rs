@@ -995,11 +995,9 @@ impl Machine {
     /// Lets attached bus devices (the MBM) drain internal queues; call at
     /// operation boundaries.
     pub fn step_devices(&mut self) {
-        let mut extra = 0;
         self.bus.step_snoopers(&mut BusContext {
             mem: &mut self.mem,
             irq: &mut self.irq,
-            extra_mem_accesses: &mut extra,
             cycles: self.cycles,
             faults: self.faults.as_mut(),
             telemetry: self.telemetry.as_mut(),
@@ -1009,13 +1007,11 @@ impl Machine {
     /// Issues a transaction on the bus, lending it and its devices DRAM,
     /// the interrupt controller and this machine's host attachments.
     fn issue(&mut self, txn: BusTransaction) -> u64 {
-        let mut extra = 0;
         self.bus.issue(
             txn,
             &mut BusContext {
                 mem: &mut self.mem,
                 irq: &mut self.irq,
-                extra_mem_accesses: &mut extra,
                 cycles: self.cycles,
                 faults: self.faults.as_mut(),
                 telemetry: self.telemetry.as_mut(),

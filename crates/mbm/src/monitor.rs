@@ -453,7 +453,6 @@ impl Mbm {
             None => {
                 let v = ctx.mem.read_u64(bitmap_word);
                 self.stats.device_reads += 1;
-                *ctx.extra_mem_accesses += 1;
                 self.cache.fill(bitmap_word, v);
                 v
             }
@@ -588,7 +587,6 @@ impl BusSnooper for Mbm {
                 .cache
                 .charge_lookups(p.word, p.value, p.resident, skipped);
             self.stats.device_reads += fetches;
-            *ctx.extra_mem_accesses += fetches;
         }
         self.drain(ctx);
     }
@@ -635,7 +633,6 @@ mod tests {
         mbm: Mbm,
         mem: PhysMemory,
         irq: IrqController,
-        extra: u64,
         /// The injector lent to the device, standing in for the
         /// machine's.
         faults: Option<FaultInjector>,
@@ -647,7 +644,6 @@ mod tests {
                 mbm: Mbm::new(config),
                 mem: PhysMemory::new(0x600_0000),
                 irq: IrqController::new(),
-                extra: 0,
                 faults: None,
             }
         }
@@ -664,7 +660,6 @@ mod tests {
             let mut ctx = BusContext {
                 mem: &mut self.mem,
                 irq: &mut self.irq,
-                extra_mem_accesses: &mut self.extra,
                 cycles: 0,
                 faults: self.faults.as_mut(),
                 telemetry: None,

@@ -33,7 +33,6 @@ struct Rig {
     mbm: Mbm,
     mem: PhysMemory,
     irq: IrqController,
-    extra: u64,
 }
 
 impl Rig {
@@ -44,7 +43,6 @@ impl Rig {
             mbm,
             mem: PhysMemory::new(0x60_0000),
             irq: IrqController::new(),
-            extra: 0,
         }
     }
 
@@ -64,7 +62,6 @@ impl Rig {
         let mut ctx = BusContext {
             mem: &mut self.mem,
             irq: &mut self.irq,
-            extra_mem_accesses: &mut self.extra,
             cycles: 0,
             faults: None,
             telemetry: None,
@@ -73,9 +70,9 @@ impl Rig {
     }
 
     /// Everything the model can observe of the monitor: its counters
-    /// (less the filter's host counter), the bitmap cache's counters,
-    /// the FIFO gauges, DRAM traffic, the pending interrupt and the
-    /// ring's contents (drained).
+    /// (less the filter's host counter; `device_reads` is its DRAM
+    /// traffic), the bitmap cache's counters, the FIFO gauges, the
+    /// pending interrupt and the ring's contents (drained).
     fn observe(&mut self) -> impl PartialEq + std::fmt::Debug {
         let stats = MbmStats {
             page_filter_skips: 0,
@@ -90,7 +87,6 @@ impl Rig {
             self.mbm.bitmap_cache_stats(),
             self.mbm.fifo_len(),
             self.mbm.fifo_high_watermark(),
-            self.extra,
             self.irq.is_pending(IrqLine::MBM),
             ring,
         )
@@ -174,14 +170,13 @@ proptest! {
         let mut mbm = Mbm::new(config);
         let mut mem = PhysMemory::new(0x60_0000);
         let mut irq = IrqController::new();
-        let mut extra = 0u64;
 
         // Program the bitmap the way Hypersec would (bus-visible writes).
         for &w in &watched {
             for u in config.bitmap.plan_update(PhysAddr::new(w * 8), 8, true) {
                 let v = u.apply_to(mem.read_u64(u.word));
                 mem.write_u64(u.word, v);
-                let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
+                let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, cycles: 0, faults: None, telemetry: None };
                 mbm.on_transaction(&BusTransaction::WriteWord { addr: u.word, value: v }, &mut ctx);
             }
         }
@@ -192,7 +187,7 @@ proptest! {
         for &(word, value) in &writes {
             let addr = PhysAddr::new(word * 8);
             mem.write_u64(addr, value);
-            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
+            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, cycles: 0, faults: None, telemetry: None };
             mbm.on_transaction(&BusTransaction::WriteWord { addr, value }, &mut ctx);
             if watched.contains(&word) {
                 expected.push(WriteEvent { addr, value });
@@ -284,16 +279,15 @@ proptest! {
         let mut mbm = Mbm::new(cfg);
         let mut mem = PhysMemory::new(0x60_0000);
         let mut irq = IrqController::new();
-        let mut extra = 0u64;
         // Watch one word, write it `burst` times back-to-back.
         for u in cfg.bitmap.plan_update(PhysAddr::new(0x100), 8, true) {
             let v = u.apply_to(mem.read_u64(u.word));
             mem.write_u64(u.word, v);
-            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
+            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, cycles: 0, faults: None, telemetry: None };
             mbm.on_transaction(&BusTransaction::WriteWord { addr: u.word, value: v }, &mut ctx);
         }
         for i in 0..burst {
-            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
+            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, cycles: 0, faults: None, telemetry: None };
             mbm.on_transaction(
                 &BusTransaction::WriteWord { addr: PhysAddr::new(0x100), value: i },
                 &mut ctx,
@@ -301,7 +295,7 @@ proptest! {
         }
         // Let the pipeline drain fully.
         for _ in 0..64 {
-            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, extra_mem_accesses: &mut extra, cycles: 0, faults: None, telemetry: None };
+            let mut ctx = BusContext { mem: &mut mem, irq: &mut irq, cycles: 0, faults: None, telemetry: None };
             mbm.step(&mut ctx);
         }
         let s = mbm.stats();
