@@ -12,7 +12,9 @@
 //! correct runs and one simulated digest per group, equal to the
 //! baseline's. A point ([`point_json`], committed as
 //! `benchmarks/BENCH_<date>.json`) holds every run, so the next change
-//! gates against it ([`read_point`]).
+//! gates against it ([`read_point`]). [`paired`] is the A/B rule for a
+//! performance claim: runs of a change and of its parent, taken in
+//! alternating pairs, compared pair by pair.
 
 use hypernel_telemetry::json::Json;
 use std::collections::BTreeMap;
@@ -305,6 +307,163 @@ pub fn gate(bounds: &[Bound], runs: &[Run], baseline: Option<&[Run]>) -> Gate {
     gate
 }
 
+/// A paired comparison's reading of one metric, in order of precedence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// The change won at least 9 in 10 pairs and its median beats the
+    /// parent's by more than the parent's q3 − q1.
+    Gain,
+    /// The change's median is past the metric's bound in its worse
+    /// direction.
+    Worse,
+    /// The parent's runs spread wider than the bound, and not every
+    /// change run beats every parent run.
+    Unresolved,
+    /// None of the above.
+    WithinBound,
+}
+
+impl Verdict {
+    /// The verdict as printed.
+    fn name(self) -> &'static str {
+        match self {
+            Self::Gain => "gain",
+            Self::Worse => "worse",
+            Self::Unresolved => "unresolved",
+            Self::WithinBound => "within bound",
+        }
+    }
+}
+
+/// The `q` quantile of `sorted`, interpolated linearly between ranks
+/// (the median of an even count is the mean of the middle two).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+}
+
+/// `[q1, median, q3]` of `values`.
+fn quartiles(values: &[f64]) -> [f64; 3] {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| quantile(&sorted, q))
+}
+
+/// Reads one metric of paired runs, `change[i]` taken beside
+/// `parent[i]` (both non-empty, of one length): its [`Verdict`] and a
+/// line with both sides' medians and quartiles, the change and the
+/// pairs the change won (a tie counts for neither side).
+fn verdict(b: &Bound, change: &[f64], parent: &[f64]) -> (Verdict, String) {
+    // `sign * (x - y) > 0` reads "x is better than y".
+    let sign = if b.higher_is_better { 1.0 } else { -1.0 };
+    let won = (change.iter().zip(parent))
+        .filter(|(c, p)| sign * (*c - *p) > 0.0)
+        .count();
+    let [cq1, cm, cq3] = quartiles(change);
+    let [pq1, pm, pq3] = quartiles(parent);
+    let pct = 100.0 * (cm / pm - 1.0);
+    let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let beats_all = if b.higher_is_better {
+        min(change) > max(parent)
+    } else {
+        max(change) < min(parent)
+    };
+    let (_, parent_spread) = median_spread(parent.to_vec()).expect("non-empty");
+    let verdict = if 10 * won >= 9 * change.len() && sign * (cm - pm) > pq3 - pq1 {
+        Verdict::Gain
+    } else if -sign * pct > 100.0 * b.bound {
+        Verdict::Worse
+    } else if parent_spread > b.bound && !beats_all {
+        Verdict::Unresolved
+    } else {
+        Verdict::WithinBound
+    };
+    let line = format!(
+        "{cm:.4} [{cq1:.4}, {cq3:.4}] vs parent {pm:.4} [{pq1:.4}, {pq3:.4}] {}: \
+         {pct:+.1}%, won {won}/{} pairs: {}",
+        b.unit,
+        change.len(),
+        verdict.name()
+    );
+    (verdict, line)
+}
+
+/// The A/B rule over runs of a change and of its parent, `parent[i]`
+/// taken beside `change[i]`. Per (workload, seed) and end-to-end metric
+/// it gives both sides' medians and quartiles, the change, the pairs
+/// won and a verdict: `gain`, `worse`, `unresolved` or `within bound`,
+/// in that precedence (`hypernel analyze help` defines them). Findings: a `worse` verdict, an
+/// incorrect change run, a larger share of failed units than the
+/// parent's, a simulated digest that differs between the sides or
+/// within one, and a pair of runs of different workloads or seeds.
+pub fn paired(bounds: &[Bound], change: &[Run], parent: &[Run]) -> Gate {
+    let mut gate = Gate::default();
+    let mut by_group: BTreeMap<(&str, u64), Vec<(&Run, &Run)>> = BTreeMap::new();
+    for (change, parent) in change.iter().zip(parent) {
+        let key = (change.workload.as_str(), change.seed);
+        if key != (parent.workload.as_str(), parent.seed) {
+            let (w, s) = (&parent.workload, parent.seed);
+            let finding = format!("{} seed {}: paired with a {w} seed {s} run", key.0, key.1);
+            gate.findings.push(finding);
+            continue;
+        }
+        by_group.entry(key).or_default().push((change, parent));
+    }
+    for ((workload, seed), group) in by_group {
+        let at = format!("{workload} seed {seed}");
+        let mut fail = |finding: String| gate.findings.push(format!("{at}: {finding}"));
+        let (change, parent): (Vec<&Run>, Vec<&Run>) = group.into_iter().unzip();
+        for run in change.iter().filter(|r| !r.correct) {
+            let (failed, attempted) = (run.failed, run.attempted);
+            fail(format!(
+                "a change run is not correct ({failed} of {attempted} units failed)"
+            ));
+        }
+        let failed_share = |runs: &[&Run]| {
+            let failed: u64 = runs.iter().map(|r| r.failed).sum();
+            let attempted: u64 = runs.iter().map(|r| r.attempted).sum();
+            failed as f64 / attempted.max(1) as f64
+        };
+        let (now, was) = (failed_share(&change), failed_share(&parent));
+        if now > was {
+            fail(format!(
+                "{:.2}% of units failed, the parent's {:.2}%",
+                100.0 * now,
+                100.0 * was
+            ));
+        }
+        let (ours, theirs) = (digests(&change).join(", "), digests(&parent).join(", "));
+        if ours != theirs || ours.contains(',') {
+            fail(format!(
+                "simulated digest {ours} differs from the parent's {theirs}"
+            ));
+        }
+        for b in bounds {
+            let values = |runs: &[&Run]| -> Option<Vec<f64>> {
+                runs.iter()
+                    .map(|r| r.metrics.get(&b.name).copied())
+                    .collect()
+            };
+            let (Some(c), Some(p)) = (values(&change), values(&parent)) else {
+                fail(format!("a run has no `{}` value", b.name));
+                continue;
+            };
+            let (v, line) = verdict(b, &c, &p);
+            if v == Verdict::Worse {
+                fail(format!(
+                    "`{}` is worse than the parent's past its {:.0}% bound",
+                    b.name,
+                    100.0 * b.bound
+                ));
+            }
+            gate.lines.push(format!("{at}: {} {line}", b.name));
+        }
+    }
+    gate
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,12 +485,15 @@ mod tests {
         )
     }
 
-    fn gate_of(runs: &[Run], baseline: Option<&[Run]>) -> Gate {
+    fn bounds() -> Vec<Bound> {
         let spec = r#"{"end_to_end": [
             {"name": "runs_per_s", "unit": "1/s", "better": "higher", "bound": 0.24},
             {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.12}]}"#;
-        let bounds = read_bounds(&Json::parse(spec).unwrap()).unwrap();
-        gate(&bounds, runs, baseline)
+        read_bounds(&Json::parse(spec).unwrap()).unwrap()
+    }
+
+    fn gate_of(runs: &[Run], baseline: Option<&[Run]>) -> Gate {
+        gate(&bounds(), runs, baseline)
     }
 
     #[test]
@@ -418,6 +580,76 @@ mod tests {
             [
                 "campaign-corpus seed 1: `runs_per_s` median 75.0000 is -25.0% from the \
               baseline's 100.0000, past its 24% bound"
+            ]
+        );
+    }
+
+    #[test]
+    fn each_paired_verdict() {
+        let [rate, rss] = [&bounds()[0], &bounds()[1]];
+        let parent = [
+            100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0,
+        ];
+        let shifted = |by: f64| parent.map(|p| p + by);
+        // Ten of ten pairs won, by far more than the parent's q3 − q1.
+        let (v, line) = verdict(rate, &shifted(10.0), &parent);
+        assert_eq!(v, Verdict::Gain);
+        assert_eq!(
+            line,
+            "110.0000 [109.2500, 110.7500] vs parent 100.0000 [99.2500, 100.7500] 1/s: \
+             +10.0%, won 10/10 pairs: gain"
+        );
+        // Eight of ten pairs won is no gain; nor is a gap inside the
+        // parent's q3 − q1.
+        let mut two_lost = shifted(10.0);
+        two_lost[..2].fill(90.0);
+        assert_eq!(verdict(rate, &two_lost, &parent).0, Verdict::WithinBound);
+        assert_eq!(
+            verdict(rate, &shifted(0.5), &parent).0,
+            Verdict::WithinBound
+        );
+        // 30% slower, past the 24% bound; 13% more memory, past 12%.
+        let slower = parent.map(|p| p * 0.7);
+        assert_eq!(verdict(rate, &slower, &parent).0, Verdict::Worse);
+        assert_eq!(verdict(rss, &[113.0], &[100.0]).0, Verdict::Worse);
+        assert_eq!(verdict(rss, &[90.0; 3], &[100.0; 3]).0, Verdict::Gain);
+        // A parent spread past the bound resolves nothing, unless every
+        // change run beats every parent run.
+        let wide = [60.0, 61.0, 139.0, 140.0];
+        let close = [100.0, 101.0, 99.0, 100.0];
+        assert_eq!(verdict(rate, &close, &wide).0, Verdict::Unresolved);
+        assert_eq!(verdict(rate, &[141.0; 4], &wide).0, Verdict::WithinBound);
+        // Ties count for neither side.
+        let (v, line) = verdict(rss, &[100.0; 2], &[100.0; 2]);
+        assert_eq!(v, Verdict::WithinBound);
+        assert!(line.ends_with("won 0/2 pairs: within bound"), "{line}");
+    }
+
+    #[test]
+    fn paired_findings() {
+        let change = [100.0, 90.0, 110.0].map(|r| run(1, "0xab", true, r));
+        let parent = [100.0; 3].map(|r| run(1, "0xab", true, r));
+        let g = paired(&bounds(), &change, &parent);
+        assert_eq!(g.findings, Vec::<String>::new());
+        assert_eq!(g.lines.len(), 2);
+        let change = [
+            run(1, "0xac", false, 60.0),
+            run(1, "0xab", true, 60.0),
+            run(1, "0xab", true, 60.0),
+        ];
+        let parent = [
+            run(1, "0xab", true, 100.0),
+            run(7, "0xab", true, 100.0),
+            run(1, "0xab", true, 100.0),
+        ];
+        assert_eq!(
+            paired(&bounds(), &change, &parent).findings,
+            [
+                "campaign-corpus seed 1: paired with a campaign-corpus seed 7 run",
+                "campaign-corpus seed 1: a change run is not correct (1 of 255 units failed)",
+                "campaign-corpus seed 1: 0.20% of units failed, the parent's 0.00%",
+                "campaign-corpus seed 1: simulated digest 0xab, 0xac differs from the parent's 0xab",
+                "campaign-corpus seed 1: `runs_per_s` is worse than the parent's past its 24% bound",
             ]
         );
     }

@@ -3,15 +3,17 @@
 //! `compare` exits nonzero when a cost metric of a run report regressed
 //! beyond the threshold; `bench` exits nonzero when an hbench run is
 //! wrong, a simulated digest moved or a host-time metric crossed its
-//! `BENCHMARK.json` bound, which is what the CI perf gate keys on;
+//! `BENCHMARK.json` bound, which is what the CI perf gate keys on (and,
+//! with `--parent`, the paired A/B rule of a performance claim);
 //! `coverage --against` exits nonzero when any feature covered by the
 //! baseline atlas went uncovered, which is what the CI coverage gate
 //! keys on.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use hypernel::analyze::attribution::{attribute, collapsed_stacks};
-use hypernel::analyze::bench::{gate, point_json, read_bounds, read_point, read_run};
+use hypernel::analyze::bench::{gate, paired, point_json, read_bounds, read_point, read_run};
 use hypernel::analyze::compare::compare_reports;
 use hypernel::analyze::forensics::{incidents_to_json, reconstruct_incidents, render_text};
 use hypernel::audit::report::ingest_report;
@@ -39,7 +41,8 @@ USAGE:
       Diffs two run reports; exits 1 when a cost metric regressed
       beyond the threshold (default 0.05 = 5%).
   hypernel analyze bench <BENCHMARK.json> <hbench-output>...
-                         [--baseline <BENCH_date.json>] [--out <BENCH_date.json>]
+                         [--baseline <BENCH_date.json> | --parent <dir>]
+                         [--out <BENCH_date.json>]
       The host-time perf gate over the standard output of `--trace 0`
       hbench runs. Groups the runs by (workload, seed) and prints each
       end-to-end metric's median. Exits 1, listing every finding, when
@@ -48,6 +51,15 @@ USAGE:
       from the baseline's, a group has no baseline entry, or a median
       is worse than the baseline's by more than the metric's bound in
       BENCHMARK.json. --out writes the runs as the next point.
+      --parent pairs each output with the file of the same name in
+      <dir>, a run of the parent taken beside it, and prints per group
+      and metric both sides' medians and quartiles, the change, the
+      pairs won and a verdict: `gain` (at least 9 in 10 pairs won and
+      a median gap past the parent's q3 - q1), `worse` (past the
+      bound), `unresolved` (the parent spreads wider than the bound and
+      not every change run beats every parent run) or `within bound`.
+      Exits 1 on a `worse` verdict, an incorrect run, a larger share of
+      failed units than the parent's or a digest that differs.
   hypernel analyze selftest
       End-to-end pipeline check over a synthetic trace; exits nonzero
       on any inconsistency.
@@ -93,7 +105,8 @@ pub const COMMANDS: &[Command] = &[
     Command::new("compare", "<baseline.json> <current.json>", cmd_compare)
         .options("threshold")
         .flags("json"),
-    Command::new("bench", "<BENCHMARK.json> <hbench-output>...", cmd_bench).options("baseline out"),
+    Command::new("bench", "<BENCHMARK.json> <hbench-output>...", cmd_bench)
+        .options("baseline parent out"),
     Command::new("campaign", "<campaign.jsonl>", cmd_campaign)
         .options("baseline out threshold")
         .flags("json"),
@@ -179,31 +192,48 @@ fn cmd_compare(args: &Args) -> Result<ExitCode, String> {
 fn cmd_bench(args: &Args) -> Result<ExitCode, String> {
     let (spec_path, outputs) = args.positional().split_first().expect("declared");
     let bounds = read_bounds(&read_json(spec_path)?).map_err(|e| format!("`{spec_path}`: {e}"))?;
-    let mut runs = Vec::new();
-    for path in outputs {
+    let read = |path: &str| {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        runs.push(read_run(&text).map_err(|e| format!("`{path}`: {e}"))?);
-    }
+        read_run(&text).map_err(|e| format!("`{path}`: {e}"))
+    };
+    let runs = outputs
+        .iter()
+        .map(|p| read(p))
+        .collect::<Result<Vec<_>, _>>()?;
     let baseline = match args.get("baseline") {
         Some(path) => Some(read_point(&read_json(path)?).map_err(|e| format!("`{path}`: {e}"))?),
+        None => None,
+    };
+    let parent = match args.get("parent") {
+        Some(_) if baseline.is_some() => return Err("give --baseline or --parent, not both".into()),
+        Some(dir) => Some(
+            (outputs.iter())
+                .map(|path| {
+                    let name = Path::new(path).file_name().unwrap_or_default();
+                    read(&Path::new(dir).join(name).to_string_lossy())
+                })
+                .collect::<Result<Vec<_>, _>>()?,
+        ),
         None => None,
     };
     if let Some(out) = args.get("out") {
         write_file(out, &format!("{}\n", point_json(&runs)))?;
         println!("wrote {} run(s) to {out}", runs.len());
     }
-    let verdict = gate(&bounds, &runs, baseline.as_deref());
+    let (verdict, counted) = match parent {
+        Some(parent) => (paired(&bounds, &runs, &parent), "pair(s)"),
+        None => (gate(&bounds, &runs, baseline.as_deref()), "run(s)"),
+    };
     verdict.lines.iter().for_each(|line| println!("{line}"));
     for finding in &verdict.findings {
         println!("FAIL: {finding}");
     }
-    let against = args
-        .get("baseline")
+    let against = (args.get("baseline").or(args.get("parent")))
         .map_or(String::new(), |p| format!(" vs `{p}`"));
     let (runs, findings) = (runs.len(), verdict.findings.len());
     if findings == 0 {
-        println!("perf gate: ok, {runs} run(s){against}");
+        println!("perf gate: ok, {runs} {counted}{against}");
         Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("perf gate: FAIL, {findings} finding(s){against}");

@@ -2,10 +2,9 @@
 //!
 //! Values are bucketed by bit width: bucket 0 holds exactly 0, bucket
 //! `i` (1..=64) holds values in `[2^(i-1), 2^i)`. That covers the whole
-//! `u64` domain in 65 counters, so recording is O(1) and merge is
-//! bucket-wise addition. Quantiles are estimated from bucket upper
-//! bounds clamped to the observed min/max, which keeps them monotone in
-//! the requested rank.
+//! `u64` domain in 65 counters, so recording is O(1). Quantiles are
+//! estimated from bucket upper bounds clamped to the observed min/max,
+//! which keeps them monotone in the requested rank.
 
 /// Number of buckets: one for zero plus one per bit width.
 pub const BUCKETS: usize = 65;
@@ -103,20 +102,6 @@ impl Histogram {
             }
         }
         Some(self.max)
-    }
-
-    /// Adds every sample of `other` into `self` (bucket-wise; exact for
-    /// counts/sum/min/max, so merge order never matters).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
     }
 
     /// Condenses the histogram into the fixed summary used by reports.
@@ -221,84 +206,6 @@ mod tests {
         assert_eq!(h.quantile(0.99), Some(120));
         // Lower clamp: bucket 0's bound (0) can never be below min.
         assert!(h.quantile(0.01).unwrap() >= 100);
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let samples: [&[u64]; 3] = [&[0, 1, 2, 3], &[u64::MAX, 17, 17], &[1 << 40, 5]];
-        let hist = |vals: &[u64]| {
-            let mut h = Histogram::new();
-            vals.iter().for_each(|&v| h.record(v));
-            h
-        };
-        let (a, b, c) = (hist(samples[0]), hist(samples[1]), hist(samples[2]));
-
-        // (a + b) + c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a + (b + c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-
-        // c + b + a
-        let mut rev = c.clone();
-        rev.merge(&b);
-        rev.merge(&a);
-        assert_eq!(left, rev);
-
-        // And equal to recording everything into one histogram.
-        let mut all = Histogram::new();
-        for s in samples {
-            s.iter().for_each(|&v| all.record(v));
-        }
-        assert_eq!(left, all);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut h = Histogram::new();
-        h.record(42);
-        let before = h.clone();
-        h.merge(&Histogram::new());
-        assert_eq!(h, before);
-
-        let mut empty = Histogram::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn merge_empty_into_empty_stays_empty() {
-        let mut a = Histogram::new();
-        a.merge(&Histogram::new());
-        assert_eq!(a, Histogram::new());
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.min(), None);
-        assert_eq!(a.quantile(0.5), None);
-    }
-
-    #[test]
-    fn merge_of_disjoint_ranges_widens_min_and_max() {
-        let mut low = Histogram::new();
-        low.record(3);
-        low.record(5);
-        let mut high = Histogram::new();
-        high.record(1 << 30);
-
-        let mut merged = low.clone();
-        merged.merge(&high);
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.min(), Some(3));
-        assert_eq!(merged.max(), Some(1 << 30));
-        assert_eq!(merged.sum(), 3 + 5 + (1u128 << 30));
-        // And merging the other way agrees.
-        let mut other = high.clone();
-        other.merge(&low);
-        assert_eq!(merged, other);
     }
 
     #[test]

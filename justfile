@@ -48,6 +48,40 @@ perf:
         --baseline $(ls benchmarks/BENCH_*.json | sort | tail -n 1) \
         --out target/perf/BENCH_$(date -u +%FT%H%M).json
 
+# Paired A/B of the working tree against <rev> on one hbench workload
+# and seed: the rule a performance claim must pass (docs/PERF.md, "The
+# perf contract"). Exports <rev> with `git archive` to target/ab/<sha>
+# (no worktree to register or prune), builds its hbench and this
+# tree's, each in its own target dir, then runs <pairs> pairs of
+# <seconds>-second `--trace 0` runs, alternating which side runs
+# first, and reads them with `analyze bench --parent`. The outputs stay
+# in target/ab/<workload>-s<seed>/{change,parent}/.
+ab rev workload seed pairs="10" seconds="10":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cd {{justfile_directory()}}
+    sha=$(git rev-parse --verify --short=12 "{{rev}}^{commit}")
+    tree=target/ab/$sha
+    if [ ! -d $tree ]; then
+        mkdir -p $tree.tmp && git archive $sha | tar -x -C $tree.tmp && mv $tree.tmp $tree
+    fi
+    CARGO_TARGET_DIR=$tree/hbench/target \
+        cargo build --release --offline -q --manifest-path $tree/hbench/Cargo.toml
+    CARGO_TARGET_DIR=hbench/target \
+        cargo build --release --offline -q --manifest-path hbench/Cargo.toml
+    out=target/ab/{{workload}}-s{{seed}}
+    rm -rf $out && mkdir -p $out/change $out/parent
+    for i in $(seq 1 {{pairs}}); do
+        if [ $((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            if [ $side = parent ]; then dir=$tree; else dir=.; fi
+            (cd $dir && hbench/target/release/hbench --workload {{workload}} \
+                --seed {{seed}} --seconds {{seconds}} --trace 0) > $out/$side/pair$i.txt
+        done
+    done
+    cargo run -q --release --bin hypernel -- \
+        analyze bench BENCHMARK.json $out/change/*.txt --parent $out/parent
+
 # Determinism gate: the fast paths must be model-invisible. Sweep the
 # corpus with fast paths on (at two worker counts) and off (line runs
 # included), and demand byte-identical campaign.jsonl artifacts,
